@@ -4,12 +4,21 @@ type t = { bits : Bytes.t; nbits : int; k : int }
 
 (* FNV-1a over OCaml's 63-bit native int (unboxed — a boxed Int64
    multiply per input byte would dominate tablet flushes), with a seed
-   mixed in so we get two independent hash streams. *)
+   mixed in so we get two independent hash streams. FNV-1a consumes its
+   input left to right, so the state after a prefix's last byte is that
+   prefix's hash: {!add_with_prefixes} reads every boundary's hashes off
+   one pass over the full key. *)
+let fnv_basis = 0x3bf29ce484222325
+
+let fnv_prime = 0x100000001b3
+
+let seed2 = 0x1E3779B97F4A7C15
+
 let fnv1a seed s =
-  let h = ref (0x3bf29ce484222325 lxor seed) in
+  let h = ref (fnv_basis lxor seed) in
   for i = 0 to String.length s - 1 do
     h := !h lxor Char.code (String.unsafe_get s i);
-    h := !h * 0x100000001b3
+    h := !h * fnv_prime
   done;
   !h land max_int
 
@@ -22,29 +31,44 @@ let create ?(bits_per_key = 10) ~expected_keys () =
   let k = max 1 (min 16 (int_of_float (0.69 *. float_of_int bits_per_key))) in
   { bits = Bytes.make nbytes '\000'; nbits; k }
 
-let indices t key f =
-  let h1 = fnv1a 0 key in
-  let h2 = fnv1a 0x1E3779B97F4A7C15 key in
-  for i = 0 to t.k - 1 do
-    let h = (h1 + (i * h2)) land max_int in
-    f (h mod t.nbits)
-  done
+(* The k bit indices of a key, from its two hashes (double hashing). *)
+let index t h1 h2 i = ((h1 + (i * h2)) land max_int) mod t.nbits
 
-let set_bit t idx =
-  let byte = idx lsr 3 and bit = idx land 7 in
-  Bytes.set t.bits byte
-    (Char.chr (Char.code (Bytes.get t.bits byte) lor (1 lsl bit)))
+let set_bits t h1 h2 =
+  for i = 0 to t.k - 1 do
+    let idx = index t h1 h2 i in
+    let byte = idx lsr 3 and bit = idx land 7 in
+    Bytes.unsafe_set t.bits byte
+      (Char.unsafe_chr (Char.code (Bytes.unsafe_get t.bits byte) lor (1 lsl bit)))
+  done
 
 let get_bit t idx =
   let byte = idx lsr 3 and bit = idx land 7 in
   Char.code (Bytes.get t.bits byte) land (1 lsl bit) <> 0
 
-let add t key = indices t key (set_bit t)
+let add t key = set_bits t (fnv1a 0 key) (fnv1a seed2 key)
+
+let add_with_prefixes t key ends =
+  let h1 = ref fnv_basis and h2 = ref (fnv_basis lxor seed2) in
+  let j = ref 0 in
+  let nends = Array.length ends in
+  for i = 0 to String.length key - 1 do
+    if !j < nends && Array.unsafe_get ends !j = i then begin
+      set_bits t (!h1 land max_int) (!h2 land max_int);
+      incr j
+    end;
+    let c = Char.code (String.unsafe_get key i) in
+    h1 := (!h1 lxor c) * fnv_prime;
+    h2 := (!h2 lxor c) * fnv_prime
+  done;
+  if !j < nends then
+    invalid_arg "Bloom.add_with_prefixes: prefix ends must ascend within the key";
+  set_bits t (!h1 land max_int) (!h2 land max_int)
 
 let mem t key =
-  let ok = ref true in
-  indices t key (fun idx -> if not (get_bit t idx) then ok := false);
-  !ok
+  let h1 = fnv1a 0 key and h2 = fnv1a seed2 key in
+  let rec go i = i >= t.k || (get_bit t (index t h1 h2 i) && go (i + 1)) in
+  go 0
 
 let bit_count t = t.nbits
 

@@ -20,6 +20,14 @@ val create : ?bits_per_key:int -> expected_keys:int -> unit -> t
 
 val add : t -> string -> unit
 
+(** [add_with_prefixes t key ends] sets exactly the bits of {!add} [t
+    key] plus {!add} [t (String.sub key 0 e)] for every [e] in [ends],
+    but hashes [key] once and allocates nothing: each prefix's hashes
+    are the running hash state at its boundary. [ends] must be strictly
+    ascending, each in [\[1, String.length key)].
+    @raise Invalid_argument if an end lies outside the key. *)
+val add_with_prefixes : t -> string -> int array -> unit
+
 (** [mem t key] is [false] only if [key] was never added; [true] may be a
     false positive. *)
 val mem : t -> string -> bool

@@ -1,8 +1,10 @@
 open Lt_util
 
-type source = unit -> (string * Value.t array) option
+type 'a stream = unit -> (string * 'a) option
 
-type head = { key : string; row : Value.t array; prio : int; src : source }
+type source = Value.t array stream
+
+type 'a head = { key : string; row : 'a; prio : int; src : 'a stream }
 
 let merge ~asc sources =
   let cmp a b =
@@ -39,12 +41,12 @@ let filter_ts ~scanned ?ts_min ?ts_max src =
   let rec next () =
     match src () with
     | None -> None
-    | Some (key, row) ->
+    | Some (key, _) as item ->
         incr scanned;
         let ts = Key_codec.ts_of_key key in
         let ok_lo = match ts_min with None -> true | Some b -> ts >= b in
         let ok_hi = match ts_max with None -> true | Some b -> ts <= b in
-        if ok_lo && ok_hi then Some (key, row) else next ()
+        if ok_lo && ok_hi then item else next ()
   in
   next
 

@@ -12,19 +12,24 @@
     key — possible only if uniqueness enforcement was bypassed — the
     higher-priority row wins and the others are dropped. *)
 
-(** A pull iterator: [None] means exhausted. Single-consumer. *)
-type source = unit -> (string * Value.t array) option
+(** A pull iterator over [(encoded key, payload)] pairs: [None] means
+    exhausted. Single-consumer. Queries stream decoded rows; merges and
+    rewrites stream value encodings ({!Tablet.iter_encoded}). *)
+type 'a stream = unit -> (string * 'a) option
 
-(** [merge ~asc sources] merge-sorts [(priority, source)] pairs into one
+(** A stream of decoded rows. *)
+type source = Value.t array stream
+
+(** [merge ~asc sources] merge-sorts [(priority, stream)] pairs into one
     ordered, deduplicated stream. *)
-val merge : asc:bool -> (int * source) list -> source
+val merge : asc:bool -> (int * 'a stream) list -> 'a stream
 
 (** [filter_ts ~scanned ?ts_min ?ts_max src] drops rows whose key
     timestamp (last 8 key bytes) falls outside the inclusive bounds,
     incrementing [scanned] for every row examined — the numerator of the
     paper's rows-scanned/rows-returned efficiency metric (§5.2.4). *)
 val filter_ts :
-  scanned:int ref -> ?ts_min:int64 -> ?ts_max:int64 -> source -> source
+  scanned:int ref -> ?ts_min:int64 -> ?ts_max:int64 -> 'a stream -> 'a stream
 
 (** Stop after [n] rows. *)
 val take : int -> source -> source

@@ -116,6 +116,25 @@ let encode_key_with_prefixes schema row =
     pkey;
   (Buffer.contents buf, List.rev !prefixes)
 
+let prefix_ends schema key ends =
+  let pkey = Schema.pkey schema in
+  let cols = Schema.columns schema in
+  let pos = ref 0 in
+  for i = 0 to Array.length pkey - 2 do
+    (pos :=
+       match cols.(pkey.(i)).Schema.ctype with
+       | Value.T_int32 -> !pos + 4
+       | Value.T_int64 | Value.T_timestamp | Value.T_double -> !pos + 8
+       | Value.T_string | Value.T_blob -> (
+           match String.index_from key !pos '\x00' with
+           | z -> z + 1
+           | exception Not_found ->
+               invalid_arg "Key_codec.prefix_ends: unterminated string"));
+    if !pos >= String.length key then
+      invalid_arg "Key_codec.prefix_ends: truncated key";
+    ends.(i) <- !pos
+  done
+
 let encode_prefix schema values =
   let pkey = Schema.pkey schema in
   let cols = Schema.columns schema in
@@ -150,8 +169,7 @@ let decode_key schema key =
 let ts_of_key key =
   let n = String.length key in
   if n < 8 then invalid_arg "ts_of_key: key shorter than 8 bytes";
-  let cur = Binio.cursor ~pos:(n - 8) key in
-  flip_i64 (get_be64 cur)
+  flip_i64 (String.get_int64_be key (n - 8))
 
 let prefix_succ p =
   let n = String.length p in

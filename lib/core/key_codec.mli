@@ -40,6 +40,16 @@ val encode_key : Schema.t -> Value.t array -> string
     membership tests work (§3.4.5). *)
 val encode_key_with_prefixes : Schema.t -> Value.t array -> string * string list
 
+(** [prefix_ends schema key ends] stores in [ends.(i)] the byte length of
+    the proper column-boundary prefix with [i + 1] key columns (for [i]
+    below k-1), read off the encoded full [key] in one scan without
+    decoding it: fixed-width columns advance by their width, and a
+    string or blob column ends at its terminating 0x00, which escaping
+    keeps unique. These are the lengths of the prefixes
+    {!encode_key_with_prefixes} returns. [ends] needs at least k-1
+    slots. @raise Invalid_argument on a truncated key. *)
+val prefix_ends : Schema.t -> string -> int array -> unit
+
 (** [encode_prefix schema vs] encodes the first [List.length vs] key
     columns. @raise Schema.Invalid if the values do not match the leading
     key column types. *)

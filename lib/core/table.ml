@@ -416,53 +416,82 @@ let freeze_locked t mt =
   if not (List.exists (fun m -> Memtable.id m = Memtable.id mt) t.frozen) then
     t.frozen <- t.frozen @ [ mt ]
 
-(* Write one memtable out as a tablet file; no descriptor update yet.
-   Runs without the state lock: frozen memtables are immutable. *)
-let write_memtable t mt =
-  let schema = Mutexes.with_lock t.state (fun () -> t.schema) in
-  let id = Memtable.id mt in
+(* Layout policy: a merge (or layout rewrite) whose newest input row has
+   aged past [columnar_age] writes its output column-major; anything
+   younger stays row-major, so fresh flushes are never columnar and a
+   table mixes layouts freely. [Int64.max_int] disables the rewrite
+   entirely. The same predicate drives [Merge_policy.input.stale_layout],
+   so a rewrite provably flips its own trigger off. *)
+let columnar_output t ~now ~max_ts =
+  let age = t.config.Config.columnar_age in
+  age <> Int64.max_int && Int64.sub now max_ts >= age
+
+let output_layout t ~max_ts =
+  if columnar_output t ~now:(now t) ~max_ts then Block.Col_major
+  else Block.Row_major
+
+(* Write tablet [id] from an ascending stream of (key, value encoding
+   under [schema]) rows; no descriptor update yet. The one copy loop
+   behind flushes, merges and bulk-delete rewrites: rows move as encoded
+   bytes, and the writer derives its Bloom prefixes from the keys. A
+   failure mid-write abandons the partial file, so only complete files
+   ever carry a tablet name. [None] when the stream was empty. *)
+let write_tablet t ~id ~schema ~expected_rows ?layout
+    (next : string Cursor.stream) =
   let file = Descriptor.tablet_file id in
   let writer =
     Tablet.writer t.vfs ~path:(tablet_path t file) ~schema
       ~block_size:t.config.Config.block_size
       ~bloom_bits_per_key:t.config.Config.bloom_bits_per_key
-      ~expected_rows:(Memtable.row_count mt) ()
+      ~expected_rows ?layout ()
   in
-  let it = Avl.iter_asc (Memtable.snapshot mt) in
-  let summary =
-    (* A failure mid-write leaves a partial tablet; abandon it so only
-       complete files ever carry a tablet name. The memtable itself is
-       untouched — the caller keeps it queued for retry. *)
-    try
-      let rec go () =
-        match Avl.next it with
-        | None -> ()
-        | Some (key, row) ->
-            let _, prefixes = Key_codec.encode_key_with_prefixes schema row in
-            Tablet.add_enc writer ~key ~key_prefixes:prefixes
-              ~ts:(Key_codec.ts_of_key key)
-              ~value_size:(Row_codec.value_size schema row)
-              ~encode:(fun buf -> Row_codec.encode_value_into buf schema row);
-            go ()
-      in
-      go ();
-      Tablet.finish writer
-    with e ->
+  let rec copy n =
+    match next () with
+    | None -> n
+    | Some (key, value) ->
+        Tablet.add writer ~key ~ts:(Key_codec.ts_of_key key) ~value;
+        copy (n + 1)
+  in
+  match if copy 0 = 0 then None else Some (Tablet.finish writer) with
+  | None ->
+      Tablet.abandon writer;
+      None
+  | Some s ->
+      Some
+        Descriptor.
+          {
+            id;
+            file;
+            min_ts = s.Tablet.min_ts;
+            max_ts = s.Tablet.max_ts;
+            min_key = s.Tablet.min_key;
+            max_key = s.Tablet.max_key;
+            row_count = s.Tablet.row_count;
+            size = s.Tablet.size;
+            columnar = s.Tablet.columnar;
+          }
+  | exception e ->
       Tablet.abandon writer;
       raise e
+
+(* Write one (non-empty) memtable out as a tablet file. Runs without the
+   state lock: frozen memtables are immutable. On failure the memtable
+   is untouched — the caller keeps it queued for retry. *)
+let write_memtable t mt =
+  let schema = Mutexes.with_lock t.state (fun () -> t.schema) in
+  let it = Avl.iter_asc (Memtable.snapshot mt) in
+  let buf = Buffer.create 64 in
+  let next () =
+    match Avl.next it with
+    | None -> None
+    | Some (key, row) ->
+        Buffer.clear buf;
+        Row_codec.encode_value_into buf schema row;
+        Some (key, Buffer.contents buf)
   in
-  Descriptor.
-    {
-      id;
-      file;
-      min_ts = summary.Tablet.min_ts;
-      max_ts = summary.Tablet.max_ts;
-      min_key = summary.Tablet.min_key;
-      max_key = summary.Tablet.max_key;
-      row_count = summary.Tablet.row_count;
-      size = summary.Tablet.size;
-      columnar = summary.Tablet.columnar;
-    }
+  Option.get
+    (write_tablet t ~id:(Memtable.id mt) ~schema
+       ~expected_rows:(Memtable.row_count mt) next)
 
 (* Flush [mt] and its dependency closure as one atomic descriptor
    update (§3.4.3). Caller holds [writer_lock]. *)
@@ -1472,16 +1501,6 @@ let latest t prefix_values =
 (* Merging (§3.4.1, §3.4.2)                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Layout policy: a merge (or layout rewrite) whose newest input row has
-   aged past [columnar_age] writes its output column-major; anything
-   younger stays row-major, so fresh flushes are never columnar and a
-   table mixes layouts freely. [Int64.max_int] disables the rewrite
-   entirely. The same predicate drives [Merge_policy.input.stale_layout],
-   so a rewrite provably flips its own trigger off. *)
-let columnar_output t ~now ~max_ts =
-  let age = t.config.Config.columnar_age in
-  age <> Int64.max_int && Int64.sub now max_ts >= age
-
 (* Advance rollover bookkeeping and pick a merge candidate. Must be
    called with [state] held. *)
 let merge_plan_locked t =
@@ -1533,94 +1552,43 @@ let merge_step_unlocked t =
                 plan.Merge_policy.ids
             in
             List.iter (fun dt -> dt.refs <- dt.refs + 1) sources;
-            let readers = List.map (get_reader_locked t) sources in
+            (* The streams encode values under the readers' target
+               schema as of now — [t.schema], read under the same lock. *)
+            let streams =
+              List.map
+                (fun dt ->
+                  ( dt.meta.Descriptor.id,
+                    Tablet.iter_encoded (get_reader_locked t dt) ))
+                sources
+            in
             let new_id = t.next_id in
             t.next_id <- t.next_id + 1;
-            Some (sources, readers, new_id, ttl_cutoff_locked t))
+            Some (sources, streams, t.schema, new_id, ttl_cutoff_locked t))
   in
   match plan with
   | None -> false
-  | Some (sources, readers, new_id, cutoff) ->
+  | Some (sources, streams, schema, new_id, cutoff) ->
       let t0, h0, m0 = obs_begin t in
-      let ok = ref false in
       Fun.protect
         ~finally:(fun () -> release t sources)
         (fun () ->
-          let schema = Mutexes.with_lock t.state (fun () -> t.schema) in
-          let iters =
-            List.map2
-              (fun dt r -> (dt.meta.Descriptor.id, Tablet.iter r ~asc:true ()))
-              sources readers
-          in
           let scanned = ref 0 in
           let src =
             Cursor.filter_ts ~scanned ?ts_min:cutoff
-              (Cursor.merge ~asc:true iters)
+              (Cursor.merge ~asc:true streams)
           in
-          let file = Descriptor.tablet_file new_id in
+          let sum f = List.fold_left (fun acc dt -> f acc dt.meta) in
           let expected_rows =
-            List.fold_left
-              (fun acc dt -> acc + dt.meta.Descriptor.row_count)
-              0 sources
+            sum (fun a m -> a + m.Descriptor.row_count) 0 sources
           in
-          let out_max_ts =
-            List.fold_left
-              (fun acc dt -> max acc dt.meta.Descriptor.max_ts)
-              Int64.min_int sources
+          let max_ts =
+            sum (fun a m -> max a m.Descriptor.max_ts) Int64.min_int sources
           in
-          let layout =
-            if columnar_output t ~now:(now t) ~max_ts:out_max_ts then
-              Block.Col_major
-            else Block.Row_major
-          in
-          let writer =
-            Tablet.writer t.vfs ~path:(tablet_path t file) ~schema
-              ~block_size:t.config.Config.block_size
-              ~bloom_bits_per_key:t.config.Config.bloom_bits_per_key
-              ~expected_rows ~layout ()
-          in
-          let rows = ref 0 in
+          (* On a write failure the sources are untouched, so the merge
+             simply retries later. [None]: everything had expired. *)
           let new_meta =
-            (* Abandon the partial output on any write failure; the
-               sources are untouched, so the merge simply retries later. *)
-            try
-              let rec copy () =
-                match src () with
-                | None -> ()
-                | Some (key, row) ->
-                    incr rows;
-                    let _, prefixes =
-                      Key_codec.encode_key_with_prefixes schema row
-                    in
-                    Tablet.add_row writer ~key ~key_prefixes:prefixes
-                      ~ts:(Key_codec.ts_of_key key) row;
-                    copy ()
-              in
-              copy ();
-              if !rows = 0 then begin
-                (* Everything in the inputs had expired. *)
-                Tablet.abandon writer;
-                None
-              end
-              else begin
-                let s = Tablet.finish writer in
-                Some
-                  Descriptor.
-                    {
-                      id = new_id;
-                      file;
-                      min_ts = s.Tablet.min_ts;
-                      max_ts = s.Tablet.max_ts;
-                      min_key = s.Tablet.min_key;
-                      max_key = s.Tablet.max_key;
-                      row_count = s.Tablet.row_count;
-                      size = s.Tablet.size;
-                      columnar = s.Tablet.columnar;
-                    }
-              end
-            with e ->
-              Tablet.abandon writer;
-              raise e
+            write_tablet t ~id:new_id ~schema ~expected_rows
+              ~layout:(output_layout t ~max_ts) src
           in
           Mutexes.with_lock t.state (fun () ->
               let n = now t in
@@ -1678,10 +1646,11 @@ let merge_step_unlocked t =
               in
               Stats.note_merge t.stats ~bytes_in ~bytes_out);
           obs_end t ~hist:t.instr.Obs.h_merge ~op:Otrace.Merge ~t0 ~h0 ~m0
-            ~scanned:!scanned ~returned:!rows
+            ~scanned:!scanned
+            ~returned:
+              (match new_meta with None -> 0 | Some m -> m.Descriptor.row_count)
             ~tablets:(List.length sources) ();
-          ok := true);
-      !ok
+          true)
 
 let merge_step t =
   Fun.protect
@@ -1825,75 +1794,25 @@ let delete_prefix t prefix_values =
                 end
                 else begin
                   (* Straddling tablet: rewrite it without the range. *)
-                  let reader, schema, new_id =
+                  let it, schema, new_id =
                     Mutexes.with_lock t.state (fun () ->
-                        let r = get_reader_locked t dt in
+                        let it = Tablet.iter_encoded (get_reader_locked t dt) in
                         let id = t.next_id in
                         t.next_id <- t.next_id + 1;
-                        (r, t.schema, id))
+                        (it, t.schema, id))
                   in
-                  let file = Descriptor.tablet_file new_id in
-                  let layout =
-                    if
-                      columnar_output t ~now:(now t)
-                        ~max_ts:m.Descriptor.max_ts
-                    then Block.Col_major
-                    else Block.Row_major
+                  let rec kept () =
+                    match it () with
+                    | Some (key, _) when in_range key ->
+                        incr deleted;
+                        kept ()
+                    | item -> item
                   in
-                  let writer =
-                    Tablet.writer t.vfs ~path:(tablet_path t file) ~schema
-                      ~block_size:t.config.Config.block_size
-                      ~bloom_bits_per_key:t.config.Config.bloom_bits_per_key
-                      ~expected_rows:m.Descriptor.row_count ~layout ()
-                  in
-                  let it = Tablet.iter reader ~asc:true () in
-                  let kept = ref 0 in
-                  (try
-                     let rec copy () =
-                       match it () with
-                       | None -> ()
-                       | Some (key, row) ->
-                           if in_range key then incr deleted
-                           else begin
-                             incr kept;
-                             let _, prefixes =
-                               Key_codec.encode_key_with_prefixes schema row
-                             in
-                             Tablet.add_row writer ~key ~key_prefixes:prefixes
-                               ~ts:(Key_codec.ts_of_key key) row
-                           end;
-                           copy ()
-                     in
-                     copy ()
-                   with e ->
-                     Tablet.abandon writer;
-                     raise e);
-                  if !kept = 0 then begin
-                    Tablet.abandon writer;
-                    (dt, None)
-                  end
-                  else begin
-                    let s =
-                      try Tablet.finish writer
-                      with e ->
-                        Tablet.abandon writer;
-                        raise e
-                    in
-                    ( dt,
-                      Some
-                        Descriptor.
-                          {
-                            id = new_id;
-                            file;
-                            min_ts = s.Tablet.min_ts;
-                            max_ts = s.Tablet.max_ts;
-                            min_key = s.Tablet.min_key;
-                            max_key = s.Tablet.max_key;
-                            row_count = s.Tablet.row_count;
-                            size = s.Tablet.size;
-                            columnar = s.Tablet.columnar;
-                          } )
-                  end
+                  ( dt,
+                    write_tablet t ~id:new_id ~schema
+                      ~expected_rows:m.Descriptor.row_count
+                      ~layout:(output_layout t ~max_ts:m.Descriptor.max_ts)
+                      kept )
                 end)
                 victims
             with e ->

@@ -215,17 +215,18 @@ type writer = {
   mutable bloom_pending : string list;  (** keys awaiting filter sizing *)
   bloom_bits_per_key : int;
   mutable bloom : Lt_bloom.Bloom.t option;
+  prefix_ends : int array;  (** scratch for {!Key_codec.prefix_ends} *)
 }
 
 let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ?expected_rows
     ?(layout = Block.Row_major) () =
   if block_size < 1024 then invalid_arg "Tablet.writer: block size too small";
   let file = Vfs.create vfs path in
+  (* One insertion per key plus one per proper key prefix. *)
+  let per_row = Array.length (Schema.pkey schema) in
   let bloom =
     match expected_rows with
     | Some rows when bloom_bits_per_key > 0 ->
-        (* One insertion per key plus one per proper key prefix. *)
-        let per_row = Array.length (Schema.pkey schema) in
         Some
           (Lt_bloom.Bloom.create ~bits_per_key:bloom_bits_per_key
              ~expected_keys:(max 1 (rows * per_row)) ())
@@ -252,6 +253,7 @@ let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ?expected_rows
     bloom_pending = [];
     bloom_bits_per_key;
     bloom;
+    prefix_ends = Array.make (per_row - 1) 0;
   }
 
 let flush_block w =
@@ -283,72 +285,79 @@ let flush_block w =
             :: w.w_index;
           w.w_off <- w.w_off + String.length frame)
 
+(* A key and its column-boundary prefixes go into the filter in one
+   hashing pass; the prefix boundaries come from the key bytes. *)
+let bloom_insert w bloom key =
+  Key_codec.prefix_ends w.w_schema key w.prefix_ends;
+  Lt_bloom.Bloom.add_with_prefixes bloom key w.prefix_ends
+
 (* The filter must be sized before the first insertion, but the final key
-   count is unknown while streaming. We buffer the first few thousand
-   bloom keys; once the stream exceeds that, we size the filter
-   generously from the rows-per-block ratio and drain the buffer. *)
+   count is unknown while streaming. We buffer the keys of the first few
+   thousand bloom insertions (each key stands for itself and its
+   prefixes); once the stream exceeds that, we size the filter generously
+   from the rows-per-block ratio and drain the buffer. *)
 let bloom_buffer_limit = 8192
 
 let bloom_add w key =
   if w.bloom_bits_per_key > 0 then begin
+    w.bloom_keys <- w.bloom_keys + Array.length w.prefix_ends + 1;
     match w.bloom with
-    | Some bloom ->
-        Lt_bloom.Bloom.add bloom key;
-        w.bloom_keys <- w.bloom_keys + 1
+    | Some bloom -> bloom_insert w bloom key
     | None ->
         w.bloom_pending <- key :: w.bloom_pending;
-        w.bloom_keys <- w.bloom_keys + 1;
         if w.bloom_keys >= bloom_buffer_limit then begin
           (* Estimate the total: assume the tablet could be ~4096 blocks
-             of the density seen so far (cap at 64 M keys). *)
+             of the density seen when the buffer filled (cap at 64 M
+             keys). *)
           let blocks_so_far = max 1 (List.length w.w_index + 1) in
-          let per_block = w.bloom_keys / blocks_so_far in
-          let estimate = min 67_108_864 (max w.bloom_keys (per_block * 4096)) in
+          let per_block = bloom_buffer_limit / blocks_so_far in
+          let estimate =
+            min 67_108_864 (max bloom_buffer_limit (per_block * 4096))
+          in
           let bloom =
             Lt_bloom.Bloom.create ~bits_per_key:w.bloom_bits_per_key
               ~expected_keys:estimate ()
           in
-          List.iter (Lt_bloom.Bloom.add bloom) w.bloom_pending;
+          List.iter (bloom_insert w bloom) w.bloom_pending;
           w.bloom_pending <- [];
           w.bloom <- Some bloom
         end
   end
 
-let note_row w ~key ~key_prefixes ~ts =
+let note_row w ~key ~ts =
   (match w.w_min_key with None -> w.w_min_key <- Some key | Some _ -> ());
   w.w_max_key <- key;
   w.w_rows <- w.w_rows + 1;
   if ts < w.w_min_ts then w.w_min_ts <- ts;
   if ts > w.w_max_ts then w.w_max_ts <- ts;
-  bloom_add w key;
-  if w.bloom_bits_per_key > 0 then List.iter (bloom_add w) key_prefixes
+  bloom_add w key
 
-let add_enc w ~key ~key_prefixes ~ts ~value_size ~encode =
-  let builder =
-    match w.w_builder with
-    | B_row b -> b
-    | B_col _ -> invalid_arg "Tablet.add_enc: writer is columnar"
-  in
-  note_row w ~key ~key_prefixes ~ts;
+let add_col w builder ~key ~ts row =
+  note_row w ~key ~ts;
+  Block.col_add builder ~key row;
+  if Block.col_raw_size builder >= w.block_size then flush_block w
+
+(* [value_size] bytes of value encoding, appended by [encode]. *)
+let add_enc w builder ~key ~ts ~value_size ~encode =
+  note_row w ~key ~ts;
   Block.add_enc builder ~key ~value_size ~encode;
   if Block.raw_size builder >= w.block_size then flush_block w
 
-let add w ~key ~key_prefixes ~ts ~value =
-  add_enc w ~key ~key_prefixes ~ts ~value_size:(String.length value)
-    ~encode:(fun buf -> Buffer.add_string buf value)
-
-let add_row w ~key ~key_prefixes ~ts row =
+let add w ~key ~ts ~value =
   match w.w_builder with
   | B_row builder ->
-      note_row w ~key ~key_prefixes ~ts;
-      Block.add_enc builder ~key
-        ~value_size:(Row_codec.value_size w.w_schema row)
-        ~encode:(fun buf -> Row_codec.encode_value_into buf w.w_schema row);
-      if Block.raw_size builder >= w.block_size then flush_block w
+      add_enc w builder ~key ~ts ~value_size:(String.length value)
+        ~encode:(fun buf -> Buffer.add_string buf value)
   | B_col builder ->
-      note_row w ~key ~key_prefixes ~ts;
-      Block.col_add builder ~key row;
-      if Block.col_raw_size builder >= w.block_size then flush_block w
+      add_col w builder ~key ~ts (Row_codec.decode w.w_schema ~key ~value)
+
+let add_row w ~key ~key_prefixes:_ ~ts row =
+  match w.w_builder with
+  | B_row builder ->
+      add_enc w builder ~key ~ts
+        ~value_size:(Row_codec.value_size w.w_schema row)
+        ~encode:(fun buf -> Row_codec.encode_value_into buf w.w_schema row)
+  | B_col builder -> add_col w builder ~key ~ts row
 
 let finish w =
   if w.w_rows = 0 then invalid_arg "Tablet.finish: empty tablet";
@@ -360,9 +369,9 @@ let finish w =
     | None, pending ->
         let bloom =
           Lt_bloom.Bloom.create ~bits_per_key:w.bloom_bits_per_key
-            ~expected_keys:(List.length pending) ()
+            ~expected_keys:w.bloom_keys ()
         in
-        List.iter (Lt_bloom.Bloom.add bloom) pending;
+        List.iter (bloom_insert w bloom) pending;
         Some bloom
   in
   let footer =
@@ -553,9 +562,9 @@ let mem r key =
 
 (* Decode a row straight out of the block's backing bytes: no per-row
    value string, just a (offset, length) window into the block data. *)
-let translate_at r b i ~key =
+let translate_at r ~into b i ~key =
   let off, len = Block.value_span b i in
-  Row_codec.decode_translated_slice ~from:r.footer.schema ~into:r.target ~key
+  Row_codec.decode_translated_slice ~from:r.footer.schema ~into ~key
     ~data:(Block.data b) ~off ~len
 
 type scan_counters = {
@@ -586,13 +595,12 @@ let stored_projection r projection =
    Unprojected columns carry their defaults — invisible to projected
    reads, and identical to the row layout's values for untouched columns
    since defaults only change by widening. *)
-let materialize r ?counters ~projection b =
+let materialize r ?counters ~projection ~into b =
   let cols = stored_projection r projection in
   let rows, decoded = Block.columnar_rows b r.footer.schema ?cols () in
   bump counters (fun c -> c.sc_cols_decoded) decoded;
-  if Schema.equal r.footer.schema r.target then rows
-  else
-    Array.map (Schema.translate_row ~from:r.footer.schema ~into:r.target) rows
+  if Schema.equal r.footer.schema into then rows
+  else Array.map (Schema.translate_row ~from:r.footer.schema ~into) rows
 
 type loaded = { lb : Block.t; lrows : Value.t array array option }
 
@@ -603,14 +611,15 @@ let iter r ~asc ?lo ?hi ?projection ?counters () =
     let lrows =
       match Block.layout b with
       | Block.Row_major -> None
-      | Block.Col_major -> Some (materialize r ?counters ~projection b)
+      | Block.Col_major ->
+          Some (materialize r ?counters ~projection ~into:r.target b)
     in
     { lb = b; lrows }
   in
   let row_at l i ~key =
     match l.lrows with
     | Some rows -> rows.(i)
-    | None -> translate_at r l.lb i ~key
+    | None -> translate_at r ~into:r.target l.lb i ~key
   in
   let in_lo k = match lo with None -> true | Some b -> String.compare k b >= 0 in
   let in_hi k = match hi with None -> true | Some b -> String.compare k b < 0 in
@@ -698,6 +707,53 @@ let iter r ~asc ?lo ?hi ?projection ?counters () =
     in
     next
   end
+
+(* A block as the encoded scan hands it out: stored rows copied as they
+   are, or rows translated to the target schema and re-encoded. *)
+type encoded_block = Stored of Block.t | Recoded of (string * string) array
+
+let iter_encoded r =
+  let into = r.target in
+  let from = r.footer.schema in
+  let nblocks = block_count r in
+  let load bi =
+    let b = load_block r bi in
+    let recode rows =
+      Recoded
+        (Array.mapi (fun i row -> (Block.key b i, Row_codec.encode_value into row))
+           rows)
+    in
+    match Block.layout b with
+    | Block.Row_major when Schema.version from = Schema.version into -> Stored b
+    | Block.Row_major ->
+        recode
+          (Array.init (Block.count b) (fun i ->
+               translate_at r ~into b i ~key:(Block.key b i)))
+    | Block.Col_major -> recode (materialize r ~projection:None ~into b)
+  in
+  let bi = ref 0 and block = ref None and pos = ref 0 in
+  let rec next () =
+    match !block with
+    | None ->
+        if !bi >= nblocks then None
+        else begin
+          block := Some (load !bi);
+          incr bi;
+          pos := 0;
+          next ()
+        end
+    | Some (Stored b) when !pos < Block.count b ->
+        let e = Block.entry b !pos in
+        incr pos;
+        Some (e.Block.key, e.Block.value)
+    | Some (Recoded rows) when !pos < Array.length rows ->
+        incr pos;
+        Some rows.(!pos - 1)
+    | Some _ ->
+        block := None;
+        next ()
+  in
+  next
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate pushdown                                                  *)
@@ -829,7 +885,7 @@ let fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs () =
                 if not (in_hi key) then stop := true
                 else begin
                   if in_ts (Key_codec.ts_of_key key) then
-                    feed_row (translate_at r b !j ~key);
+                    feed_row (translate_at r ~into:r.target b !j ~key);
                   incr j
                 end
               done

@@ -16,7 +16,14 @@
     {!reader}.
 
     The footer also carries the Bloom filter of §3.4.5 (built over full
-    keys and every column-boundary prefix) when enabled.
+    keys and every column-boundary prefix) when enabled. The writer
+    finds the prefix boundaries in the encoded key bytes and hashes each
+    key once for all of its prefixes.
+
+    Flushes, merges and rewrites move rows as encoded bytes: a merge
+    reads {!iter_encoded} streams and hands each row's stored value
+    bytes to {!add}, so rows are decoded only where a block's schema
+    version or layout differs from the output's.
 
     Reading a cold tablet costs the paper's three repositionings —
     open (inode), trailer, footer — and one more per block; the disk
@@ -42,8 +49,7 @@ type writer
     count; a merge knows the sum of its inputs), sizes the Bloom filter
     exactly; otherwise the writer estimates from the stream. [layout]
     (default row-major) selects the data-block encoding; column-major
-    writers accept rows only through {!add_row} and record per-column
-    footer stats for aggregate pushdown. *)
+    writers record per-column footer stats for aggregate pushdown. *)
 val writer :
   Lt_vfs.Vfs.t ->
   path:string ->
@@ -55,25 +61,16 @@ val writer :
   unit ->
   writer
 
-(** Add a row; keys must arrive in strictly ascending order.
-    [key_prefixes] are the column-boundary prefixes for the Bloom filter
-    (ignored when the filter is off). *)
-val add :
-  writer -> key:string -> key_prefixes:string list -> ts:int64 -> value:string -> unit
-
-(** {!add} without the value string: [encode] appends the row's value
-    encoding (exactly [value_size] bytes) straight into the current
-    block's payload buffer. The flush and merge paths use this so a
-    memtable row goes from {!Value.t array} to block bytes with no
-    intermediate string. *)
-val add_enc :
-  writer -> key:string -> key_prefixes:string list -> ts:int64 ->
-  value_size:int -> encode:(Buffer.t -> unit) -> unit
+(** Add a row; keys must arrive in strictly ascending order. [value] is
+    the row's value encoding under the writer's schema ({!Row_codec});
+    row-major writers copy it into the block as it is, column-major
+    writers decode it. *)
+val add : writer -> key:string -> ts:int64 -> value:string -> unit
 
 (** Add a full decoded row (the writer's schema). Works for both
-    layouts, so the merge and bulk-delete rewrite loops — which hold
-    decoded rows anyway — need not care which layout the output tablet
-    uses. {!add_enc}/{!add} remain the row-major flush hot path. *)
+    layouts. The writer derives the Bloom column-boundary prefixes from
+    [key] itself, as for every other entry point; [key_prefixes] is
+    ignored and kept only for existing callers. *)
 val add_row :
   writer -> key:string -> key_prefixes:string list -> ts:int64 ->
   Value.t array -> unit
@@ -152,6 +149,15 @@ val iter :
   unit ->
   unit ->
   (string * Value.t array) option
+
+(** [iter_encoded r] streams every row ascending as [(key, value)], the
+    value encoded ({!Row_codec}) under the reader's target schema as it
+    stands when the stream is created — what merges and rewrites feed to
+    {!add}. Row-major blocks written under that schema hand out their
+    stored value bytes untouched; other blocks (an older schema version,
+    or column-major) are decoded and translated once per block, then
+    re-encoded. Single-consumer. *)
+val iter_encoded : reader -> unit -> (string * string) option
 
 (** [fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs ()]
     folds every row with key in [\[lo, hi)] and timestamp in

@@ -56,6 +56,43 @@ let prop_membership =
       List.iter (Bloom.add b) keys;
       List.for_all (Bloom.mem b) keys)
 
+(* One-pass insertion of a key with its boundary prefixes sets exactly
+   the bits [add] sets for the key and for each prefix: compared through
+   the serialized filters. Keys include 0x00/0x01 bytes and the ends are
+   any strictly ascending positions inside the key. *)
+let prop_add_with_prefixes =
+  let gen_entry =
+    let open QCheck.Gen in
+    string_size ~gen:(oneofl [ '\x00'; '\x01'; '\x02'; 'a'; '\xff' ]) (int_range 1 40)
+    >>= fun key ->
+    let n = String.length key in
+    list_size (int_bound 6) (int_range 1 (max 1 (n - 1))) >|= fun ends ->
+    let ends = List.sort_uniq Int.compare (List.filter (fun e -> e < n) ends) in
+    (key, Array.of_list ends)
+  in
+  let print (key, ends) =
+    Printf.sprintf "%S @ [%s]" key
+      (String.concat ";" (Array.to_list (Array.map string_of_int ends)))
+  in
+  QCheck.Test.make ~name:"bloom: add_with_prefixes = add of key and prefixes"
+    ~count:300
+    QCheck.(make ~print:(QCheck.Print.list print) Gen.(list_size (int_range 1 20) gen_entry))
+    (fun entries ->
+      let fresh () = Bloom.create ~bits_per_key:10 ~expected_keys:(4 * List.length entries) () in
+      let one_pass = fresh () and reference = fresh () in
+      List.iter
+        (fun (key, ends) ->
+          Bloom.add_with_prefixes one_pass key ends;
+          Bloom.add reference key;
+          Array.iter (fun e -> Bloom.add reference (String.sub key 0 e)) ends)
+        entries;
+      let bytes b =
+        let buf = Buffer.create 64 in
+        Bloom.encode buf b;
+        Buffer.contents buf
+      in
+      bytes one_pass = bytes reference)
+
 let suite =
   [
     ("no false negatives", `Quick, test_no_false_negatives);
@@ -64,4 +101,5 @@ let suite =
     ("serialization roundtrip", `Quick, test_serialization);
     ("sizing", `Quick, test_sizing);
     Support.qcheck prop_membership;
+    Support.qcheck prop_add_with_prefixes;
   ]

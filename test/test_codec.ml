@@ -296,6 +296,47 @@ let test_row_translated_decode () =
   Alcotest.(check int) "arity" 6 (Array.length row');
   Alcotest.(check bool) "default" true (row'.(5) = Value.Int32 9l)
 
+(* The boundary scan reads, off the full key bytes, exactly the prefix
+   lengths [encode_key_with_prefixes] produces — over every key column
+   type, with strings that need escaping. *)
+let prop_prefix_ends =
+  let col name ctype default = { Schema.name; ctype; default } in
+  let s =
+    Schema.create
+      ~columns:
+        [
+          col "s" Value.T_string (Value.String "");
+          col "i" Value.T_int32 (Value.Int32 0l);
+          col "d" Value.T_double (Value.Double 0.0);
+          col "b" Value.T_blob (Value.Blob "");
+          col "n" Value.T_int64 (Value.Int64 0L);
+          col "ts" Value.T_timestamp (Value.Timestamp 0L);
+          col "v" Value.T_int64 (Value.Int64 0L);
+        ]
+      ~pkey:[ "s"; "i"; "d"; "b"; "n"; "ts" ]
+  in
+  let str = QCheck.Gen.(string_size ~gen:(oneofl [ '\x00'; '\x01'; '\x02'; 'z' ]) (int_bound 6)) in
+  let gen =
+    QCheck.Gen.(
+      map
+        (fun ((a, i), (d, (b, (n, ts)))) ->
+          [| Value.String a; Value.Int32 (Int32.of_int i); Value.Double d;
+             Value.Blob b; Value.Int64 (Int64.of_int n);
+             Value.Timestamp (Int64.of_int ts); Value.Int64 0L |])
+        (pair (pair str int) (pair float (pair str (pair int int)))))
+  in
+  QCheck.Test.make ~name:"key codec: prefix_ends = encode_key_with_prefixes"
+    ~count:300
+    (QCheck.make ~print:(fun row -> String.concat ", " (Array.to_list (Array.map Value.to_string row))) gen)
+    (fun row ->
+      let key, prefixes = Key_codec.encode_key_with_prefixes s row in
+      let ends = Array.make (List.length prefixes) 0 in
+      Key_codec.prefix_ends s key ends;
+      Array.to_list ends = List.map String.length prefixes
+      && List.for_all2
+           (fun e p -> String.sub key 0 e = p)
+           (Array.to_list ends) prefixes)
+
 let suite =
   [
     ("value types", `Quick, test_value_types);
@@ -318,4 +359,5 @@ let suite =
     Support.qcheck prop_string_order;
     Support.qcheck prop_key_value_roundtrip;
     Support.qcheck prop_prefix_succ_bounds;
+    Support.qcheck prop_prefix_ends;
   ]

@@ -65,8 +65,8 @@ let write_tablet ?(bloom = 10) ?(block_size = 1024) vfs path rows =
   let w = Tablet.writer vfs ~path ~schema ~block_size ~bloom_bits_per_key:bloom () in
   List.iter
     (fun row ->
-      let key, prefixes = Key_codec.encode_key_with_prefixes schema row in
-      Tablet.add w ~key ~key_prefixes:prefixes ~ts:(Schema.row_ts schema row)
+      let key = Key_codec.encode_key schema row in
+      Tablet.add w ~key ~ts:(Schema.row_ts schema row)
         ~value:(Row_codec.encode_value schema row))
     rows;
   Tablet.finish w
@@ -151,8 +151,8 @@ let test_abandon () =
   let vfs = Vfs.memory () in
   let w = Tablet.writer vfs ~path:"a.tab" ~schema ~block_size:1024 ~bloom_bits_per_key:0 () in
   let row = mk_row 0 in
-  let key, prefixes = Key_codec.encode_key_with_prefixes schema row in
-  Tablet.add w ~key ~key_prefixes:prefixes ~ts:0L ~value:(Row_codec.encode_value schema row);
+  let key = Key_codec.encode_key schema row in
+  Tablet.add w ~key ~ts:0L ~value:(Row_codec.encode_value schema row);
   Tablet.abandon w;
   Alcotest.(check bool) "file removed" false (Vfs.exists vfs "a.tab")
 
@@ -222,8 +222,8 @@ let test_large_values () =
   let w = Tablet.writer vfs ~path:"big.tab" ~schema:s ~block_size:(64 * 1024)
             ~bloom_bits_per_key:10 () in
   for i = 0 to 4 do
-    let key, prefixes = Key_codec.encode_key_with_prefixes s (row i) in
-    Tablet.add w ~key ~key_prefixes:prefixes ~ts:(Int64.of_int i)
+    let key = Key_codec.encode_key s (row i) in
+    Tablet.add w ~key ~ts:(Int64.of_int i)
       ~value:(Row_codec.encode_value s (row i))
   done;
   let summary = Tablet.finish w in
@@ -235,6 +235,144 @@ let test_large_values () =
   | (_, row) :: _ -> Alcotest.(check bool) "blob intact" true (row.(4) = Value.Blob big)
   | [] -> ());
   Tablet.close r
+
+(* ---- Encoded merges are byte-identical to decoded ones ---------------- *)
+
+let event_schema = Support.event_schema ()
+
+(* Keys whose string columns contain 0x00 and 0x01, so the Bloom
+   boundary scan has to step over escapes. *)
+let event_row ?flags i =
+  let nets = [| "n\x00"; "n\x01"; "n"; "\x01\x00x"; "n\x00\x01" |] in
+  Array.of_list
+    ([
+       Value.String nets.(i mod Array.length nets);
+       Value.String (Printf.sprintf "d%c%02d" (Char.chr (i mod 3)) (i / 5));
+       Value.Timestamp (Int64.of_int (1_000 + i));
+       Value.Int64 (Int64.of_int (i * 31));
+       Value.Blob (String.make (i mod 11) (Char.chr (i land 0xff)));
+     ]
+    @ Option.to_list flags)
+
+let add_flags s =
+  Schema.add_column s
+    { Schema.name = "flags"; ctype = Value.T_int32; default = Value.Int32 7l }
+
+let key_sorted s rows =
+  List.sort_uniq
+    (fun a b -> String.compare (Key_codec.encode_key s a) (Key_codec.encode_key s b))
+    rows
+
+let write_source vfs path (s, layout, rows) =
+  let w =
+    Tablet.writer vfs ~path ~schema:s ~block_size:1024 ~bloom_bits_per_key:10
+      ~layout ()
+  in
+  List.iter
+    (fun row ->
+      let key, key_prefixes = Key_codec.encode_key_with_prefixes s row in
+      Tablet.add_row w ~key ~key_prefixes ~ts:(Key_codec.ts_of_key key) row)
+    (key_sorted s rows);
+  ignore (Tablet.finish w)
+
+(* Merge [sources] into a tablet under [into] two ways and compare the
+   files: the encoded path the engine uses ([iter_encoded] streams, value
+   bytes into [add]) against the reference loop merges used to run
+   (decoded rows, the key re-encoded with its prefixes, [add_row]). *)
+let check_merge_identity ?expected_rows ~into ~layout sources =
+  let vfs = Vfs.memory () in
+  let readers =
+    List.mapi
+      (fun i src ->
+        let path = Printf.sprintf "src%d.tab" i in
+        write_source vfs path src;
+        (i, Tablet.open_reader vfs ~path ~into))
+      sources
+  in
+  let merged streams path add =
+    let w =
+      Tablet.writer vfs ~path ~schema:into ~block_size:1024
+        ~bloom_bits_per_key:10 ?expected_rows ~layout ()
+    in
+    let src = Cursor.merge ~asc:true streams in
+    let rec go () =
+      match src () with
+      | None -> ()
+      | Some (key, payload) ->
+          add w key payload;
+          go ()
+    in
+    go ();
+    ignore (Tablet.finish w);
+    Vfs.read_all vfs path
+  in
+  let encoded =
+    merged
+      (List.map (fun (i, r) -> (i, Tablet.iter_encoded r)) readers)
+      "encoded.tab"
+      (fun w key value -> Tablet.add w ~key ~ts:(Key_codec.ts_of_key key) ~value)
+  in
+  let reference =
+    merged
+      (List.map (fun (i, r) -> (i, Tablet.iter r ~asc:true ())) readers)
+      "reference.tab"
+      (fun w _ row ->
+        let key, key_prefixes = Key_codec.encode_key_with_prefixes into row in
+        Tablet.add_row w ~key ~key_prefixes ~ts:(Key_codec.ts_of_key key) row)
+  in
+  List.iter (fun (_, r) -> Tablet.close r) readers;
+  Alcotest.(check int) "same length" (String.length reference) (String.length encoded);
+  Alcotest.(check bool) "byte-identical" true (String.equal reference encoded)
+
+let test_merge_identity_string_keys () =
+  let rows lo hi = List.init (hi - lo) (fun j -> event_row (lo + j)) in
+  let row_major = Block.Row_major in
+  (* Overlapping key ranges, and a shadowed duplicate (row 40 twice). *)
+  check_merge_identity ~expected_rows:900 ~into:event_schema ~layout:row_major
+    [ (event_schema, row_major, rows 0 300);
+      (event_schema, row_major, rows 40 41 @ rows 300 600);
+      (event_schema, row_major, rows 600 900) ];
+  (* No [expected_rows]: the writer buffers keys before sizing its
+     filter, past the 8192-insertion threshold. *)
+  check_merge_identity ~into:event_schema ~layout:row_major
+    [ (event_schema, row_major, rows 0 1500);
+      (event_schema, row_major, rows 1500 3000) ]
+
+let test_merge_identity_schema_versions () =
+  let v1 = add_flags event_schema in
+  let v2 = Schema.widen_column v1 "flags" in
+  let row_major = Block.Row_major in
+  let rows lo hi flags = List.init (hi - lo) (fun j -> event_row ?flags:(flags (lo + j)) (lo + j)) in
+  let sources =
+    [ (event_schema, row_major, rows 0 200 (fun _ -> None));
+      (v1, row_major, rows 200 400 (fun i -> Some (Value.Int32 (Int32.of_int i))));
+      (v2, row_major, rows 400 600 (fun i -> Some (Value.Int64 (Int64.of_int (i * 1_000_003))))) ]
+  in
+  check_merge_identity ~expected_rows:600 ~into:v2 ~layout:row_major sources;
+  check_merge_identity ~expected_rows:600 ~into:v2 ~layout:Block.Col_major sources
+
+let test_merge_identity_columnar () =
+  let rows lo hi = List.init (hi - lo) (fun j -> event_row (lo + j)) in
+  let v1 = add_flags event_schema in
+  (* Columnar sources (one under an older schema) and a row-major one,
+     into columnar and into row-major outputs. *)
+  let sources =
+    [ (event_schema, Block.Col_major, rows 0 400);
+      (v1, Block.Col_major,
+       List.map (fun r -> Array.append r [| Value.Int32 3l |]) (rows 400 700));
+      (event_schema, Block.Row_major, rows 700 900) ]
+  in
+  check_merge_identity ~expected_rows:900 ~into:v1 ~layout:Block.Col_major sources;
+  check_merge_identity ~expected_rows:900 ~into:v1 ~layout:Block.Row_major sources
+
+(* A tablet written without [expected_rows] (so its filter is sized from
+   the buffered stream, the threshold crossing mid-row) is the same file
+   it was before the writer derived prefixes from the key bytes. *)
+let test_buffered_bloom_golden () =
+  let vfs = Vfs.memory () in
+  write_source vfs "g.tab" (event_schema, Block.Row_major, List.init 3000 event_row);
+  Alcotest.(check string) "file digest" "e5806bc961d6d8bdb59df68ae2406530"
+    (Digest.to_hex (Digest.string (Vfs.read_all vfs "g.tab")))
 
 (* ---- Descriptor ------------------------------------------------------ *)
 
@@ -307,6 +445,10 @@ let suite =
     ("schema translation on read", `Quick, test_schema_translation_on_read);
     ("corruption detected", `Quick, test_corruption_detected);
     ("values larger than blocks", `Quick, test_large_values);
+    ("encoded merge = decoded: string keys", `Quick, test_merge_identity_string_keys);
+    ("encoded merge = decoded: schema versions", `Quick, test_merge_identity_schema_versions);
+    ("encoded merge = decoded: columnar", `Quick, test_merge_identity_columnar);
+    ("buffered bloom sizing unchanged", `Quick, test_buffered_bloom_golden);
     ("descriptor roundtrip", `Quick, test_descriptor_roundtrip);
     ("descriptor atomic replace", `Quick, test_descriptor_atomic_replace);
     ("descriptor corruption", `Quick, test_descriptor_corruption);

@@ -67,6 +67,36 @@ let test_crc32c_vectors () =
   Alcotest.(check int32) "substring" (Crc32c.string "quick")
     (Crc32c.string ~off:4 ~len:5 s)
 
+(* Bytewise reflected CRC-32C straight from the polynomial: the reference
+   the slicing-by-8 implementation must match bit for bit. *)
+let crc32c_reference s off len =
+  let c = ref 0xFFFFFFFF in
+  for i = off to off + len - 1 do
+    c := !c lxor Char.code s.[i];
+    for _ = 0 to 7 do
+      c := if !c land 1 <> 0 then (!c lsr 1) lxor 0x82F63B78 else !c lsr 1
+    done
+  done;
+  Int32.of_int (!c lxor 0xFFFFFFFF)
+
+let test_crc32c_slicing_matches_bytewise () =
+  let s = String.init 128 (fun i -> Char.chr (((i * 131) + 7) land 0xff)) in
+  for off = 0 to 7 do
+    for len = 0 to 100 do
+      Alcotest.(check int32)
+        (Printf.sprintf "off %d len %d" off len)
+        (crc32c_reference s off len)
+        (Crc32c.string ~off ~len s)
+    done
+  done;
+  (* Incremental updates split at every alignment agree too. *)
+  for cut = 0 to 20 do
+    Alcotest.(check int32)
+      (Printf.sprintf "split at %d" cut)
+      (crc32c_reference s 3 90)
+      (Crc32c.update (Crc32c.update Crc32c.empty s 3 cut) s (3 + cut) (90 - cut))
+  done
+
 let test_xorshift_determinism () =
   let a = Xorshift.create 42L and b = Xorshift.create 42L in
   for _ = 1 to 100 do
@@ -157,6 +187,7 @@ let suite =
     ("binio roundtrip", `Quick, test_binio_roundtrip);
     ("binio corrupt inputs", `Quick, test_binio_corrupt);
     ("crc32c vectors", `Quick, test_crc32c_vectors);
+    ("crc32c slicing-by-8 = bytewise", `Quick, test_crc32c_slicing_matches_bytewise);
     ("xorshift determinism", `Quick, test_xorshift_determinism);
     ("xorshift ranges", `Quick, test_xorshift_ranges);
     ("xorshift incompressible", `Quick, test_xorshift_bytes_incompressible);
