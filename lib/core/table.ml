@@ -94,7 +94,7 @@ let stats t =
 let tablet_path t file = Filename.concat t.dir file
 
 (* ------------------------------------------------------------------ *)
-(* Observability spans                                                 *)
+(* Per-operation accounting                                            *)
 (* ------------------------------------------------------------------ *)
 
 let cache_counts t =
@@ -104,42 +104,84 @@ let cache_counts t =
       let k = Bcache.counters c in
       (k.Bcache.hits, k.Bcache.misses)
 
-(* Open a span: clock time plus the block-cache counters at entry, so
-   the closing side can attribute hit/miss deltas to this operation
-   (approximate under concurrent readers — see DESIGN.md). All zero
-   when observability is off. *)
-let obs_begin t =
-  if Obs.enabled t.obs then
-    let h, m = cache_counts t in
-    (Clock.now t.clock, h, m)
-  else (0L, 0, 0)
-
-let obs_end t ~hist ~op ~t0 ~h0 ~m0 ?(scanned = 0) ?(returned = 0)
-    ?(tablets = 0) () =
-  if Obs.enabled t.obs then begin
-    let h1, m1 = cache_counts t in
-    Obs.record_op t.obs ~hist ~op ~table:t.tname ~t0 ~scanned ~returned
-      ~tablets ~cache_hits:(h1 - h0) ~cache_misses:(m1 - m0) ()
-  end
-
-(* Per-query profile accumulator ([query ~profile]). Parallel-scan
-   worker callbacks update it from pool domains, hence the mutex.
-   Timed with [t.clock] directly: profiling is an explicit per-query
-   opt-in and must work even when [Config.obs_enabled] is false. *)
-type prof_acc = {
-  pr_mutex : Mutex.t;
-  mutable pr_plan_us : int64;
-  mutable pr_scan_us : int64; (* summed worker busy time when staged *)
-  mutable pr_stall_us : int64;
-  mutable pr_staged : bool; (* parallel path taken *)
+(* The one accounting record of an engine operation, opened once at
+   entry ([acct_open]) and closed once at exit ([acct_close]). Opening
+   reads the clock and the block-cache counters only when observability
+   is on or a profile was asked for; cache deltas are approximate under
+   concurrent readers (see DESIGN.md). Closing feeds [Stats] (a read's
+   rows and pushdown tallies; writes note their commits where they
+   happen), the latency histogram and the trace span, and builds the
+   profile. Profiles are timed with [t.clock] directly: profiling is an
+   explicit per-query opt-in that works with [Config.obs_enabled] off.
+   Parallel-scan workers add to the atomics from pool domains. *)
+type acct = {
+  a_hist : Ometrics.Histogram.t;
+  a_op : Otrace.op;
+  a_profile : bool;
+  a_t0 : int64;
+  a_h0 : int;
+  a_m0 : int;
+  a_counters : Tablet.scan_counters;
+  mutable a_scan0 : int64;  (* planning done, scan begins *)
+  a_staged : bool Atomic.t;  (* the scan fanned out over the pool *)
+  a_worker_us : int Atomic.t;  (* summed worker busy time when staged *)
+  a_stall_us : int Atomic.t;
 }
 
-let prof_acc_create () =
-  { pr_mutex = Mutex.create ();
-    pr_plan_us = 0L;
-    pr_scan_us = 0L;
-    pr_stall_us = 0L;
-    pr_staged = false }
+let acct_open ?(profile = false) t hist op =
+  let timed = profile || Obs.enabled t.obs in
+  let t0 = if timed then now t else 0L in
+  let h0, m0 = if timed then cache_counts t else (0, 0) in
+  { a_hist = hist;
+    a_op = op;
+    a_profile = profile;
+    a_t0 = t0;
+    a_h0 = h0;
+    a_m0 = m0;
+    a_counters = Tablet.fresh_counters ();
+    a_scan0 = t0;
+    a_staged = Atomic.make false;
+    a_worker_us = Atomic.make 0;
+    a_stall_us = Atomic.make 0 }
+
+(* Planning is over: tablets selected, readers open, sources staged. *)
+let acct_planned t a = if a.a_profile then a.a_scan0 <- now t
+
+let acct_close ?(scanned = 0) ?(returned = 0) ?(tablets = 0) ?(pruned = 0) t a
+    =
+  let footer_blocks = Atomic.get a.a_counters.Tablet.sc_footer_blocks in
+  let columns = Atomic.get a.a_counters.Tablet.sc_cols_decoded in
+  if footer_blocks > 0 || columns > 0 then
+    Stats.note_pushdown t.stats ~footer_blocks ~columns;
+  (match a.a_op with
+  | Otrace.Query | Otrace.Latest -> Stats.note_query t.stats ~scanned ~returned
+  | _ -> ());
+  let obs_on = Obs.enabled t.obs in
+  let h1, m1 = if obs_on || a.a_profile then cache_counts t else (0, 0) in
+  if obs_on then
+    Obs.record_op t.obs ~hist:a.a_hist ~op:a.a_op ~table:t.tname ~t0:a.a_t0
+      ~scanned ~returned ~tablets ~cache_hits:(h1 - a.a_h0)
+      ~cache_misses:(m1 - a.a_m0) ();
+  if not a.a_profile then None
+  else begin
+    let fin = now t in
+    Some
+      { Lt_obs.Profile.p_plan_us = Int64.sub a.a_scan0 a.a_t0;
+        p_scan_us =
+          (if Atomic.get a.a_staged then Int64.of_int (Atomic.get a.a_worker_us)
+           else Int64.sub fin a.a_scan0);
+        p_stall_us = Int64.of_int (Atomic.get a.a_stall_us);
+        p_total_us = Int64.sub fin a.a_t0;
+        p_rows_scanned = scanned;
+        p_rows_returned = returned;
+        p_tablets = tablets;
+        p_tablets_pruned = pruned;
+        p_cache_hits = h1 - a.a_h0;
+        p_cache_misses = m1 - a.a_m0;
+        p_blocks_footer_answered = footer_blocks;
+        p_columns_decoded = columns;
+        p_shards = [] }
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -527,10 +569,9 @@ let flush_closure t mt =
   let metas =
     List.map
       (fun m ->
-        let t0, h0, m0 = obs_begin t in
+        let a = acct_open t t.instr.Obs.h_flush Otrace.Flush in
         let meta = write_memtable t m in
-        obs_end t ~hist:t.instr.Obs.h_flush ~op:Otrace.Flush ~t0 ~h0 ~m0
-          ~returned:meta.Descriptor.row_count ();
+        ignore (acct_close t a ~returned:meta.Descriptor.row_count);
         (m, meta))
       members
   in
@@ -868,7 +909,7 @@ let insert_rows_locked t rows ~landed =
    (they stay inserted — §3.4.4 checks row by row), so a caller can
    retry only the remainder instead of double-sending. *)
 let insert_report t rows =
-  let t0, h0, m0 = obs_begin t in
+  let a = acct_open t t.instr.Obs.h_insert Otrace.Insert in
   let landed = ref 0 in
   let result =
     Mutexes.with_lock t.writer_lock (fun () ->
@@ -886,8 +927,7 @@ let insert_report t rows =
         flush_frozen_backlog ~swallow:true t ~limit:t.config.Config.flush_backlog;
         res)
   in
-  obs_end t ~hist:t.instr.Obs.h_insert ~op:Otrace.Insert ~t0 ~h0 ~m0
-    ~returned:!landed ();
+  ignore (acct_close t a ~returned:!landed);
   result
 
 let insert t rows =
@@ -903,76 +943,89 @@ let max_ts t = Mutexes.with_lock t.state (fun () -> t.max_ts_seen)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-type scan = {
-  sources : (int * Cursor.source) list;
-  referenced : disk_tablet list;
-  eff_ts_min : int64 option;
-  considered : int; (* disk tablets before range pruning *)
+(* A memtable as one read sees it: an immutable snapshot of its rows
+   and their timestamp span, taken under [state]. *)
+type mem_view = {
+  mv_id : int;
+  mv_rows : Value.t array Avl.t;
+  mv_lo : int64;
+  mv_hi : int64;
 }
 
-(* Select overlapping tablets and snapshot memtables. Takes refs on the
-   disk tablets; the caller must [release] them. [projection] and
-   [counters] thread through to {!Tablet.iter} so columnar tablets
-   decode only the referenced columns and report pushdown tallies. *)
-let open_scan ?projection ?counters t ~(compiled : Query.compiled) ~ts_min
-    ~ts_max ~asc =
+type selection = {
+  mems : mem_view list;
+  disk : disk_tablet list;  (** ref'd: the caller must [release] them *)
+  eff_ts_min : int64 option;  (** [ts_min] raised to the TTL cutoff *)
+  considered : int;  (** disk tablets before pruning *)
+}
+
+let no_selection = { mems = []; disk = []; eff_ts_min = None; considered = 0 }
+
+(* The one tablet selection behind every read, in a single [state]
+   acquisition: raise [ts_min] to the TTL cutoff, keep the memtables
+   whose ts span overlaps the bounds and the disk tablets whose ts span
+   and key span (against [\[lo, hi)]) both do, and take refs on those
+   disk tablets. Opens no readers. Memtables are kept by ts span alone:
+   [query_agg] treats each one as a possible shadow of the disk tablets
+   it folds from footers. *)
+let select t ~lo ~hi ~ts_min ~ts_max =
   Mutexes.with_lock t.state (fun () ->
-      let cutoff = ttl_cutoff_locked t in
       let eff_ts_min =
-        match (ts_min, cutoff) with
+        match (ts_min, ttl_cutoff_locked t) with
         | None, c -> c
         | (Some _ as m), None -> m
         | Some m, Some c -> Some (max m c)
       in
-      let ts_overlaps ~lo ~hi =
-        (match eff_ts_min with None -> true | Some b -> hi >= b)
-        && match ts_max with None -> true | Some b -> lo <= b
+      let ts_overlaps ~lo:a ~hi:b =
+        (match eff_ts_min with None -> true | Some bound -> b >= bound)
+        && match ts_max with None -> true | Some bound -> a <= bound
       in
-      let key_overlaps ~min_key ~max_key =
-        String.compare compiled.Query.lo max_key <= 0
-        &&
-        match compiled.Query.hi with
-        | None -> true
-        | Some h -> String.compare h min_key > 0
-      in
-      let mem_sources =
+      let mems =
         List.filter_map
           (fun m ->
             match Memtable.ts_range m with
-            | Some (lo, hi) when ts_overlaps ~lo ~hi ->
-                let snap = Memtable.snapshot m in
-                let lo = compiled.Query.lo and hi = compiled.Query.hi in
-                let it =
-                  if asc then Avl.iter_asc ~lo ?hi snap
-                  else Avl.iter_desc ~lo ?hi snap
-                in
-                Some (Memtable.id m, fun () -> Avl.next it)
+            | Some (a, b) when ts_overlaps ~lo:a ~hi:b ->
+                Some
+                  { mv_id = Memtable.id m;
+                    mv_rows = Memtable.snapshot m;
+                    mv_lo = a;
+                    mv_hi = b }
             | _ -> None)
           (t.filling @ t.frozen)
       in
-      let selected =
+      let disk =
         List.filter
           (fun dt ->
             let m = dt.meta in
             ts_overlaps ~lo:m.Descriptor.min_ts ~hi:m.Descriptor.max_ts
-            && key_overlaps ~min_key:m.Descriptor.min_key
-                 ~max_key:m.Descriptor.max_key)
+            && String.compare lo m.Descriptor.max_key <= 0
+            &&
+            match hi with
+            | None -> true
+            | Some h -> String.compare h m.Descriptor.min_key > 0)
           t.disk
       in
-      List.iter (fun dt -> dt.refs <- dt.refs + 1) selected;
-      let disk_sources =
-        List.map
-          (fun dt ->
-            let r = get_reader_locked t dt in
-            ( dt.meta.Descriptor.id,
-              Tablet.iter r ~asc ~lo:compiled.Query.lo ?hi:compiled.Query.hi
-                ?projection ?counters () ))
-          selected
-      in
-      { sources = mem_sources @ disk_sources;
-        referenced = selected;
-        eff_ts_min;
-        considered = List.length t.disk })
+      List.iter (fun dt -> dt.refs <- dt.refs + 1) disk;
+      { mems; disk; eff_ts_min; considered = List.length t.disk })
+
+(* The selection's disk tablets with their readers; on failure the
+   selection's refs are dropped. *)
+let open_readers t sel =
+  match
+    Mutexes.with_lock t.state (fun () ->
+        List.map (fun dt -> (dt, get_reader_locked t dt)) sel.disk)
+  with
+  | readers -> readers
+  | exception e ->
+      release t sel.disk;
+      raise e
+
+let mem_source ~asc ~lo ?hi mv =
+  let it =
+    if asc then Avl.iter_asc ~lo ?hi mv.mv_rows
+    else Avl.iter_desc ~lo ?hi mv.mv_rows
+  in
+  (mv.mv_id, fun () -> Avl.next it)
 
 let empty_source () = None
 
@@ -984,27 +1037,23 @@ let empty_source () = None
    The returned finish function must run before the caller releases its
    tablet references; {!Pscan.stage} guarantees no producer task is
    still reading after it returns. *)
-let maybe_stage ?prof t ~has_disk sources =
+let maybe_stage t a ~has_disk sources =
   match t.pool with
   | Some pool when has_disk && List.length sources > 1 ->
       let obs_on = Obs.enabled t.obs in
       if obs_on then
         Ometrics.Histogram.observe t.instr.Obs.h_fanout
           (float_of_int (List.length sources));
-      (match prof with
-      | Some pr ->
-          Mutexes.with_lock pr.pr_mutex (fun () -> pr.pr_staged <- true)
-      | None -> ());
-      let timed = obs_on || prof <> None in
+      Atomic.set a.a_staged true;
+      let profile = a.a_profile in
+      let worker_us = a.a_worker_us and stall_us = a.a_stall_us in
+      let timed = obs_on || profile in
       let now_us () = if timed then Clock.now t.clock else 0L in
       let on_worker ~busy_us ~rows:_ =
         if obs_on then
           Ometrics.Histogram.observe_us t.instr.Obs.h_worker_scan busy_us;
-        match prof with
-        | Some pr ->
-            Mutexes.with_lock pr.pr_mutex (fun () ->
-                pr.pr_scan_us <- Int64.add pr.pr_scan_us busy_us)
-        | None -> ()
+        if profile then
+          ignore (Atomic.fetch_and_add worker_us (Int64.to_int busy_us))
       in
       let on_stall dur =
         (* [record_op] both observes the histogram and records a span;
@@ -1015,64 +1064,54 @@ let maybe_stage ?prof t ~has_disk sources =
             ~table:t.tname
             ~t0:(Int64.sub (Clock.now t.clock) dur)
             ();
-        match prof with
-        | Some pr ->
-            Mutexes.with_lock pr.pr_mutex (fun () ->
-                pr.pr_stall_us <- Int64.add pr.pr_stall_us dur)
-        | None -> ()
+        if profile then ignore (Atomic.fetch_and_add stall_us (Int64.to_int dur))
       in
       Pscan.stage pool ~now_us ~on_worker ~on_stall sources
   | _ -> (sources, fun () -> ())
 
-let query_raw ?prof t (q : Query.t) =
-  let plan0 = match prof with Some _ -> Clock.now t.clock | None -> 0L in
-  let counters = Tablet.fresh_counters () in
+(* Open a range scan over [q]: the selection, its readers, and the
+   merged, ts-filtered cursor over them. [finish] (idempotent) joins
+   in-flight producers before dropping the tablet refs they read
+   through. *)
+let open_scan t a (q : Query.t) =
   match Query.compile t.schema q with
-  | None -> (empty_source, (fun () -> ()), ref 0, 0, 0, counters)
-  | Some compiled ->
+  | None -> (empty_source, (fun () -> ()), ref 0, no_selection)
+  | Some { Query.lo; hi } ->
       let asc = q.Query.direction = Query.Asc in
-      let scan =
-        open_scan ?projection:q.Query.projection ~counters t ~compiled
-          ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max ~asc
+      let sel =
+        select t ~lo ~hi ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max
       in
-      let scanned = ref 0 in
+      let disk_sources =
+        List.map
+          (fun (dt, r) ->
+            ( dt.meta.Descriptor.id,
+              Tablet.iter r ~asc ~lo ?hi ?projection:q.Query.projection
+                ~counters:a.a_counters () ))
+          (open_readers t sel)
+      in
       let staged, finish_stage =
-        maybe_stage ?prof t ~has_disk:(scan.referenced <> []) scan.sources
+        maybe_stage t a ~has_disk:(sel.disk <> [])
+          (List.map (mem_source ~asc ~lo ?hi) sel.mems @ disk_sources)
       in
-      (match prof with
-      | Some pr -> pr.pr_plan_us <- Int64.sub (Clock.now t.clock) plan0
-      | None -> ());
-      let merged = Cursor.merge ~asc staged in
-      let filtered =
-        Cursor.filter_ts ~scanned ?ts_min:scan.eff_ts_min ?ts_max:q.Query.ts_max
-          merged
+      acct_planned t a;
+      let scanned = ref 0 in
+      let src =
+        Cursor.filter_ts ~scanned ?ts_min:sel.eff_ts_min ?ts_max:q.Query.ts_max
+          (Cursor.merge ~asc staged)
       in
-      let released = ref false in
-      let release_once () =
-        if not !released then begin
-          released := true;
-          (* Cancel and join in-flight producers before dropping the
-             tablet refs they read through. *)
+      let finished = ref false in
+      let finish () =
+        if not !finished then begin
+          finished := true;
           finish_stage ();
-          release t scan.referenced
+          release t sel.disk
         end
       in
-      ( filtered,
-        release_once,
-        scanned,
-        List.length scan.referenced,
-        scan.considered - List.length scan.referenced,
-        counters )
-
-let note_pushdown_counters t (c : Tablet.scan_counters) =
-  let fb = Atomic.get c.Tablet.sc_footer_blocks in
-  let cd = Atomic.get c.Tablet.sc_cols_decoded in
-  if fb > 0 || cd > 0 then
-    Stats.note_pushdown t.stats ~footer_blocks:fb ~columns:cd
+      (src, finish, scanned, sel)
 
 let query_iter t q =
-  let t0, h0, m0 = obs_begin t in
-  let src, release_once, scanned, tablets, _pruned, counters = query_raw t q in
+  let a = acct_open t t.instr.Obs.h_query Otrace.Query in
+  let src, finish, scanned, sel = open_scan t a q in
   let src =
     match q.Query.limit with None -> src | Some n -> Cursor.take n src
   in
@@ -1087,11 +1126,10 @@ let query_iter t q =
           Some kv
       | None ->
           finished := true;
-          release_once ();
-          note_pushdown_counters t counters;
-          Stats.note_query t.stats ~scanned:!scanned ~returned:!returned;
-          obs_end t ~hist:t.instr.Obs.h_query ~op:Otrace.Query ~t0 ~h0 ~m0
-            ~scanned:!scanned ~returned:!returned ~tablets ();
+          finish ();
+          ignore
+            (acct_close t a ~scanned:!scanned ~returned:!returned
+               ~tablets:(List.length sel.disk));
           None
     end
 
@@ -1103,13 +1141,8 @@ type result = {
 }
 
 let query ?(profile = false) t (q : Query.t) =
-  let t0, h0, m0 = obs_begin t in
-  let prof = if profile then Some (prof_acc_create ()) else None in
-  let pt0 = if profile then Clock.now t.clock else 0L in
-  let ph0, pm0 = if profile then cache_counts t else (0, 0) in
-  let src, release_once, scanned, tablets, pruned, counters =
-    query_raw ?prof t q
-  in
+  let a = acct_open ~profile t t.instr.Obs.h_query Otrace.Query in
+  let src, finish, scanned, sel = open_scan t a q in
   let server_cap = t.config.Config.server_row_limit in
   let cap =
     match q.Query.limit with
@@ -1124,52 +1157,21 @@ let query ?(profile = false) t (q : Query.t) =
       | Some (_, row) -> collect (row :: acc) (n - 1)
     end
   in
-  let scan0 = if profile then Clock.now t.clock else 0L in
   let rows, more = collect [] cap in
   (* Joins in-flight producers, so worker busy totals are final. *)
-  release_once ();
-  let scanned = !scanned in
-  note_pushdown_counters t counters;
-  Stats.note_query t.stats ~scanned ~returned:(List.length rows);
-  obs_end t ~hist:t.instr.Obs.h_query ~op:Otrace.Query ~t0 ~h0 ~m0 ~scanned
-    ~returned:(List.length rows) ~tablets ();
+  finish ();
+  let tablets = List.length sel.disk in
+  let profile =
+    acct_close t a ~scanned:!scanned ~returned:(List.length rows) ~tablets
+      ~pruned:(sel.considered - tablets)
+  in
   (* more_available signals only the server's own cap (§3.5): when the
      client asked for fewer rows than the server cap, hitting the client
      limit is not "more available" in the protocol sense. *)
   let more_available =
     more && (match q.Query.limit with None -> true | Some l -> l > server_cap)
   in
-  let profile =
-    match prof with
-    | None -> None
-    | Some pr ->
-        let fin = Clock.now t.clock in
-        let h1, m1 = cache_counts t in
-        let scan_us, stall_us =
-          Mutexes.with_lock pr.pr_mutex (fun () ->
-              if pr.pr_staged then (pr.pr_scan_us, pr.pr_stall_us)
-              else (Int64.sub fin scan0, 0L))
-        in
-        Some
-          { Lt_obs.Profile.p_plan_us = pr.pr_plan_us;
-            p_scan_us = scan_us;
-            p_stall_us = stall_us;
-            p_total_us = Int64.sub fin pt0;
-            p_rows_scanned = scanned;
-            p_rows_returned = List.length rows;
-            p_tablets = tablets;
-            p_tablets_pruned = pruned;
-            (* Blooms serve only the [latest] point-lookup path (§3.4.5);
-               a range scan never consults them. *)
-            p_bloom_skips = 0;
-            p_cache_hits = h1 - ph0;
-            p_cache_misses = m1 - pm0;
-            p_blocks_footer_answered =
-              Atomic.get counters.Tablet.sc_footer_blocks;
-            p_columns_decoded = Atomic.get counters.Tablet.sc_cols_decoded;
-            p_shards = [] }
-  in
-  { rows; more_available; scanned; profile }
+  { rows; more_available; scanned = !scanned; profile }
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate pushdown                                                  *)
@@ -1185,10 +1187,7 @@ let query ?(profile = false) t (q : Query.t) =
    the same accumulators. Always sequential — never staged on the
    worker pool — so results are identical at any [query_domains]. *)
 let query_agg ?(profile = false) t (q : Query.t) ~specs =
-  let t0, h0, m0 = obs_begin t in
-  let pt0 = if profile then Clock.now t.clock else 0L in
-  let ph0, pm0 = if profile then cache_counts t else (0, 0) in
-  let counters = Tablet.fresh_counters () in
+  let a = acct_open ~profile t t.instr.Obs.h_query Otrace.Query in
   let accs = Array.map (fun _ -> Agg.fresh_acc ()) specs in
   let scanned = ref 0 in
   let feed_row row =
@@ -1207,85 +1206,30 @@ let query_agg ?(profile = false) t (q : Query.t) ~specs =
     |> List.filter_map (fun s -> s.Agg.a_col)
     |> List.sort_uniq Int.compare
   in
-  let tablets, pruned =
+  let sel =
     match Query.compile t.schema q with
-    | None -> (0, 0)
-    | Some compiled ->
-        let mem_sources, mem_spans, readers, eff_ts_min, considered =
-          Mutexes.with_lock t.state (fun () ->
-              let cutoff = ttl_cutoff_locked t in
-              let eff_ts_min =
-                match (q.Query.ts_min, cutoff) with
-                | None, c -> c
-                | (Some _ as m), None -> m
-                | Some m, Some c -> Some (max m c)
-              in
-              let ts_overlaps ~lo ~hi =
-                (match eff_ts_min with None -> true | Some b -> hi >= b)
-                &&
-                match q.Query.ts_max with
-                | None -> true
-                | Some b -> lo <= b
-              in
-              let key_overlaps ~min_key ~max_key =
-                String.compare compiled.Query.lo max_key <= 0
-                &&
-                match compiled.Query.hi with
-                | None -> true
-                | Some h -> String.compare h min_key > 0
-              in
-              let mems =
-                List.filter
-                  (fun m ->
-                    match Memtable.ts_range m with
-                    | Some (lo, hi) -> ts_overlaps ~lo ~hi
-                    | None -> false)
-                  (t.filling @ t.frozen)
-              in
-              let mem_sources =
-                List.map
-                  (fun m ->
-                    let snap = Memtable.snapshot m in
-                    let it =
-                      Avl.iter_asc ~lo:compiled.Query.lo ?hi:compiled.Query.hi
-                        snap
-                    in
-                    (Memtable.id m, fun () -> Avl.next it))
-                  mems
-              in
-              let mem_spans =
-                List.filter_map
-                  (fun m ->
-                    match (Memtable.min_key m, Memtable.max_key m) with
-                    | Some a, Some b -> Some (a, b)
-                    | _ -> None)
-                  mems
-              in
-              let selected =
-                List.filter
-                  (fun dt ->
-                    let m = dt.meta in
-                    ts_overlaps ~lo:m.Descriptor.min_ts
-                      ~hi:m.Descriptor.max_ts
-                    && key_overlaps ~min_key:m.Descriptor.min_key
-                         ~max_key:m.Descriptor.max_key)
-                  t.disk
-              in
-              List.iter (fun dt -> dt.refs <- dt.refs + 1) selected;
-              let readers =
-                List.map (fun dt -> (dt, get_reader_locked t dt)) selected
-              in
-              (mem_sources, mem_spans, readers, eff_ts_min,
-               List.length t.disk))
+    | None -> no_selection
+    | Some { Query.lo; hi } ->
+        let sel =
+          select t ~lo ~hi ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max
         in
+        let arr = Array.of_list (open_readers t sel) in
+        acct_planned t a;
         Fun.protect
-          ~finally:(fun () -> release t (List.map fst readers))
+          ~finally:(fun () -> release t sel.disk)
           (fun () ->
-            let arr = Array.of_list readers in
             let n = Array.length arr in
             let span i =
               let dt, _ = arr.(i) in
               (dt.meta.Descriptor.min_key, dt.meta.Descriptor.max_key)
+            in
+            let mem_spans =
+              List.filter_map
+                (fun mv ->
+                  match (Avl.min_key mv.mv_rows, Avl.max_key mv.mv_rows) with
+                  | Some k0, Some k1 -> Some (k0, k1)
+                  | _ -> None)
+                sel.mems
             in
             let disjoint (a_lo, a_hi) (b_lo, b_hi) =
               String.compare a_hi b_lo < 0 || String.compare b_hi a_lo < 0
@@ -1301,7 +1245,7 @@ let query_agg ?(profile = false) t (q : Query.t) ~specs =
               !ok
             in
             let ts_lo =
-              match eff_ts_min with None -> Int64.min_int | Some v -> v
+              match sel.eff_ts_min with None -> Int64.min_int | Some v -> v
             in
             let ts_hi =
               match q.Query.ts_max with None -> Int64.max_int | Some v -> v
@@ -1310,105 +1254,65 @@ let query_agg ?(profile = false) t (q : Query.t) ~specs =
             for i = n - 1 downto 0 do
               let dt, r = arr.(i) in
               if pushable i then
-                Tablet.fold_aggs r ~counters ~lo:(Some compiled.Query.lo)
-                  ~hi:compiled.Query.hi ~ts_min:ts_lo ~ts_max:ts_hi ~specs
-                  ~accs ()
+                Tablet.fold_aggs r ~counters:a.a_counters ~lo:(Some lo) ~hi
+                  ~ts_min:ts_lo ~ts_max:ts_hi ~specs ~accs ()
               else
                 residue :=
                   ( dt.meta.Descriptor.id,
-                    Tablet.iter r ~asc:true ~lo:compiled.Query.lo
-                      ?hi:compiled.Query.hi ~projection:needed ~counters () )
+                    Tablet.iter r ~asc:true ~lo ?hi ~projection:needed
+                      ~counters:a.a_counters () )
                   :: !residue
             done;
-            (match mem_sources @ !residue with
+            (match List.map (mem_source ~asc:true ~lo ?hi) sel.mems @ !residue with
             | [] -> ()
             | sources ->
                 let src =
-                  Cursor.filter_ts ~scanned ?ts_min:eff_ts_min
+                  Cursor.filter_ts ~scanned ?ts_min:sel.eff_ts_min
                     ?ts_max:q.Query.ts_max
                     (Cursor.merge ~asc:true sources)
                 in
                 Cursor.fold (fun () (_, row) -> feed_row row) () src);
-            (List.length readers, considered - List.length readers))
+            sel)
   in
-  note_pushdown_counters t counters;
-  Stats.note_query t.stats ~scanned:!scanned ~returned:1;
-  obs_end t ~hist:t.instr.Obs.h_query ~op:Otrace.Query ~t0 ~h0 ~m0
-    ~scanned:!scanned ~returned:1 ~tablets ();
-  let results = Array.mapi (fun i s -> Agg.result s.Agg.a_fn accs.(i)) specs in
+  let tablets = List.length sel.disk in
   let prof =
-    if not profile then None
-    else begin
-      let fin = Clock.now t.clock in
-      let h1, m1 = cache_counts t in
-      Some
-        { Lt_obs.Profile.p_plan_us = 0L;
-          p_scan_us = Int64.sub fin pt0;
-          p_stall_us = 0L;
-          p_total_us = Int64.sub fin pt0;
-          p_rows_scanned = !scanned;
-          p_rows_returned = 1;
-          p_tablets = tablets;
-          p_tablets_pruned = pruned;
-          p_bloom_skips = 0;
-          p_cache_hits = h1 - ph0;
-          p_cache_misses = m1 - pm0;
-          p_blocks_footer_answered =
-            Atomic.get counters.Tablet.sc_footer_blocks;
-          p_columns_decoded = Atomic.get counters.Tablet.sc_cols_decoded;
-          p_shards = [] }
-    end
+    acct_close t a ~scanned:!scanned ~returned:1 ~tablets
+      ~pruned:(sel.considered - tablets)
   in
-  (results, prof)
+  (Array.mapi (fun i s -> Agg.result s.Agg.a_fn accs.(i)) specs, prof)
 
 (* ------------------------------------------------------------------ *)
 (* Latest row for a key prefix (§3.4.5)                                *)
 (* ------------------------------------------------------------------ *)
 
 type span_item =
-  | In_mem of Memtable.t * int64 * int64
+  | In_mem of mem_view
   | On_disk of disk_tablet
 
 let item_span = function
-  | In_mem (_, lo, hi) -> (lo, hi)
+  | In_mem mv -> (mv.mv_lo, mv.mv_hi)
   | On_disk dt -> (dt.meta.Descriptor.min_ts, dt.meta.Descriptor.max_ts)
 
+(* The selection's key bounds are the prefix's range, so tablets whose
+   key span cannot hold the prefix are never ref'd; readers open only
+   for the groups actually searched. *)
 let latest t prefix_values =
-  let t0, h0, m0 = obs_begin t in
+  let a = acct_open t t.instr.Obs.h_latest Otrace.Latest in
   let prefix = Key_codec.encode_prefix t.schema prefix_values in
   let hi = Key_codec.prefix_succ prefix in
   let full_prefix =
     List.length prefix_values = Array.length (Schema.pkey t.schema) - 1
   in
-  let items, cutoff =
-    Mutexes.with_lock t.state (fun () ->
-        let mem_items =
-          List.filter_map
-            (fun m ->
-              match Memtable.ts_range m with
-              | Some (lo, hi) -> Some (In_mem (m, lo, hi))
-              | None -> None)
-            (t.filling @ t.frozen)
-        in
-        let disk_items = List.map (fun dt -> On_disk dt) t.disk in
-        let items =
-          List.sort
-            (fun a b ->
-              let la, _ = item_span a and lb, _ = item_span b in
-              Int64.compare la lb)
-            (mem_items @ disk_items)
-        in
-        List.iter
-          (function On_disk dt -> dt.refs <- dt.refs + 1 | In_mem _ -> ())
-          items;
-        (items, ttl_cutoff_locked t))
-  in
-  let refs =
-    List.filter_map (function On_disk dt -> Some dt | In_mem _ -> None) items
-  in
+  let sel = select t ~lo:prefix ~hi ~ts_min:None ~ts_max:None in
   Fun.protect
-    ~finally:(fun () -> release t refs)
+    ~finally:(fun () -> release t sel.disk)
     (fun () ->
+      let items =
+        List.sort
+          (fun x y -> Int64.compare (fst (item_span x)) (fst (item_span y)))
+          (List.map (fun mv -> In_mem mv) sel.mems
+          @ List.map (fun dt -> On_disk dt) sel.disk)
+      in
       (* Group items whose timespans overlap; within a group timespans
          cannot be ordered, so the group is searched as one unit. *)
       let groups =
@@ -1426,19 +1330,16 @@ let latest t prefix_values =
       let search_group members =
         let sources =
           List.filter_map
-            (fun item ->
-              match item with
-              | In_mem (m, _, _) ->
-                  let it = Avl.iter_desc ~lo:prefix ?hi (Memtable.snapshot m) in
-                  Some (Memtable.id m, fun () -> Avl.next it)
+            (function
+              | In_mem mv -> Some (mem_source ~asc:false ~lo:prefix ?hi mv)
               | On_disk dt ->
-                  if Tablet.may_contain_prefix
-                       (Mutexes.with_lock t.state (fun () -> get_reader_locked t dt))
-                       prefix
-                  then
-                    let r = Mutexes.with_lock t.state (fun () -> get_reader_locked t dt) in
+                  let r =
+                    Mutexes.with_lock t.state (fun () -> get_reader_locked t dt)
+                  in
+                  if Tablet.may_contain_prefix r prefix then
                     Some
-                      (dt.meta.Descriptor.id, Tablet.iter r ~asc:false ~lo:prefix ?hi ())
+                      ( dt.meta.Descriptor.id,
+                        Tablet.iter r ~asc:false ~lo:prefix ?hi () )
                   else None)
             members
         in
@@ -1449,14 +1350,14 @@ let latest t prefix_values =
               (function On_disk _ -> true | In_mem _ -> false)
               members
           in
-          let staged, finish_stage = maybe_stage t ~has_disk sources in
+          let staged, finish_stage = maybe_stage t a ~has_disk sources in
           (* The inner protect joins producers before the outer protect
              releases the tablet refs they read through; a full-prefix
              hit on the first row cancels the rest of the group's
              workers. *)
           Fun.protect ~finally:finish_stage (fun () ->
               let src =
-                Cursor.filter_ts ~scanned ?ts_min:cutoff
+                Cursor.filter_ts ~scanned ?ts_min:sel.eff_ts_min
                   (Cursor.merge ~asc:false staged)
               in
               if full_prefix then
@@ -1489,12 +1390,10 @@ let latest t prefix_values =
             | None -> try_groups rest)
       in
       let result = try_groups groups in
-      Stats.note_query t.stats ~scanned:!scanned
-        ~returned:(if result = None then 0 else 1);
-      obs_end t ~hist:t.instr.Obs.h_latest ~op:Otrace.Latest ~t0 ~h0 ~m0
-        ~scanned:!scanned
-        ~returned:(if result = None then 0 else 1)
-        ~tablets:(List.length refs) ();
+      ignore
+        (acct_close t a ~scanned:!scanned
+           ~returned:(if result = None then 0 else 1)
+           ~tablets:(List.length sel.disk));
       result)
 
 (* ------------------------------------------------------------------ *)
@@ -1568,7 +1467,7 @@ let merge_step_unlocked t =
   match plan with
   | None -> false
   | Some (sources, streams, schema, new_id, cutoff) ->
-      let t0, h0, m0 = obs_begin t in
+      let a = acct_open t t.instr.Obs.h_merge Otrace.Merge in
       Fun.protect
         ~finally:(fun () -> release t sources)
         (fun () ->
@@ -1645,11 +1544,13 @@ let merge_step_unlocked t =
                 match new_meta with None -> 0 | Some m -> m.Descriptor.size
               in
               Stats.note_merge t.stats ~bytes_in ~bytes_out);
-          obs_end t ~hist:t.instr.Obs.h_merge ~op:Otrace.Merge ~t0 ~h0 ~m0
-            ~scanned:!scanned
-            ~returned:
-              (match new_meta with None -> 0 | Some m -> m.Descriptor.row_count)
-            ~tablets:(List.length sources) ();
+          ignore
+            (acct_close t a ~scanned:!scanned
+               ~returned:
+                 (match new_meta with
+                 | None -> 0
+                 | Some m -> m.Descriptor.row_count)
+               ~tablets:(List.length sources));
           true)
 
 let merge_step t =

@@ -127,7 +127,9 @@ val query_agg :
 
 (** [latest t prefix] finds the newest row whose key starts with
     [prefix], working backwards through groups of tablets with
-    overlapping timespans and consulting Bloom filters (§3.4.5). *)
+    overlapping timespans and consulting Bloom filters (§3.4.5).
+    Tablets whose key span cannot hold [prefix], or whose rows are all
+    past the TTL, are skipped without being opened. *)
 val latest : t -> Value.t list -> Value.t array option
 
 (** Largest row timestamp ever inserted ([None] if the table has always

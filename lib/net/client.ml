@@ -44,6 +44,10 @@ let connect_error host port e =
    connect raced against select(2) so a black-holed backend cannot stall
    the router for the kernel's full TCP timeout. *)
 let connect_fd ?timeout host port =
+  (* A server gone mid-request must surface as EPIPE on the write, which
+     [roundtrip] turns into [Disconnected], not as a signal killing the
+     process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let addr = Unix.ADDR_INET (Unix.inet_addr_of_string host, port) in
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   try

@@ -5,7 +5,7 @@ exception Protocol_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Protocol_error s)) fmt
 
-let version = 4
+let version = 5
 
 let max_frame = 64 * 1024 * 1024
 
@@ -202,14 +202,21 @@ let put_key_bound b = function
       Binio.put_varint b (List.length vs);
       List.iter (put_value b) vs
 
+(* An element count; a varint that overflowed to a negative one is a
+   malformed frame, not an argument for [List.init]. *)
+let get_count cur what =
+  let n = Binio.get_varint cur in
+  if n < 0 then error "negative %s count %d" what n;
+  n
+
 let get_key_bound cur =
   match Binio.get_u8 cur with
   | 0 -> Query.Unbounded
   | 1 ->
-      let n = Binio.get_varint cur in
+      let n = get_count cur "key bound" in
       Query.Incl (List.init n (fun _ -> get_value cur))
   | 2 ->
-      let n = Binio.get_varint cur in
+      let n = get_count cur "key bound" in
       Query.Excl (List.init n (fun _ -> get_value cur))
   | n -> error "bad key bound tag %d" n
 
@@ -359,7 +366,7 @@ let read_request cur =
       Query { table; query; profile }
   | 7 ->
       let table = Binio.get_string cur in
-      let n = Binio.get_varint cur in
+      let n = get_count cur "prefix" in
       Latest { table; prefix = List.init n (fun _ -> get_value cur) }
   | 8 ->
       let table = Binio.get_string cur in
@@ -369,7 +376,7 @@ let read_request cur =
   | 10 -> Ping
   | 11 ->
       let table = Binio.get_string cur in
-      let n = Binio.get_varint cur in
+      let n = get_count cur "prefix" in
       Delete_prefix { table; prefix = List.init n (fun _ -> get_value cur) }
   | 12 ->
       let table = Binio.get_string cur in
@@ -538,7 +545,7 @@ let rec put_profile b (p : Lt_obs.Profile.t) =
   Binio.put_i64 b p.p_total_us;
   List.iter (Binio.put_varint b)
     [ p.p_rows_scanned; p.p_rows_returned; p.p_tablets; p.p_tablets_pruned;
-      p.p_bloom_skips; p.p_cache_hits; p.p_cache_misses;
+      p.p_cache_hits; p.p_cache_misses;
       p.p_blocks_footer_answered; p.p_columns_decoded ];
   Binio.put_varint b (List.length p.p_shards);
   List.iter
@@ -558,7 +565,6 @@ let rec get_profile ?(depth = 0) cur =
   let p_rows_returned = v () in
   let p_tablets = v () in
   let p_tablets_pruned = v () in
-  let p_bloom_skips = v () in
   let p_cache_hits = v () in
   let p_cache_misses = v () in
   let p_blocks_footer_answered = v () in
@@ -573,7 +579,7 @@ let rec get_profile ?(depth = 0) cur =
   in
   { Lt_obs.Profile.p_plan_us; p_scan_us; p_stall_us; p_total_us;
     p_rows_scanned; p_rows_returned; p_tablets; p_tablets_pruned;
-    p_bloom_skips; p_cache_hits; p_cache_misses; p_blocks_footer_answered;
+    p_cache_hits; p_cache_misses; p_blocks_footer_answered;
     p_columns_decoded; p_shards }
 
 let put_opt_profile b = function
@@ -740,7 +746,7 @@ let read_response cur =
   match Binio.get_u8 cur with
   | 0 -> Hello_ok (Binio.get_varint cur)
   | 1 ->
-      let n = Binio.get_varint cur in
+      let n = get_count cur "table" in
       Tables (List.init n (fun _ -> Binio.get_string cur))
   | 2 ->
       let schema = Schema.decode cur in
@@ -765,7 +771,7 @@ let read_response cur =
   | 10 -> Deleted (Binio.get_varint cur)
   | 11 -> Metrics_text (Binio.get_string cur)
   | 12 ->
-      let n = Binio.get_varint cur in
+      let n = get_count cur "span" in
       Slow_ops (List.init n (fun _ -> get_span cur))
   | 13 ->
       let pl_epoch = Binio.get_varint cur in

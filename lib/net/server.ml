@@ -26,6 +26,8 @@ type t = {
   metrics_bound_port : int option;
   running : bool Atomic.t;
   mutable threads : (Thread.t * Unix.file_descr) list;
+      (** live connections; each handler adds its own entry and removes
+          it before closing its fd *)
   accept_thread : Thread.t option ref;
   maint_thread : Thread.t option ref;
   metrics_thread : Thread.t option ref;
@@ -191,6 +193,13 @@ let db_backend db =
   }
 
 let client_loop t fd =
+  (* The handler registers itself, so it can never deregister before it
+     is registered. [stop] clears [running] before it takes the list, so
+     a handler registering too late to be shut down sees that and
+     leaves. *)
+  Lt_util.Mutexes.with_lock t.mutex (fun () ->
+      if Atomic.get t.running then
+        t.threads <- (Thread.self (), fd) :: t.threads);
   let obs = t.backend.b_obs in
   let finished = ref false in
   while Atomic.get t.running && not !finished do
@@ -231,6 +240,11 @@ let client_loop t fd =
         Log.warn (fun m -> m "malformed frame: %s" msg);
         finished := true
   done;
+  (* Deregister before closing: a closed fd number can be reused by any
+     other socket in the process, and [stop] must never shut that one
+     down. *)
+  Lt_util.Mutexes.with_lock t.mutex (fun () ->
+      t.threads <- List.filter (fun (_, f) -> f <> fd) t.threads);
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 let accept_loop t =
@@ -246,8 +260,7 @@ let accept_loop t =
             (* Mirror of the client side: responses are single gathered
                writes, so Nagle only adds latency. *)
             Unix.setsockopt fd Unix.TCP_NODELAY true;
-            Lt_util.Mutexes.with_lock t.mutex (fun () ->
-                t.threads <- (Thread.create (client_loop t) fd, fd) :: t.threads)
+            ignore (Thread.create (client_loop t) fd)
         | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ())
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL), _, _) -> ()
@@ -347,6 +360,9 @@ let listen_on port =
 
 let start_custom ?(maintenance_period_s = 1.0) ?metrics_port ~backend ~port ()
     =
+  (* A peer that disconnects before reading its replies must surface as
+     EPIPE on the handler's write, not as a signal killing the process. *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
   let fd, bound_port = listen_on port in
   let metrics =
     match metrics_port with
@@ -420,17 +436,21 @@ let stop t =
     (match !(t.accept_thread) with Some th -> join_unless_self th | None -> ());
     (match !(t.maint_thread) with Some th -> join_unless_self th | None -> ());
     (match !(t.metrics_thread) with Some th -> join_unless_self th | None -> ());
+    (* Unblock handlers waiting in recv, then join them. The shutdowns
+       happen in the critical section that takes the list: a handler
+       deregisters under [t.mutex] before closing its fd, so every fd
+       shut down here is still open and still that handler's. *)
     let threads =
       Lt_util.Mutexes.with_lock t.mutex (fun () ->
           let ths = t.threads in
           t.threads <- [];
+          List.iter
+            (fun (_, fd) ->
+              try Unix.shutdown fd Unix.SHUTDOWN_ALL
+              with Unix.Unix_error _ -> ())
+            ths;
           ths)
     in
-    (* Unblock handlers waiting in recv, then join them. *)
-    List.iter
-      (fun (_, fd) ->
-        try Unix.shutdown fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ())
-      threads;
     List.iter (fun (th, _) -> join_unless_self th) threads;
     t.backend.b_on_stop ();
     Lt_util.Mutexes.with_lock t.mutex (fun () -> Condition.broadcast t.stopped)

@@ -7,7 +7,6 @@ type t = {
   p_rows_returned : int;
   p_tablets : int;
   p_tablets_pruned : int;
-  p_bloom_skips : int;
   p_cache_hits : int;
   p_cache_misses : int;
   p_blocks_footer_answered : int;
@@ -24,7 +23,6 @@ let empty =
     p_rows_returned = 0;
     p_tablets = 0;
     p_tablets_pruned = 0;
-    p_bloom_skips = 0;
     p_cache_hits = 0;
     p_cache_misses = 0;
     p_blocks_footer_answered = 0;
@@ -60,7 +58,6 @@ and aggregate ps =
         p_rows_returned = acc.p_rows_returned + p.p_rows_returned;
         p_tablets = acc.p_tablets + p.p_tablets;
         p_tablets_pruned = acc.p_tablets_pruned + p.p_tablets_pruned;
-        p_bloom_skips = acc.p_bloom_skips + p.p_bloom_skips;
         p_cache_hits = acc.p_cache_hits + p.p_cache_hits;
         p_cache_misses = acc.p_cache_misses + p.p_cache_misses;
         p_blocks_footer_answered =
@@ -75,10 +72,9 @@ let rec pp_indent ppf ~indent p =
   let pad = String.make indent ' ' in
   Format.fprintf ppf "%splan    %8.3f ms@." pad (ms p.p_plan_us);
   Format.fprintf ppf
-    "%sscan    %8.3f ms  rows scanned=%d returned=%d tablets=%d pruned=%d \
-     bloom-skips=%d@."
+    "%sscan    %8.3f ms  rows scanned=%d returned=%d tablets=%d pruned=%d@."
     pad (ms p.p_scan_us) p.p_rows_scanned p.p_rows_returned p.p_tablets
-    p.p_tablets_pruned p.p_bloom_skips;
+    p.p_tablets_pruned;
   Format.fprintf ppf "%sstall   %8.3f ms@." pad (ms p.p_stall_us);
   Format.fprintf ppf "%scache   hits=%d misses=%d@." pad p.p_cache_hits
     p.p_cache_misses;

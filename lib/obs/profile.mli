@@ -21,7 +21,6 @@ type t = {
   p_rows_returned : int;
   p_tablets : int;  (** tablets actually scanned *)
   p_tablets_pruned : int;  (** disk tablets skipped by range overlap *)
-  p_bloom_skips : int;  (** tablets skipped by bloom filter (latest) *)
   p_cache_hits : int;
   p_cache_misses : int;
   p_blocks_footer_answered : int;

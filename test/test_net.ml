@@ -111,7 +111,6 @@ let sample_profile =
     p_rows_returned = 8;
     p_tablets = 3;
     p_tablets_pruned = 2;
-    p_bloom_skips = 0;
     p_cache_hits = 7;
     p_cache_misses = 1;
     p_blocks_footer_answered = 4;
@@ -420,8 +419,31 @@ let test_reconnect_after_server_restart () =
       Client.close c;
       Server.stop server2)
 
-(* A v1 client hello against a v2 server must be refused at the door,
-   not half-served with messages it cannot decode. *)
+(* A server's record of its connections must not outlive them: once a
+   handler closes its socket the fd number can be reused by any other
+   socket in the process, and [stop] shutting down that number would cut
+   a connection it does not own. Here server A's closed connection is
+   followed by server B's live one. *)
+let test_stop_leaves_other_server_alone () =
+  with_server (fun a ->
+      let c1 = Client.connect ~port:(Server.port a) () in
+      Client.ping c1;
+      Client.close c1;
+      (* Let A's handler see EOF and close its end. *)
+      Thread.delay 0.3;
+      with_server (fun b ->
+          let c2 = Client.connect ~port:(Server.port b) () in
+          Client.ping c2;
+          Server.stop a;
+          (match Client.ping c2 with
+          | () -> ()
+          | exception Client.Disconnected ->
+              Alcotest.fail "stopping server A cut a connection to server B");
+          Client.close c2))
+
+(* A client one version behind (v4 profiles still carried a bloom-skips
+   field) must be refused at the door, not half-served with messages it
+   cannot decode. *)
 let test_mixed_version_hello_rejected () =
   with_server (fun server ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -430,7 +452,7 @@ let test_mixed_version_hello_rejected () =
         (fun () ->
           Unix.connect fd
             (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
-          Protocol.send_request fd (Protocol.Hello 1);
+          Protocol.send_request fd (Protocol.Hello 4);
           (match Protocol.recv_response fd with
           | Protocol.Error msg ->
               Alcotest.(check bool) "names the version" true
@@ -623,14 +645,12 @@ let test_buffered_flush_partial () =
         (Client.pending c);
       Client.close c)
 
-(* The reconnect-buffer regression (SIGKILL edition): rows buffered when
-   the backend dies stay in the buffer — they were never written to a
-   socket — and [reconnect] delivers them exactly once; nothing is
-   silently dropped, nothing replayed. The backend is the real server
-   executable in its own process, so a real SIGKILL takes it down with
-   no graceful shutdown. (Unix.fork is unavailable here: the test
-   runner has live domains from the parallel-scan suites.) *)
-let test_buffered_rows_survive_sigkill_reconnect () =
+(* Runs [f ~dir ~port ~pid] against the real server executable in its own
+   process, on a fresh directory and an ephemeral port; the process is
+   SIGKILLed and the directory removed afterwards. (Unix.fork is
+   unavailable here: the test runner has live domains from the
+   parallel-scan suites.) *)
+let with_server_process f =
   let dir = Filename.temp_file "lt_net_test" "" in
   Sys.remove dir;
   let pidfile = Filename.temp_file "lt_net_pid" "" in
@@ -665,16 +685,28 @@ let test_buffered_rows_survive_sigkill_reconnect () =
         int_of_string
           (String.trim (In_channel.with_open_text pidfile In_channel.input_all))
       in
-      let rec wait_up tries =
-        match
-          Client.connect ~batch_rows:1_000 ~batch_interval_ms:600_000 ~port ()
-        with
-        | c -> c
-        | exception Client.Remote_error _ when tries > 0 ->
-            Thread.delay 0.05;
-            wait_up (tries - 1)
+      f ~dir ~port ~pid)
+
+(* [connect ()] once the server process accepts connections. *)
+let rec connect_when_up ?(tries = 200) connect =
+  match connect () with
+  | c -> c
+  | exception Client.Remote_error _ when tries > 0 ->
+      Thread.delay 0.05;
+      connect_when_up ~tries:(tries - 1) connect
+
+(* The reconnect-buffer regression (SIGKILL edition): rows buffered when
+   the backend dies stay in the buffer — they were never written to a
+   socket — and [reconnect] delivers them exactly once; nothing is
+   silently dropped, nothing replayed. The backend is the real server
+   executable in its own process, so a real SIGKILL takes it down with
+   no graceful shutdown. *)
+let test_buffered_rows_survive_sigkill_reconnect () =
+  with_server_process (fun ~dir ~port ~pid ->
+      let c =
+        connect_when_up (fun () ->
+            Client.connect ~batch_rows:1_000 ~batch_interval_ms:600_000 ~port ())
       in
-      let c = wait_up 200 in
       Client.create_table c "usage" (Support.usage_schema ()) ~ttl:None;
       for i = 0 to 29 do
         Client.buffered_insert c "usage" [ urow i ]
@@ -717,6 +749,29 @@ let test_buffered_rows_survive_sigkill_reconnect () =
       Client.close c;
       Server.stop server2)
 
+(* A client that pipelines requests and disconnects before reading the
+   replies must cost the server that connection only: its response
+   writes then hit a closed socket, which is an error for the handler,
+   never a SIGPIPE that kills the server process. *)
+let test_client_gone_mid_pipeline () =
+  with_server_process (fun ~dir:_ ~port ~pid:_ ->
+      let c = connect_when_up (fun () -> Client.connect ~port ()) in
+      Client.close c;
+      let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
+      Protocol.send_request fd (Protocol.Hello Protocol.version);
+      for _ = 1 to 4 do
+        Protocol.send_request fd Protocol.Ping
+      done;
+      Unix.close fd;
+      Thread.delay 0.3;
+      match Client.connect ~port () with
+      | c ->
+          Client.ping c;
+          Client.close c
+      | exception Client.Remote_error msg ->
+          Alcotest.failf "server died after a client vanished: %s" msg)
+
 (* Fuzz: arbitrary bytes fed to the decoders either parse or raise a
    protocol/corruption error — never crash. *)
 let prop_decoders_total =
@@ -734,15 +789,27 @@ let prop_decoders_total =
 (* Regression: a varint overflowing to a negative count must be a
    protocol error, not Invalid_argument from Array.init/List.init. *)
 let test_negative_count_rejected () =
-  let junk = "\002a\128\128\128\128\128\128\128\128aaaaaa" in
-  let ok f =
+  let negative = "\128\128\128\128\128\128\128\128aaaaaa" in
+  let request c = ignore (Protocol.read_request c)
+  and response c = ignore (Protocol.read_response c) in
+  let ok f junk =
     match f (Lt_util.Binio.cursor junk) with
-    | _ -> true
+    | () -> true
     | exception (Protocol.Protocol_error _ | Lt_util.Binio.Corrupt _) -> true
     | exception Littletable.Schema.Invalid _ -> true
   in
-  Alcotest.(check bool) "negative schema column count" true
-    (ok Protocol.read_request && ok Protocol.read_response)
+  List.iter
+    (fun (what, read, prefix) ->
+      Alcotest.(check bool) what true (ok read (prefix ^ negative)))
+    [
+      ("negative schema column count", request, "\002a");
+      ("negative schema column count (response)", response, "\002a");
+      ("negative query key bound count", request, "\006\000\001");
+      ("negative latest prefix count", request, "\007\000");
+      ("negative delete prefix count", request, "\011\000");
+      ("negative table count", response, "\001");
+      ("negative slow-op count", response, "\012");
+    ]
 
 let suite =
   [
@@ -757,6 +824,9 @@ let suite =
     ("multiple concurrent clients", `Quick, test_multiple_clients);
     ("reconnect after restart", `Quick, test_reconnect_after_server_restart);
     ("mixed-version hello rejected", `Quick, test_mixed_version_hello_rejected);
+    ( "stopping one server leaves another server's connections alone",
+      `Quick,
+      test_stop_leaves_other_server_alone );
     ("single-node placement", `Quick, test_single_node_placement);
     ("buffered insert: flush on size", `Quick, test_buffered_insert_flush_on_size);
     ("buffered insert: flush on interval", `Quick, test_buffered_insert_flush_on_interval);
@@ -765,6 +835,7 @@ let suite =
     ( "buffered rows survive SIGKILL + reconnect",
       `Quick,
       test_buffered_rows_survive_sigkill_reconnect );
+    ("client gone mid-pipeline leaves the server up", `Quick, test_client_gone_mid_pipeline);
     ("negative decode counts rejected", `Quick, test_negative_count_rejected);
     Support.qcheck prop_decoders_total;
   ]

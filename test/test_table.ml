@@ -663,8 +663,260 @@ let test_tablets_byte_identical () =
     ]
     phases
 
+(* ---- Read-path accounting golden -------------------------------------- *)
+
+(* A fixed life of a TTL'd usage table on the in-memory VFS — flushes,
+   merges, a columnar rewrite, rows past the TTL cutoff, unflushed
+   memtables, and a tablet holding only network 9 — with every read
+   entry point run after each phase. Each read yields one line: a digest
+   of the rows it returned, every non-time profile field, the fields of
+   the spans it recorded (op/scanned/returned/tablets/cache hits/misses),
+   and a digest of the table's [Stats] snapshot afterwards. [latest]'s
+   span [tablets] is reported apart, as [(label, tablets)]. *)
+let accounting_transcript ~domains =
+  let day = 86_400_000_000L in
+  let config =
+    Config.make ~block_size:1024 ~flush_size:(8 * 1024)
+      ~max_tablet_size:(64 * 1024) ~merge_delay:0L ~rollover_spread:0.0
+      ~columnar_age:(Int64.mul 7L day) ~server_row_limit:10_000
+      ~query_domains:domains ()
+  in
+  let db, clock, _ = Support.fresh_db ~config () in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  let t = Db.create_table db "usage" (schema ()) ~ttl:(Some (Int64.mul 30L day)) in
+  let trace = Lt_obs.Obs.trace (Db.obs db) in
+  let lines = ref [] and latest_tablets = ref [] in
+  let hex s = String.sub (Digest.to_hex (Digest.string s)) 0 12 in
+  let rows_digest rows =
+    hex
+      (String.concat "\n"
+         (List.map
+            (fun r ->
+              String.concat "," (Array.to_list (Array.map Value.to_string r)))
+            rows))
+  in
+  let prof_fields = function
+    | None -> "-"
+    | Some p ->
+        let open Lt_obs.Profile in
+        Printf.sprintf "s%d/r%d/t%d/p%d/h%d/m%d/f%d/c%d/n%d" p.p_rows_scanned
+          p.p_rows_returned p.p_tablets p.p_tablets_pruned p.p_cache_hits
+          p.p_cache_misses p.p_blocks_footer_answered p.p_columns_decoded
+          (List.length p.p_shards)
+  in
+  let read label f =
+    let before = Lt_obs.Trace.recorded trace in
+    let rows, prof = f () in
+    let spans =
+      Lt_obs.Trace.recent ~n:(Lt_obs.Trace.recorded trace - before) trace
+      |> List.rev
+    in
+    let span_fields sp =
+      let open Lt_obs.Trace in
+      if sp.sp_op = Latest then
+        latest_tablets := (label, sp.sp_tablets) :: !latest_tablets;
+      Printf.sprintf "%s/s%d/r%d/t%s/h%d/m%d" (op_name sp.sp_op) sp.sp_scanned
+        sp.sp_returned
+        (if sp.sp_op = Latest then "_" else string_of_int sp.sp_tablets)
+        sp.sp_cache_hits sp.sp_cache_misses
+    in
+    lines :=
+      Printf.sprintf "%s rows=%s prof=%s spans=[%s] stats=%s" label
+        (rows_digest rows) (prof_fields prof)
+        (String.concat ";" (List.map span_fields spans))
+        (hex (Marshal.to_string (Table.stats t) []))
+      :: !lines
+  in
+  let reads phase =
+    let l s = phase ^ ":" ^ s in
+    let now = Clock.now clock in
+    let recent = Int64.sub now (Int64.mul 12L day) in
+    read (l "query all") (fun () ->
+        let r = Table.query ~profile:true t Query.all in
+        (r.Table.rows, r.Table.profile));
+    read (l "query net 2, 12 days") (fun () ->
+        let r =
+          Table.query ~profile:true t
+            (Query.between ~ts_min:recent (Query.prefix [ Value.Int64 2L ]))
+        in
+        (r.Table.rows, r.Table.profile));
+    (* With worker domains, producers read ahead of a consumer that
+       stops early by a timing-dependent amount, so a limited scan's
+       cache and decode counts are fixed only when sequential. *)
+    if domains = 0 then
+      read (l "query desc limit 7") (fun () ->
+          let r =
+            Table.query ~profile:true t
+              (Query.with_limit 7 (Query.with_direction Query.Desc Query.all))
+          in
+          (r.Table.rows, r.Table.profile));
+    read (l "query_iter net 1") (fun () ->
+        (Cursor.to_list (Table.query_iter t (Query.prefix [ Value.Int64 1L ]))
+         |> List.map snd,
+         None));
+    let specs =
+      [| { Agg.a_fn = Agg.Count; a_col = None };
+         { Agg.a_fn = Agg.Sum; a_col = Some 3 };
+         { Agg.a_fn = Agg.Max; a_col = Some 4 } |]
+    in
+    read (l "agg all") (fun () ->
+        let r, p = Table.query_agg ~profile:true t Query.all ~specs in
+        ([ r ], p));
+    read (l "agg net 3, ts window") (fun () ->
+        let r, p =
+          Table.query_agg ~profile:true t
+            (Query.between ~ts_min:(Int64.sub now (Int64.mul 25L day))
+               ~ts_max:recent (Query.prefix [ Value.Int64 3L ]))
+            ~specs
+        in
+        ([ r ], p));
+    read (l "latest net 1 dev 3") (fun () ->
+        (Option.to_list (Table.latest t [ Value.Int64 1L; Value.Int64 3L ]), None));
+    read (l "latest net 2") (fun () ->
+        (Option.to_list (Table.latest t [ Value.Int64 2L ]), None))
+  in
+  let insert ~nets ~devs ~days ~at =
+    Table.insert t
+      (List.concat_map
+         (fun net ->
+           List.concat_map
+             (fun dev ->
+               List.map
+                 (fun d ->
+                   let ts =
+                     Int64.add
+                       (Int64.sub (Clock.now clock) (Int64.mul (Int64.of_int d) day))
+                       (Int64.of_int ((net * 1_000) + dev + at))
+                   in
+                   row
+                     ~bytes:(Int64.of_int ((net * 7919) + (dev * 104729) + d))
+                     ~rate:(float_of_int (d + dev) /. 8.0)
+                     (Int64.of_int net) (Int64.of_int dev) ts)
+                 days)
+             devs)
+         nets)
+  in
+  let merge_fixpoint () =
+    let fuel = ref 64 in
+    while !fuel > 0 && Table.merge_step t do
+      decr fuel
+    done
+  in
+  let range a b = List.init (b - a + 1) (fun i -> a + i) in
+  insert ~nets:[ 1; 2; 3 ] ~devs:(range 0 9) ~days:(range 1 40) ~at:0;
+  Table.flush_all t;
+  reads "flushed";
+  merge_fixpoint ();
+  reads "merged";
+  Clock.advance clock (Int64.mul 10L day);
+  merge_fixpoint ();
+  reads "columnar, past ttl";
+  insert ~nets:[ 1; 2; 3 ] ~devs:(range 0 4) ~days:[ 0 ] ~at:500;
+  reads "memtables";
+  Table.flush_all t;
+  insert ~nets:[ 9 ] ~devs:(range 0 9) ~days:[ 0; 1 ] ~at:700;
+  Table.flush_all t;
+  insert ~nets:[ 2 ] ~devs:[ 1 ] ~days:[ 0 ] ~at:900;
+  reads "network 9 tablet";
+  (List.rev !lines, List.rev !latest_tablets)
+
+(* Values taken from the engine before [query], [query_iter], [query_agg]
+   and [latest] shared one tablet selection and one accounting record:
+   for the same life every read returns the same rows and reports the
+   same counters. The one allowed difference is that [latest] may
+   reference fewer tablets, since it now skips tablets whose key span
+   cannot hold the prefix (the network 9 tablet) or whose rows are all
+   past the TTL cutoff. *)
+let golden_lines_sequential =
+  [
+    "flushed:query all rows=c7bcbafc55c1 prof=s1020/r900/t14/p1/h0/m52/f0/c0/n0 spans=[query/s1020/r900/t14/h0/m52] stats=a11f13a48331";
+    "flushed:query net 2, 12 days rows=1f230eb655c3 prof=s130/r120/t7/p8/h10/m0/f0/c0/n0 spans=[query/s130/r120/t7/h10/m0] stats=d733d9294249";
+    "flushed:query desc limit 7 rows=96f888a9967b prof=s8/r7/t14/p1/h14/m0/f0/c0/n0 spans=[query/s8/r7/t14/h14/m0] stats=742581d2ded3";
+    "flushed:query_iter net 1 rows=58e7d3693bb3 prof=- spans=[query/s340/r300/t10/h22/m0] stats=e325a5915950";
+    "flushed:agg all rows=199491e4b300 prof=s1020/r1/t14/p1/h52/m0/f0/c0/n0 spans=[query/s1020/r1/t14/h52/m0] stats=5ffdabea7691";
+    "flushed:agg net 3, ts window rows=63cb3ca97412 prof=s210/r1/t6/p9/h12/m0/f0/c0/n0 spans=[query/s210/r1/t6/h12/m0] stats=c5b557455d87";
+    "flushed:latest net 1 dev 3 rows=cdef3fae076f prof=- spans=[latest/s1/r1/t_/h1/m0] stats=e1f014cf2364";
+    "flushed:latest net 2 rows=0d1ba4bb283e prof=- spans=[latest/s10/r1/t_/h1/m0] stats=5f6f8e4e8205";
+    "merged:query all rows=c7bcbafc55c1 prof=s900/r900/t13/p0/h21/m37/f0/c74/n0 spans=[query/s900/r900/t13/h21/m37] stats=2707e647f6ef";
+    "merged:query net 2, 12 days rows=1f230eb655c3 prof=s130/r120/t7/p6/h10/m0/f0/c0/n0 spans=[query/s130/r120/t7/h10/m0] stats=f38b791ff8f3";
+    "merged:query desc limit 7 rows=96f888a9967b prof=s8/r7/t13/p0/h13/m0/f0/c12/n0 spans=[query/s8/r7/t13/h13/m0] stats=a3676e92d362";
+    "merged:query_iter net 1 rows=58e7d3693bb3 prof=- spans=[query/s300/r300/t10/h23/m0] stats=652fb5cb2449";
+    "merged:agg all rows=199491e4b300 prof=s900/r1/t13/p0/h58/m0/f0/c74/n0 spans=[query/s900/r1/t13/h58/m0] stats=5c7764a353de";
+    "merged:agg net 3, ts window rows=63cb3ca97412 prof=s210/r1/t6/p7/h16/m0/f0/c26/n0 spans=[query/s210/r1/t6/h16/m0] stats=330cb1971779";
+    "merged:latest net 1 dev 3 rows=cdef3fae076f prof=- spans=[latest/s1/r1/t_/h1/m0] stats=4e63eb97fda8";
+    "merged:latest net 2 rows=0d1ba4bb283e prof=- spans=[latest/s10/r1/t_/h1/m0] stats=c8d01a8691a9";
+    "columnar, past ttl:query all rows=ee1b92400013 prof=s600/r600/t5/p3/h16/m26/f0/c84/n0 spans=[query/s600/r600/t5/h16/m26] stats=f1b3b22c6165";
+    "columnar, past ttl:query net 2, 12 days rows=705402dcbfbc prof=s60/r20/t1/p7/h5/m0/f0/c10/n0 spans=[query/s60/r20/t1/h5/m0] stats=334c28321035";
+    "columnar, past ttl:query desc limit 7 rows=96f888a9967b prof=s8/r7/t5/p3/h5/m0/f0/c10/n0 spans=[query/s8/r7/t5/h5/m0] stats=60c562259175";
+    "columnar, past ttl:query_iter net 1 rows=2e05746b2ae6 prof=- spans=[query/s200/r200/t3/h15/m0] stats=6fcce6c25fff";
+    "columnar, past ttl:agg all rows=b330016f6e35 prof=s600/r1/t5/p3/h42/m0/f0/c84/n0 spans=[query/s600/r1/t5/h42/m0] stats=3f82ad60c63e";
+    "columnar, past ttl:agg net 3, ts window rows=e6a4767369ff prof=s195/r1/t4/p4/h15/m0/f0/c30/n0 spans=[query/s195/r1/t4/h15/m0] stats=08335aeeac90";
+    "columnar, past ttl:latest net 1 dev 3 rows=cdef3fae076f prof=- spans=[latest/s1/r1/t_/h1/m0] stats=e03612476773";
+    "columnar, past ttl:latest net 2 rows=0d1ba4bb283e prof=- spans=[latest/s60/r1/t_/h6/m0] stats=25cbb380e595";
+    "memtables:query all rows=e7ea2a14dd8b prof=s615/r615/t5/p3/h42/m0/f0/c84/n0 spans=[query/s615/r615/t5/h42/m0] stats=9805cecbaeca";
+    "memtables:query net 2, 12 days rows=57aa4d50ae50 prof=s65/r25/t1/p7/h5/m0/f0/c10/n0 spans=[query/s65/r25/t1/h5/m0] stats=e6b4ada3ba55";
+    "memtables:query desc limit 7 rows=96f888a9967b prof=s8/r7/t5/p3/h5/m0/f0/c10/n0 spans=[query/s8/r7/t5/h5/m0] stats=e62d465c9689";
+    "memtables:query_iter net 1 rows=7cf3ea6fe441 prof=- spans=[query/s205/r205/t3/h15/m0] stats=7fab43f87ba5";
+    "memtables:agg all rows=d3ccf16d64bd prof=s615/r1/t5/p3/h42/m0/f0/c84/n0 spans=[query/s615/r1/t5/h42/m0] stats=91d978644e76";
+    "memtables:agg net 3, ts window rows=e6a4767369ff prof=s195/r1/t4/p4/h15/m0/f0/c30/n0 spans=[query/s195/r1/t4/h15/m0] stats=28784f61ec25";
+    "memtables:latest net 1 dev 3 rows=826b0acf1a36 prof=- spans=[latest/s1/r1/t_/h0/m0] stats=c8414aeb3de5";
+    "memtables:latest net 2 rows=4ff01e675a30 prof=- spans=[latest/s5/r1/t_/h0/m0] stats=029d10a7a207";
+    "network 9 tablet:query all rows=d0d5d5ea32ae prof=s636/r636/t8/p3/h42/m3/f0/c84/n0 spans=[query/s636/r636/t8/h42/m3] stats=3951c12414e7";
+    "network 9 tablet:query net 2, 12 days rows=6443be0114f7 prof=s66/r26/t2/p9/h6/m0/f0/c10/n0 spans=[query/s66/r26/t2/h6/m0] stats=64ae1c1fab68";
+    "network 9 tablet:query desc limit 7 rows=b467fa876dfc prof=s8/r7/t8/p3/h8/m0/f0/c10/n0 spans=[query/s8/r7/t8/h8/m0] stats=00e0e04a8dff";
+    "network 9 tablet:query_iter net 1 rows=7cf3ea6fe441 prof=- spans=[query/s205/r205/t4/h16/m0] stats=6319f2e31367";
+    "network 9 tablet:agg all rows=0a99d39a246c prof=s636/r1/t8/p3/h45/m0/f0/c84/n0 spans=[query/s636/r1/t8/h45/m0] stats=a8d136834361";
+    "network 9 tablet:agg net 3, ts window rows=e6a4767369ff prof=s195/r1/t4/p7/h15/m0/f0/c30/n0 spans=[query/s195/r1/t4/h15/m0] stats=4349ab4f49df";
+    "network 9 tablet:latest net 1 dev 3 rows=826b0acf1a36 prof=- spans=[latest/s1/r1/t_/h1/m0] stats=40698d07bb54";
+    "network 9 tablet:latest net 2 rows=62379fbe930b prof=- spans=[latest/s6/r1/t_/h1/m0] stats=ab0a5acd207e";
+  ]
+
+let golden_latest_tablets =
+  [
+    ("flushed:latest net 1 dev 3", 15);
+    ("flushed:latest net 2", 15);
+    ("merged:latest net 1 dev 3", 13);
+    ("merged:latest net 2", 13);
+    ("columnar, past ttl:latest net 1 dev 3", 8);
+    ("columnar, past ttl:latest net 2", 8);
+    ("memtables:latest net 1 dev 3", 8);
+    ("memtables:latest net 2", 8);
+    ("network 9 tablet:latest net 1 dev 3", 11);
+    ("network 9 tablet:latest net 2", 11);
+  ]
+
+let test_read_accounting_golden () =
+  let lines, latest = accounting_transcript ~domains:0 in
+  Alcotest.(check (list string)) "sequential transcript" golden_lines_sequential
+    lines;
+  let lines2, latest2 = accounting_transcript ~domains:2 in
+  Alcotest.(check string) "parallel transcript digest"
+    "30818ecc24070d00b8e4f568841ded09"
+    (Digest.to_hex (Digest.string (String.concat "\n" lines2)));
+  List.iter
+    (fun got ->
+      Alcotest.(check (list string)) "latest labels"
+        (List.map fst golden_latest_tablets) (List.map fst got);
+      List.iter2
+        (fun (label, was) (_, now) ->
+          if now > was then
+            Alcotest.failf "%s: latest references %d tablets, was %d" label now
+              was)
+        golden_latest_tablets got;
+      (* No clock moves between these phases, so the TTL prunes the same
+         tablets in both: only key spans can keep the network 9 tablets
+         out of a search for network 1. *)
+      let added l =
+        List.assoc "network 9 tablet:latest net 1 dev 3" l
+        - List.assoc "memtables:latest net 1 dev 3" l
+      in
+      Alcotest.(check bool) "latest skips the network 9 tablets" true
+        (added got < added golden_latest_tablets))
+    [ latest; latest2 ]
+
 let suite =
   [
+    ("read accounting golden", `Quick, test_read_accounting_golden);
     ("flushed and merged tablets byte-identical", `Quick, test_tablets_byte_identical);
     ("insert + query (memtable only)", `Quick, test_insert_query_memtable_only);
     ("flush and query", `Quick, test_flush_and_query);
