@@ -81,46 +81,15 @@ let first_error_else resps ok =
 
 (* ---- Inserts ----------------------------------------------------------- *)
 
-(* Split every group's rows by owning shard (stable within a group), so
-   each shard receives one [Insert_batch] holding its slice of every
-   group. Returns the slices in shard order. *)
-let split_by_shard t groups =
-  let per_shard = Hashtbl.create 8 in
-  List.iter
-    (fun (table, rows) ->
-      let schema = schema_of t table in
-      let lead = (Schema.pkey schema).(0) in
-      let buckets = Hashtbl.create 4 in
-      let order = ref [] in
-      List.iter
-        (fun row ->
-          if Array.length row <= lead then
-            err "row arity %d lacks the leading key column" (Array.length row);
-          let s = Placement.shard_of_value t.placement row.(lead) in
-          match Hashtbl.find_opt buckets s with
-          | Some r -> r := row :: !r
-          | None ->
-              Hashtbl.add buckets s (ref [ row ]);
-              order := s :: !order)
-        rows;
-      List.iter
-        (fun s ->
-          let sub = List.rev !(Hashtbl.find buckets s) in
-          match Hashtbl.find_opt per_shard s with
-          | Some r -> r := (table, sub) :: !r
-          | None -> Hashtbl.add per_shard s (ref [ (table, sub) ]))
-        (List.rev !order))
-    groups;
-  Hashtbl.fold (fun s r acc -> (s, List.rev !r) :: acc) per_shard []
-  |> List.sort compare
-
-(* Zero-copy variant of {!split_by_shard} over a still-undecoded
-   [Insert_batch] payload: one scan that decodes only each row's
-   leading key value (for placement) and blits the row's wire bytes
-   straight into its owner's outgoing sub-payload. Forwarded columns
-   are never boxed or re-encoded — the per-row router cost is a hash
-   and a memcpy. Returns, per owning shard, the sub-payload (already in
-   wire format) and its per-table expected row counts. *)
+(* Split an [Insert_batch] payload's rows by owning shard (stable
+   within a group), so each shard receives one [Insert_batch] holding
+   its slice of every group. One scan over the undecoded payload
+   decodes only each row's leading key value (for placement) and blits
+   the row's wire bytes straight into its owner's outgoing sub-payload.
+   Forwarded columns are never boxed or re-encoded — the per-row router
+   cost is a hash and a memcpy. Returns, in shard order, the
+   sub-payload (already in wire format) and its per-table expected row
+   counts. *)
 let split_raw t payload =
   let module B = Lt_util.Binio in
   let cur = B.cursor payload in
@@ -208,9 +177,9 @@ let send_shard_batch t s ~expected req =
   | exception Client.Remote_error msg ->
       { si_landed = none; si_fail = Some msg }
 
-(* Batched per-shard forwarding, shared by [Insert] and [Insert_batch].
-   Sub-batches go to their shards concurrently (each shard has its own
-   connection); per-shard outcomes are then folded into one answer.
+(* Batched per-shard forwarding of an [Insert_batch]. Sub-batches go
+   to their shards concurrently (each shard has its own connection);
+   per-shard outcomes are then folded into one answer.
 
    The old code answered [Insert_ok (length rows)] even when a later
    shard failed after earlier shards had committed — the client then
@@ -256,19 +225,7 @@ let route_insert_plan t plan =
       if List.for_all (fun (_, n) -> n = 0) landed then Protocol.Error msg
       else Protocol.Insert_partial { landed; message = msg }
 
-let route_insert_batch t groups =
-  Lt_util.Mutexes.with_lock t.mutex (fun () ->
-      let plan =
-        List.map
-          (fun (s, sub) ->
-            ( s,
-              List.map (fun (tbl, rows) -> (tbl, List.length rows)) sub,
-              Protocol.Insert_batch { groups = Protocol.Groups sub } ))
-          (split_by_shard t groups)
-      in
-      route_insert_plan t plan)
-
-let route_insert_raw t payload =
+let route_insert t payload =
   Lt_util.Mutexes.with_lock t.mutex (fun () ->
       let plan =
         List.map
@@ -570,11 +527,8 @@ let handle_inner t req =
       first_error_else (fanout_all t ~write:true req) Protocol.Ok
   | Protocol.Flush_before _ ->
       first_error_else (fanout_all t ~write:true req) Protocol.Ok
-  | Protocol.Insert { table; rows } -> route_insert_batch t [ (table, rows) ]
-  | Protocol.Insert_batch { groups = Protocol.Groups gs } ->
-      route_insert_batch t gs
-  | Protocol.Insert_batch { groups = Protocol.Raw payload } ->
-      route_insert_raw t payload
+  | Protocol.Insert_batch { groups } ->
+      route_insert t (Protocol.raw_of_payload groups)
   | Protocol.Query { table; query; profile } -> route_query t table query ~profile
   | Protocol.Latest { table; prefix } -> route_latest t table prefix
   | Protocol.Get_stats table -> route_stats t table
@@ -664,7 +618,8 @@ let rebalance t ~value ~to_shard =
                   (if rows <> [] then
                      match
                        Cluster_client.request_write t.cc to_shard
-                         (Protocol.Insert { table; rows })
+                         (Protocol.Insert_batch
+                            { groups = Protocol.Groups [ (table, rows) ] })
                      with
                      | Protocol.Insert_ok n -> moved := !moved + n
                      | Protocol.Insert_partial { message; _ } ->

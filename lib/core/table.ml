@@ -197,22 +197,19 @@ let seed_of_name name =
     name;
   !h
 
+(* A tablet joining the table's set, at load or at commit: it becomes
+   merge-eligible [merge_delay] from [now]. *)
+let disk_tablet ~config ~now meta =
+  { meta;
+    reader = None;
+    refs = 0;
+    doomed = false;
+    last_cls = Period.classify ~now meta.Descriptor.min_ts;
+    eligible_at = Int64.add now config.Config.merge_delay }
+
 let make vfs ~clock ~config ~dir ~name ~desc ~cache ~obs ~pool =
   let open Descriptor in
-  let n = Clock.now clock in
-  let disk =
-    List.map
-      (fun meta ->
-        {
-          meta;
-          reader = None;
-          refs = 0;
-          doomed = false;
-          last_cls = Period.classify ~now:n meta.min_ts;
-          eligible_at = Int64.add n config.Config.merge_delay;
-        })
-      desc.tablets
-  in
+  let disk = List.map (disk_tablet ~config ~now:(Clock.now clock)) desc.tablets in
   let max_ts_seen =
     List.fold_left
       (fun acc m ->
@@ -385,6 +382,39 @@ let release t dts =
   Mutexes.with_lock t.state (fun () -> release_locked t dts);
   drain_doomed t
 
+(* The one tablet-set commit behind flushes, merges, expiry and bulk
+   delete: swap [removed] for tablets with metas [added] in a single
+   descriptor update, keeping [t.disk] in timespan order. Must be called
+   with [state] held. The descriptor is saved before anything else
+   changes, so a failed save restores [t.disk], queues the new files
+   (which nothing durable names) for deletion and re-raises, leaving the
+   removed tablets live. On success the removed tablets are doomed and
+   those without refs destroyed; a ref holder's [release] destroys the
+   rest. *)
+let commit_locked t ~removed added =
+  let saved_disk = t.disk in
+  let kept = List.filter (fun dt -> not (List.memq dt removed)) t.disk in
+  t.disk <-
+    List.sort
+      (fun a b ->
+        match Int64.compare a.meta.Descriptor.min_ts b.meta.Descriptor.min_ts with
+        | 0 -> Int.compare a.meta.Descriptor.id b.meta.Descriptor.id
+        | c -> c)
+      (List.map (disk_tablet ~config:t.config ~now:(now t)) added @ kept);
+  (match save_descriptor_locked t with
+  | () -> ()
+  | exception e ->
+      t.disk <- saved_disk;
+      List.iter
+        (fun m -> t.doomed_paths <- tablet_path t m.Descriptor.file :: t.doomed_paths)
+        added;
+      raise e);
+  List.iter
+    (fun dt ->
+      dt.doomed <- true;
+      if dt.refs = 0 then destroy_tablet_locked t dt)
+    removed
+
 let close t =
   Mutexes.with_lock t.state (fun () ->
       if not t.closed then begin
@@ -411,7 +441,11 @@ let set_ttl t ttl =
           t.ttl <- ttl;
           save_descriptor_locked t))
 
-let rebuild_memtable t ~from mt =
+(* The one memtable rewrite: [mt]'s rows under the same id, period and
+   age, each mapped by [f] (under [t.schema]) or dropped on [None].
+   Schema changes translate every row; bulk delete drops a key range.
+   Caller holds [state]. *)
+let rebuild_memtable t f mt =
   let fresh =
     Memtable.create ~id:(Memtable.id mt) ~period:(Memtable.period mt)
       ~created_at:(Memtable.created_at mt)
@@ -421,10 +455,12 @@ let rebuild_memtable t ~from mt =
     match Avl.next it with
     | None -> ()
     | Some (key, row) ->
-        let row = Schema.translate_row ~from ~into:t.schema row in
-        (match Memtable.insert fresh ~key ~ts:(Key_codec.ts_of_key key) row with
-        | `Ok -> Memtable.add_bytes fresh (Row_codec.stored_size t.schema row)
-        | `Duplicate -> assert false);
+        (match f key row with
+        | None -> ()
+        | Some row -> (
+            match Memtable.insert fresh ~key ~ts:(Key_codec.ts_of_key key) row with
+            | `Ok -> Memtable.add_bytes fresh (Row_codec.stored_size t.schema row)
+            | `Duplicate -> assert false));
         go ()
   in
   go ();
@@ -433,10 +469,13 @@ let rebuild_memtable t ~from mt =
 let change_schema t f =
   Mutexes.with_lock t.writer_lock (fun () ->
       Mutexes.with_lock t.state (fun () ->
-          let old = t.schema in
-          t.schema <- f old;
-          t.filling <- List.map (rebuild_memtable t ~from:old) t.filling;
-          t.frozen <- List.map (rebuild_memtable t ~from:old) t.frozen;
+          let from = t.schema in
+          t.schema <- f from;
+          let translate _ row =
+            Some (Schema.translate_row ~from ~into:t.schema row)
+          in
+          t.filling <- List.map (rebuild_memtable t translate) t.filling;
+          t.frozen <- List.map (rebuild_memtable t translate) t.frozen;
           List.iter
             (fun dt ->
               match dt.reader with
@@ -575,42 +614,10 @@ let flush_closure t mt =
         (m, meta))
       members
   in
+  (* Persist before touching the queues: if the commit fails, the
+     memtables must stay frozen (the rows are acked and nowhere else). *)
   Mutexes.with_lock t.state (fun () ->
-      let n = now t in
-      let new_dts =
-        List.map
-          (fun (_, meta) ->
-            {
-              meta;
-              reader = None;
-              refs = 0;
-              doomed = false;
-              last_cls = Period.classify ~now:n meta.Descriptor.min_ts;
-              eligible_at = Int64.add n t.config.Config.merge_delay;
-            })
-          metas
-      in
-      let saved_disk = t.disk in
-      t.disk <-
-        List.sort
-          (fun a b ->
-            match Int64.compare a.meta.Descriptor.min_ts b.meta.Descriptor.min_ts with
-            | 0 -> Int.compare a.meta.Descriptor.id b.meta.Descriptor.id
-            | c -> c)
-          (new_dts @ t.disk);
-      (* Persist before touching the queues: if the descriptor save
-         fails, the memtables must stay frozen (the rows are acked and
-         nowhere else) and the new files die unreferenced. *)
-      (match save_descriptor_locked t with
-      | () -> ()
-      | exception e ->
-          t.disk <- saved_disk;
-          List.iter
-            (fun (_, meta) ->
-              t.doomed_paths <-
-                tablet_path t meta.Descriptor.file :: t.doomed_paths)
-            metas;
-          raise e);
+      commit_locked t ~removed:[] (List.map snd metas);
       List.iter
         (fun (m, meta) ->
           Stats.note_flush t.stats ~bytes:meta.Descriptor.size;
@@ -737,21 +744,20 @@ let pp_key schema key =
 
 (* Uniqueness verdict (§3.4.4) that can be reached without touching
    disk, under [t.state]. Fast paths: a timestamp newer than everything
-   seen is provably fresh, and the [target] memtable — the one the row
-   is about to land in — is skipped because [Memtable.insert] detects
-   its own duplicates, so checking it here would traverse the tree
-   twice. [`Check cands] means only a point read can decide; the
+   seen is provably fresh, and the filling memtable of [bin] — the one
+   the row is about to land in — is skipped because [Memtable.insert]
+   detects its own duplicates, so checking it here would traverse the
+   tree twice. [`Check cands] means only a point read can decide; the
    candidates' refcounts are bumped so the caller can read them with
    the lock released. Caller holds [writer_lock], so no new rows can
    appear concurrently. *)
-let classify_unique_locked t ~key ~ts ~target =
+let classify_unique_locked t ~key ~ts ~bin =
   match t.max_ts_seen with
   | Some mts when ts > mts -> `Unique
   | _ ->
       let other m =
-        (match target with
-        | Some tgt -> Memtable.id m <> Memtable.id tgt
-        | None -> true)
+        let p = Memtable.period m in
+        (p.Period.start <> bin.Period.start || p.Period.cls <> bin.Period.cls)
         && Memtable.mem m key
       in
       if List.exists other t.filling
@@ -774,13 +780,17 @@ let classify_unique_locked t ~key ~ts ~target =
             `Check cands
       end
 
-(* Caller holds [t.state]. *)
-let create_memtable_locked t ~now:n bin =
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  let m = Memtable.create ~id ~period:bin ~created_at:n in
-  t.filling <- m :: t.filling;
-  m
+(* The filling memtable of period [bin], created on first use. Caller
+   holds [t.state]. *)
+let memtable_for_locked t ~now:n bin =
+  match List.find_opt (fun m -> Memtable.period m = bin) t.filling with
+  | Some m -> m
+  | None ->
+      let id = t.next_id in
+      t.next_id <- t.next_id + 1;
+      let m = Memtable.create ~id ~period:bin ~created_at:n in
+      t.filling <- m :: t.filling;
+      m
 
 (* Land one validated row in [mt]. Caller holds [t.state]. Returns
    [true] when the insert pushed [mt] over the flush threshold and it
@@ -832,20 +842,19 @@ let insert_rows_locked t rows ~landed =
                 Schema.validate_row t.schema row;
                 let ts = Schema.row_ts t.schema row in
                 let key = Key_codec.encode_key t.schema row in
-                let target, bin =
+                let cached =
                   match !cache with
-                  | Some (b0, b1, mt) when ts >= b0 && ts < b1 ->
-                      (Some mt, None)
-                  | _ ->
-                      let b = Period.bin ~now:n ts in
-                      ( List.find_opt
-                          (fun m -> Memtable.period m = b)
-                          t.filling,
-                        Some b )
+                  | Some (b0, b1, mt) when ts >= b0 && ts < b1 -> Some mt
+                  | _ -> None
+                in
+                let bin =
+                  match cached with
+                  | Some mt -> Memtable.period mt
+                  | None -> Period.bin ~now:n ts
                 in
                 let verdict =
                   if t.config.Config.enforce_unique then
-                    classify_unique_locked t ~key ~ts ~target
+                    classify_unique_locked t ~key ~ts ~bin
                   else `Unique
                 in
                 (match verdict with
@@ -853,14 +862,13 @@ let insert_rows_locked t rows ~landed =
                 | `Check cands -> defer := Some (row, key, ts, cands)
                 | `Unique ->
                     let mt =
-                      match target with
-                      | Some m -> m
-                      | None -> create_memtable_locked t ~now:n (Option.get bin)
+                      match cached with
+                      | Some mt -> mt
+                      | None ->
+                          let mt = memtable_for_locked t ~now:n bin in
+                          cache := Some (bin.Period.start, Period.stop bin, mt);
+                          mt
                     in
-                    (match bin with
-                    | Some b ->
-                        cache := Some (b.Period.start, Period.stop b, mt)
-                    | None -> ());
                     if insert_into_locked t mt ~key ~ts row then cache := None;
                     incr landed;
                     pending := rest));
@@ -890,34 +898,28 @@ let insert_rows_locked t rows ~landed =
         if dup then raise (Duplicate_key (pp_key t.schema key));
         Mutexes.with_lock t.state (fun () ->
             let n = now t in
-            let bin = Period.bin ~now:n ts in
-            let mt =
-              match
-                List.find_opt (fun m -> Memtable.period m = bin) t.filling
-              with
-              | Some m -> m
-              | None -> create_memtable_locked t ~now:n bin
-            in
+            let mt = memtable_for_locked t ~now:n (Period.bin ~now:n ts) in
             ignore (insert_into_locked t mt ~key ~ts row));
         incr landed;
         (match !pending with _ :: rest -> pending := rest | [] -> ())
   done
 
-(* [insert_report] is [insert] that reports a mid-batch uniqueness
-   violation as data instead of an exception: [Error (landed, msg)]
-   says exactly how many leading rows committed before the duplicate
-   (they stay inserted — §3.4.4 checks row by row), so a caller can
-   retry only the remainder instead of double-sending. *)
+(* [insert_report] is [insert] that reports whatever ended a batch
+   early (a duplicate, an invalid row) as data instead of an exception:
+   [Error (landed, e)] says exactly how many leading rows committed
+   before it (they stay inserted — §3.4.4 checks row by row), so a
+   caller can retry only the remainder instead of double-sending. The
+   landed rows are counted and covered by the next flush round like
+   any other batch. *)
 let insert_report t rows =
   let a = acct_open t t.instr.Obs.h_insert Otrace.Insert in
   let landed = ref 0 in
   let result =
     Mutexes.with_lock t.writer_lock (fun () ->
         let res =
-          try
-            insert_rows_locked t rows ~landed;
-            Ok ()
-          with Duplicate_key msg -> Error (!landed, msg)
+          match insert_rows_locked t rows ~landed with
+          | () -> Ok ()
+          | exception e -> Error (!landed, e)
         in
         if !landed > 0 then begin
           Stats.note_insert t.stats ~rows:!landed;
@@ -933,7 +935,7 @@ let insert_report t rows =
 let insert t rows =
   match insert_report t rows with
   | Ok () -> ()
-  | Error (_, msg) -> raise (Duplicate_key msg)
+  | Error (_, e) -> raise e
 
 let insert_row t row = insert t [ row ]
 
@@ -1489,67 +1491,21 @@ let merge_step_unlocked t =
             write_tablet t ~id:new_id ~schema ~expected_rows
               ~layout:(output_layout t ~max_ts) src
           in
+          let rows_out, bytes_out =
+            match new_meta with
+            | None -> (0, 0)
+            | Some m -> (m.Descriptor.row_count, m.Descriptor.size)
+          in
+          (* The commit dooms the sources only once the new descriptor
+             is durable: a failed save leaves them live, so the release
+             above cannot delete files the descriptor still names. *)
           Mutexes.with_lock t.state (fun () ->
-              let n = now t in
-              let source_ids =
-                List.map (fun dt -> dt.meta.Descriptor.id) sources
-              in
-              let saved_disk = t.disk in
-              t.disk <-
-                List.filter
-                  (fun dt -> not (List.mem dt.meta.Descriptor.id source_ids))
-                  t.disk;
-              (match new_meta with
-              | None -> ()
-              | Some meta ->
-                  t.disk <-
-                    List.sort
-                      (fun a b ->
-                        match
-                          Int64.compare a.meta.Descriptor.min_ts
-                            b.meta.Descriptor.min_ts
-                        with
-                        | 0 -> Int.compare a.meta.Descriptor.id b.meta.Descriptor.id
-                        | c -> c)
-                      ({
-                         meta;
-                         reader = None;
-                         refs = 0;
-                         doomed = false;
-                         last_cls = Period.classify ~now:n meta.Descriptor.min_ts;
-                         eligible_at = Int64.add n t.config.Config.merge_delay;
-                       }
-                      :: t.disk));
-              (* Persist before dooming the sources: if the save fails
-                 they must stay live, or the deferred destroy triggered
-                 by [release] would delete files the durable descriptor
-                 still references. *)
-              (match save_descriptor_locked t with
-              | () -> ()
-              | exception e ->
-                  t.disk <- saved_disk;
-                  (match new_meta with
-                  | Some meta ->
-                      t.doomed_paths <-
-                        tablet_path t meta.Descriptor.file :: t.doomed_paths
-                  | None -> ());
-                  raise e);
-              List.iter (fun dt -> dt.doomed <- true) sources;
-              let bytes_in =
-                List.fold_left
-                  (fun acc dt -> acc + dt.meta.Descriptor.size)
-                  0 sources
-              in
-              let bytes_out =
-                match new_meta with None -> 0 | Some m -> m.Descriptor.size
-              in
-              Stats.note_merge t.stats ~bytes_in ~bytes_out);
+              commit_locked t ~removed:sources (Option.to_list new_meta);
+              Stats.note_merge t.stats
+                ~bytes_in:(sum (fun a m -> a + m.Descriptor.size) 0 sources)
+                ~bytes_out);
           ignore
-            (acct_close t a ~scanned:!scanned
-               ~returned:
-                 (match new_meta with
-                 | None -> 0
-                 | Some m -> m.Descriptor.row_count)
+            (acct_close t a ~scanned:!scanned ~returned:rows_out
                ~tablets:(List.length sources));
           true)
 
@@ -1567,32 +1523,14 @@ let expire_unlocked t =
       match ttl_cutoff_locked t with
       | None -> 0
       | Some cutoff ->
-          let expired, live =
-            List.partition
-              (fun dt -> dt.meta.Descriptor.max_ts < cutoff)
-              t.disk
+          let expired =
+            List.filter (fun dt -> dt.meta.Descriptor.max_ts < cutoff) t.disk
           in
-          if expired = [] then 0
-          else begin
-            let saved_disk = t.disk in
-            t.disk <- live;
-            (* Persist before destroying: a failed save must leave the
-               expired tablets live, not delete files the durable
-               descriptor still references. *)
-            (match save_descriptor_locked t with
-            | () -> ()
-            | exception e ->
-                t.disk <- saved_disk;
-                raise e);
-            List.iter
-              (fun dt ->
-                dt.doomed <- true;
-                if dt.refs = 0 then destroy_tablet_locked t dt)
-              expired;
-            let n = List.length expired in
-            Stats.note_expired t.stats ~tablets:n;
-            n
-          end)
+          if expired <> [] then begin
+            commit_locked t ~removed:expired [];
+            Stats.note_expired t.stats ~tablets:(List.length expired)
+          end;
+          List.length expired)
 
 let expire t =
   Fun.protect
@@ -1614,84 +1552,63 @@ let delete_prefix t prefix_values =
   Mutexes.with_lock t.writer_lock (fun () ->
       Mutexes.with_lock t.maint_lock (fun () ->
           let deleted = ref 0 in
-          (* Memtables: rebuild without the range. *)
-          Mutexes.with_lock t.state (fun () ->
-              let filter_mt mt =
-                let fresh =
-                  Memtable.create ~id:(Memtable.id mt)
-                    ~period:(Memtable.period mt)
-                    ~created_at:(Memtable.created_at mt)
-                in
-                let it = Avl.iter_asc (Memtable.snapshot mt) in
-                let rec go () =
-                  match Avl.next it with
-                  | None -> ()
-                  | Some (key, row) ->
-                      if in_range key then incr deleted
-                      else begin
-                        (match
-                           Memtable.insert fresh ~key
-                             ~ts:(Key_codec.ts_of_key key) row
-                         with
-                        | `Ok ->
-                            Memtable.add_bytes fresh
-                              (Row_codec.stored_size t.schema row)
-                        | `Duplicate -> assert false);
-                      end;
-                      go ()
-                in
-                go ();
-                fresh
-              in
-              let drop_empty mts =
-                List.filter_map
-                  (fun mt ->
-                    let fresh = filter_mt mt in
-                    if Memtable.row_count fresh = 0 then None else Some fresh)
-                  mts
-              in
-              t.filling <- drop_empty t.filling;
-              t.frozen <- drop_empty t.frozen;
-              let live_ids =
-                List.map Memtable.id (t.filling @ t.frozen)
-              in
-              (match t.last_insert_tablet with
-              | Some id when not (List.mem id live_ids) ->
-                  t.last_insert_tablet <- None
-              | _ -> ()));
-          (* Disk tablets overlapping the range. *)
+          let drop key row =
+            if in_range key then begin
+              incr deleted;
+              None
+            end
+            else Some row
+          in
           let victims =
             Mutexes.with_lock t.state (fun () ->
+                (* Memtables: rebuild without the range. Emptied ones
+                   leave the queues but keep their flush-graph nodes,
+                   which carry the insert order later closures obey. *)
+                let rebuild mts =
+                  List.filter
+                    (fun m -> Memtable.row_count m > 0)
+                    (List.map (rebuild_memtable t drop) mts)
+                in
+                t.filling <- rebuild t.filling;
+                t.frozen <- rebuild t.frozen;
+                (match t.last_insert_tablet with
+                | Some id
+                  when not
+                         (List.exists
+                            (fun m -> Memtable.id m = id)
+                            (t.filling @ t.frozen)) ->
+                    t.last_insert_tablet <- None
+                | _ -> ());
+                (* Disk tablets overlapping the range, ref'd until the
+                   commit is over. *)
                 let vs =
                   List.filter
                     (fun dt ->
                       let m = dt.meta in
                       String.compare m.Descriptor.max_key lo >= 0
-                      && (match hi_opt with
+                      && match hi_opt with
                          | None -> true
-                         | Some hi -> String.compare m.Descriptor.min_key hi < 0))
+                         | Some hi -> String.compare m.Descriptor.min_key hi < 0)
                     t.disk
                 in
                 List.iter (fun dt -> dt.refs <- dt.refs + 1) vs;
                 vs)
           in
+          (* A failed rewrite or commit leaves the victims live; files of
+             replacements written so far die unreferenced and are swept
+             at the next open. *)
+          Fun.protect
+            ~finally:(fun () ->
+              Mutexes.with_lock t.state (fun () -> release_locked t victims))
+          @@ fun () ->
           let replacements =
-            (* On a failure mid-rewrite, drop the refs taken above so the
-               victims don't leak; files of replacements written so far
-               die unreferenced and are swept at the next open. *)
-            try
-              List.map
-                (fun dt ->
+            List.filter_map
+              (fun dt ->
                 let m = dt.meta in
-                let fully_inside =
-                  String.compare m.Descriptor.min_key lo >= 0
-                  && (match hi_opt with
-                     | None -> true
-                     | Some hi -> String.compare m.Descriptor.max_key hi < 0)
-                in
-                if fully_inside then begin
+                if in_range m.Descriptor.min_key && in_range m.Descriptor.max_key
+                then begin
                   deleted := !deleted + m.Descriptor.row_count;
-                  (dt, None)
+                  None
                 end
                 else begin
                   (* Straddling tablet: rewrite it without the range. *)
@@ -1709,72 +1626,15 @@ let delete_prefix t prefix_values =
                         kept ()
                     | item -> item
                   in
-                  ( dt,
-                    write_tablet t ~id:new_id ~schema
-                      ~expected_rows:m.Descriptor.row_count
-                      ~layout:(output_layout t ~max_ts:m.Descriptor.max_ts)
-                      kept )
+                  write_tablet t ~id:new_id ~schema
+                    ~expected_rows:m.Descriptor.row_count
+                    ~layout:(output_layout t ~max_ts:m.Descriptor.max_ts)
+                    kept
                 end)
-                victims
-            with e ->
-              Mutexes.with_lock t.state (fun () -> release_locked t victims);
-              raise e
+              victims
           in
-          (* Single atomic commit: persist first, doom and release the
-             victims only once the new descriptor is durable. On a
-             failed save the victims stay live and the replacement files
-             die unreferenced (swept at next open). *)
           Mutexes.with_lock t.state (fun () ->
-              let n = now t in
-              let victim_ids =
-                List.map (fun (dt, _) -> dt.meta.Descriptor.id) replacements
-              in
-              let saved_disk = t.disk in
-              t.disk <-
-                List.filter
-                  (fun dt -> not (List.mem dt.meta.Descriptor.id victim_ids))
-                  t.disk;
-              List.iter
-                (fun (_, repl) ->
-                  match repl with
-                  | None -> ()
-                  | Some meta ->
-                      t.disk <-
-                        {
-                          meta;
-                          reader = None;
-                          refs = 0;
-                          doomed = false;
-                          last_cls = Period.classify ~now:n meta.Descriptor.min_ts;
-                          eligible_at = Int64.add n t.config.Config.merge_delay;
-                        }
-                        :: t.disk)
-                replacements;
-              t.disk <-
-                List.sort
-                  (fun a b ->
-                    match
-                      Int64.compare a.meta.Descriptor.min_ts b.meta.Descriptor.min_ts
-                    with
-                    | 0 -> Int.compare a.meta.Descriptor.id b.meta.Descriptor.id
-                    | c -> c)
-                  t.disk;
-              (match save_descriptor_locked t with
-              | () -> ()
-              | exception e ->
-                  t.disk <- saved_disk;
-                  List.iter
-                    (fun (_, repl) ->
-                      match repl with
-                      | None -> ()
-                      | Some meta ->
-                          t.doomed_paths <-
-                            tablet_path t meta.Descriptor.file :: t.doomed_paths)
-                    replacements;
-                  release_locked t (List.map fst replacements);
-                  raise e);
-              List.iter (fun (dt, _) -> dt.doomed <- true) replacements;
-              release_locked t (List.map fst replacements));
+              commit_locked t ~removed:victims replacements);
           !deleted))
 
 (* ------------------------------------------------------------------ *)

@@ -78,14 +78,16 @@ val widen_column : t -> string -> unit
 
 (** Insert a batch. Every row must match the schema; a row's timestamp
     may lie in the past or future (§3.1). Raises {!Duplicate_key} on a
-    uniqueness violation (rows earlier in the batch stay inserted). *)
+    uniqueness violation and {!Schema.Invalid} on a row that does not
+    match the schema; rows earlier in the batch stay inserted. *)
 val insert : t -> Value.t array list -> unit
 
-(** [insert_report t rows] is {!insert} reporting a mid-batch
-    uniqueness violation as data: [Error (landed, msg)] says exactly
-    how many leading rows committed before the duplicate (they stay
-    inserted), so wire servers can tell clients what not to re-send. *)
-val insert_report : t -> Value.t array list -> (unit, int * string) result
+(** [insert_report t rows] is {!insert} reporting whatever ended the
+    batch early as data: [Error (landed, e)] says exactly how many
+    leading rows committed before exception [e] (they stay inserted and
+    the next flush covers them), so wire servers can tell clients what
+    not to re-send. *)
+val insert_report : t -> Value.t array list -> (unit, int * exn) result
 
 val insert_row : t -> Value.t array -> unit
 

@@ -168,18 +168,17 @@ let take_pending t =
           t.buf_deadline <- Int64.max_int;
           Some (Buffer.contents b))
 
+(* The one insert request, shared by [insert] and [flush]. *)
+let send_batch t groups =
+  match roundtrip t (Protocol.Insert_batch { groups }) with
+  | Protocol.Insert_ok _ -> ()
+  | Protocol.Insert_partial { landed; message } ->
+      raise (Partial_insert (landed, message))
+  | Protocol.Error msg -> raise (Remote_error msg)
+  | _ -> raise (Remote_error "bad insert response")
+
 let flush t =
-  match take_pending t with
-  | None -> ()
-  | Some payload -> (
-      match
-        roundtrip t (Protocol.Insert_batch { groups = Protocol.Raw payload })
-      with
-      | Protocol.Insert_ok _ -> ()
-      | Protocol.Insert_partial { landed; message } ->
-          raise (Partial_insert (landed, message))
-      | Protocol.Error msg -> raise (Remote_error msg)
-      | _ -> raise (Remote_error "bad insert response"))
+  Option.iter (fun payload -> send_batch t (Protocol.Raw payload)) (take_pending t)
 
 let buffered_insert t table rows =
   if rows <> [] then begin
@@ -319,13 +318,7 @@ let drop_table t name =
   Lt_util.Mutexes.with_lock t.mutex (fun () -> Hashtbl.remove t.schemas name);
   expect_ok (roundtrip t (Protocol.Drop_table name))
 
-let insert t table rows =
-  match roundtrip t (Protocol.Insert { table; rows }) with
-  | Protocol.Insert_ok _ -> ()
-  | Protocol.Insert_partial { landed; message } ->
-      raise (Partial_insert (landed, message))
-  | Protocol.Error msg -> raise (Remote_error msg)
-  | _ -> raise (Remote_error "bad insert response")
+let insert t table rows = send_batch t (Protocol.Groups [ (table, rows) ])
 
 type page = {
   rows : Value.t array list;

@@ -88,9 +88,10 @@ val drop_table : t -> string -> unit
 
 (** {1 Data} *)
 
-(** Immediate (unbuffered) insert: one round trip.
-    @raise Partial_insert when a mid-batch uniqueness violation left a
-    prefix of the rows committed. *)
+(** Immediate (unbuffered) insert: one round trip, sent as a one-group
+    [Insert_batch].
+    @raise Partial_insert when a mid-batch duplicate or invalid row
+    left a prefix of the rows committed. *)
 val insert : t -> string -> Value.t array list -> unit
 
 (** {2 Buffered inserts — the batched hot path}

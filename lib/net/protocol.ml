@@ -5,7 +5,7 @@ exception Protocol_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Protocol_error s)) fmt
 
-let version = 5
+let version = 6
 
 let max_frame = 64 * 1024 * 1024
 
@@ -24,7 +24,6 @@ type request =
   | Get_table of string
   | Create_table of { table : string; schema : Schema.t; ttl : int64 option }
   | Drop_table of string
-  | Insert of { table : string; rows : Value.t array list }
   | Query of { table : string; query : Query.t; profile : bool }
   | Latest of { table : string; prefix : Value.t list }
   | Flush_before of { table : string; ts : int64 }
@@ -80,7 +79,6 @@ let request_kind = function
   | Get_table _ -> "get_table"
   | Create_table _ -> "create_table"
   | Drop_table _ -> "drop_table"
-  | Insert _ -> "insert"
   | Query _ -> "query"
   | Latest _ -> "latest"
   | Flush_before _ -> "flush_before"
@@ -176,6 +174,13 @@ let decode_groups payload =
 let groups_of_payload = function
   | Groups gs -> gs
   | Raw payload -> decode_groups payload
+
+let raw_of_payload = function
+  | Raw payload -> payload
+  | Groups gs ->
+      let b = Buffer.create 256 in
+      put_groups b gs;
+      Buffer.contents b
 
 let put_opt_i64 b = function
   | None -> Binio.put_u8 b 0
@@ -284,10 +289,6 @@ let write_request b = function
   | Drop_table t ->
       Binio.put_u8 b 4;
       Binio.put_string b t
-  | Insert { table; rows } ->
-      Binio.put_u8 b 5;
-      Binio.put_string b table;
-      put_rows b rows
   | Query { table; query; profile } ->
       Binio.put_u8 b 6;
       Binio.put_string b table;
@@ -350,10 +351,6 @@ let read_request cur =
       let ttl = get_opt_i64 cur in
       Create_table { table; schema; ttl }
   | 4 -> Drop_table (Binio.get_string cur)
-  | 5 ->
-      let table = Binio.get_string cur in
-      let rows = get_rows cur in
-      Insert { table; rows }
   | 6 ->
       let table = Binio.get_string cur in
       let query = get_query cur in

@@ -33,7 +33,6 @@ type request =
   | Get_table of string  (** schema + ttl *)
   | Create_table of { table : string; schema : Schema.t; ttl : int64 option }
   | Drop_table of string
-  | Insert of { table : string; rows : Value.t array list }
   | Query of { table : string; query : Query.t; profile : bool }
       (** [profile] asks for a per-stage {!Lt_obs.Profile.t} with the
           batch — EXPLAIN ANALYZE, off by default *)
@@ -61,10 +60,12 @@ type request =
       (** the registry as mergeable plain data ({!Lt_obs.Metrics.snapshot});
           how a router federates backend metrics *)
   | Insert_batch of { groups : batch_payload }
-      (** client-buffered inserts, possibly for several tables, in one
-          frame — the batched hot path. Groups execute in order; the
-          answer is [Insert_ok total] or [Insert_partial] naming how
-          many rows of each group landed before a failure *)
+      (** the one insert request: rows for one or more tables in one
+          frame, from an immediate insert (one group) or a buffered
+          flush. Groups execute in order; the answer is
+          [Insert_ok total] or [Insert_partial] naming how many rows of
+          each group landed before a failure. Tag 5, the single-table
+          insert of protocol 5 and earlier, is a bad request tag. *)
 
 (** How the answering process places data, exposed for the shell's
     [.cluster] command and cluster-aware clients. *)
@@ -116,6 +117,9 @@ val request_kind : request -> string
     bytes — deferred from {!read_request}, which no longer validates
     the groups section it captures. *)
 val groups_of_payload : batch_payload -> (string * Value.t array list) list
+
+(** The payload's groups section in wire format (a no-op on [Raw]). *)
+val raw_of_payload : batch_payload -> string
 
 (** Read one tagged value / step over one without constructing it — the
     primitives of a raw-payload span scan. *)

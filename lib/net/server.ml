@@ -39,6 +39,13 @@ let port t = t.bound_port
 
 let metrics_port t = t.metrics_bound_port
 
+(* What a client is told about the exception that ended an insert. *)
+let insert_failure = function
+  | Table.Duplicate_key key -> Printf.sprintf "duplicate key (%s)" key
+  | Schema.Invalid msg | Invalid_argument msg | Lt_util.Binio.Corrupt msg -> msg
+  | Lt_vfs.Vfs.Io_error msg -> "io error: " ^ msg
+  | e -> Printexc.to_string e
+
 let handle db req =
   let open Protocol in
   match req with
@@ -60,63 +67,31 @@ let handle db req =
       match Db.drop_table db name with
       | () -> Ok
       | exception Not_found -> Error (Printf.sprintf "no such table %S" name))
-  | Insert { table; rows } -> (
-      match Db.find_table db table with
-      | None -> Error (Printf.sprintf "no such table %S" table)
-      | Some tbl -> (
-          match Table.insert_report tbl rows with
-          | Result.Ok () -> Insert_ok (List.length rows)
-          | Result.Error (0, key) ->
-              Error (Printf.sprintf "duplicate key (%s)" key)
-          | Result.Error (landed, key) ->
-              (* Rows before the duplicate are committed and stay; the
-                 old [Error]-only answer left clients unable to tell, so
-                 a retry double-sent the prefix. *)
-              Insert_partial
-                {
-                  landed = [ (table, landed) ];
-                  message = Printf.sprintf "duplicate key (%s)" key;
-                }
-          | exception Schema.Invalid msg -> Error msg))
   | Insert_batch { groups = payload } -> (
       (* Groups run in order; on a failure the answer names how many
-         rows of every attempted group are in, so the client resends
-         only the remainder. The payload arrives raw (undecoded) from
-         the frame reader; a malformed one surfaces here. *)
+         rows of every attempted group are in (rows before a duplicate
+         or invalid row stay committed), so the client resends only the
+         remainder. The payload arrives raw (undecoded) from the frame
+         reader; a malformed one surfaces here. *)
+      let failed landed msg =
+        if List.for_all (fun (_, n) -> n = 0) landed then Error msg
+        else Insert_partial { landed = List.rev landed; message = msg }
+      in
+      let rec run landed = function
+        | [] -> Insert_ok (List.fold_left (fun acc (_, n) -> acc + n) 0 landed)
+        | (table, rows) :: rest -> (
+            match Db.find_table db table with
+            | None -> failed landed (Printf.sprintf "no such table %S" table)
+            | Some tbl -> (
+                match Table.insert_report tbl rows with
+                | Result.Ok () -> run ((table, List.length rows) :: landed) rest
+                | Result.Error (n, e) ->
+                    failed ((table, n) :: landed) (insert_failure e)))
+      in
       match Protocol.groups_of_payload payload with
-      | exception Protocol.Protocol_error msg -> Error msg
-      | exception Lt_util.Binio.Corrupt msg -> Error msg
-      | groups -> (
-      let landed = ref [] in
-      let failure = ref None in
-      (try
-         List.iter
-           (fun (table, rows) ->
-             match Db.find_table db table with
-             | None ->
-                 failure := Some (Printf.sprintf "no such table %S" table);
-                 raise Exit
-             | Some tbl -> (
-                 match Table.insert_report tbl rows with
-                 | Result.Ok () ->
-                     landed := (table, List.length rows) :: !landed
-                 | Result.Error (n, key) ->
-                     landed := (table, n) :: !landed;
-                     failure :=
-                       Some (Printf.sprintf "duplicate key (%s)" key);
-                     raise Exit
-                 | exception Schema.Invalid msg ->
-                     landed := (table, 0) :: !landed;
-                     failure := Some msg;
-                     raise Exit))
-           groups
-       with Exit -> ());
-      match !failure with
-      | None ->
-          Insert_ok (List.fold_left (fun acc (_, n) -> acc + n) 0 !landed)
-      | Some msg ->
-          if List.for_all (fun (_, n) -> n = 0) !landed then Error msg
-          else Insert_partial { landed = List.rev !landed; message = msg }))
+      | exception (Protocol.Protocol_error msg | Lt_util.Binio.Corrupt msg) ->
+          Error msg
+      | groups -> run [] groups)
   | Query { table; query; profile } -> (
       match Db.find_table db table with
       | None -> Error (Printf.sprintf "no such table %S" table)

@@ -11,10 +11,11 @@ type workload =
   | Schema_change
   | Set_ttl
   | Sync_spare
+  | Bulk_delete
 
 let all_workloads =
   [ Insert_flush; Merge; Columnar_merge; Ttl_expiry; Schema_change; Set_ttl;
-    Sync_spare ]
+    Sync_spare; Bulk_delete ]
 
 let workload_name = function
   | Insert_flush -> "insert-flush"
@@ -24,6 +25,7 @@ let workload_name = function
   | Schema_change -> "schema-change"
   | Set_ttl -> "set-ttl"
   | Sync_spare -> "sync-spare"
+  | Bulk_delete -> "bulk-delete"
 
 type mode = Crash | Io_err
 
@@ -109,6 +111,10 @@ type ctx = {
       (** attempts known durable: set after each successful flush_all *)
   mutable extra_cols : int;
   mutable widened : bool;
+  mutable deleted : int list;
+      (** seqs removed by an acknowledged delete: must never survive *)
+  mutable deleting : int list;
+      (** seqs of a delete the fault interrupted: may survive or not *)
 }
 
 (* ------------------------------------------------------------------ *)
@@ -150,6 +156,19 @@ let flush_note ctx =
   Table.flush_all ctx.table;
   ctx.floor <- List.length ctx.issued
 
+(* Bulk-delete the row of one device (device = seq, see [mk_row]). *)
+let delete_device ctx seq =
+  ctx.deleting <- seq :: ctx.deleting;
+  ignore
+    (Table.delete_prefix ctx.table [ Value.Int64 1L; Value.Int64 (Int64.of_int seq) ]);
+  ctx.deleting <- List.filter (( <> ) seq) ctx.deleting;
+  ctx.deleted <- seq :: ctx.deleted
+
+let merge_fixpoint ctx =
+  while Table.merge_step ctx.table do
+    ()
+  done
+
 let run ctx = function
   | Insert_flush ->
       insert_rows ctx 12;
@@ -165,9 +184,7 @@ let run ctx = function
       flush_note ctx;
       insert_rows ctx 6;
       flush_note ctx;
-      while Table.merge_step ctx.table do
-        ()
-      done
+      merge_fixpoint ctx
   | Columnar_merge ->
       (* Same shape as [Merge] but under [columnar_age = 0], plus a
          second generation of flushes and merges so row-major tablets
@@ -176,14 +193,10 @@ let run ctx = function
       flush_note ctx;
       insert_rows ctx 6;
       flush_note ctx;
-      while Table.merge_step ctx.table do
-        ()
-      done;
+      merge_fixpoint ctx;
       insert_rows ctx 6;
       flush_note ctx;
-      while Table.merge_step ctx.table do
-        ()
-      done
+      merge_fixpoint ctx
   | Ttl_expiry ->
       insert_rows ctx 10;
       flush_note ctx;
@@ -222,6 +235,20 @@ let run ctx = function
       ignore
         (Sync.until_stable ~src:ctx.vfs ~src_dir:dir ~dst:ctx.vfs
            ~dst_dir:spare_dir ())
+  | Bulk_delete ->
+      insert_rows ctx 12;
+      flush_note ctx;
+      insert_rows ctx 6;
+      flush_note ctx;
+      insert_rows ctx 4;
+      (* Devices 3 and 14 sit in flushed tablets beside other devices,
+         so their deletes rewrite straddling tablets; device 19's row is
+         still in a memtable. *)
+      List.iter (delete_device ctx) [ 3; 14; 19 ];
+      flush_note ctx;
+      merge_fixpoint ctx;
+      insert_rows ctx 3;
+      flush_note ctx
 
 (* ------------------------------------------------------------------ *)
 (* Invariant                                                           *)
@@ -266,9 +293,14 @@ let check_table ctx ~floor ~label t =
         | Some _, None -> true
         | Some ts, Some c -> ts >= c
       in
-      match List.find_opt (fun s -> s < 0 || s >= ctx.next_seq) sorted with
-      | Some s -> fail "phantom row %d survived (never attempted)" s
-      | None -> (
+      let exempt s = List.mem s ctx.deleted || List.mem s ctx.deleting in
+      match
+        ( List.find_opt (fun s -> s < 0 || s >= ctx.next_seq) sorted,
+          List.find_opt (fun s -> List.mem s ctx.deleted) sorted )
+      with
+      | Some s, _ -> fail "phantom row %d survived (never attempted)" s
+      | None, Some s -> fail "deleted row %d survived" s
+      | None, None -> (
           let survived = Hashtbl.create 64 in
           List.iter (fun s -> Hashtbl.replace survived s ()) sorted;
           let m =
@@ -276,7 +308,8 @@ let check_table ctx ~floor ~label t =
           in
           let missing = ref None in
           for s = 0 to m - 1 do
-            if !missing = None && visible s && not (Hashtbl.mem survived s)
+            if !missing = None && visible s && (not (exempt s))
+               && not (Hashtbl.mem survived s)
             then missing := Some s
           done;
           match !missing with
@@ -400,6 +433,8 @@ let run_once ~inject ~seed w =
           floor = 0;
           extra_cols = 0;
           widened = false;
+          deleted = [];
+          deleting = [];
         }
       in
       let outcome =

@@ -11,7 +11,8 @@
     state alone, and the invariant is checked:
 
     - survivors are a flush-graph-consistent prefix of the attempted
-      inserts (modulo TTL visibility), with no phantoms or duplicates;
+      inserts (modulo TTL visibility and bulk deletes), with no
+      phantoms or duplicates, and no row an acknowledged delete removed;
     - every row acknowledged as flushed before the fault survives;
     - the descriptor loads cleanly and no referenced tablet is corrupt;
     - after the [Table.open_] hygiene sweep the directory holds only the
@@ -30,6 +31,10 @@ type workload =
   | Schema_change  (** add a column and widen an int32 mid-stream *)
   | Set_ttl  (** descriptor-only updates between flushes *)
   | Sync_spare  (** {!Lt_vfs.Sync.until_stable} onto a warm spare *)
+  | Bulk_delete
+      (** bulk deletes of flushed rows (straddling-tablet rewrites) and
+          of a memtable row, then flush and merge; deleted rows must
+          never survive *)
 
 val all_workloads : workload list
 val workload_name : workload -> string

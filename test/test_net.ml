@@ -28,15 +28,6 @@ let test_protocol_requests () =
       Protocol.Get_table "usage";
       Protocol.Create_table { table = "t"; schema; ttl = Some 42L };
       Protocol.Drop_table "t";
-      Protocol.Insert
-        {
-          table = "t";
-          rows =
-            [
-              [| Value.Int32 1l; Value.Double 2.5; Value.String "x\x00y";
-                 Value.Blob "\xff"; Value.Timestamp 7L |];
-            ];
-        };
       Protocol.Query
         {
           table = "t";
@@ -68,7 +59,11 @@ let test_protocol_requests () =
                     [| Value.Int64 1L; Value.Timestamp 2L |];
                     [| Value.Int64 3L; Value.Timestamp 4L |];
                   ] );
-                ("events", [ [| Value.String "x\x00y"; Value.Blob "\xff" |] ]);
+                ( "events",
+                  [
+                    [| Value.Int32 1l; Value.Double 2.5; Value.String "x\x00y";
+                       Value.Blob "\xff"; Value.Timestamp 7L |];
+                  ] );
                 ("empty", []);
               ];
         };
@@ -441,10 +436,22 @@ let test_stop_leaves_other_server_alone () =
               Alcotest.fail "stopping server A cut a connection to server B");
           Client.close c2))
 
-(* A client one version behind (v4 profiles still carried a bloom-skips
-   field) must be refused at the door, not half-served with messages it
-   cannot decode. *)
+(* A client one version behind (v5 still sent single-table inserts as
+   request tag 5) must be refused at the door, not half-served with
+   messages it cannot decode; tag 5 itself no longer decodes. *)
 let test_mixed_version_hello_rejected () =
+  let old_insert =
+    let b = Buffer.create 16 in
+    Lt_util.Binio.put_u8 b 5;
+    Lt_util.Binio.put_string b "usage";
+    Lt_util.Binio.put_varint b 0;
+    Buffer.contents b
+  in
+  (match Protocol.read_request (Lt_util.Binio.cursor old_insert) with
+  | (_ : Protocol.request) -> Alcotest.fail "request tag 5 accepted"
+  | exception Protocol.Protocol_error msg ->
+      Alcotest.(check string) "tag 5 is a bad request tag" "bad request tag 5"
+        msg);
   with_server (fun server ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Fun.protect
@@ -452,7 +459,7 @@ let test_mixed_version_hello_rejected () =
         (fun () ->
           Unix.connect fd
             (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
-          Protocol.send_request fd (Protocol.Hello 4);
+          Protocol.send_request fd (Protocol.Hello 5);
           (match Protocol.recv_response fd with
           | Protocol.Error msg ->
               Alcotest.(check bool) "names the version" true
@@ -622,6 +629,23 @@ let test_partial_insert_reports_landed () =
       (match Client.insert c "usage" [ urow 0 ] with
       | () -> Alcotest.fail "duplicate accepted"
       | exception Client.Remote_error _ -> ());
+      Client.close c)
+
+(* A row that fails validation mid-batch is reported like a duplicate:
+   the rows before it are in and the answer names them, so the client
+   resends only the rest. *)
+let test_invalid_row_reports_landed () =
+  with_server (fun server ->
+      let c = Client.connect ~port:(Server.port server) () in
+      Client.create_table c "usage" (Support.usage_schema ()) ~ttl:None;
+      let bad = [| Value.String "not a network" |] in
+      (match Client.insert c "usage" [ urow 0; urow 1; bad ] with
+      | () -> Alcotest.fail "invalid row accepted"
+      | exception Client.Partial_insert (landed, _) ->
+          Alcotest.(check (list (pair string int)))
+            "landed prefix named" [ ("usage", 2) ] landed);
+      Alcotest.(check int) "prefix committed" 2
+        (List.length (Client.query_all c "usage" Query.all));
       Client.close c)
 
 (* A buffered flush hitting a mid-batch duplicate surfaces the same
@@ -831,6 +855,7 @@ let suite =
     ("buffered insert: flush on size", `Quick, test_buffered_insert_flush_on_size);
     ("buffered insert: flush on interval", `Quick, test_buffered_insert_flush_on_interval);
     ("partial insert reports landed rows", `Quick, test_partial_insert_reports_landed);
+    ("invalid row mid-batch reports landed rows", `Quick, test_invalid_row_reports_landed);
     ("buffered flush partial failure", `Quick, test_buffered_flush_partial);
     ( "buffered rows survive SIGKILL + reconnect",
       `Quick,

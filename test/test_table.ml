@@ -319,6 +319,32 @@ let test_reopen_from_descriptor () =
   Table.flush_all t2;
   Alcotest.(check int) "new row visible" 11 (List.length (all_rows t2))
 
+(* A row that fails validation ends its batch, but the rows before it
+   are in: they count as inserted, and the next [flush_all] makes them
+   durable instead of answering that everything is already covered. *)
+let test_invalid_row_mid_batch () =
+  let _, clock, vfs, t = fresh () in
+  Table.insert_row t (row 1L 1L 10L);
+  Table.flush_all t;
+  let bad = [| Value.String "not a network" |] in
+  (match Table.insert_report t [ row 1L 2L 20L; row 1L 3L 30L; bad ] with
+  | Error (2, Schema.Invalid _) -> ()
+  | Error (n, e) -> Alcotest.failf "landed %d, then %s" n (Printexc.to_string e)
+  | Ok () -> Alcotest.fail "invalid row accepted");
+  (* [insert] raises what ended the batch. *)
+  (match Table.insert t [ row 1L 4L 40L; bad ] with
+  | () -> Alcotest.fail "invalid row accepted"
+  | exception Schema.Invalid _ -> ());
+  Alcotest.(check int) "rows before the invalid ones are counted" 4
+    (Table.stats t).Stats.rows_inserted;
+  Table.flush_all t;
+  Lt_vfs.Vfs.crash vfs;
+  let t2 =
+    Table.open_ vfs ~clock ~config:small_config ~dir:"dbroot/usage" ~name:"usage"
+  in
+  Alcotest.(check int) "and survive a crash after flush_all" 4
+    (List.length (all_rows t2))
+
 let test_flush_by_age () =
   let _, clock, _, t = fresh () in
   Table.insert_row t (row 1L 1L (Clock.now clock));
@@ -565,9 +591,11 @@ let prop_matches_reference =
    before and after [add_column] / [widen_column], merges of tablets
    written under older schema versions, a layout rewrite to columnar,
    a merge of a columnar source with a row-major one into a columnar
-   output, and a bulk delete that rewrites straddling columnar tablets.
-   Each phase's digest covers every tablet file's bytes, Bloom filter
-   included. *)
+   output, a bulk delete that rewrites straddling columnar tablets, and
+   a TTL change whose expiry drops every old tablet. Each phase yields
+   two digests: one over every tablet file's bytes, Bloom filter
+   included, and one over the descriptor file, so each tablet-set
+   commit (flush, merge, delete, expire) is pinned. *)
 let ident_phase_digests () =
   let day = 86_400_000_000L in
   let config =
@@ -604,17 +632,22 @@ let ident_phase_digests () =
       decr fuel
     done
   in
+  let file_digest f =
+    Digest.to_hex
+      (Digest.string (Lt_vfs.Vfs.read_all vfs (Filename.concat (Table.dir t) f)))
+  in
   let digest () =
     Lt_vfs.Vfs.readdir vfs (Table.dir t)
     |> List.filter (fun f -> Filename.check_suffix f ".tab")
     |> List.sort String.compare
-    |> List.map (fun f ->
-           f ^ ":" ^ Digest.to_hex (Digest.string (Lt_vfs.Vfs.read_all vfs (Filename.concat (Table.dir t) f))))
+    |> List.map (fun f -> f ^ ":" ^ file_digest f)
     |> String.concat ";"
     |> Digest.string |> Digest.to_hex
   in
   let phases = ref [] in
-  let phase name = phases := (name, digest ()) :: !phases in
+  let phase name =
+    phases := (name, (digest (), file_digest Descriptor.file_name)) :: !phases
+  in
   insert 0 300 ();
   Table.flush_all t;
   phase "flush";
@@ -642,14 +675,28 @@ let ident_phase_digests () =
   let columnar =
     List.length (List.filter (fun m -> m.Descriptor.columnar) (Table.tablets t))
   in
-  (List.rev !phases, columnar)
+  (* Fresh rows an hour old, then a one-day TTL: expiry drops every
+     older tablet and keeps the fresh one. *)
+  let hour_ago = Int64.sub (Clock.now clock) 3_600_000_000L in
+  Table.insert t
+    (List.init 40 (fun j ->
+         let r = row ~flags:(Value.Int64 (Int64.of_int j)) (1200 + j) in
+         r.(2) <- Value.Timestamp (Int64.add hour_ago (Int64.of_int (j * 1_000)));
+         r));
+  Table.flush_all t;
+  Table.set_ttl t (Some day);
+  let expired = Table.expire t in
+  phase "set_ttl + expire";
+  (List.rev !phases, columnar, expired, List.length (Table.tablets t))
 
 (* The digests were taken from the engine before merges moved encoded
    rows and the writer derived Bloom prefixes from key bytes: for the
    same inputs every flushed and merged tablet is the same file. *)
 let test_tablets_byte_identical () =
-  let phases, columnar = ident_phase_digests () in
+  let phases, columnar, expired, left = ident_phase_digests () in
   Alcotest.(check bool) "the scenario reaches columnar tablets" true (columnar > 0);
+  Alcotest.(check bool) "expiry drops old tablets" true (expired > 0);
+  Alcotest.(check int) "expiry keeps the fresh tablet" 1 left;
   Alcotest.(check (list (pair string string)))
     "tablet file digests per phase"
     [
@@ -660,8 +707,23 @@ let test_tablets_byte_identical () =
       ("columnar rewrite", "5e9207a3d405488b09e7b1bfed09c456");
       ("columnar + row-major into columnar", "aefa5fc1ce86a59718cbd290347c1701");
       ("straddling delete", "f15bb1663c4c8ea4d5c99b8d869745f5");
+      ("set_ttl + expire", "78975eac85e19d55f17bf4cfc6143f45");
     ]
-    phases
+    (List.map (fun (name, (tablets, _)) -> (name, tablets)) phases);
+  (* Taken before the four descriptor swaps became one commit. *)
+  Alcotest.(check (list (pair string string)))
+    "descriptor digests per phase"
+    [
+      ("flush", "4ff1072180b779416478458315cff87c");
+      ("flush after add_column", "08de4ad5d319b2fbd2fa169f6d979bdf");
+      ("merge across schema versions", "c5763f71245e38939649d023f43852b3");
+      ("merge after widen_column", "fc8ade6cf6e8c73747ce91db2b196c60");
+      ("columnar rewrite", "2f8293b06d556976b5c5229e6eaef78d");
+      ("columnar + row-major into columnar", "9a1fb7ad0a7afc3160a052cb191b4d4b");
+      ("straddling delete", "48e733a5823521a38831021b1fef6ff1");
+      ("set_ttl + expire", "b90f2a29b6cee42b3c71aef392350877");
+    ]
+    (List.map (fun (name, (_, desc)) -> (name, desc)) phases)
 
 (* ---- Read-path accounting golden -------------------------------------- *)
 
@@ -920,6 +982,9 @@ let suite =
     ("flushed and merged tablets byte-identical", `Quick, test_tablets_byte_identical);
     ("insert + query (memtable only)", `Quick, test_insert_query_memtable_only);
     ("flush and query", `Quick, test_flush_and_query);
+    ( "rows before an invalid row are counted and made durable by flush_all",
+      `Quick,
+      test_invalid_row_mid_batch );
     ("query bounding boxes", `Quick, test_query_bounds);
     ("query merges memtable and disk", `Quick, test_query_merges_memtable_and_disk);
     ("duplicate key rejected", `Quick, test_duplicate_key_rejected);
