@@ -122,10 +122,10 @@ let handler t req =
          probe would silently end the sync loop. *)
       Protocol.Placement_info
         { pl_epoch = 0; pl_policy = "spare"; pl_backends = [] }
-  | Protocol.Get_metrics when not (promoted t) ->
-      Protocol.Metrics_text "# spare: not promoted\n"
   | Protocol.Get_metrics_snapshot when not (promoted t) ->
-      (* Observability probes, like metadata, must not promote. *)
+      (* Observability probes, like metadata, must not promote. Every
+         telemetry view is rendered from this answer or [Get_trace]'s,
+         so guarding the two guards them all. *)
       Protocol.Metrics_snapshot []
   | Protocol.Get_trace _ when not (promoted t) -> Protocol.Trace_spans []
   | req -> Server.handle (promote t) req
@@ -134,11 +134,6 @@ let backend t =
   {
     Server.b_handle = handler t;
     b_obs = (match Atomic.get t.db with Some db -> Db.obs db | None -> Lt_obs.Obs.noop);
-    b_render =
-      (fun () ->
-        match Atomic.get t.db with
-        | Some db -> Lt_obs.Obs.render (Db.obs db)
-        | None -> "# spare: not promoted\n");
     b_maintenance =
       Some
         (fun () ->

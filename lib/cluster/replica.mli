@@ -48,9 +48,12 @@ val promoted : t -> bool
 (** The live database once promoted. *)
 val db : t -> Db.t option
 
-(** Wire-protocol dispatch: [Hello]/[Ping]/[Get_placement]/[Get_metrics]
-    answer in spare mode (so probes and monitoring never trigger
-    promotion — a spare reports [policy = "spare"]); any data request
+(** Wire-protocol dispatch: [Hello], [Ping], [Get_placement],
+    [Get_metrics_snapshot] and [Get_trace] answer in spare mode, so
+    probes and monitoring never trigger promotion — a spare reports
+    [policy = "spare"], an empty metrics snapshot and no spans. Every
+    telemetry view ([.stats], [.metrics], [/metrics], [.slow],
+    [.trace]) is rendered from one of the last two. Any data request
     promotes first. *)
 val handler : t -> Lt_net.Protocol.request -> Lt_net.Protocol.response
 

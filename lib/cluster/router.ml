@@ -411,84 +411,62 @@ let route_latest t table prefix =
     shards;
   Protocol.Latest_row (Option.map (fun (_, _, row) -> row) !best)
 
-(* ---- Stats ------------------------------------------------------------- *)
-
-let route_stats t table =
-  let resps = fanout_all t ~write:false (Protocol.Get_stats table) in
-  match List.find_opt is_error resps with
-  | Some e -> e
-  | None -> (
-      let snaps =
-        List.map
-          (function
-            | Protocol.Stats_resp s -> s | _ -> err "bad stats response")
-          resps
-      in
-      match snaps with
-      | [] -> err "no shards"
-      | s :: rest -> Protocol.Stats_resp (List.fold_left Stats.add s rest))
-
 (* ---- Distributed observability ----------------------------------------- *)
 
-(* Cross-process trace reassembly: the router's own ring plus every
-   backend's matching spans, best effort — a dead shard loses its spans
-   but never fails the fetch. *)
-let route_trace t ~hi ~lo =
-  let own = Trace.find_trace (Obs.trace t.obs) ~hi ~lo in
+(* Cross-process span fetch, for both forms of [Get_trace] (one trace's
+   tree; the slow spans): the router's own ring plus every backend's
+   matching spans, best effort — a dead shard loses its spans but never
+   fails the fetch. *)
+let route_trace t ~trace ~slow_only =
+  let own = Trace.find ?trace ~slow_only (Obs.trace t.obs) in
   let n = Cluster_client.shard_count t.cc in
   let remote =
     List.concat_map
       (fun i ->
         match
-          Cluster_client.request_read t.cc i (Protocol.Get_trace (hi, lo))
+          Cluster_client.request_read t.cc i
+            (Protocol.Get_trace { trace; slow_only })
         with
         | Protocol.Trace_spans spans -> spans
         | _ -> []
-        | exception Cluster_client.Unavailable _ -> []
-        | exception Client.Remote_error _ -> [])
+        | exception (Cluster_client.Unavailable _ | Client.Remote_error _) ->
+            [])
       (List.init n Fun.id)
   in
   Protocol.Trace_spans (own @ remote)
 
-(* Metrics federation: scrape one snapshot per backend, merge with the
-   router's own registry. Aggregate series first, then every source's
-   children again with a [shard] label; an unreachable shard degrades
-   to a comment rather than failing the scrape. *)
-let render_federated t =
-  let n = Cluster_client.shard_count t.cc in
+(* Metrics federation: scrape one snapshot per backend and federate them
+   with the router's own registry. An unreachable shard drops out of the
+   federation and reads 0 on [lt_router_shard_up] instead of failing the
+   scrape; the stats view refuses such a partial sum. *)
+let federated_snapshot t =
   let scraped =
-    List.map
-      (fun i ->
-        let label = string_of_int i in
-        match
-          Cluster_client.request_read t.cc i Protocol.Get_metrics_snapshot
-        with
-        | Protocol.Metrics_snapshot s -> (label, Ok s)
-        | Protocol.Error msg -> (label, Error msg)
-        | _ -> (label, Error "bad metrics snapshot response")
-        | exception Cluster_client.Unavailable msg ->
-            (label, Error ("unavailable: " ^ msg))
-        | exception Client.Remote_error msg -> (label, Error msg))
-      (List.init n Fun.id)
+    List.init (Cluster_client.shard_count t.cc) (fun i ->
+        ( string_of_int i,
+          match
+            Cluster_client.request_read t.cc i Protocol.Get_metrics_snapshot
+          with
+          | Protocol.Metrics_snapshot s -> Some s
+          | _ -> None
+          | exception (Cluster_client.Unavailable _ | Client.Remote_error _) ->
+              None ))
   in
-  let ok =
-    List.filter_map
-      (fun (l, r) -> match r with Ok s -> Some (l, s) | Error _ -> None)
-      scraped
-  in
-  let buf = Buffer.create 4096 in
+  let up = Metrics.create_registry () in
   List.iter
-    (fun (l, r) ->
-      match r with
-      | Error e ->
-          Buffer.add_string buf
-            (Printf.sprintf "# shard %s unavailable: %s\n" l e)
-      | Ok _ -> ())
+    (fun (shard, snap) ->
+      Metrics.Gauge.set
+        (Metrics.gauge up ~labels:[ ("shard", shard) ]
+           ~help:"Whether the router could scrape the shard's metrics."
+           Obs.shard_up)
+        (if snap = None then 0.0 else 1.0))
     scraped;
-  Buffer.add_string buf
-    (Metrics.render_federated
-       (("router", Metrics.snapshot (Obs.registry t.obs)) :: ok));
-  Buffer.contents buf
+  let sources =
+    ("router", Metrics.snapshot (Obs.registry t.obs))
+    :: List.filter_map (fun (l, s) -> Option.map (fun s -> (l, s)) s) scraped
+  in
+  List.sort
+    (fun a b -> String.compare a.Metrics.sn_name b.Metrics.sn_name)
+    (Metrics.snapshot up @ Metrics.federate sources)
 
 (* ---- Dispatch ---------------------------------------------------------- *)
 
@@ -531,7 +509,6 @@ let handle_inner t req =
       route_insert t (Protocol.raw_of_payload groups)
   | Protocol.Query { table; query; profile } -> route_query t table query ~profile
   | Protocol.Latest { table; prefix } -> route_latest t table prefix
-  | Protocol.Get_stats table -> route_stats t table
   | Protocol.Delete_prefix { table = _; prefix } ->
       Lt_util.Mutexes.with_lock t.mutex (fun () ->
           let shards = Placement.shards_of_prefix t.placement prefix in
@@ -545,12 +522,9 @@ let handle_inner t req =
               | _ -> err "bad delete response")
             shards;
           Protocol.Deleted !total)
-  | Protocol.Get_metrics -> Protocol.Metrics_text (render_federated t)
   | Protocol.Get_metrics_snapshot ->
-      Protocol.Metrics_snapshot (Metrics.snapshot (Obs.registry t.obs))
-  | Protocol.Get_trace (hi, lo) -> route_trace t ~hi ~lo
-  | Protocol.Get_slow_ops n ->
-      Protocol.Slow_ops (Trace.slow ~n:(max 0 n) (Obs.trace t.obs))
+      Protocol.Metrics_snapshot (federated_snapshot t)
+  | Protocol.Get_trace { trace; slow_only } -> route_trace t ~trace ~slow_only
 
 let handle t req =
   try handle_inner t req with
@@ -658,7 +632,6 @@ let backend t =
   {
     Server.b_handle = handle t;
     b_obs = t.obs;
-    b_render = (fun () -> render_federated t);
     b_maintenance = None;
     b_on_stop = (fun () -> Cluster_client.close t.cc);
   }

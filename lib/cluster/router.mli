@@ -16,8 +16,12 @@
     - [Latest] goes to the prefix's owner (or fans out for the empty
       prefix, keeping max-timestamp/larger-key, the single-node
       winner);
-    - DDL, [Flush_before], and [Get_stats] fan out to every shard
-      (stats snapshots are summed with {!Littletable.Stats.add});
+    - DDL and [Flush_before] fan out to every shard;
+    - [Get_metrics_snapshot] answers with {!Lt_obs.Metrics.federate} of
+      the router's own registry (labelled [shard="router"]) and every
+      reachable shard's snapshot, plus an [lt_router_shard_up{shard}]
+      gauge that reads 0 for an unreachable shard; [Get_trace] gathers
+      the router's and every shard's matching spans;
     - [Get_placement] describes the shard set, policy, and epoch.
 
     Reads fail over per shard to warm-spare replicas (see

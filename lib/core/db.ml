@@ -19,11 +19,11 @@ type t = {
 let table_dir t name = Filename.concat t.dir name
 
 (* Export every table's Stats counters (plus structural gauges) into
-   the Prometheus exposition at render time, so the existing counter
+   the Prometheus exposition at snapshot time, so the existing counter
    machinery is the single source of truth and never double-counts. *)
 let stats_samples t =
-  let sample name help kind labels v =
-    { Metrics.s_name = name; s_help = help; s_kind = kind; s_labels = labels;
+  let gauge name help labels v =
+    { Metrics.s_name = name; s_help = help; s_kind = `Gauge; s_labels = labels;
       s_value = float_of_int v }
   in
   let tables =
@@ -34,59 +34,28 @@ let stats_samples t =
     List.sort (fun a b -> String.compare (Table.name a) (Table.name b)) tables
   in
   let per_table tbl =
-    let labels = [ ("table", Table.name tbl) ] in
-    let s = Table.stats tbl in
-    [ sample "lt_rows_inserted_total" "Rows inserted." `Counter labels
-        s.Stats.rows_inserted;
-      sample "lt_insert_batches_total" "Insert batches." `Counter labels
-        s.Stats.insert_batches;
-      sample "lt_queries_total" "Queries (including latest-row searches)."
-        `Counter labels s.Stats.queries;
-      sample "lt_rows_returned_total" "Rows returned by queries." `Counter
-        labels s.Stats.rows_returned;
-      sample "lt_rows_scanned_total" "Rows scanned by queries." `Counter
-        labels s.Stats.rows_scanned;
-      sample "lt_flushes_total" "Memtable flushes." `Counter labels
-        s.Stats.flushes;
-      sample "lt_flushed_bytes_total" "Bytes written by flushes." `Counter
-        labels s.Stats.flushed_bytes;
-      sample "lt_merges_total" "Tablet merges." `Counter labels s.Stats.merges;
-      sample "lt_merged_bytes_out_total" "Bytes written by merges." `Counter
-        labels s.Stats.merged_bytes_out;
-      sample "lt_tablets_expired_total" "Tablets reclaimed by TTL expiry."
-        `Counter labels s.Stats.tablets_expired;
-      sample "lt_flush_retries_total"
-        "Flush attempts requeued after a transient I/O error." `Counter labels
-        s.Stats.flush_retries;
-      sample "lt_tablets_quarantined_total"
-        "Corrupt tablets quarantined at table open." `Counter labels
-        s.Stats.tablets_quarantined;
-      sample "lt_blocks_footer_answered_total"
-        "Columnar blocks whose aggregates were answered from footer stats."
-        `Counter labels s.Stats.blocks_footer_answered;
-      sample "lt_columns_decoded_total"
-        "Columnar column sections decompressed by scans." `Counter labels
-        s.Stats.columns_decoded;
-      sample "lt_tablets" "On-disk tablets." `Gauge labels
-        (Table.tablet_count tbl);
-      sample "lt_memtables" "In-memory tablets (filling + frozen)." `Gauge
-        labels (Table.memtable_count tbl);
-      sample "lt_disk_bytes" "Total bytes of on-disk tablets." `Gauge labels
-        (Table.disk_size tbl) ]
+    let table = Table.name tbl in
+    let labels = [ ("table", table) ] in
+    Stats.samples ~table (Table.stats tbl)
+    @ [ gauge "lt_tablets" "On-disk tablets." labels (Table.tablet_count tbl);
+        gauge "lt_memtables" "In-memory tablets (filling + frozen)." labels
+          (Table.memtable_count tbl);
+        gauge "lt_disk_bytes" "Total bytes of on-disk tablets." labels
+          (Table.disk_size tbl) ]
   in
   let cache_samples =
     match t.cache with
     | None -> []
     | Some c ->
         let k = Lt_cache.Block_cache.counters c in
-        let open Lt_cache.Block_cache in
-        [ sample "lt_cache_hits_total" "Block cache hits." `Counter [] k.hits;
-          sample "lt_cache_misses_total" "Block cache misses." `Counter []
-            k.misses;
-          sample "lt_cache_evictions_total" "Block cache evictions." `Counter
-            [] k.evictions;
-          sample "lt_cache_resident_bytes" "Block cache resident bytes."
-            `Gauge [] k.resident_bytes ]
+        Stats.cache_samples
+          {
+            Stats.cache_hits = k.hits;
+            cache_misses = k.misses;
+            cache_evictions = k.evictions;
+            cache_inserted_bytes = k.inserted_bytes;
+            cache_resident_bytes = k.resident_bytes;
+          }
   in
   List.concat_map per_table tables @ cache_samples
 

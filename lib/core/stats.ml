@@ -213,6 +213,122 @@ let note_pushdown (t : t) ~footer_blocks ~columns =
       t.blocks_footer_answered <- bump t.blocks_footer_answered footer_blocks;
       t.columns_decoded <- bump t.columns_decoded columns)
 
+(* ---- Metric series ---------------------------------------------------- *)
+
+(* The one mapping between snapshot fields and exported series. [f name
+   help kind v] is called once per field with the field's value in the
+   argument and returns the field's value in the result, so a single
+   traversal serves both directions: exporting ({!samples}) and reading
+   back ({!of_metrics}). [bytes_written] is derived, not exported. *)
+let map_table_series f s =
+  let c name help v = f name help `Counter v in
+  {
+    s with
+    rows_inserted = c "lt_rows_inserted_total" "Rows inserted." s.rows_inserted;
+    insert_batches =
+      c "lt_insert_batches_total" "Insert batches." s.insert_batches;
+    queries =
+      c "lt_queries_total" "Queries (including latest-row searches)."
+        s.queries;
+    rows_returned =
+      c "lt_rows_returned_total" "Rows returned by queries." s.rows_returned;
+    rows_scanned =
+      c "lt_rows_scanned_total" "Rows scanned by queries." s.rows_scanned;
+    flushes = c "lt_flushes_total" "Memtable flushes." s.flushes;
+    flushed_bytes =
+      c "lt_flushed_bytes_total" "Bytes written by flushes." s.flushed_bytes;
+    merges = c "lt_merges_total" "Tablet merges." s.merges;
+    merged_bytes_in =
+      c "lt_merged_bytes_in_total" "Bytes read by merges." s.merged_bytes_in;
+    merged_bytes_out =
+      c "lt_merged_bytes_out_total" "Bytes written by merges."
+        s.merged_bytes_out;
+    tablets_expired =
+      c "lt_tablets_expired_total" "Tablets reclaimed by TTL expiry."
+        s.tablets_expired;
+    flush_retries =
+      c "lt_flush_retries_total"
+        "Flush attempts requeued after a transient I/O error." s.flush_retries;
+    tablets_quarantined =
+      c "lt_tablets_quarantined_total"
+        "Corrupt tablets quarantined at table open." s.tablets_quarantined;
+    blocks_footer_answered =
+      c "lt_blocks_footer_answered_total"
+        "Columnar blocks whose aggregates were answered from footer stats."
+        s.blocks_footer_answered;
+    columns_decoded =
+      c "lt_columns_decoded_total"
+        "Columnar column sections decompressed by scans." s.columns_decoded;
+  }
+
+let map_cache_series f k =
+  {
+    cache_hits =
+      f "lt_cache_hits_total" "Block cache hits." `Counter k.cache_hits;
+    cache_misses =
+      f "lt_cache_misses_total" "Block cache misses." `Counter k.cache_misses;
+    cache_evictions =
+      f "lt_cache_evictions_total" "Block cache evictions." `Counter
+        k.cache_evictions;
+    cache_inserted_bytes =
+      f "lt_cache_inserted_bytes_total" "Bytes inserted into the block cache."
+        `Counter k.cache_inserted_bytes;
+    cache_resident_bytes =
+      f "lt_cache_resident_bytes" "Block cache resident bytes." `Gauge
+        k.cache_resident_bytes;
+  }
+
+let collect map labels v =
+  let acc = ref [] in
+  ignore
+    (map
+       (fun name help kind n ->
+         acc :=
+           { Lt_obs.Metrics.s_name = name; s_help = help; s_kind = kind;
+             s_labels = labels; s_value = float_of_int n }
+           :: !acc;
+         n)
+       v);
+  !acc
+
+let samples ~table s = collect map_table_series [ ("table", table) ] s
+
+let cache_samples k = collect map_cache_series [] k
+
+let of_metrics ~table (snap : Lt_obs.Metrics.snapshot) =
+  let open Lt_obs.Metrics in
+  let children name =
+    match List.find_opt (fun f -> f.sn_name = name) snap with
+    | Some f -> f.sn_children
+    | None -> []
+  in
+  let value labels name =
+    List.find_map
+      (fun c ->
+        if c.sn_labels = labels then Some (int_of_float c.sn_fval) else None)
+      (children name)
+  in
+  let labels = [ ("table", table) ] in
+  let down =
+    List.filter (fun c -> c.sn_fval = 0.0) (children Lt_obs.Obs.shard_up)
+  in
+  match (down, value labels "lt_rows_inserted_total") with
+  | c :: _, _ ->
+      let label (k, v) = k ^ "=" ^ v in
+      Error
+        (Printf.sprintf "backend unavailable: %s"
+           (String.concat "," (List.map label c.sn_labels)))
+  | [], None -> Error (Printf.sprintf "no such table %S" table)
+  | [], Some _ ->
+      let get labels name _ _ _ = Option.value ~default:0 (value labels name) in
+      let s = map_table_series (get labels) (read (create ())) in
+      Ok
+        {
+          s with
+          bytes_written = s.flushed_bytes + s.merged_bytes_out;
+          cache = map_cache_series (get []) no_cache;
+        }
+
 let pp ppf s =
   Format.fprintf ppf
     "@[<v>inserted %d rows in %d batches; %d queries returned %d rows \

@@ -90,4 +90,26 @@ val note_flush_retry : t -> unit
 val note_quarantined : t -> tablets:int -> unit
 val note_pushdown : t -> footer_blocks:int -> columns:int -> unit
 
+(** {1 Metric series}
+
+    How snapshots join the Prometheus exposition, and how a remote
+    reader gets them back from a {!Lt_obs.Metrics.snapshot}: every
+    field but the derived [bytes_written] is one series. *)
+
+(** The table's counters as [lt_*_total{table="<table>"}] samples. *)
+val samples : table:string -> snapshot -> Lt_obs.Metrics.sample list
+
+(** The block-cache counters as unlabelled [lt_cache_*] samples. *)
+val cache_samples : cache_snapshot -> Lt_obs.Metrics.sample list
+
+(** [of_metrics ~table snap] reads [table]'s snapshot back out of a
+    metrics snapshot carrying {!samples} and {!cache_samples} series —
+    a node's own, or a router's federation, whose unlabelled aggregate
+    children sum the shards. [Error] when [snap] has no series for
+    [table], or when it marks a shard unreachable
+    ([Lt_obs.Obs.shard_up] at 0), since the sum would be partial.
+    Missing cache series read as {!no_cache}. *)
+val of_metrics :
+  table:string -> Lt_obs.Metrics.snapshot -> (snapshot, string) result
+
 val pp : Format.formatter -> snapshot -> unit

@@ -438,41 +438,43 @@ let set_ttl t table ~ttl =
   invalidate_schema t table;
   expect_ok (roundtrip t (Protocol.Set_ttl { table; ttl }))
 
-let stats t table =
-  match roundtrip t (Protocol.Get_stats table) with
-  | Protocol.Stats_resp s -> s
-  | Protocol.Error msg -> raise (Remote_error msg)
-  | _ -> raise (Remote_error "bad stats response")
-
-let metrics t =
-  match roundtrip t Protocol.Get_metrics with
-  | Protocol.Metrics_text text -> text
-  | Protocol.Error msg -> raise (Remote_error msg)
-  | _ -> raise (Remote_error "bad metrics response")
-
-let slow_ops ?(n = 20) t =
-  match roundtrip t (Protocol.Get_slow_ops n) with
-  | Protocol.Slow_ops spans -> spans
-  | Protocol.Error msg -> raise (Remote_error msg)
-  | _ -> raise (Remote_error "bad slow ops response")
-
 let placement t =
   match roundtrip t Protocol.Get_placement with
   | Protocol.Placement_info info -> info
   | Protocol.Error msg -> raise (Remote_error msg)
   | _ -> raise (Remote_error "bad placement response")
 
-let trace t (hi, lo) =
-  match roundtrip t (Protocol.Get_trace (hi, lo)) with
-  | Protocol.Trace_spans spans -> spans
-  | Protocol.Error msg -> raise (Remote_error msg)
-  | _ -> raise (Remote_error "bad trace response")
+(* Every telemetry view below is one of two answers, rendered here. *)
 
 let metrics_snapshot t =
   match roundtrip t Protocol.Get_metrics_snapshot with
   | Protocol.Metrics_snapshot snap -> snap
   | Protocol.Error msg -> raise (Remote_error msg)
   | _ -> raise (Remote_error "bad metrics snapshot response")
+
+let metrics t = Metrics.render_snapshot (metrics_snapshot t)
+
+let stats t table =
+  match Stats.of_metrics ~table (metrics_snapshot t) with
+  | Ok s -> s
+  | Error msg -> raise (Remote_error msg)
+
+let spans t ~trace ~slow_only =
+  match roundtrip t (Protocol.Get_trace { trace; slow_only }) with
+  | Protocol.Trace_spans spans -> spans
+  | Protocol.Error msg -> raise (Remote_error msg)
+  | _ -> raise (Remote_error "bad trace response")
+
+let trace t id = spans t ~trace:(Some id) ~slow_only:false
+
+(* A router's answer joins several processes' rings, so "newest" is by
+   completion time, not by list position. *)
+let slow_ops ?(n = 20) t =
+  let ended sp = Int64.add sp.Lt_obs.Trace.sp_start_us sp.sp_duration_us in
+  spans t ~trace:None ~slow_only:true
+  |> List.rev
+  |> List.stable_sort (fun a b -> Int64.compare (ended b) (ended a))
+  |> List.filteri (fun i _ -> i < n)
 
 let sql_backend t =
   {

@@ -158,14 +158,19 @@ val widen_column : t -> string -> column:string -> unit
 
 val set_ttl : t -> string -> ttl:int64 option -> unit
 
+(** One table's counters: {!Littletable.Stats.of_metrics} over
+    {!metrics_snapshot}. Through a router, the sum over its shards.
+    @raise Remote_error for an unknown table, or when a router could
+    not reach every shard (the sum would be partial). *)
 val stats : t -> string -> Stats.snapshot
 
-(** The server's Prometheus text exposition — the same document its
-    [/metrics] HTTP endpoint serves. *)
+(** The server's Prometheus text exposition: {!metrics_snapshot},
+    rendered — the same document its [/metrics] HTTP endpoint serves. *)
 val metrics : t -> string
 
-(** The server's most recent slow-op spans, newest first; [n] caps the
-    count (default 20). *)
+(** The server's most recent slow-op spans, newest first by completion
+    time; [n] caps the count (default 20). Through a router, its shards'
+    slow spans are included. *)
 val slow_ops : ?n:int -> t -> Lt_obs.Trace.span list
 
 (** How the peer places data: a single-node server answers
@@ -193,7 +198,9 @@ val last_trace : t -> (int64 * int64) option
     answers with its own spans plus every backend's. *)
 val trace : t -> int64 * int64 -> Lt_obs.Trace.span list
 
-(** The peer's metrics registry as mergeable plain data. *)
+(** The peer's metrics registry as mergeable plain data; a router's is
+    the federation of its own and its shards'
+    ({!Lt_obs.Metrics.federate}). *)
 val metrics_snapshot : t -> Lt_obs.Metrics.snapshot
 
 (** {1 SQL} *)

@@ -5,7 +5,7 @@ exception Protocol_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Protocol_error s)) fmt
 
-let version = 6
+let version = 7
 
 let max_frame = 64 * 1024 * 1024
 
@@ -27,16 +27,14 @@ type request =
   | Query of { table : string; query : Query.t; profile : bool }
   | Latest of { table : string; prefix : Value.t list }
   | Flush_before of { table : string; ts : int64 }
-  | Get_stats of string
   | Ping
   | Delete_prefix of { table : string; prefix : Value.t list }
   | Add_column of { table : string; column : Schema.column }
   | Widen_column of { table : string; column : string }
   | Set_ttl of { table : string; ttl : int64 option }
-  | Get_metrics
-  | Get_slow_ops of int  (** at most this many spans, newest first *)
   | Get_placement
-  | Get_trace of (int64 * int64)  (** all retained spans of one trace *)
+  | Get_trace of { trace : (int64 * int64) option; slow_only : bool }
+      (** retained spans, of one trace and/or only the slow ones *)
   | Get_metrics_snapshot  (** mergeable registry image for federation *)
   | Insert_batch of { groups : batch_payload }
       (** buffered inserts, possibly for several tables, in one frame *)
@@ -60,12 +58,9 @@ type response =
       profile : Lt_obs.Profile.t option;
     }
   | Latest_row of Value.t array option
-  | Stats_resp of Stats.snapshot
   | Error of string
   | Pong
   | Deleted of int
-  | Metrics_text of string  (** Prometheus exposition *)
-  | Slow_ops of Lt_obs.Trace.span list
   | Placement_info of placement_info
   | Trace_spans of Lt_obs.Trace.span list
   | Metrics_snapshot of Lt_obs.Metrics.snapshot
@@ -82,14 +77,11 @@ let request_kind = function
   | Query _ -> "query"
   | Latest _ -> "latest"
   | Flush_before _ -> "flush_before"
-  | Get_stats _ -> "get_stats"
   | Ping -> "ping"
   | Delete_prefix _ -> "delete_prefix"
   | Add_column _ -> "add_column"
   | Widen_column _ -> "widen_column"
   | Set_ttl _ -> "set_ttl"
-  | Get_metrics -> "get_metrics"
-  | Get_slow_ops _ -> "get_slow_ops"
   | Get_placement -> "get_placement"
   | Get_trace _ -> "get_trace"
   | Get_metrics_snapshot -> "get_metrics_snapshot"
@@ -303,9 +295,6 @@ let write_request b = function
       Binio.put_u8 b 8;
       Binio.put_string b table;
       Binio.put_i64 b ts
-  | Get_stats t ->
-      Binio.put_u8 b 9;
-      Binio.put_string b t
   | Ping -> Binio.put_u8 b 10
   | Delete_prefix { table; prefix } ->
       Binio.put_u8 b 11;
@@ -324,21 +313,28 @@ let write_request b = function
       Binio.put_u8 b 14;
       Binio.put_string b table;
       put_opt_i64 b ttl
-  | Get_metrics -> Binio.put_u8 b 15
-  | Get_slow_ops n ->
-      Binio.put_u8 b 16;
-      Binio.put_varint b n
   | Get_placement -> Binio.put_u8 b 17
-  | Get_trace (hi, lo) ->
+  | Get_trace { trace; slow_only } -> (
       Binio.put_u8 b 18;
-      Binio.put_i64 b hi;
-      Binio.put_i64 b lo
+      Binio.put_u8 b (if slow_only then 1 else 0);
+      match trace with
+      | None -> Binio.put_u8 b 0
+      | Some (hi, lo) ->
+          Binio.put_u8 b 1;
+          Binio.put_i64 b hi;
+          Binio.put_i64 b lo)
   | Get_metrics_snapshot -> Binio.put_u8 b 19
   | Insert_batch { groups } -> (
       Binio.put_u8 b 20;
       match groups with
       | Groups gs -> put_groups b gs
       | Raw payload -> Buffer.add_string b payload)
+
+let get_flag cur what =
+  match Binio.get_u8 cur with
+  | 0 -> false
+  | 1 -> true
+  | n -> error "bad %s flag %d" what n
 
 let read_request cur =
   match Binio.get_u8 cur with
@@ -354,12 +350,7 @@ let read_request cur =
   | 6 ->
       let table = Binio.get_string cur in
       let query = get_query cur in
-      let profile =
-        match Binio.get_u8 cur with
-        | 0 -> false
-        | 1 -> true
-        | n -> error "bad profile flag %d" n
-      in
+      let profile = get_flag cur "profile" in
       Query { table; query; profile }
   | 7 ->
       let table = Binio.get_string cur in
@@ -369,7 +360,6 @@ let read_request cur =
       let table = Binio.get_string cur in
       let ts = Binio.get_i64 cur in
       Flush_before { table; ts }
-  | 9 -> Get_stats (Binio.get_string cur)
   | 10 -> Ping
   | 11 ->
       let table = Binio.get_string cur in
@@ -387,13 +377,17 @@ let read_request cur =
       let table = Binio.get_string cur in
       let ttl = get_opt_i64 cur in
       Set_ttl { table; ttl }
-  | 15 -> Get_metrics
-  | 16 -> Get_slow_ops (Binio.get_varint cur)
   | 17 -> Get_placement
   | 18 ->
-      let hi = Binio.get_i64 cur in
-      let lo = Binio.get_i64 cur in
-      Get_trace (hi, lo)
+      let slow_only = get_flag cur "slow" in
+      let trace =
+        if get_flag cur "trace" then
+          let hi = Binio.get_i64 cur in
+          let lo = Binio.get_i64 cur in
+          Some (hi, lo)
+        else None
+      in
+      Get_trace { trace; slow_only }
   | 19 -> Get_metrics_snapshot
   | 20 ->
       (* Captured undecoded: the single-node server decodes once via
@@ -403,56 +397,6 @@ let read_request cur =
   | n -> error "bad request tag %d" n
 
 (* ---- Responses ------------------------------------------------------------ *)
-
-let put_stats b (s : Stats.snapshot) =
-  List.iter (Binio.put_varint b)
-    [
-      s.Stats.rows_inserted; s.Stats.insert_batches; s.Stats.rows_returned;
-      s.Stats.rows_scanned; s.Stats.queries; s.Stats.flushes;
-      s.Stats.flushed_bytes; s.Stats.merges; s.Stats.merged_bytes_in;
-      s.Stats.merged_bytes_out; s.Stats.tablets_expired; s.Stats.flush_retries;
-      s.Stats.tablets_quarantined; s.Stats.blocks_footer_answered;
-      s.Stats.columns_decoded; s.Stats.bytes_written;
-      s.Stats.cache.Stats.cache_hits; s.Stats.cache.Stats.cache_misses;
-      s.Stats.cache.Stats.cache_evictions;
-      s.Stats.cache.Stats.cache_inserted_bytes;
-      s.Stats.cache.Stats.cache_resident_bytes;
-    ]
-
-let get_stats cur =
-  let v () = Binio.get_varint cur in
-  let rows_inserted = v () in
-  let insert_batches = v () in
-  let rows_returned = v () in
-  let rows_scanned = v () in
-  let queries = v () in
-  let flushes = v () in
-  let flushed_bytes = v () in
-  let merges = v () in
-  let merged_bytes_in = v () in
-  let merged_bytes_out = v () in
-  let tablets_expired = v () in
-  let flush_retries = v () in
-  let tablets_quarantined = v () in
-  let blocks_footer_answered = v () in
-  let columns_decoded = v () in
-  let bytes_written = v () in
-  let cache_hits = v () in
-  let cache_misses = v () in
-  let cache_evictions = v () in
-  let cache_inserted_bytes = v () in
-  let cache_resident_bytes = v () in
-  {
-    Stats.rows_inserted; insert_batches; rows_returned; rows_scanned; queries;
-    flushes; flushed_bytes; merges; merged_bytes_in; merged_bytes_out;
-    tablets_expired; flush_retries; tablets_quarantined;
-    blocks_footer_answered; columns_decoded; bytes_written;
-    cache =
-      {
-        Stats.cache_hits; cache_misses; cache_evictions; cache_inserted_bytes;
-        cache_resident_bytes;
-      };
-  }
 
 let span_op_tag = function
   | Lt_obs.Trace.Insert -> 0
@@ -695,9 +639,6 @@ let write_response b = function
       Binio.put_u8 b 6;
       Binio.put_u8 b 1;
       put_row b row
-  | Stats_resp s ->
-      Binio.put_u8 b 7;
-      put_stats b s
   | Error msg ->
       Binio.put_u8 b 8;
       Binio.put_string b msg
@@ -705,13 +646,6 @@ let write_response b = function
   | Deleted n ->
       Binio.put_u8 b 10;
       Binio.put_varint b n
-  | Metrics_text text ->
-      Binio.put_u8 b 11;
-      Binio.put_string b text
-  | Slow_ops spans ->
-      Binio.put_u8 b 12;
-      Binio.put_varint b (List.length spans);
-      List.iter (put_span b) spans
   | Placement_info { pl_epoch; pl_policy; pl_backends } ->
       Binio.put_u8 b 13;
       Binio.put_varint b pl_epoch;
@@ -762,14 +696,9 @@ let read_response cur =
       | 0 -> Latest_row None
       | 1 -> Latest_row (Some (get_row cur))
       | n -> error "bad latest tag %d" n)
-  | 7 -> Stats_resp (get_stats cur)
   | 8 -> Error (Binio.get_string cur)
   | 9 -> Pong
   | 10 -> Deleted (Binio.get_varint cur)
-  | 11 -> Metrics_text (Binio.get_string cur)
-  | 12 ->
-      let n = get_count cur "span" in
-      Slow_ops (List.init n (fun _ -> get_span cur))
   | 13 ->
       let pl_epoch = Binio.get_varint cur in
       let pl_policy = Binio.get_string cur in

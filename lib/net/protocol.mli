@@ -39,26 +39,30 @@ type request =
   | Latest of { table : string; prefix : Value.t list }
   | Flush_before of { table : string; ts : int64 }
       (** the §4.1.2 proposed flush command *)
-  | Get_stats of string
   | Ping
   | Delete_prefix of { table : string; prefix : Value.t list }
       (** the §7 bulk-delete feature *)
   | Add_column of { table : string; column : Schema.column }
   | Widen_column of { table : string; column : string }
   | Set_ttl of { table : string; ttl : int64 option }
-  | Get_metrics  (** Prometheus exposition of the server's registry *)
-  | Get_slow_ops of int  (** at most this many slow spans, newest first *)
   | Get_placement
       (** ask how the serving process maps keys to backends; a plain
           single-node server answers with policy ["single"] and no
           backends, a router describes its shard set *)
-  | Get_trace of (int64 * int64)
-      (** all retained spans of the trace [(hi, lo)]; a router also
-          pulls each backend's matching spans, so the answer is the
-          whole cross-process tree *)
+  | Get_trace of { trace : (int64 * int64) option; slow_only : bool }
+      (** retained spans ({!Lt_obs.Trace.find}), oldest first: those of
+          the trace [(hi, lo)] when given, only the slow ones when
+          [slow_only]. A router also pulls each backend's matching
+          spans, so a trace answer is the whole cross-process tree.
+          The shell's [.trace] and [.slow] are views of this answer. *)
   | Get_metrics_snapshot
-      (** the registry as mergeable plain data ({!Lt_obs.Metrics.snapshot});
-          how a router federates backend metrics *)
+      (** the registry as mergeable plain data
+          ({!Lt_obs.Metrics.snapshot}); a router answers with the
+          federation of its own and its backends'. The shell's
+          [.metrics] and [.stats], and HTTP [/metrics], are views of
+          this answer. Tags 9, 15 and 16 — the stats, text-metrics and
+          slow-op requests of protocol 6 and earlier — are bad request
+          tags. *)
   | Insert_batch of { groups : batch_payload }
       (** the one insert request: rows for one or more tables in one
           frame, from an immediate insert (one group) or a buffered
@@ -88,12 +92,9 @@ type response =
       profile : Lt_obs.Profile.t option;  (** present iff requested *)
     }
   | Latest_row of Value.t array option
-  | Stats_resp of Stats.snapshot
   | Error of string
   | Pong
   | Deleted of int
-  | Metrics_text of string
-  | Slow_ops of Lt_obs.Trace.span list
   | Placement_info of placement_info
   | Trace_spans of Lt_obs.Trace.span list  (** oldest first *)
   | Metrics_snapshot of Lt_obs.Metrics.snapshot

@@ -13,7 +13,6 @@ module Log = (val Logs.src_log log)
 type backend = {
   b_handle : Protocol.request -> Protocol.response;
   b_obs : Obs.t;
-  b_render : unit -> string;  (** Prometheus exposition for the HTTP port *)
   b_maintenance : (unit -> unit) option;
   b_on_stop : unit -> unit;  (** final flush/teardown, runs once in [stop] *)
 }
@@ -117,10 +116,6 @@ let handle db req =
       | Some tbl ->
           Table.flush_before tbl ~ts;
           Ok)
-  | Get_stats table -> (
-      match Db.find_table db table with
-      | None -> Error (Printf.sprintf "no such table %S" table)
-      | Some tbl -> Stats_resp (Table.stats tbl))
   | Delete_prefix { table; prefix } -> (
       match Db.find_table db table with
       | None -> Error (Printf.sprintf "no such table %S" table)
@@ -148,13 +143,10 @@ let handle db req =
       | Some tbl ->
           Table.set_ttl tbl ttl;
           Ok)
-  | Get_metrics -> Metrics_text (Obs.render (Db.obs db))
-  | Get_slow_ops n ->
-      Slow_ops (Trace.slow ~n:(max 0 n) (Obs.trace (Db.obs db)))
   | Get_placement ->
       Placement_info { pl_epoch = 0; pl_policy = "single"; pl_backends = [] }
-  | Get_trace (hi, lo) ->
-      Trace_spans (Trace.find_trace (Obs.trace (Db.obs db)) ~hi ~lo)
+  | Get_trace { trace; slow_only } ->
+      Trace_spans (Trace.find ?trace ~slow_only (Obs.trace (Db.obs db)))
   | Get_metrics_snapshot ->
       Metrics_snapshot (Metrics.snapshot (Obs.registry (Db.obs db)))
 
@@ -162,7 +154,6 @@ let db_backend db =
   {
     b_handle = handle db;
     b_obs = Db.obs db;
-    b_render = (fun () -> Obs.render (Db.obs db));
     b_maintenance = Some (fun () -> Db.maintenance db);
     b_on_stop = (fun () -> Db.flush_all db);
   }
@@ -257,7 +248,14 @@ let write_string fd s =
 
 (* One short-lived connection per scrape: read the request head, serve
    /metrics, close. Handled inline on the listener thread — a metrics
-   scrape every few seconds does not need concurrency. *)
+   scrape every few seconds does not need concurrency. The body is the
+   backend's own [Get_metrics_snapshot] answer, rendered, so it is the
+   same document the wire view ([Client.metrics]) shows. *)
+let render_metrics backend =
+  match backend.b_handle Protocol.Get_metrics_snapshot with
+  | Protocol.Metrics_snapshot snap -> Metrics.render_snapshot snap
+  | _ -> ""
+
 let handle_metrics_conn t fd =
   Fun.protect
     ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
@@ -278,7 +276,7 @@ let handle_metrics_conn t fd =
         in
         let status, body =
           match path with
-          | "/metrics" | "/" -> ("200 OK", t.backend.b_render ())
+          | "/metrics" | "/" -> ("200 OK", render_metrics t.backend)
           | _ -> ("404 Not Found", "not found\n")
         in
         write_string fd

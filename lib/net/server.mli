@@ -22,7 +22,6 @@ type backend = {
   b_handle : Protocol.request -> Protocol.response;
       (** pure request dispatch; exceptions are turned into [Error] *)
   b_obs : Lt_obs.Obs.t;  (** request-duration histograms land here *)
-  b_render : unit -> string;  (** Prometheus exposition for the HTTP port *)
   b_maintenance : (unit -> unit) option;
       (** periodic background work; [None] = no maintenance thread *)
   b_on_stop : unit -> unit;  (** final flush/teardown, runs once in [stop] *)
@@ -41,9 +40,10 @@ val db_backend : Littletable.Db.t -> backend
     [127.0.0.1:port] ([port = 0] picks an ephemeral port) and starts
     accepting. [maintenance_period_s <= 0.] disables the maintenance
     thread (useful under a manual clock). [metrics_port], when given,
-    additionally serves the database's Prometheus metrics over HTTP at
+    additionally serves Prometheus metrics over HTTP at
     [http://127.0.0.1:<metrics_port>/metrics] ([0] again picks an
-    ephemeral port); omitted = no metrics listener. *)
+    ephemeral port); omitted = no metrics listener. The body is the
+    backend's [Get_metrics_snapshot] answer, rendered. *)
 val start :
   ?maintenance_period_s:float ->
   ?metrics_port:int ->

@@ -290,36 +290,12 @@ let render_header buf name help typ =
   Buffer.add_string buf typ;
   Buffer.add_char buf '\n'
 
-let render_sample buf name ?(extra = []) labels value =
+let render_sample buf name labels value =
   Buffer.add_string buf name;
-  render_labels buf (labels @ extra);
+  render_labels buf labels;
   Buffer.add_char buf ' ';
   Buffer.add_string buf value;
   Buffer.add_char buf '\n'
-
-let render_child buf f (c : child) =
-  (* Snapshot under the child lock, format outside it. *)
-  let labels, count, fval, bucket_counts =
-    with_lock c.c_mutex (fun () ->
-        (c.c_labels, c.c_count, c.c_fval, Array.copy c.c_bucket_counts))
-  in
-  match f.f_kind with
-  | K_counter -> render_sample buf f.f_name labels (string_of_int count)
-  | K_gauge -> render_sample buf f.f_name labels (fmt_float fval)
-  | K_histogram ->
-      let cum = ref 0 in
-      Array.iteri
-        (fun i bound ->
-          cum := !cum + bucket_counts.(i);
-          render_sample buf (f.f_name ^ "_bucket")
-            ~extra:[ ("le", fmt_float bound) ]
-            labels (string_of_int !cum))
-        f.f_bounds;
-      render_sample buf (f.f_name ^ "_bucket")
-        ~extra:[ ("le", "+Inf") ]
-        labels (string_of_int count);
-      render_sample buf (f.f_name ^ "_sum") labels (fmt_float fval);
-      render_sample buf (f.f_name ^ "_count") labels (string_of_int count)
 
 (* ---- Snapshots and federation ----------------------------------------- *)
 
@@ -374,66 +350,83 @@ let snapshot r =
       sn_bounds = Array.copy f.f_bounds;
       sn_children = children }
   in
-  let direct = List.map snap_of_family families in
-  (* Collector samples (Stats counters etc.) become synthetic families so
-     a snapshot covers everything a text scrape would. *)
-  let samples = List.concat_map (fun fn -> fn ()) collectors in
-  let by_name : (string, sample list ref) Hashtbl.t = Hashtbl.create 16 in
-  let names = ref [] in
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt by_name s.s_name with
-      | Some l -> l := s :: !l
-      | None ->
-          Hashtbl.add by_name s.s_name (ref [ s ]);
-          names := s.s_name :: !names)
-    samples;
-  let collected =
-    List.rev_map
-      (fun name ->
-        let ss = List.rev !(Hashtbl.find by_name name) in
-        let first = List.hd ss in
-        { sn_name = name;
-          sn_help = first.s_help;
-          sn_kind =
-            (match first.s_kind with
-            | `Counter -> K_counter
-            | `Gauge -> K_gauge);
-          sn_bounds = [||];
-          sn_children =
-            List.map
-              (fun s ->
-                { sn_labels = sort_labels s.s_labels;
-                  sn_count = 0;
-                  sn_fval = s.s_value;
-                  sn_max = 0.0;
-                  sn_buckets = [||] })
-              ss })
-      !names
+  let direct =
+    List.sort
+      (fun a b -> String.compare a.sn_name b.sn_name)
+      (List.map snap_of_family families)
   in
-  List.sort
-    (fun a b -> String.compare a.sn_name b.sn_name)
-    (direct @ collected)
+  (* Collector samples (Stats counters etc.) become synthetic families
+     after the registry's: grouped by name, sorted by name, keeping the
+     order collected within a family (a stable sort). *)
+  let family s children =
+    { sn_name = s.s_name;
+      sn_help = s.s_help;
+      sn_kind = (match s.s_kind with `Counter -> K_counter | `Gauge -> K_gauge);
+      sn_bounds = [||];
+      sn_children = children }
+  in
+  let child s =
+    { sn_labels = sort_labels s.s_labels;
+      sn_count = 0;
+      sn_fval = s.s_value;
+      sn_max = 0.0;
+      sn_buckets = [||] }
+  in
+  let collected =
+    List.fold_right
+      (fun s acc ->
+        match acc with
+        | f :: rest when f.sn_name = s.s_name ->
+            family s (child s :: f.sn_children) :: rest
+        | _ -> family s [ child s ] :: acc)
+      (List.stable_sort
+         (fun a b -> String.compare a.s_name b.s_name)
+         (List.concat_map (fun fn -> fn ()) collectors))
+      []
+  in
+  direct @ collected
 
-let render_snap_child buf name kind bounds ?(extra = []) c =
-  match kind with
-  | K_counter | K_gauge ->
-      render_sample buf name ~extra c.sn_labels (fmt_float c.sn_fval)
-  | K_histogram ->
-      let cum = ref 0 in
-      Array.iteri
-        (fun i bound ->
-          cum := !cum + c.sn_buckets.(i);
-          render_sample buf (name ^ "_bucket")
-            ~extra:(("le", fmt_float bound) :: extra)
-            c.sn_labels (string_of_int !cum))
-        bounds;
-      render_sample buf (name ^ "_bucket")
-        ~extra:(("le", "+Inf") :: extra)
-        c.sn_labels (string_of_int c.sn_count);
-      render_sample buf (name ^ "_sum") ~extra c.sn_labels (fmt_float c.sn_fval);
-      render_sample buf (name ^ "_count") ~extra c.sn_labels
-        (string_of_int c.sn_count)
+(* The one Prometheus text writer: every exposition — a registry, a
+   node's wire view, a router's federation — is a snapshot first. *)
+let render_snapshot snap =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun f ->
+      let typ =
+        match f.sn_kind with
+        | K_counter -> "counter"
+        | K_gauge -> "gauge"
+        | K_histogram -> "histogram"
+      in
+      render_header buf f.sn_name f.sn_help typ;
+      let name = f.sn_name in
+      List.iter
+        (fun c ->
+          match f.sn_kind with
+          | K_counter | K_gauge ->
+              render_sample buf name c.sn_labels (fmt_float c.sn_fval)
+          | K_histogram ->
+              let bucket le n =
+                render_sample buf (name ^ "_bucket")
+                  (c.sn_labels @ [ ("le", le) ])
+                  (string_of_int n)
+              in
+              let cum = ref 0 in
+              Array.iteri
+                (fun i bound ->
+                  cum := !cum + c.sn_buckets.(i);
+                  bucket (fmt_float bound) !cum)
+                f.sn_bounds;
+              bucket "+Inf" c.sn_count;
+              render_sample buf (name ^ "_sum") c.sn_labels
+                (fmt_float c.sn_fval);
+              render_sample buf (name ^ "_count") c.sn_labels
+                (string_of_int c.sn_count))
+        f.sn_children)
+    snap;
+  Buffer.contents buf
+
+let render r = render_snapshot (snapshot r)
 
 let merge_snap_children children =
   let tbl : (string, snap_child ref) Hashtbl.t = Hashtbl.create 16 in
@@ -466,13 +459,14 @@ let merge_snap_children children =
   |> List.sort (fun a b ->
          String.compare (label_key a.sn_labels) (label_key b.sn_labels))
 
-(* Federated exposition: for every family present in any source, emit
-   (a) aggregate children merged across sources — cluster-wide totals
-   and mergeable histograms — and (b) each source's children again with
-   a [shard=<label>] label for the per-shard breakdown. Sources whose
-   kind or histogram bounds disagree with the first occurrence are
-   skipped for that family (federation never guesses at semantics). *)
-let render_federated sources =
+(* Federation: for every family present in any source, (a) aggregate
+   children merged across sources — cluster-wide totals and mergeable
+   histograms — then (b) each source's children again with a
+   [shard=<label>] label appended, for the per-shard breakdown. Sources
+   whose kind or histogram bounds disagree with the first occurrence
+   are skipped for that family (federation never guesses at
+   semantics). *)
+let federate sources =
   let tbl :
       (string, snap_family * (string * snap_family) list ref) Hashtbl.t =
     Hashtbl.create 32
@@ -491,85 +485,22 @@ let render_federated sources =
               then acc := (shard, fam) :: !acc)
         snap)
     sources;
-  let names = List.sort String.compare !names in
-  let buf = Buffer.create 8192 in
-  List.iter
+  List.map
     (fun name ->
       let proto, acc = Hashtbl.find tbl name in
       let occurrences = List.rev !acc in
-      let typ =
-        match proto.sn_kind with
-        | K_counter -> "counter"
-        | K_gauge -> "gauge"
-        | K_histogram -> "histogram"
+      let merged =
+        merge_snap_children
+          (List.concat_map (fun (_, fam) -> fam.sn_children) occurrences)
       in
-      render_header buf name proto.sn_help typ;
-      let all_children =
-        List.concat_map (fun (_, fam) -> fam.sn_children) occurrences
+      let labelled =
+        List.concat_map
+          (fun (shard, fam) ->
+            List.map
+              (fun c ->
+                { c with sn_labels = c.sn_labels @ [ ("shard", shard) ] })
+              fam.sn_children)
+          occurrences
       in
-      List.iter
-        (fun c -> render_snap_child buf name proto.sn_kind proto.sn_bounds c)
-        (merge_snap_children all_children);
-      List.iter
-        (fun (shard, fam) ->
-          List.iter
-            (fun c ->
-              render_snap_child buf name proto.sn_kind proto.sn_bounds
-                ~extra:[ ("shard", shard) ]
-                c)
-            fam.sn_children)
-        occurrences)
-    names;
-  Buffer.contents buf
-
-let render r =
-  let families, collectors =
-    with_lock r.r_mutex (fun () ->
-        let fs = Hashtbl.fold (fun _ f acc -> f :: acc) r.r_families [] in
-        (fs, List.rev r.r_collectors))
-  in
-  let families =
-    List.sort (fun a b -> String.compare a.f_name b.f_name) families
-  in
-  let buf = Buffer.create 4096 in
-  List.iter
-    (fun f ->
-      let typ =
-        match f.f_kind with
-        | K_counter -> "counter"
-        | K_gauge -> "gauge"
-        | K_histogram -> "histogram"
-      in
-      render_header buf f.f_name f.f_help typ;
-      let children =
-        Hashtbl.fold (fun k c acc -> (k, c) :: acc) f.f_children []
-        |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-      in
-      List.iter (fun (_, c) -> render_child buf f c) children)
-    families;
-  (* Collector samples: gather all, group by name preserving first-seen
-     order within each collector, then sort families by name. *)
-  let samples = List.concat_map (fun fn -> fn ()) collectors in
-  let by_name : (string, sample list ref) Hashtbl.t = Hashtbl.create 16 in
-  let names = ref [] in
-  List.iter
-    (fun s ->
-      match Hashtbl.find_opt by_name s.s_name with
-      | Some l -> l := s :: !l
-      | None ->
-          Hashtbl.add by_name s.s_name (ref [ s ]);
-          names := s.s_name :: !names)
-    samples;
-  let names = List.sort String.compare !names in
-  List.iter
-    (fun name ->
-      let ss = List.rev !(Hashtbl.find by_name name) in
-      let first = List.hd ss in
-      let typ = match first.s_kind with `Counter -> "counter" | `Gauge -> "gauge" in
-      render_header buf name first.s_help typ;
-      List.iter
-        (fun s ->
-          render_sample buf name (sort_labels s.s_labels) (fmt_float s.s_value))
-        ss)
-    names;
-  Buffer.contents buf
+      { proto with sn_children = merged @ labelled })
+    (List.sort String.compare !names)

@@ -106,7 +106,7 @@ val histogram :
   ?labels:(string * string) list -> string -> Histogram.t
 
 (** A point sample contributed by a {!register_collector} callback at
-    render time — how existing counter sources (e.g. [Stats] snapshots)
+    snapshot time — how existing counter sources (e.g. [Stats] snapshots)
     join the exposition without double bookkeeping. *)
 type sample = {
   s_name : string;
@@ -116,28 +116,25 @@ type sample = {
   s_value : float;
 }
 
-(** Collectors run (in registration order) on every {!render}, even on a
-    disabled registry. Samples sharing a name are emitted as one
+(** Collectors run (in registration order) on every {!snapshot}, even
+    on a disabled registry. Samples sharing a name are emitted as one
     family; collector names must not collide with instrument families. *)
 val register_collector : registry -> (unit -> sample list) -> unit
-
-(** Prometheus text exposition (format version 0.0.4): every family
-    sorted by name, children sorted by label set, histograms as
-    [_bucket]/[_sum]/[_count] series with cumulative [le] buckets. *)
-val render : registry -> string
 
 (** {1 Snapshots and federation}
 
     A snapshot is a plain-data image of a registry — families, label
     sets, counts, sums, raw (non-cumulative) bucket arrays — that can
     cross the wire ([Get_metrics_snapshot]) and be merged elsewhere.
-    The router federates its backends by scraping one snapshot each and
-    rendering the merge. *)
+    Every Prometheus exposition is rendered from a snapshot by
+    {!render_snapshot}: a registry's, a node's answer over the wire, and
+    a router's federation of its backends. *)
 
 type kind = K_counter | K_gauge | K_histogram
 
 type snap_child = {
-  sn_labels : (string * string) list; (* sorted by label name *)
+  sn_labels : (string * string) list;
+      (* sorted by label name; {!federate} appends [shard] last *)
   sn_count : int; (* histogram observation count *)
   sn_fval : float; (* counter/gauge value / histogram sum *)
   sn_max : float;
@@ -154,15 +151,28 @@ type snap_family = {
 
 type snapshot = snap_family list
 
-(** Image of the registry now, collector samples included, families
-    sorted by name. Works on a disabled registry (all zeros). *)
+(** Image of the registry now, collector samples included: the
+    registry's instrument families sorted by name, then the collector
+    families sorted by name. Instrument children are sorted by label
+    set; a collector family keeps its samples in the order collected.
+    Works on a disabled registry (all zeros). *)
 val snapshot : registry -> snapshot
 
-(** [render_federated sources] — [sources] pairs a shard label with that
-    source's snapshot. For each family: first the {e aggregate} children
+(** Prometheus text exposition (format version 0.0.4) of a snapshot, in
+    its family and child order; histograms as [_bucket]/[_sum]/[_count]
+    series with cumulative buckets, [le] the last label. The only
+    writer of Prometheus text. *)
+val render_snapshot : snapshot -> string
+
+(** [render r = render_snapshot (snapshot r)]. *)
+val render : registry -> string
+
+(** [federate sources] — [sources] pairs a shard label with that
+    source's snapshot. The result holds every family of any source,
+    sorted by name. Each family lists first the {e aggregate} children
     (counters/gauges summed, histogram buckets merged across sources,
     grouped by the original label set), then every source's children
-    re-emitted with an added [shard="<label>"] label. Families whose
-    kind or histogram bounds disagree with the family's first occurrence
-    are skipped for the disagreeing source. *)
-val render_federated : (string * snapshot) list -> string
+    again with [shard="<label>"] appended to their labels. Families
+    whose kind or histogram bounds disagree with the family's first
+    occurrence are skipped for the disagreeing source. *)
+val federate : (string * snapshot) list -> snapshot

@@ -148,4 +148,6 @@ let client_reconnects t ~peer =
     ~labels:[ ("peer", peer) ]
     "lt_client_reconnects_total"
 
+let shard_up = "lt_router_shard_up"
+
 let render t = Metrics.render t.o_registry

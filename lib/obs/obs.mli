@@ -107,5 +107,10 @@ val failovers : t -> backend:string -> Metrics.Counter.t
     (re-)establishment attempts by {!Lt_net.Client}. *)
 val client_reconnects : t -> peer:string -> Metrics.Counter.t
 
+(** ["lt_router_shard_up"] — the gauge family a router adds to its
+    federated snapshot: one child per backend, labelled [shard], 1 when
+    that shard's snapshot was scraped and 0 when it was unreachable. *)
+val shard_up : string
+
 (** Render the registry as Prometheus text. *)
 val render : t -> string

@@ -33,7 +33,7 @@ type span = {
 type t = {
   ring : span option array;
   mutable next : int; (* total spans ever recorded; write cursor = next mod capacity *)
-  mutable slow_us : int64;
+  slow_us : int64; (* fixed at [create]: read without the mutex *)
   mutex : Mutex.t;
 }
 
@@ -151,10 +151,7 @@ let create ?(capacity = 256) ~slow_us () =
 
 let capacity t = Array.length t.ring
 
-let slow_us t = Lt_util.Mutexes.with_lock t.mutex (fun () -> t.slow_us)
-
-let set_slow_us t v =
-  Lt_util.Mutexes.with_lock t.mutex (fun () -> t.slow_us <- v)
+let slow_us t = t.slow_us
 
 let recorded t = Lt_util.Mutexes.with_lock t.mutex (fun () -> t.next)
 
@@ -221,18 +218,14 @@ let recent ?n ?table t =
   let all = fold_recent t (table_matches table) in
   match n with None -> all | Some n -> take n all
 
-let slow ?n ?table t =
-  let threshold = t.slow_us in
-  let all =
-    fold_recent t (fun sp ->
-        sp.sp_duration_us >= threshold && table_matches table sp)
+(* Oldest first — ready for tree assembly. *)
+let find ?trace ?(slow_only = false) t =
+  let in_trace sp =
+    match (trace, sp.sp_ctx) with
+    | None, _ -> true
+    | Some (hi, lo), Some c -> same_trace ~hi ~lo c
+    | Some _, None -> false
   in
-  match n with None -> all | Some n -> take n all
-
-(* Spans of one trace, oldest first — ready for tree assembly. *)
-let find_trace t ~hi ~lo =
   List.rev
     (fold_recent t (fun sp ->
-         match sp.sp_ctx with
-         | Some c -> same_trace ~hi ~lo c
-         | None -> false))
+         ((not slow_only) || sp.sp_duration_us >= t.slow_us) && in_trace sp))

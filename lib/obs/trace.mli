@@ -88,9 +88,8 @@ val create : ?capacity:int -> slow_us:int64 -> unit -> t
 
 val capacity : t -> int
 
+(** The slow threshold given to {!create}; fixed for the ring's life. *)
 val slow_us : t -> int64
-
-val set_slow_us : t -> int64 -> unit
 
 (** Total spans ever recorded (not bounded by capacity). *)
 val recorded : t -> int
@@ -101,13 +100,11 @@ val record : t -> span -> unit
     retained), optionally only those for [table]. *)
 val recent : ?n:int -> ?table:string -> t -> span list
 
-(** Most recent spans with [sp_duration_us >= slow_us], newest first,
-    at most [n], optionally only those for [table]. *)
-val slow : ?n:int -> ?table:string -> t -> span list
-
-(** All retained spans belonging to the trace [(hi, lo)], oldest
-    first — ready for tree assembly. *)
-val find_trace : t -> hi:int64 -> lo:int64 -> span list
+(** Retained spans, oldest first — ready for tree assembly: only those
+    of the trace [(hi, lo)] when [trace] is given, and only those with
+    [sp_duration_us >= slow_us] when [slow_only] (default [false]).
+    What a [Get_trace] request answers with. *)
+val find : ?trace:int64 * int64 -> ?slow_only:bool -> t -> span list
 
 val op_name : op -> string
 

@@ -234,7 +234,8 @@ let test_table_scan_resistance () =
   Alcotest.(check bool) "hot query served from cache" true
     (after.Bcache.hits > before.Bcache.hits)
 
-(* Cache counters survive the stats wire protocol. *)
+(* Cache counters survive the stats view on the wire: exported as
+   series, carried in a metrics snapshot, read back by [of_metrics]. *)
 let test_stats_protocol_roundtrip () =
   let stats = Stats.create () in
   Stats.note_query stats ~scanned:7 ~returned:3;
@@ -248,11 +249,20 @@ let test_stats_protocol_roundtrip () =
     }
   in
   let snap = Stats.read ~cache stats in
+  let registry = Lt_obs.Metrics.create_registry () in
+  Lt_obs.Metrics.register_collector registry (fun () ->
+      Stats.samples ~table:"t" snap @ Stats.cache_samples cache);
   let b = Buffer.create 64 in
-  Lt_net.Protocol.write_response b (Lt_net.Protocol.Stats_resp snap);
+  Lt_net.Protocol.write_response b
+    (Lt_net.Protocol.Metrics_snapshot (Lt_obs.Metrics.snapshot registry));
   let cur = Lt_util.Binio.cursor (Buffer.contents b) in
   (match Lt_net.Protocol.read_response cur with
-  | Lt_net.Protocol.Stats_resp got ->
+  | Lt_net.Protocol.Metrics_snapshot m ->
+      let got =
+        match Stats.of_metrics ~table:"t" m with
+        | Ok got -> got
+        | Error msg -> Alcotest.fail msg
+      in
       Alcotest.(check bool) "roundtrips" true (got = snap);
       Alcotest.(check bool) "hit ratio" true
         (abs_float (Stats.cache_hit_ratio got -. 11.0 /. 16.0) < 1e-9)

@@ -79,7 +79,7 @@ let row_limit = 8
 
 let node_config = Config.make ~server_row_limit:row_limit ()
 
-type node = { n_dir : string; n_server : Server.t }
+type node = { n_dir : string; n_db : Db.t; n_server : Server.t }
 
 let temp_dir () =
   let dir = Filename.temp_file "lt_cluster" "" in
@@ -93,7 +93,7 @@ let start_node () =
   let dir = temp_dir () in
   let db = Db.open_ ~config:node_config ~dir () in
   let server = Server.start ~maintenance_period_s:0.0 ~db ~port:0 () in
-  { n_dir = dir; n_server = server }
+  { n_dir = dir; n_db = db; n_server = server }
 
 let stop_node n =
   (try Server.stop n.n_server with _ -> ());
@@ -186,7 +186,23 @@ let check_latest name ~rc ~sc prefix =
   Alcotest.(check bool) (name ^ ": latest identical") true
     (Client.latest rc "usage" prefix = Client.latest sc "usage" prefix)
 
-let run_equality_gate ~router ~rc ~sc ~nodes:_ =
+(* The router's stats view is the field-wise sum of its shards'. *)
+let check_summed_stats ~rc ~nodes =
+  (* Flushed tablets read twice: the block-cache counters move too. *)
+  Client.flush_before rc "usage" ~ts:100L;
+  for _ = 1 to 2 do
+    ignore (Client.query_all rc "usage" Query.all)
+  done;
+  let per_shard =
+    List.map (fun n -> Table.stats (Db.table n.n_db "usage")) nodes
+  in
+  let expected =
+    List.fold_left Stats.add (List.hd per_shard) (List.tl per_shard)
+  in
+  Alcotest.(check bool) "router stats = sum of shard stats" true
+    (Client.stats rc "usage" = expected)
+
+let run_equality_gate ~router ~rc ~sc ~nodes =
   load_dataset rc sc;
   List.iter (fun (name, q) -> check_query name ~rc ~sc q) query_shapes;
   (* latest: pinned prefixes and the full fan-out (max-ts ties across
@@ -198,6 +214,7 @@ let run_equality_gate ~router ~rc ~sc ~nodes:_ =
   (* stats are summed across shards. *)
   let s = Client.stats rc "usage" in
   Alcotest.(check int) "summed rows_inserted" 120 s.Stats.rows_inserted;
+  check_summed_stats ~rc ~nodes;
   (* placement is visible over the wire. *)
   let pl = Client.placement rc in
   Alcotest.(check int) "backends listed"
@@ -646,6 +663,77 @@ let test_distributed_observability () =
       Alcotest.(check bool) "insert histograms observed" true (agg > 0);
       Alcotest.(check int) "federated histogram merge equals sum" agg per_shard)
 
+(* With one shard's server stopped and no replica, the router's scrape
+   degrades instead of failing: the live shards' series are still there
+   and [lt_router_shard_up] names the dead one. A stats view would be a
+   partial sum, so it is refused. *)
+let test_degraded_scrape () =
+  with_cluster ~shards:3 ~policy:(Placement.Hash { vnodes = 64 })
+    (fun ~router:_ ~rc ~sc ~nodes ->
+      load_dataset rc sc;
+      Server.stop (List.nth nodes 1).n_server;
+      let text = Client.metrics rc in
+      let contains sub = Support.contains ~sub text in
+      Alcotest.(check bool) "live shard 0 series" true
+        (contains "lt_rows_inserted_total{table=\"usage\",shard=\"0\"}");
+      Alcotest.(check bool) "live shard 2 series" true
+        (contains "lt_rows_inserted_total{table=\"usage\",shard=\"2\"}");
+      Alcotest.(check bool) "no series from the dead shard" false
+        (contains "lt_rows_inserted_total{table=\"usage\",shard=\"1\"}");
+      List.iter
+        (fun (shard, up) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "shard %s up=%d" shard up)
+            true
+            (contains
+               (Printf.sprintf "lt_router_shard_up{shard=\"%s\"} %d\n" shard
+                  up)))
+        [ ("0", 1); ("1", 0); ("2", 1) ];
+      match Client.stats rc "usage" with
+      | (_ : Stats.snapshot) -> Alcotest.fail "partial stats sum returned"
+      | exception Client.Remote_error _ -> ())
+
+(* Regression: every telemetry probe a monitor sends to a warm spare
+   must answer in spare mode. [.stats] and [.slow] used to promote it,
+   ending its sync loop. *)
+let test_spare_probes_never_promote () =
+  let primary = start_node () in
+  let spare_dir = temp_dir () in
+  let cleanup = ref [] in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun g -> try g () with _ -> ()) !cleanup;
+      stop_node primary;
+      rm_rf spare_dir)
+    (fun () ->
+      let pc = Client.connect ~port:(Server.port primary.n_server) () in
+      Client.create_table pc "usage" (Support.usage_schema ()) ~ttl:None;
+      Client.insert pc "usage"
+        [ Support.usage_row ~network:1L ~device:1L ~ts:1L ~bytes:0L ~rate:0.0 ];
+      Client.flush_before pc "usage" ~ts:100L;
+      Client.close pc;
+      let replica =
+        Replica.start ~config:node_config ~period_s:0.0
+          ~vfs:(Lt_vfs.Vfs.real ()) ~primary_dir:primary.n_dir ~dir:spare_dir ()
+      in
+      cleanup := (fun () -> Replica.stop replica) :: !cleanup;
+      Replica.sync_now replica;
+      let rspare =
+        Server.start_custom ~backend:(Replica.backend replica) ~port:0 ()
+      in
+      cleanup := (fun () -> Server.stop rspare) :: !cleanup;
+      let probe = Client.connect ~port:(Server.port rspare) () in
+      cleanup := (fun () -> Client.close probe) :: !cleanup;
+      (match Client.stats probe "usage" with
+      | (_ : Stats.snapshot) -> Alcotest.fail "a spare has no table stats"
+      | exception Client.Remote_error _ -> ());
+      ignore (Client.metrics probe : string);
+      ignore (Client.slow_ops probe : Lt_obs.Trace.span list);
+      ignore (Client.trace probe (1L, 2L) : Lt_obs.Trace.span list);
+      ignore (Client.metrics_snapshot probe : Lt_obs.Metrics.snapshot);
+      Alcotest.(check bool) "no probe promoted the spare" false
+        (Replica.promoted replica))
+
 (* ---- Client backoff ---------------------------------------------------- *)
 
 let dead_port () =
@@ -693,6 +781,9 @@ let suite =
       test_router_partial_failure);
     ("router batched ingest equality", `Quick, test_router_batched_equality);
     ("replica failover", `Quick, test_replica_failover);
+    ("telemetry probes never promote a spare", `Quick,
+      test_spare_probes_never_promote);
+    ("router degraded scrape", `Quick, test_degraded_scrape);
     ("distributed observability", `Quick, test_distributed_observability);
     ("client reconnect backoff", `Quick, test_client_backoff);
   ]

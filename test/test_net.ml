@@ -41,11 +41,10 @@ let test_protocol_requests () =
       Protocol.Query { table = "t"; query = Query.all; profile = true };
       Protocol.Latest { table = "t"; prefix = [ Value.Int64 1L; Value.String "d" ] };
       Protocol.Flush_before { table = "t"; ts = 123L };
-      Protocol.Get_stats "t";
-      Protocol.Get_metrics;
       Protocol.Get_metrics_snapshot;
-      Protocol.Get_trace (0x0123456789abcdefL, -1L);
-      Protocol.Get_slow_ops 25;
+      Protocol.Get_trace
+        { trace = Some (0x0123456789abcdefL, -1L); slow_only = false };
+      Protocol.Get_trace { trace = None; slow_only = true };
       Protocol.Get_placement;
       Protocol.Ping;
       Protocol.Insert_batch { groups = Protocol.Groups [] };
@@ -156,8 +155,7 @@ let test_protocol_responses () =
           pl_policy = "hash(vnodes=64)";
           pl_backends = [ ("127.0.0.1", 7501); ("10.1.2.3", 7502) ];
         };
-      Protocol.Metrics_text "# TYPE lt_up gauge\nlt_up 1\n";
-      Protocol.Slow_ops
+      Protocol.Trace_spans
         [
           {
             Lt_obs.Trace.sp_op = Lt_obs.Trace.Query;
@@ -183,9 +181,6 @@ let test_protocol_responses () =
             sp_cache_misses = 0;
             sp_ctx = None;
           };
-        ];
-      Protocol.Trace_spans
-        [
           {
             Lt_obs.Trace.sp_op = Lt_obs.Trace.Request;
             sp_table = "query";
@@ -272,20 +267,27 @@ let test_ctx_framing () =
 
 (* ---- End-to-end over TCP ----------------------------------------------- *)
 
-let with_server f =
+(* [with_db_server f] runs [f db server] against a fresh server with no
+   maintenance thread; merges happen only when a test asks for one. *)
+let with_db_server ?slow_op_micros f =
   let dir = Filename.temp_file "lt_net_test" "" in
   Sys.remove dir;
-  let config = Littletable.Config.make ~server_row_limit:8 () in
+  let config =
+    Littletable.Config.make ~server_row_limit:8 ~merge_delay:0L
+      ~rollover_spread:0.0 ?slow_op_micros ()
+  in
   let db = Db.open_ ~config ~dir () in
   let server = Server.start ~maintenance_period_s:0.0 ~db ~port:0 () in
   Fun.protect
     ~finally:(fun () ->
       Server.stop server;
       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
-    (fun () -> f server)
+    (fun () -> f db server)
+
+let with_server f = with_db_server (fun _ server -> f server)
 
 let test_server_end_to_end () =
-  with_server (fun server ->
+  with_db_server (fun db server ->
       let c = Client.connect ~port:(Server.port server) () in
       Client.ping c;
       Alcotest.(check (list string)) "empty" [] (Client.list_tables c);
@@ -325,6 +327,25 @@ let test_server_end_to_end () =
       let s = Client.stats c "usage" in
       Alcotest.(check int) "rows inserted" 30 s.Stats.rows_inserted;
       Alcotest.(check bool) "flushed" true (s.Stats.flushes >= 1);
+      (* A second flushed tablet, a merge, and reads through the block
+         cache: every counter of the remote view then has something to
+         carry, and it must equal the server's own, field for field. *)
+      Client.insert c "usage"
+        (List.init 30 (fun i ->
+             Support.usage_row ~network:2L ~device:(Int64.of_int i)
+               ~ts:(Int64.of_int (i + 1)) ~bytes:1L ~rate:0.0));
+      Client.flush_before c "usage" ~ts:100L;
+      let tbl = Db.table db "usage" in
+      Alcotest.(check bool) "merged" true (Table.merge_step tbl);
+      for _ = 1 to 2 do
+        ignore (Client.query_all c "usage" Query.all)
+      done;
+      let s = Client.stats c "usage" in
+      Alcotest.(check bool) "merge counted" true (s.Stats.merged_bytes_in > 0);
+      Alcotest.(check bool) "cache hit" true
+        (s.Stats.cache.Stats.cache_hits > 0);
+      Alcotest.(check bool) "stats view equals Table.stats" true
+        (s = Table.stats tbl);
       (* errors. *)
       (match Client.insert c "usage" rows with
       | () -> Alcotest.fail "duplicate batch accepted"
@@ -436,22 +457,28 @@ let test_stop_leaves_other_server_alone () =
               Alcotest.fail "stopping server A cut a connection to server B");
           Client.close c2))
 
-(* A client one version behind (v5 still sent single-table inserts as
-   request tag 5) must be refused at the door, not half-served with
-   messages it cannot decode; tag 5 itself no longer decodes. *)
+(* A client one version behind (v6 still sent the stats, text-metrics
+   and slow-op requests as tags 9, 15 and 16; v5 single-table inserts as
+   tag 5) must be refused at the door, not half-served with messages it
+   cannot decode; those tags themselves no longer decode. *)
 let test_mixed_version_hello_rejected () =
-  let old_insert =
+  let retired tag =
     let b = Buffer.create 16 in
-    Lt_util.Binio.put_u8 b 5;
+    Lt_util.Binio.put_u8 b tag;
     Lt_util.Binio.put_string b "usage";
     Lt_util.Binio.put_varint b 0;
     Buffer.contents b
   in
-  (match Protocol.read_request (Lt_util.Binio.cursor old_insert) with
-  | (_ : Protocol.request) -> Alcotest.fail "request tag 5 accepted"
-  | exception Protocol.Protocol_error msg ->
-      Alcotest.(check string) "tag 5 is a bad request tag" "bad request tag 5"
-        msg);
+  List.iter
+    (fun tag ->
+      match Protocol.read_request (Lt_util.Binio.cursor (retired tag)) with
+      | (_ : Protocol.request) -> Alcotest.failf "request tag %d accepted" tag
+      | exception Protocol.Protocol_error msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "tag %d is a bad request tag" tag)
+            (Printf.sprintf "bad request tag %d" tag)
+            msg)
+    [ 5; 9; 15; 16 ];
   with_server (fun server ->
       let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
       Fun.protect
@@ -459,7 +486,7 @@ let test_mixed_version_hello_rejected () =
         (fun () ->
           Unix.connect fd
             (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
-          Protocol.send_request fd (Protocol.Hello 5);
+          Protocol.send_request fd (Protocol.Hello 6);
           (match Protocol.recv_response fd with
           | Protocol.Error msg ->
               Alcotest.(check bool) "names the version" true
@@ -512,7 +539,9 @@ let test_query_profile_over_wire () =
    the server returns that request's spans — the single-node half of
    the cross-process trace tree. *)
 let test_trace_fetch_over_wire () =
-  with_server (fun server ->
+  (* Every span is slow at a zero threshold, so [.slow]'s view has
+     something to cap. *)
+  with_db_server ~slow_op_micros:0L (fun _ server ->
       let obs = Lt_obs.Obs.create ~clock:Lt_util.Clock.system () in
       let c = Client.connect ~obs ~port:(Server.port server) () in
       Client.create_table c "usage" (Support.usage_schema ()) ~ttl:None;
@@ -538,6 +567,15 @@ let test_trace_fetch_over_wire () =
                  | Some cx -> Lt_obs.Trace.same_trace ~hi ~lo cx
                  | None -> false)
                spans);
+          let ended sp =
+            Int64.add sp.Lt_obs.Trace.sp_start_us sp.Lt_obs.Trace.sp_duration_us
+          in
+          (match Client.slow_ops ~n:2 c with
+          | [ a; b ] ->
+              Alcotest.(check bool) "slow ops newest first" true
+                (ended a >= ended b)
+          | spans ->
+              Alcotest.failf "slow_ops ~n:2 gave %d spans" (List.length spans));
           Client.close c)
 
 (* A plain single-node server still answers Get_placement: one implicit
@@ -832,7 +870,7 @@ let test_negative_count_rejected () =
       ("negative latest prefix count", request, "\007\000");
       ("negative delete prefix count", request, "\011\000");
       ("negative table count", response, "\001");
-      ("negative slow-op count", response, "\012");
+      ("negative span count", response, "\014");
     ]
 
 let suite =

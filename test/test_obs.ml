@@ -181,8 +181,9 @@ let test_ring_wraparound () =
   Alcotest.(check (list int)) "newest first" [ 9; 8; 7; 6 ]
     (List.map (fun sp -> sp.Trace.sp_scanned) recent);
   Alcotest.(check (list int)) "slow filters by threshold" [ 9; 8; 7 ]
-    (List.map (fun sp -> sp.Trace.sp_scanned) (Trace.slow t));
-  check_int "slow respects n" 1 (List.length (Trace.slow ~n:1 t))
+    (List.rev_map (fun sp -> sp.Trace.sp_scanned)
+       (Trace.find ~slow_only:true t));
+  check_bool "slow threshold fixed at create" true (Trace.slow_us t = 700L)
 
 (* ---- Trace contexts ---------------------------------------------------- *)
 
@@ -253,17 +254,16 @@ let test_trace_filters () =
   Trace.record t (mk ~tbl:"usage" ~ctx:None 3);
   check_int "table filter (recent)" 3
     (List.length (Trace.recent ~table:"usage" t));
-  check_int "table filter (slow)" 1
-    (List.length (Trace.slow ~table:"events" t));
-  let found =
-    Trace.find_trace t ~hi:ra.Trace.cx_trace_hi ~lo:ra.Trace.cx_trace_lo
-  in
-  check_int "find_trace matches both spans" 2 (List.length found);
-  Alcotest.(check (list int)) "find_trace is oldest first" [ 0; 1 ]
+  let trace_a = (ra.Trace.cx_trace_hi, ra.Trace.cx_trace_lo) in
+  check_int "trace and slow filters compose" 2
+    (List.length (Trace.find ~trace:trace_a ~slow_only:true t));
+  let found = Trace.find ~trace:trace_a t in
+  check_int "trace filter matches both spans" 2 (List.length found);
+  Alcotest.(check (list int)) "trace filter is oldest first" [ 0; 1 ]
     (List.map (fun sp -> sp.Trace.sp_scanned) found);
   check_int "other trace isolated" 1
     (List.length
-       (Trace.find_trace t ~hi:rb.Trace.cx_trace_hi ~lo:rb.Trace.cx_trace_lo))
+       (Trace.find ~trace:(rb.Trace.cx_trace_hi, rb.Trace.cx_trace_lo) t))
 
 (* record_op with no explicit ctx attaches a child of the ambient one. *)
 let test_record_op_ambient () =
@@ -350,7 +350,7 @@ let test_snapshot_federation () =
     (label, Metrics.snapshot r)
   in
   let sources = [ mk_source "0" 10; mk_source "1" 20 ] in
-  let text = Metrics.render_federated sources in
+  let text = Metrics.render_snapshot (Metrics.federate sources) in
   (* Aggregate first: counters sum across sources... *)
   check_bool "counter aggregate" true
     (contains text "lt_rows_total{table=\"usage\"} 30");
@@ -406,7 +406,7 @@ let test_slow_query_e2e () =
   let result = Table.query table Query.all in
   check_int "row survived" 1 (List.length result.Table.rows);
   let obs = Db.obs db in
-  let slow = Trace.slow (Obs.trace obs) in
+  let slow = Trace.find ~slow_only:true (Obs.trace obs) in
   let is_slow_query sp =
     sp.Trace.sp_op = Trace.Query
     && sp.Trace.sp_table = "usage"
