@@ -213,16 +213,22 @@ let decode data =
   let offsets = Array.init count (fun _ -> Binio.get_u32 cur) in
   { data; repr = Row_r { offsets; payload_start = cur.Binio.pos } }
 
-let section_bytes data d =
+(* A section's raw bytes as a bounded cursor: a stored section is read
+   in place, an LZ section is inflated straight out of the block data;
+   neither copies the stored payload first. *)
+let section_cursor data d =
   if d.cd_off + d.cd_comp_len > String.length data then
     raise (Binio.Corrupt "block: truncated column section");
-  let comp = String.sub data d.cd_off d.cd_comp_len in
-  if d.cd_codec = 1 then (
-    try Lt_lz.Lz.decompress ~raw_len:d.cd_raw_len comp
-    with Lt_lz.Lz.Corrupt m -> raise (Binio.Corrupt ("block: " ^ m)))
+  if d.cd_codec = 1 then
+    match
+      Lt_lz.Lz.decompress ~off:d.cd_off ~len:d.cd_comp_len
+        ~raw_len:d.cd_raw_len data
+    with
+    | raw -> Binio.cursor raw
+    | exception Lt_lz.Lz.Corrupt m -> raise (Binio.Corrupt ("block: " ^ m))
   else if d.cd_comp_len <> d.cd_raw_len then
     raise (Binio.Corrupt "block: section length mismatch")
-  else comp
+  else Binio.cursor ~pos:d.cd_off ~len:d.cd_comp_len data
 
 let get_section_desc cur ~bitmap =
   let codec = Binio.get_u8 cur in
@@ -250,8 +256,7 @@ let decode_columnar schema data =
   if ncols <> Schema.column_count schema then
     raise (Binio.Corrupt "block: column count does not match footer schema");
   let keys_desc = get_section_desc cur ~bitmap:None in
-  let keysec = section_bytes data keys_desc in
-  let kcur = Binio.cursor keysec in
+  let kcur = section_cursor data keys_desc in
   let keys = Array.init rows (fun _ -> Binio.get_string kcur) in
   Binio.expect_end kcur;
   let cols =
@@ -330,51 +335,41 @@ let search_geq t k =
   done;
   !lo
 
-let decode_column_into data d ~rows ~ctype ~default =
-  let raw = section_bytes data d in
-  let cur = Binio.cursor raw in
-  let out = Array.make rows default in
+(* Decode one column's cells for rows [\[first, last)] into [out] (row
+   [i] lands in [out.(i - first)]). Cells outside the window are stepped
+   over without allocating, so the whole section is still checked to its
+   end. *)
+let decode_cells data d ~rows ~first ~last ~ctype out c =
+  let cur = section_cursor data d in
   (match d.cd_bitmap with
-  | None -> for i = 0 to rows - 1 do out.(i) <- Value.decode ctype cur done
+  | None ->
+      for _ = 0 to first - 1 do Value.skip ctype cur done;
+      for i = first to last - 1 do
+        out.(i - first).(c) <- Value.decode ctype cur
+      done;
+      for _ = last to rows - 1 do Value.skip ctype cur done
   | Some boff ->
       for i = 0 to rows - 1 do
         if Char.code data.[boff + (i / 8)] land (1 lsl (i mod 8)) <> 0 then
-          out.(i) <- Value.decode ctype cur
+          if i < first || i >= last then Value.skip ctype cur
+          else out.(i - first).(c) <- Value.decode ctype cur
       done);
-  Binio.expect_end cur;
-  out
+  Binio.expect_end cur
 
-let read_column t schema c =
+let columnar_rows ?cols t schema ~first ~last =
   let r = col_repr t in
+  if first < 0 || last > r.c_rows || first > last then
+    invalid_arg "Block.columnar_rows: window outside the block";
   let columns = Schema.columns schema in
-  if Schema.is_pkey schema c then begin
-    let pk = Schema.pkey schema in
-    let j = ref 0 in
-    Array.iteri (fun k idx -> if idx = c then j := k) pk;
-    Array.map (fun key -> (Key_codec.decode_key schema key).(!j)) r.c_keys
-  end
-  else
-    match r.c_cols.(c) with
-    | Some d ->
-        decode_column_into t.data d ~rows:r.c_rows
-          ~ctype:columns.(c).Schema.ctype ~default:columns.(c).Schema.default
-    | None -> assert false
-
-let columnar_rows t schema ?cols () =
-  let r = col_repr t in
-  let columns = Schema.columns schema in
-  let n = r.c_rows in
-  let out =
-    Array.init n (fun _ -> Array.map (fun c -> c.Schema.default) columns)
-  in
+  let defaults = Array.map (fun c -> c.Schema.default) columns in
+  let out = Array.init (last - first) (fun _ -> Array.copy defaults) in
   (* Primary-key columns are never stored as sections; every row's key
      values come from one decode of its already materialized key. *)
   let pk = Schema.pkey schema in
-  Array.iteri
-    (fun i key ->
-      let kv = Key_codec.decode_key schema key in
-      Array.iteri (fun j idx -> out.(i).(idx) <- kv.(j)) pk)
-    r.c_keys;
+  for i = first to last - 1 do
+    let kv = Key_codec.decode_key schema r.c_keys.(i) in
+    Array.iteri (fun j idx -> out.(i - first).(idx) <- kv.(j)) pk
+  done;
   let wanted c = match cols with None -> true | Some l -> List.mem c l in
   let decoded = ref 0 in
   Array.iteri
@@ -382,12 +377,8 @@ let columnar_rows t schema ?cols () =
       match desc with
       | Some d when wanted c ->
           incr decoded;
-          let vals =
-            decode_column_into t.data d ~rows:n
-              ~ctype:columns.(c).Schema.ctype
-              ~default:columns.(c).Schema.default
-          in
-          Array.iteri (fun i v -> out.(i).(c) <- v) vals
+          decode_cells t.data d ~rows:r.c_rows ~first ~last
+            ~ctype:columns.(c).Schema.ctype out c
       | Some _ | None -> ())
     r.c_cols;
   (out, !decoded)

@@ -95,7 +95,7 @@ val decode : string -> t
 
 (** Decode a column-major block written under the given (stored)
     schema. Keys are materialized eagerly; column sections stay
-    compressed until {!read_column}/{!columnar_rows} asks for them.
+    compressed until {!columnar_rows} asks for them.
     @raise Lt_util.Binio.Corrupt on malformed input. *)
 val decode_columnar : Schema.t -> string -> t
 
@@ -124,16 +124,21 @@ val search_geq : t -> string -> int
 
 (** {1 Columnar reading} *)
 
-(** [read_column t schema c] materializes column [c] (stored-schema
-    index) of a columnar block: decompresses and decodes just that
-    column's section, or recovers a primary-key column from the keys.
-    Absent cells take the stored schema's default. *)
-val read_column : t -> Schema.t -> int -> Value.t array
-
-(** [columnar_rows t schema ?cols ()] materializes a columnar block's
-    rows under its stored schema. Primary-key columns are always filled
-    from the keys; non-key columns are decoded only when listed in
-    [cols] (default: all), others keep their schema defaults. Returns
-    the rows and the number of column sections actually decoded. *)
+(** [columnar_rows ?cols t schema ~first ~last] materializes rows
+    [\[first, last)] of a columnar block under its stored schema: row
+    [first + i] is element [i] of the result. Primary-key columns are
+    always filled from the keys; non-key columns are decoded only when
+    listed in [cols] (default: all), others keep their schema defaults.
+    Cells outside the window are stepped over with {!Value.skip}, which
+    allocates nothing, so every wanted section is checked to its end
+    whatever the window, an empty one included. Returns the rows and the
+    number of column sections decoded.
+    @raise Invalid_argument unless [0 <= first <= last <= count t].
+    @raise Lt_util.Binio.Corrupt on a malformed section. *)
 val columnar_rows :
-  t -> Schema.t -> ?cols:int list -> unit -> Value.t array array * int
+  ?cols:int list ->
+  t ->
+  Schema.t ->
+  first:int ->
+  last:int ->
+  Value.t array array * int

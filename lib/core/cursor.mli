@@ -13,11 +13,22 @@
     higher-priority row wins and the others are dropped. *)
 
 (** A pull iterator over [(encoded key, payload)] pairs: [None] means
-    exhausted. Single-consumer. Queries stream decoded rows; merges and
-    rewrites stream value encodings ({!Tablet.iter_encoded}). *)
+    exhausted. Single-consumer. Queries stream row handles
+    ({!Tablet.row}); merges and rewrites stream value encodings
+    ({!Tablet.iter_encoded}).
+
+    Nothing here decodes a row. {!merge}, {!filter_ts} and {!take} read
+    only keys and pass payloads through, so a handle that the merge
+    shadows, the ts filter drops or the limit cuts is never forced. A
+    query forces a handle with {!Tablet.force} only where the row leaves
+    the engine or is folded: [Table.query]'s collect loop,
+    [Table.query_iter]'s output, [Table.latest]'s answer and the merged
+    residue of [Table.query_agg]. Handles reference immutable loaded
+    blocks, so a stream staged on a {!Lt_exec.Pscan} worker may hand them
+    to the consuming domain. *)
 type 'a stream = unit -> (string * 'a) option
 
-(** A stream of decoded rows. *)
+(** A stream of decoded rows, as queries hand them to callers. *)
 type source = Value.t array stream
 
 (** [merge ~asc sources] merge-sorts [(priority, stream)] pairs into one
@@ -32,13 +43,13 @@ val filter_ts :
   scanned:int ref -> ?ts_min:int64 -> ?ts_max:int64 -> 'a stream -> 'a stream
 
 (** Stop after [n] rows. *)
-val take : int -> source -> source
+val take : int -> 'a stream -> 'a stream
 
-(** Drain the source through an accumulator — how aggregate pushdown
+(** Drain the stream through an accumulator — how aggregate pushdown
     consumes the residue streams that footer stats could not answer. *)
-val fold : ('a -> string * Value.t array -> 'a) -> 'a -> source -> 'a
+val fold : ('acc -> string * 'a -> 'acc) -> 'acc -> 'a stream -> 'acc
 
-val to_list : source -> (string * Value.t array) list
+val to_list : 'a stream -> (string * 'a) list
 
-(** Rows only, discarding keys. *)
-val rows : source -> Value.t array list
+(** Payloads only, discarding keys. *)
+val rows : 'a stream -> 'a list

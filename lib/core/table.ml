@@ -1022,12 +1022,18 @@ let open_readers t sel =
       release t sel.disk;
       raise e
 
+(* Memtable rows are already decoded; they travel as handles only so
+   they can merge with tablet streams. *)
 let mem_source ~asc ~lo ?hi mv =
   let it =
     if asc then Avl.iter_asc ~lo ?hi mv.mv_rows
     else Avl.iter_desc ~lo ?hi mv.mv_rows
   in
-  (mv.mv_id, fun () -> Avl.next it)
+  ( mv.mv_id,
+    fun () ->
+      match Avl.next it with
+      | Some (key, row) -> Some (key, Tablet.decoded row)
+      | None -> None )
 
 let empty_source () = None
 
@@ -1123,9 +1129,9 @@ let query_iter t q =
     if !finished then None
     else begin
       match src () with
-      | Some kv ->
+      | Some (key, h) ->
           incr returned;
-          Some kv
+          Some (key, Tablet.force h)
       | None ->
           finished := true;
           finish ();
@@ -1156,7 +1162,7 @@ let query ?(profile = false) t (q : Query.t) =
     else begin
       match src () with
       | None -> (List.rev acc, false)
-      | Some (_, row) -> collect (row :: acc) (n - 1)
+      | Some (_, h) -> collect (Tablet.force h :: acc) (n - 1)
     end
   in
   let rows, more = collect [] cap in
@@ -1273,7 +1279,7 @@ let query_agg ?(profile = false) t (q : Query.t) ~specs =
                     ?ts_max:q.Query.ts_max
                     (Cursor.merge ~asc:true sources)
                 in
-                Cursor.fold (fun () (_, row) -> feed_row row) () src);
+                Cursor.fold (fun () (_, h) -> feed_row (Tablet.force h)) () src);
             sel)
   in
   let tablets = List.length sel.disk in
@@ -1366,21 +1372,21 @@ let latest t prefix_values =
                 (* Keys sharing all non-ts columns differ only in ts, and
                    ts is the last key column, so descending key order is
                    descending ts order: the first hit is the latest. *)
-                Option.map snd (src ())
+                Option.map (fun (_, h) -> Tablet.force h) (src ())
               else begin
                 let best = ref None in
                 let rec go () =
                   match src () with
                   | None -> ()
-                  | Some (key, row) ->
+                  | Some (key, h) ->
                       let ts = Key_codec.ts_of_key key in
                       (match !best with
                       | Some (bts, _) when bts >= ts -> ()
-                      | _ -> best := Some (ts, row));
+                      | _ -> best := Some (ts, h));
                       go ()
                 in
                 go ();
-                Option.map snd !best
+                Option.map (fun (_, h) -> Tablet.force h) !best
               end)
         end
       in

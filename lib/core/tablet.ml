@@ -40,23 +40,26 @@ let encode_frame_store raw =
   Buffer.add_string buf raw;
   Buffer.contents buf
 
+(* The payload is checked and inflated in place; only a stored frame's
+   payload is copied out. *)
 let decode_frame frame =
   let cur = Binio.cursor frame in
   let codec = Binio.get_u8 cur in
   let comp_len = Binio.get_u32 cur in
   let raw_len = Binio.get_u32 cur in
   let crc = Binio.get_i32 cur in
-  let payload = Binio.get_bytes cur comp_len in
+  let off = cur.Binio.pos in
+  Binio.skip cur comp_len;
   Binio.expect_end cur;
-  if Crc32c.string payload <> crc then
+  if Crc32c.string ~off ~len:comp_len frame <> crc then
     raise (Binio.Corrupt "tablet frame: checksum mismatch");
   match codec with
   | 0 ->
-      if String.length payload <> raw_len then
+      if comp_len <> raw_len then
         raise (Binio.Corrupt "tablet frame: raw length mismatch");
-      payload
+      String.sub frame off comp_len
   | 1 -> (
-      try Lt_lz.Lz.decompress ~raw_len payload
+      try Lt_lz.Lz.decompress ~off ~len:comp_len ~raw_len frame
       with Lt_lz.Lz.Corrupt msg -> raise (Binio.Corrupt ("tablet frame: " ^ msg)))
   | n -> raise (Binio.Corrupt (Printf.sprintf "tablet frame: unknown codec %d" n))
 
@@ -562,10 +565,22 @@ let mem r key =
 
 (* Decode a row straight out of the block's backing bytes: no per-row
    value string, just a (offset, length) window into the block data. *)
-let translate_at r ~into b i ~key =
+let translate_at ~from ~into b i ~key =
   let off, len = Block.value_span b i in
-  Row_codec.decode_translated_slice ~from:r.footer.schema ~into ~key
-    ~data:(Block.data b) ~off ~len
+  Row_codec.decode_translated_slice ~from ~into ~key ~data:(Block.data b) ~off
+    ~len
+
+(* A row-major block as a scan loaded it, with the schemas its entries
+   decode under. Immutable, like the block. *)
+type block_ref = { b : Block.t; from : Schema.t; into : Schema.t }
+
+type row = Decoded of Value.t array | In_block of block_ref * int * string
+
+let decoded row = Decoded row
+
+let force = function
+  | Decoded row -> row
+  | In_block (br, i, key) -> translate_at ~from:br.from ~into:br.into br.b i ~key
 
 type scan_counters = {
   sc_footer_blocks : int Atomic.t;
@@ -591,35 +606,50 @@ let stored_projection r projection =
       let n = Schema.column_count r.footer.schema in
       Some (List.filter (fun c -> c < n) cols)
 
-(* Materialize a columnar block's rows, translated to the target schema.
-   Unprojected columns carry their defaults — invisible to projected
-   reads, and identical to the row layout's values for untouched columns
-   since defaults only change by widening. *)
-let materialize r ?counters ~projection ~into b =
+(* Materialize rows [\[first, last)] of a columnar block, translated to
+   the target schema. Unprojected columns carry their defaults —
+   invisible to projected reads, and identical to the row layout's values
+   for untouched columns since defaults only change by widening. *)
+let materialize r ?counters ~projection ~into ~first ~last b =
   let cols = stored_projection r projection in
-  let rows, decoded = Block.columnar_rows b r.footer.schema ?cols () in
+  let rows, decoded =
+    Block.columnar_rows ?cols b r.footer.schema ~first ~last
+  in
   bump counters (fun c -> c.sc_cols_decoded) decoded;
   if Schema.equal r.footer.schema into then rows
   else Array.map (Schema.translate_row ~from:r.footer.schema ~into) rows
 
-type loaded = { lb : Block.t; lrows : Value.t array array option }
+(* The index range of [b] that keys in [\[lo, hi)] can reach. *)
+let key_window b ~lo ~hi =
+  let at = function None -> None | Some k -> Some (Block.search_geq b k) in
+  let first = Option.value (at lo) ~default:0 in
+  (first, max first (Option.value (at hi) ~default:(Block.count b)))
+
+(* What a scan holds of a loaded block: a row-major block's entries stay
+   encoded until forced; a columnar block's window (the rows the scan's
+   key bounds can reach, starting at index [first]) is materialized. *)
+type window = Entries of block_ref | Rows of int * Value.t array array
+
+type loaded = { lb : Block.t; lwin : window }
 
 let iter r ~asc ?lo ?hi ?projection ?counters () =
   let nblocks = block_count r in
   let load bi =
     let b = load_block r bi in
-    let lrows =
+    let into = r.target in
+    let lwin =
       match Block.layout b with
-      | Block.Row_major -> None
+      | Block.Row_major -> Entries { b; from = r.footer.schema; into }
       | Block.Col_major ->
-          Some (materialize r ?counters ~projection ~into:r.target b)
+          let first, last = key_window b ~lo ~hi in
+          Rows (first, materialize r ?counters ~projection ~into ~first ~last b)
     in
-    { lb = b; lrows }
+    { lb = b; lwin }
   in
   let row_at l i ~key =
-    match l.lrows with
-    | Some rows -> rows.(i)
-    | None -> translate_at r ~into:r.target l.lb i ~key
+    match l.lwin with
+    | Entries br -> In_block (br, i, key)
+    | Rows (first, rows) -> Decoded rows.(i - first)
   in
   let in_lo k = match lo with None -> true | Some b -> String.compare k b >= 0 in
   let in_hi k = match hi with None -> true | Some b -> String.compare k b < 0 in
@@ -728,8 +758,10 @@ let iter_encoded r =
     | Block.Row_major ->
         recode
           (Array.init (Block.count b) (fun i ->
-               translate_at r ~into b i ~key:(Block.key b i)))
-    | Block.Col_major -> recode (materialize r ~projection:None ~into b)
+               translate_at ~from ~into b i ~key:(Block.key b i)))
+    | Block.Col_major ->
+        recode
+          (materialize r ~projection:None ~into ~first:0 ~last:(Block.count b) b)
   in
   let bi = ref 0 and block = ref None and pos = ref 0 in
   let rec next () =
@@ -806,9 +838,6 @@ let fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs () =
                   cs_max = Option.map widen s.Agg.cs_max }
           end
     in
-    let in_lo k =
-      match lo with None -> true | Some b -> String.compare k b >= 0
-    in
     let in_hi k =
       match hi with None -> true | Some b -> String.compare k b < 0
     in
@@ -874,36 +903,23 @@ let fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs () =
         end
         else if not ts_disjoint then begin
           let b = load_block r i in
-          let j0 = match lo with None -> 0 | Some k -> Block.search_geq b k in
-          let n = Block.count b in
+          let first, last = key_window b ~lo ~hi in
           match Block.layout b with
           | Block.Row_major ->
-              let j = ref j0 in
-              let stop = ref false in
-              while (not !stop) && !j < n do
-                let key = Block.key b !j in
-                if not (in_hi key) then stop := true
-                else begin
-                  if in_ts (Key_codec.ts_of_key key) then
-                    feed_row (translate_at r ~into:r.target b !j ~key);
-                  incr j
-                end
+              for j = first to last - 1 do
+                let key = Block.key b j in
+                if in_ts (Key_codec.ts_of_key key) then
+                  feed_row (translate_at ~from:stored ~into:r.target b j ~key)
               done
           | Block.Col_major ->
+              (* Only the window the key bounds reach is materialized. *)
               let rows, decoded =
-                Block.columnar_rows b stored ~cols:needed_cols ()
+                Block.columnar_rows ~cols:needed_cols b stored ~first ~last
               in
               bump counters (fun c -> c.sc_cols_decoded) decoded;
-              let j = ref j0 in
-              let stop = ref false in
-              while (not !stop) && !j < n do
-                let key = Block.key b !j in
-                if not (in_hi key) then stop := true
-                else begin
-                  if in_lo key && in_ts (Key_codec.ts_of_key key) then
-                    feed_row (translate rows.(!j));
-                  incr j
-                end
+              for j = first to last - 1 do
+                if in_ts (Key_codec.ts_of_key (Block.key b j)) then
+                  feed_row (translate rows.(j - first))
               done
         end
       done

@@ -132,9 +132,37 @@ type scan_counters = {
 
 val fresh_counters : unit -> scan_counters
 
-(** [iter r ~asc ?lo ?hi ?projection ?counters ()] streams rows with
-    encoded keys in [\[lo, hi)], ascending or descending; rows are
-    translated to the target schema. [projection] (target-schema column
+(** {2 Row handles}
+
+    Scans hand out rows as handles and decode a row only once the query
+    has accepted it. A handle is either a row already decoded (a
+    memtable row, or a row of a columnar block's materialized window) or
+    a reference to an entry of a loaded row-major block: the block, the
+    entry index, the key and the schemas to decode under. {!force}
+    decodes it, translated to the target schema the reader had when the
+    block was loaded. So a row that {!Cursor.filter_ts} drops, that
+    {!Cursor.merge} shadows, or that a limit cuts off is never decoded.
+
+    Loaded blocks are immutable and a handle holds nothing mutable, so a
+    handle stays valid after its block leaves the cache or its tablet is
+    released, and a {!Lt_exec.Pscan} worker may hand it to the consumer
+    domain, which forces it there. *)
+
+type row
+
+(** A row that is already decoded, as a memtable holds it. *)
+val decoded : Value.t array -> row
+
+(** The row under the target schema. Decodes a block entry each time it
+    is called; force a handle once. *)
+val force : row -> Value.t array
+
+(** [iter r ~asc ?lo ?hi ?projection ?counters ()] streams the rows with
+    encoded keys in [\[lo, hi)], ascending or descending, as handles.
+    Row-major entries stay encoded until forced. A columnar block
+    materializes only its window [\[search_geq lo, search_geq hi)] when
+    the scan loads it ({!Block.columnar_rows}): the rows the bounds can
+    reach, none outside them. [projection] (target-schema column
     indices) lets columnar blocks decode only the named columns —
     unprojected non-key cells are unspecified (defaults); row-major
     blocks ignore it. [counters] receives per-block pushdown tallies.
@@ -148,7 +176,7 @@ val iter :
   ?counters:scan_counters ->
   unit ->
   unit ->
-  (string * Value.t array) option
+  (string * row) option
 
 (** [iter_encoded r] streams every row ascending as [(key, value)], the
     value encoded ({!Row_codec}) under the reader's target schema as it
@@ -164,8 +192,9 @@ val iter_encoded : reader -> unit -> (string * string) option
     [\[ts_min, ts_max\]] into [accs] (one accumulator per spec, target
     schema column indices). Columnar blocks whose whole key and
     timestamp ranges fall inside the bounds are absorbed from footer
-    stats without being read; remaining blocks decode only referenced
-    columns (row-major blocks decode rows as usual). The result is
+    stats without being read; remaining blocks decode only the rows
+    the key bounds reach — columnar ones only referenced columns of
+    those rows, row-major ones only rows inside the timestamp bounds. The result is
     bit-identical to feeding the same rows through {!Agg.feed} one at a
     time. *)
 val fold_aggs :

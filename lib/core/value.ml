@@ -100,3 +100,9 @@ let decode ctype cur =
   | T_timestamp -> Timestamp (Binio.get_i64 cur)
   | T_string -> String (Binio.get_string cur)
   | T_blob -> Blob (Binio.get_string cur)
+
+let skip ctype cur =
+  match ctype with
+  | T_int32 -> Binio.skip cur 4
+  | T_int64 | T_double | T_timestamp -> Binio.skip cur 8
+  | T_string | T_blob -> Binio.skip cur (Binio.get_varint cur)

@@ -58,3 +58,9 @@ val encode : Buffer.t -> t -> unit
 val encoded_size : t -> int
 
 val decode : ctype -> Lt_util.Binio.cursor -> t
+
+(** [skip ctype cur] advances [cur] past one encoded value of [ctype],
+    exactly as far as {!decode} would, without allocating — how a
+    columnar scan steps over the cells outside its window.
+    @raise Lt_util.Binio.Corrupt on truncated input. *)
+val skip : ctype -> Lt_util.Binio.cursor -> unit

@@ -103,19 +103,23 @@ let compress src =
     Buffer.contents b
   end
 
-let decompress ~raw_len src =
+let decompress ?(off = 0) ?len ~raw_len src =
+  let len = match len with None -> String.length src - off | Some l -> l in
+  if off < 0 || len < 0 || off + len > String.length src then
+    invalid_arg "Lz.decompress: window outside the input";
   if raw_len < 0 then corrupt "negative raw length %d" raw_len;
   if raw_len = 0 then begin
-    if src <> "" then corrupt "nonempty block for empty output";
+    if len <> 0 then corrupt "nonempty block for empty output";
     ""
   end
   else begin
-    let n = String.length src in
+    (* [ip] runs over the window [off, n) of [src]. *)
+    let n = off + len in
     let out = Bytes.create raw_len in
     let op = ref 0 (* output position *) in
-    let ip = ref 0 (* input position *) in
+    let ip = ref off (* input position *) in
     let read_byte () =
-      if !ip >= n then corrupt "truncated block at input offset %d" !ip;
+      if !ip >= n then corrupt "truncated block at input offset %d" (!ip - off);
       let c = Char.code (String.unsafe_get src !ip) in
       incr ip;
       c

@@ -21,11 +21,14 @@ exception Corrupt of string
     string compresses to the empty string. *)
 val compress : string -> string
 
-(** [decompress ~raw_len s] inflates [s], which must decode to exactly
-    [raw_len] bytes.
-    @raise Corrupt if [s] is not a valid block or decodes to a different
-    length. *)
-val decompress : raw_len:int -> string -> string
+(** [decompress ?off ?len ~raw_len s] inflates the [len] bytes of [s]
+    starting at [off] (default: all of [s]), which must decode to exactly
+    [raw_len] bytes. The window lets a caller inflate a payload straight
+    out of the frame that holds it, without copying it out first.
+    @raise Corrupt if the window is not a valid block or decodes to a
+    different length.
+    @raise Invalid_argument if the window lies outside [s]. *)
+val decompress : ?off:int -> ?len:int -> raw_len:int -> string -> string
 
 (** [max_compressed_len n] is an upper bound on [String.length (compress s)]
     for any [s] with [String.length s = n]. *)

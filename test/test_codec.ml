@@ -55,6 +55,60 @@ let prop_value_roundtrip =
       | Value.Double a, Value.Double b -> Int64.bits_of_float a = Int64.bits_of_float b
       | _ -> Value.equal v v')
 
+(* [Value.skip] must step exactly as far as [Value.decode] reads, on
+   every type, on strings whose length varint takes two bytes (>= 128),
+   and must raise [Corrupt] on input cut inside a value, as decode does.
+   The sequence is encoded back to back, then cut at a random point. *)
+let prop_value_skip =
+  let long_value =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun s -> Value.String s) (string_size (int_range 120 300));
+          map (fun s -> Value.Blob s) (string_size (int_range 120 300));
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 8) (frequency [ (3, value_gen); (1, long_value) ]))
+        (frequency [ (1, return 1.0); (1, float_bound_inclusive 1.0) ]))
+  in
+  let print (vs, frac) =
+    Printf.sprintf "cut at %.3f of [%s]" frac
+      (String.concat "; " (List.map Value.to_string vs))
+  in
+  QCheck.Test.make ~name:"value skip advances as far as decode" ~count:1000
+    (QCheck.make ~print gen) (fun (vs, frac) ->
+      let b = Buffer.create 64 in
+      List.iter (Value.encode b) vs;
+      let full = Buffer.contents b in
+      let cut = int_of_float (frac *. float (String.length full)) in
+      let data = String.sub full 0 cut in
+      (* Where one read of [ctype] at [pos] leaves the cursor; [None] when
+         it raised [Corrupt]. *)
+      let step read ctype pos =
+        let cur = Binio.cursor ~pos data in
+        match read ctype cur with
+        | () -> Some cur.Binio.pos
+        | exception Binio.Corrupt _ -> None
+      in
+      let rec walk pos = function
+        | [] -> true
+        | v :: rest -> (
+            let ctype = Value.type_of v in
+            let by_decode =
+              step (fun c cur -> ignore (Value.decode c cur)) ctype pos
+            in
+            let by_skip = step Value.skip ctype pos in
+            by_decode = by_skip
+            &&
+            match by_skip with
+            | None -> pos + Value.encoded_size v > cut
+            | Some p -> p = pos + Value.encoded_size v && walk p rest)
+      in
+      walk 0 vs)
+
 (* ---- Schema --------------------------------------------------------- *)
 
 let test_schema_validation () =
@@ -353,6 +407,7 @@ let suite =
     ("row codec roundtrip", `Quick, test_row_roundtrip);
     ("row codec translated decode", `Quick, test_row_translated_decode);
     Support.qcheck prop_value_roundtrip;
+    Support.qcheck prop_value_skip;
     Support.qcheck prop_int64_order;
     Support.qcheck prop_int32_order;
     Support.qcheck prop_double_order;

@@ -100,8 +100,10 @@ let prop_block_roundtrip_and_footer =
       List.iter (fun (k, r) -> Block.col_add b ~key:k r) kr;
       let bytes, stats = Block.col_finish b in
       let blk = Block.decode_columnar schema bytes in
-      let decoded, _ = Block.columnar_rows blk schema () in
       let want = Array.of_list (List.map snd kr) in
+      let decoded, _ =
+        Block.columnar_rows blk schema ~first:0 ~last:(Array.length want)
+      in
       let stats_of c = if c < Array.length stats then Some stats.(c) else None in
       let ctype_of c = Some (Schema.columns schema).(c).Schema.ctype in
       decoded = want
@@ -335,9 +337,116 @@ let test_footer_answering_decodes_nothing () =
   Alcotest.(check int) "projection decoded half the sections" full_delta
     (2 * proj_delta)
 
+(* ---- Ranged materialization ------------------------------------------- *)
+
+(* A schema with a string key column and string, blob, int32 and double
+   value columns: strings up to 300 bytes take two-byte length varints. *)
+let wide_schema =
+  Schema.create
+    ~columns:
+      [
+        { Schema.name = "device"; ctype = Value.T_string; default = Value.String "" };
+        { Schema.name = "ts"; ctype = Value.T_timestamp; default = Value.Timestamp 0L };
+        { Schema.name = "code"; ctype = Value.T_int32; default = Value.Int32 0l };
+        { Schema.name = "label"; ctype = Value.T_string; default = Value.String "" };
+        { Schema.name = "rate"; ctype = Value.T_double; default = Value.Double 0.0 };
+        { Schema.name = "body"; ctype = Value.T_blob; default = Value.Blob "" };
+      ]
+    ~pkey:[ "device"; "ts" ]
+
+(* Rows with every value cell set ([`Dense]: no presence bitmaps), some
+   left at the default ([`Sparse]), or all default ([`Empty]); then a
+   window (biased towards empty, first-row and last-row windows) and a
+   projection over the value columns. *)
+let gen_windowed =
+  let open QCheck.Gen in
+  let str = string_size ~gen:printable (int_range 0 300) in
+  oneofl [ `Dense; `Sparse; `Empty ] >>= fun mode ->
+  let cell gen default =
+    match mode with
+    | `Dense -> gen
+    | `Sparse -> frequency [ (1, return default); (1, gen) ]
+    | `Empty -> return default
+  in
+  int_range 1 80 >>= fun n ->
+  list_repeat n
+    (quad (string_size ~gen:printable (int_bound 3))
+       (cell (map (fun i -> Value.Int32 (Int32.of_int (i + 1))) (int_bound 1000)) (Value.Int32 0l))
+       (cell (map (fun s -> Value.String ("s" ^ s)) str) (Value.String ""))
+       (pair
+          (cell (map (fun i -> Value.Double (float_of_int (i + 1))) (int_bound 1000)) (Value.Double 0.0))
+          (cell (map (fun s -> Value.Blob ("b" ^ s)) str) (Value.Blob ""))))
+  >>= fun cells ->
+  let rows =
+    List.mapi
+      (fun i (dev, code, label, (rate, body)) ->
+        [| Value.String dev; Value.Timestamp (Int64.of_int i); code; label; rate; body |])
+      cells
+  in
+  let keyed =
+    List.sort_uniq
+      (fun (a, _) (b, _) -> String.compare a b)
+      (List.map (fun r -> (Key_codec.encode_key wide_schema r, r)) rows)
+  in
+  let m = List.length keyed in
+  let window =
+    frequency
+      [
+        (1, return (0, 0));
+        (1, return (m, m));
+        (1, return (0, 1));
+        (1, return (m - 1, m));
+        (1, return (0, m));
+        (5, int_bound m >>= fun a -> int_bound m >|= fun b -> (min a b, max a b));
+      ]
+  in
+  let projection =
+    frequency
+      [
+        (1, return None);
+        (2, map (fun l -> Some l) (list_size (int_bound 4) (oneofl [ 2; 3; 4; 5 ])));
+      ]
+  in
+  triple (return keyed) window projection
+
+let print_windowed (keyed, (first, last), cols) =
+  Printf.sprintf "%d rows, window [%d, %d), cols %s" (List.length keyed) first last
+    (match cols with
+    | None -> "all"
+    | Some l -> String.concat "," (List.map string_of_int l))
+
+(* The ranged [columnar_rows ~first ~last] is the [\[first, last)] slice
+   of the whole-block call, decodes the same sections, and the whole
+   block gives back the rows that went in (projected columns only). *)
+let prop_columnar_rows_window =
+  QCheck.Test.make ~name:"columnar_rows window = slice of the whole block"
+    ~count:300
+    (QCheck.make ~print:print_windowed gen_windowed)
+    (fun (keyed, (first, last), cols) ->
+      let b = Block.col_builder wide_schema in
+      List.iter (fun (k, r) -> Block.col_add b ~key:k r) keyed;
+      let bytes, _ = Block.col_finish b in
+      let blk = Block.decode_columnar wide_schema bytes in
+      let n = List.length keyed in
+      let whole, whole_decoded =
+        Block.columnar_rows ?cols blk wide_schema ~first:0 ~last:n
+      in
+      let part, part_decoded =
+        Block.columnar_rows ?cols blk wide_schema ~first ~last
+      in
+      let defaults = Array.map (fun c -> c.Schema.default) (Schema.columns wide_schema) in
+      let wanted c =
+        c < 2 || match cols with None -> true | Some l -> List.mem c l
+      in
+      let expect r = Array.mapi (fun c v -> if wanted c then v else defaults.(c)) r in
+      whole = Array.of_list (List.map (fun (_, r) -> expect r) keyed)
+      && part = Array.sub whole first (last - first)
+      && part_decoded = whole_decoded)
+
 let suite =
   [
     Support.qcheck prop_block_roundtrip_and_footer;
+    Support.qcheck prop_columnar_rows_window;
     ("integer specs are footer-answerable", `Quick, test_int_specs_answerable);
     Support.qcheck prop_query_agg_matches_rows;
     ("TTL-expired rows excluded from pushdown", `Quick, test_ttl_expired);

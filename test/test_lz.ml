@@ -95,6 +95,23 @@ let prop_decompress_never_crashes =
       | (_ : string) -> true
       | exception Lz.Corrupt _ -> true)
 
+let prop_decompress_window =
+  (* A payload inflated in place, between arbitrary bytes, decodes as
+     the same payload copied out. *)
+  QCheck.Test.make ~name:"lz decompress ~off ~len = decompress of the slice"
+    ~count:300
+    QCheck.(
+      triple
+        (string_gen_of_size Gen.(int_bound 2000) (Gen.oneofl [ 'a'; 'b'; 'c' ]))
+        (string_gen_of_size Gen.(int_bound 20) Gen.char)
+        (string_gen_of_size Gen.(int_bound 20) Gen.char))
+    (fun (s, before, after) ->
+      let c = Lz.compress s in
+      let framed = before ^ c ^ after in
+      Lz.decompress ~off:(String.length before) ~len:(String.length c)
+        ~raw_len:(String.length s) framed
+      = s)
+
 let suite =
   [
     ("basic roundtrips", `Quick, test_basic);
@@ -106,4 +123,5 @@ let suite =
     Support.qcheck prop_roundtrip;
     Support.qcheck prop_roundtrip_low_entropy;
     Support.qcheck prop_decompress_never_crashes;
+    Support.qcheck prop_decompress_window;
   ]

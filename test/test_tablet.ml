@@ -75,8 +75,13 @@ let sorted_rows n =
   (* mk_row generates rows already in key order (network, device, ts). *)
   List.init n mk_row
 
+(* Every row of a scan, forced. *)
 let drain it =
-  let rec go acc = match it () with None -> List.rev acc | Some kv -> go (kv :: acc) in
+  let rec go acc =
+    match it () with
+    | None -> List.rev acc
+    | Some (k, h) -> go ((k, Tablet.force h) :: acc)
+  in
   go []
 
 let test_write_read_roundtrip () =
@@ -316,7 +321,8 @@ let check_merge_identity ?expected_rows ~into ~layout sources =
     merged
       (List.map (fun (i, r) -> (i, Tablet.iter r ~asc:true ())) readers)
       "reference.tab"
-      (fun w _ row ->
+      (fun w _ h ->
+        let row = Tablet.force h in
         let key, key_prefixes = Key_codec.encode_key_with_prefixes into row in
         Tablet.add_row w ~key ~key_prefixes ~ts:(Key_codec.ts_of_key key) row)
   in
