@@ -107,11 +107,8 @@ let show_trace client arg =
               (Trace.op_name sp.Trace.sp_op)
               sp.Trace.sp_table
               (Int64.to_float (Int64.sub sp.Trace.sp_start_us base) /. 1000.)
-              (Int64.to_float sp.Trace.sp_duration_us /. 1000.)
-              (if sp.Trace.sp_scanned > 0 || sp.Trace.sp_returned > 0 then
-                 Printf.sprintf " scanned=%d returned=%d" sp.Trace.sp_scanned
-                   sp.Trace.sp_returned
-               else "");
+              (Int64.to_float (Trace.duration_us sp) /. 1000.)
+              (Trace.counts sp);
             match sp.Trace.sp_ctx with
             | None -> ()
             | Some c ->

@@ -173,7 +173,7 @@ let search table ~network ~pattern ~ts_min ~ts_max ~limit =
     Query.with_direction Query.Desc
       (Query.between ~ts_min ~ts_max (Query.prefix [ Value.Int64 network ]))
   in
-  let src = Table.query_iter table q in
+  Table.with_query table q @@ fun src ->
   let out = ref [] and n = ref 0 in
   let rec go () =
     if !n < limit then begin

@@ -104,17 +104,8 @@ let request_read t i req =
         (* Mark the redirect in the trace so a reassembled tree shows
            where a read left the primary for the spare. *)
         if Obs.enabled t.obs then
-          Trace.record (Obs.trace t.obs)
-            { Trace.sp_op = Trace.Failover;
-              sp_table = Client.peer sh.sh_primary;
-              sp_start_us = t0;
-              sp_duration_us = Int64.max 0L (Int64.sub (Obs.now_us t.obs) t0);
-              sp_scanned = 0;
-              sp_returned = 0;
-              sp_tablets = 0;
-              sp_cache_hits = 0;
-              sp_cache_misses = 0;
-              sp_ctx = Option.map Trace.child_of (Trace.current ()) };
+          Obs.record_op t.obs ~op:Trace.Failover
+            ~table:(Client.peer sh.sh_primary) ~t0 (Obs.elapsed t.obs ~t0);
         Log.warn (fun m ->
             m "shard %d primary %s unreachable; reading from replica %s" i
               (Client.peer sh.sh_primary) (Client.peer r));

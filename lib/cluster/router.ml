@@ -292,10 +292,6 @@ let shard_source t shard table schema q ~profile ~profs scanned =
    [Table.query] on a single node holding all the rows, provided
    [row_limit] equals that node's [server_row_limit]. *)
 let route_query t table q ~profile =
-  (* Profiling is an explicit per-query opt-in measured with the obs
-     clock directly, so it works even on a [noop] (disabled) obs. *)
-  let clock = Obs.clock t.obs in
-  let pt0 = if profile then Lt_util.Clock.now clock else 0L in
   (* The fan-out runs under a fresh Route span so each backend round
      trip's Backend span (recorded by the client adaptor) nests under
      it rather than directly under the Request span. *)
@@ -303,15 +299,21 @@ let route_query t table q ~profile =
     if Obs.enabled t.obs then Option.map Trace.child_of (Trace.current ())
     else None
   in
-  let t0 = Obs.now_us t.obs in
-  let rows, more_available, scanned, prof =
+  (* The routed query's record is built for its Route span and for a
+     profile. Profiling is an explicit per-query opt-in measured with
+     the obs clock directly, so it works even on a [noop] (disabled)
+     obs. *)
+  let timed = profile || ctx <> None in
+  let clock = Obs.clock t.obs in
+  let t0 = if timed then Lt_util.Clock.now clock else 0L in
+  let rows, more_available, scanned, record =
     Trace.with_ctx ctx (fun () ->
         let schema = schema_of t table in
         let shards = Placement.shards_of_query t.placement q in
         observe_fanout t (List.length shards);
         let scanned = ref 0 in
         let profs = Hashtbl.create 8 in
-        let plan_done = if profile then Lt_util.Clock.now clock else 0L in
+        let plan_done = if timed then Lt_util.Clock.now clock else 0L in
         let sources =
           List.map
             (fun s ->
@@ -336,13 +338,13 @@ let route_query t table q ~profile =
           more
           && (match q.Query.limit with None -> true | Some l -> l > t.row_limit)
         in
-        let prof =
-          if not profile then None
+        let record =
+          if not timed then None
           else begin
             (* Per-shard sub-profiles in shard order; the top level
                aggregates their counts but reports the router's own wall
                times (plan = placement + source setup; total = whole
-               routed query). *)
+               routed query) and rows. *)
             let shard_profs =
               List.filter_map
                 (fun s ->
@@ -357,30 +359,21 @@ let route_query t table q ~profile =
             let agg = Profile.aggregate (List.map snd shard_profs) in
             Some
               { agg with
-                Profile.p_plan_us = Int64.sub plan_done pt0;
-                p_total_us = Int64.sub (Lt_util.Clock.now clock) pt0;
+                Profile.p_plan_us = Int64.sub plan_done t0;
+                p_total_us =
+                  Int64.max 0L (Int64.sub (Lt_util.Clock.now clock) t0);
+                p_rows_scanned = !scanned;
                 p_rows_returned = List.length rows;
                 p_shards = shard_profs }
           end
         in
-        (rows, more_available, !scanned, prof))
+        (rows, more_available, !scanned, record))
   in
-  (match ctx with
-  | Some c ->
-      let now = Obs.now_us t.obs in
-      Trace.record (Obs.trace t.obs)
-        { Trace.sp_op = Trace.Route;
-          sp_table = table;
-          sp_start_us = t0;
-          sp_duration_us = Int64.max 0L (Int64.sub now t0);
-          sp_scanned = scanned;
-          sp_returned = List.length rows;
-          sp_tablets = 0;
-          sp_cache_hits = 0;
-          sp_cache_misses = 0;
-          sp_ctx = Some c }
-  | None -> ());
-  Protocol.Row_batch { rows; more_available; scanned; profile = prof }
+  (match (ctx, record) with
+  | Some c, Some r -> Obs.record_op t.obs ~op:Trace.Route ~table ~t0 ~ctx:c r
+  | _ -> ());
+  let profile = if profile then record else None in
+  Protocol.Row_batch { rows; more_available; scanned; profile }
 
 (* ---- Latest ------------------------------------------------------------ *)
 

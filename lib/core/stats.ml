@@ -1,27 +1,3 @@
-type t = {
-  (* One private lock per counter block: [note_*] callers already hold
-     assorted table locks, but [read] and [reset] run from exporter and
-     bench threads that hold none of them. The mutex is uncontended on
-     the hot path and makes snapshots coherent instead of merely
-     field-wise monotonic. *)
-  m : Mutex.t;
-  mutable rows_inserted : int;
-  mutable insert_batches : int;
-  mutable rows_returned : int;
-  mutable rows_scanned : int;
-  mutable queries : int;
-  mutable flushes : int;
-  mutable flushed_bytes : int;
-  mutable merges : int;
-  mutable merged_bytes_in : int;
-  mutable merged_bytes_out : int;
-  mutable tablets_expired : int;
-  mutable flush_retries : int;
-  mutable tablets_quarantined : int;
-  mutable blocks_footer_answered : int;
-  mutable columns_decoded : int;
-}
-
 type cache_snapshot = {
   cache_hits : int;
   cache_misses : int;
@@ -59,9 +35,8 @@ type snapshot = {
   cache : cache_snapshot;
 }
 
-let create () =
+let zero =
   {
-    m = Mutex.create ();
     rows_inserted = 0;
     insert_batches = 0;
     rows_returned = 0;
@@ -77,52 +52,16 @@ let create () =
     tablets_quarantined = 0;
     blocks_footer_answered = 0;
     columns_decoded = 0;
+    bytes_written = 0;
+    cache = no_cache;
   }
 
-let reset (t : t) =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      t.rows_inserted <- 0;
-      t.insert_batches <- 0;
-      t.rows_returned <- 0;
-      t.rows_scanned <- 0;
-      t.queries <- 0;
-      t.flushes <- 0;
-      t.flushed_bytes <- 0;
-      t.merges <- 0;
-      t.merged_bytes_in <- 0;
-      t.merged_bytes_out <- 0;
-      t.tablets_expired <- 0;
-      t.flush_retries <- 0;
-      t.tablets_quarantined <- 0;
-      t.blocks_footer_answered <- 0;
-      t.columns_decoded <- 0)
-
-let read ?(cache = no_cache) (t : t) =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      {
-        rows_inserted = t.rows_inserted;
-        insert_batches = t.insert_batches;
-        rows_returned = t.rows_returned;
-        rows_scanned = t.rows_scanned;
-        queries = t.queries;
-        flushes = t.flushes;
-        flushed_bytes = t.flushed_bytes;
-        merges = t.merges;
-        merged_bytes_in = t.merged_bytes_in;
-        merged_bytes_out = t.merged_bytes_out;
-        tablets_expired = t.tablets_expired;
-        flush_retries = t.flush_retries;
-        tablets_quarantined = t.tablets_quarantined;
-        blocks_footer_answered = t.blocks_footer_answered;
-        columns_decoded = t.columns_decoded;
-        bytes_written = t.flushed_bytes + t.merged_bytes_out;
-        cache;
-      })
-
-(* Field-wise sum of two snapshots. Used by the cluster router to
-   aggregate per-shard table stats into one cluster-wide answer;
-   [cache_resident_bytes] is not monotonic but summing footprints of
-   disjoint caches is still the meaningful total. *)
+(* Field-wise sum of two snapshots: how a table's counters take an
+   operation's delta, and how the cluster router aggregates per-shard
+   table stats into one cluster-wide answer. [bytes_written] is derived
+   rather than summed; [cache_resident_bytes] is not monotonic but
+   summing footprints of disjoint caches is still the meaningful
+   total. *)
 let add (a : snapshot) (b : snapshot) =
   {
     rows_inserted = a.rows_inserted + b.rows_inserted;
@@ -140,7 +79,9 @@ let add (a : snapshot) (b : snapshot) =
     tablets_quarantined = a.tablets_quarantined + b.tablets_quarantined;
     blocks_footer_answered = a.blocks_footer_answered + b.blocks_footer_answered;
     columns_decoded = a.columns_decoded + b.columns_decoded;
-    bytes_written = a.bytes_written + b.bytes_written;
+    bytes_written =
+      a.flushed_bytes + b.flushed_bytes + a.merged_bytes_out
+      + b.merged_bytes_out;
     cache =
       {
         cache_hits = a.cache.cache_hits + b.cache.cache_hits;
@@ -167,51 +108,6 @@ let cache_hit_ratio s =
   let total = s.cache.cache_hits + s.cache.cache_misses in
   if total = 0 then 0.0
   else float_of_int s.cache.cache_hits /. float_of_int total
-
-(* Counters only ever grow (asserted below), so any two snapshots are
-   ordered: later reads dominate earlier ones field by field. *)
-let bump v delta =
-  assert (delta >= 0);
-  v + delta
-
-let note_insert (t : t) ~rows =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      t.rows_inserted <- bump t.rows_inserted rows;
-      t.insert_batches <- bump t.insert_batches 1)
-
-let note_query (t : t) ~scanned ~returned =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      t.queries <- bump t.queries 1;
-      t.rows_scanned <- bump t.rows_scanned scanned;
-      t.rows_returned <- bump t.rows_returned returned)
-
-let note_flush (t : t) ~bytes =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      t.flushes <- bump t.flushes 1;
-      t.flushed_bytes <- bump t.flushed_bytes bytes)
-
-let note_merge (t : t) ~bytes_in ~bytes_out =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      t.merges <- bump t.merges 1;
-      t.merged_bytes_in <- bump t.merged_bytes_in bytes_in;
-      t.merged_bytes_out <- bump t.merged_bytes_out bytes_out)
-
-let note_expired (t : t) ~tablets =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      t.tablets_expired <- bump t.tablets_expired tablets)
-
-let note_flush_retry (t : t) =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      t.flush_retries <- bump t.flush_retries 1)
-
-let note_quarantined (t : t) ~tablets =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      t.tablets_quarantined <- bump t.tablets_quarantined tablets)
-
-let note_pushdown (t : t) ~footer_blocks ~columns =
-  Lt_util.Mutexes.with_lock t.m (fun () ->
-      t.blocks_footer_answered <- bump t.blocks_footer_answered footer_blocks;
-      t.columns_decoded <- bump t.columns_decoded columns)
 
 (* ---- Metric series ---------------------------------------------------- *)
 
@@ -321,13 +217,66 @@ let of_metrics ~table (snap : Lt_obs.Metrics.snapshot) =
   | [], None -> Error (Printf.sprintf "no such table %S" table)
   | [], Some _ ->
       let get labels name _ _ _ = Option.value ~default:0 (value labels name) in
-      let s = map_table_series (get labels) (read (create ())) in
-      Ok
-        {
-          s with
-          bytes_written = s.flushed_bytes + s.merged_bytes_out;
-          cache = map_cache_series (get []) no_cache;
-        }
+      (* [add] derives [bytes_written], which has no series. *)
+      let s = add zero (map_table_series (get labels) zero) in
+      Ok { s with cache = map_cache_series (get []) no_cache }
+
+(* ---- The fold over finished operations ------------------------------ *)
+
+module Trace = Lt_obs.Trace
+module Profile = Lt_obs.Profile
+
+let of_op op (p : Profile.t) =
+  match op with
+  | Trace.Query | Trace.Latest ->
+      {
+        zero with
+        queries = 1;
+        rows_scanned = p.p_rows_scanned;
+        rows_returned = p.p_rows_returned;
+        blocks_footer_answered = p.p_blocks_footer_answered;
+        columns_decoded = p.p_columns_decoded;
+      }
+  | Trace.Insert ->
+      {
+        zero with
+        rows_inserted = p.p_rows_returned;
+        insert_batches = (if p.p_rows_returned > 0 then 1 else 0);
+      }
+  | Trace.Flush -> { zero with flushes = 1; flushed_bytes = p.p_bytes_out }
+  | Trace.Merge ->
+      {
+        zero with
+        merges = 1;
+        merged_bytes_in = p.p_bytes_in;
+        merged_bytes_out = p.p_bytes_out;
+      }
+  | Trace.Stall | Trace.Request | Trace.Route | Trace.Backend
+  | Trace.Failover ->
+      zero
+
+(* One private leaf lock: [note] callers already hold assorted table
+   locks, but [read] runs from exporter and bench threads that hold none
+   of them. The mutex is uncontended on the hot path and makes
+   snapshots coherent instead of merely field-wise monotonic. *)
+type t = { m : Mutex.t; mutable s : snapshot }
+
+let create () = { m = Mutex.create (); s = zero }
+
+(* Counters only ever grow: every exported field of a delta is
+   non-negative, so any two snapshots are ordered — later reads
+   dominate earlier ones field by field. *)
+let note t d =
+  ignore
+    (map_table_series
+       (fun _ _ _ v ->
+         assert (v >= 0);
+         v)
+       d);
+  Lt_util.Mutexes.with_lock t.m (fun () -> t.s <- add t.s d)
+
+let read ?(cache = no_cache) t =
+  Lt_util.Mutexes.with_lock t.m (fun () -> { t.s with cache })
 
 let pp ppf s =
   Format.fprintf ppf

@@ -4,23 +4,23 @@
     returned (Figure 9, §5.2.4), insert/query rates (§5.2.3), flush and
     merge activity, and write amplification (§5.1.3).
 
+    The counters are a fold over finished operations: each operation's
+    one record ({!Lt_obs.Profile.t}) maps through {!of_op} to a delta
+    that {!note} adds, so the counters, the operation's trace span and
+    its latency histogram all count the same operations. The only other
+    deltas are the three counters no operation record carries (expired
+    tablets, flush retries, quarantined tablets).
+
     Counters are guarded by a private leaf mutex (so {!read} is a
     coherent snapshot even against concurrent writers holding only
-    table locks) and are strictly monotonic (every [note_*] adds a
-    non-negative delta, asserted in the implementation): of any two
-    {!snapshot}s of the same table, the later dominates the earlier
-    field by field, so rates may be computed by differencing snapshots.
-    Benchmarks that need a clean slate should {!reset} rather than
-    recreate the table. *)
+    table locks) and are strictly monotonic (every delta is
+    non-negative, asserted in {!note}): of any two {!snapshot}s of the
+    same table, the later dominates the earlier field by field, so
+    rates may be computed by differencing snapshots. *)
 
 type t
 
 val create : unit -> t
-
-(** Zero every counter. Intended for benchmarks measuring a phase in
-    isolation; differencing snapshots taken across a [reset] is
-    meaningless (monotonicity holds only between resets). *)
-val reset : t -> unit
 
 (** Block-cache counters (see {!Lt_cache.Block_cache}). The cache is
     process-wide, shared by every table of a {!Db}, so these fields are
@@ -61,11 +61,27 @@ type snapshot = {
   cache : cache_snapshot;
 }
 
+(** All counters zero, no cache. *)
+val zero : snapshot
+
+(** [of_op op r] — the delta one finished operation contributes, from
+    its record [r]: a query or latest search counts one query, its rows
+    scanned and returned, footer-answered blocks and decoded columns;
+    an insert its rows (and one batch when any landed); a flush one
+    flush and its bytes out; a merge one merge and its bytes in and
+    out. Other ops contribute nothing. *)
+val of_op : Lt_obs.Trace.op -> Lt_obs.Profile.t -> snapshot
+
+(** [note t d] adds the delta [d] to [t]'s counters. Every counter of
+    [d] must be non-negative. *)
+val note : t -> snapshot -> unit
+
 (** Monotonic snapshot; [cache] defaults to {!no_cache}. *)
 val read : ?cache:cache_snapshot -> t -> snapshot
 
-(** Field-wise sum, for aggregating per-shard snapshots of one logical
-    table into a cluster-wide snapshot. *)
+(** Field-wise sum ([bytes_written] recomputed from the sums), for
+    aggregating per-shard snapshots of one logical table into a
+    cluster-wide snapshot. *)
 val add : snapshot -> snapshot -> snapshot
 
 (** Rows scanned per row returned, computed as
@@ -80,15 +96,6 @@ val write_amplification : snapshot -> float
 (** Block-cache hits / (hits + misses); 0 when the cache is cold or
     disabled. *)
 val cache_hit_ratio : snapshot -> float
-
-val note_insert : t -> rows:int -> unit
-val note_query : t -> scanned:int -> returned:int -> unit
-val note_flush : t -> bytes:int -> unit
-val note_merge : t -> bytes_in:int -> bytes_out:int -> unit
-val note_expired : t -> tablets:int -> unit
-val note_flush_retry : t -> unit
-val note_quarantined : t -> tablets:int -> unit
-val note_pushdown : t -> footer_blocks:int -> columns:int -> unit
 
 (** {1 Metric series}
 

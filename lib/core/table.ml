@@ -108,16 +108,17 @@ let cache_counts t =
    entry ([acct_open]) and closed once at exit ([acct_close]). Opening
    reads the clock and the block-cache counters only when observability
    is on or a profile was asked for; cache deltas are approximate under
-   concurrent readers (see DESIGN.md). Closing feeds [Stats] (a read's
-   rows and pushdown tallies; writes note their commits where they
-   happen), the latency histogram and the trace span, and builds the
-   profile. Profiles are timed with [t.clock] directly: profiling is an
-   explicit per-query opt-in that works with [Config.obs_enabled] off.
-   Parallel-scan workers add to the atomics from pool domains. *)
+   concurrent readers (see DESIGN.md). Closing builds the operation's
+   one {!Lt_obs.Profile.t} and feeds that same value to [Stats] (through
+   {!Stats.of_op}), the latency histogram and the trace span; a query
+   that asked for a profile also returns it. Records are timed with
+   [t.clock] directly: profiling is an explicit per-query opt-in that
+   works with [Config.obs_enabled] off. Parallel-scan workers add to
+   the atomics from pool domains. *)
 type acct = {
   a_hist : Ometrics.Histogram.t;
   a_op : Otrace.op;
-  a_profile : bool;
+  a_timed : bool;
   a_t0 : int64;
   a_h0 : int;
   a_m0 : int;
@@ -134,7 +135,7 @@ let acct_open ?(profile = false) t hist op =
   let h0, m0 = if timed then cache_counts t else (0, 0) in
   { a_hist = hist;
     a_op = op;
-    a_profile = profile;
+    a_timed = timed;
     a_t0 = t0;
     a_h0 = h0;
     a_m0 = m0;
@@ -145,43 +146,35 @@ let acct_open ?(profile = false) t hist op =
     a_stall_us = Atomic.make 0 }
 
 (* Planning is over: tablets selected, readers open, sources staged. *)
-let acct_planned t a = if a.a_profile then a.a_scan0 <- now t
+let acct_planned t a = if a.a_timed then a.a_scan0 <- now t
 
-let acct_close ?(scanned = 0) ?(returned = 0) ?(tablets = 0) ?(pruned = 0) t a
-    =
-  let footer_blocks = Atomic.get a.a_counters.Tablet.sc_footer_blocks in
-  let columns = Atomic.get a.a_counters.Tablet.sc_cols_decoded in
-  if footer_blocks > 0 || columns > 0 then
-    Stats.note_pushdown t.stats ~footer_blocks ~columns;
-  (match a.a_op with
-  | Otrace.Query | Otrace.Latest -> Stats.note_query t.stats ~scanned ~returned
-  | _ -> ());
-  let obs_on = Obs.enabled t.obs in
-  let h1, m1 = if obs_on || a.a_profile then cache_counts t else (0, 0) in
-  if obs_on then
-    Obs.record_op t.obs ~hist:a.a_hist ~op:a.a_op ~table:t.tname ~t0:a.a_t0
-      ~scanned ~returned ~tablets ~cache_hits:(h1 - a.a_h0)
-      ~cache_misses:(m1 - a.a_m0) ();
-  if not a.a_profile then None
-  else begin
-    let fin = now t in
-    Some
-      { Lt_obs.Profile.p_plan_us = Int64.sub a.a_scan0 a.a_t0;
-        p_scan_us =
-          (if Atomic.get a.a_staged then Int64.of_int (Atomic.get a.a_worker_us)
-           else Int64.sub fin a.a_scan0);
-        p_stall_us = Int64.of_int (Atomic.get a.a_stall_us);
-        p_total_us = Int64.sub fin a.a_t0;
-        p_rows_scanned = scanned;
-        p_rows_returned = returned;
-        p_tablets = tablets;
-        p_tablets_pruned = pruned;
-        p_cache_hits = h1 - a.a_h0;
-        p_cache_misses = m1 - a.a_m0;
-        p_blocks_footer_answered = footer_blocks;
-        p_columns_decoded = columns;
-        p_shards = [] }
-  end
+let acct_close ?(scanned = 0) ?(returned = 0) ?(tablets = 0) ?(pruned = 0)
+    ?(bytes_in = 0) ?(bytes_out = 0) t a =
+  let fin = if a.a_timed then now t else 0L in
+  let h1, m1 = if a.a_timed then cache_counts t else (0, 0) in
+  let r =
+    { Lt_obs.Profile.p_plan_us = Int64.sub a.a_scan0 a.a_t0;
+      p_scan_us =
+        (if Atomic.get a.a_staged then Int64.of_int (Atomic.get a.a_worker_us)
+         else Int64.sub fin a.a_scan0);
+      p_stall_us = Int64.of_int (Atomic.get a.a_stall_us);
+      p_total_us = Int64.max 0L (Int64.sub fin a.a_t0);
+      p_rows_scanned = scanned;
+      p_rows_returned = returned;
+      p_tablets = tablets;
+      p_tablets_pruned = pruned;
+      p_cache_hits = h1 - a.a_h0;
+      p_cache_misses = m1 - a.a_m0;
+      p_blocks_footer_answered =
+        Atomic.get a.a_counters.Tablet.sc_footer_blocks;
+      p_columns_decoded = Atomic.get a.a_counters.Tablet.sc_cols_decoded;
+      p_bytes_in = bytes_in;
+      p_bytes_out = bytes_out;
+      p_shards = [] }
+  in
+  Stats.note t.stats (Stats.of_op a.a_op r);
+  Obs.record_op t.obs ~hist:a.a_hist ~op:a.a_op ~table:t.tname ~t0:a.a_t0 r;
+  r
 
 (* ------------------------------------------------------------------ *)
 (* Lifecycle                                                           *)
@@ -320,7 +313,7 @@ let open_ ?cache ?(obs = Obs.noop) ?pool vfs ~clock ~config ~dir ~name =
   in
   let t = make vfs ~clock ~config ~dir ~name ~desc ~cache ~obs ~pool in
   if !quarantined > 0 then
-    Stats.note_quarantined t.stats ~tablets:!quarantined;
+    Stats.note t.stats { Stats.zero with tablets_quarantined = !quarantined };
   t
 
 (* Must be called with [state] held. *)
@@ -609,23 +602,29 @@ let flush_closure t mt =
     List.map
       (fun m ->
         let a = acct_open t t.instr.Obs.h_flush Otrace.Flush in
-        let meta = write_memtable t m in
-        ignore (acct_close t a ~returned:meta.Descriptor.row_count);
-        (m, meta))
+        (m, write_memtable t m, a))
       members
   in
   (* Persist before touching the queues: if the commit fails, the
      memtables must stay frozen (the rows are acked and nowhere else). *)
   Mutexes.with_lock t.state (fun () ->
-      commit_locked t ~removed:[] (List.map snd metas);
+      commit_locked t ~removed:[] (List.map (fun (_, meta, _) -> meta) metas);
       List.iter
-        (fun (m, meta) ->
-          Stats.note_flush t.stats ~bytes:meta.Descriptor.size;
+        (fun (m, _, _) ->
           let id = Memtable.id m in
           t.frozen <- List.filter (fun x -> Memtable.id x <> id) t.frozen;
           if t.last_insert_tablet = Some id then t.last_insert_tablet <- None)
         metas;
-      Flush_graph.remove t.graph (List.map (fun (m, _) -> Memtable.id m) metas))
+      Flush_graph.remove t.graph
+        (List.map (fun (m, _, _) -> Memtable.id m) metas));
+  (* A flush is recorded only once its commit is durable, so a failed
+     commit leaves no span, histogram sample or count behind. *)
+  List.iter
+    (fun (_, meta, a) ->
+      ignore
+        (acct_close t a ~returned:meta.Descriptor.row_count
+           ~bytes_out:meta.Descriptor.size))
+    metas
 
 (* Retry backoff for background flushes: 100 ms doubling to a 10 s cap. *)
 let flush_backoff_base_us = 100_000
@@ -657,7 +656,7 @@ let flush_frozen_backlog ?(swallow = false) t ~limit =
                 go ()
             | exception Vfs.Io_error _ ->
                 t.flush_failures <- t.flush_failures + 1;
-                Stats.note_flush_retry t.stats;
+                Stats.note t.stats { Stats.zero with flush_retries = 1 };
                 let backoff =
                   min flush_backoff_cap_us
                     (flush_backoff_base_us
@@ -921,11 +920,9 @@ let insert_report t rows =
           | () -> Ok ()
           | exception e -> Error (!landed, e)
         in
-        if !landed > 0 then begin
-          Stats.note_insert t.stats ~rows:!landed;
+        if !landed > 0 then
           Mutexes.with_lock t.state (fun () ->
-              t.commit_seq <- t.commit_seq + 1)
-        end;
+              t.commit_seq <- t.commit_seq + 1);
         flush_frozen_backlog ~swallow:true t ~limit:t.config.Config.flush_backlog;
         res)
   in
@@ -1053,26 +1050,22 @@ let maybe_stage t a ~has_disk sources =
         Ometrics.Histogram.observe t.instr.Obs.h_fanout
           (float_of_int (List.length sources));
       Atomic.set a.a_staged true;
-      let profile = a.a_profile in
+      let timed = a.a_timed in
       let worker_us = a.a_worker_us and stall_us = a.a_stall_us in
-      let timed = obs_on || profile in
       let now_us () = if timed then Clock.now t.clock else 0L in
       let on_worker ~busy_us ~rows:_ =
         if obs_on then
           Ometrics.Histogram.observe_us t.instr.Obs.h_worker_scan busy_us;
-        if profile then
+        if timed then
           ignore (Atomic.fetch_and_add worker_us (Int64.to_int busy_us))
       in
       let on_stall dur =
-        (* [record_op] both observes the histogram and records a span;
-           back-dating [t0] by the stall duration makes the span close
-           to [dur] long without a second clock source. *)
         if obs_on && Int64.compare dur 0L > 0 then
           Obs.record_op t.obs ~hist:t.instr.Obs.h_stall ~op:Otrace.Stall
             ~table:t.tname
             ~t0:(Int64.sub (Clock.now t.clock) dur)
-            ();
-        if profile then ignore (Atomic.fetch_and_add stall_us (Int64.to_int dur))
+            { Lt_obs.Profile.empty with p_total_us = dur };
+        if timed then ignore (Atomic.fetch_and_add stall_us (Int64.to_int dur))
       in
       Pscan.stage pool ~now_us ~on_worker ~on_stall sources
   | _ -> (sources, fun () -> ())
@@ -1117,29 +1110,45 @@ let open_scan t a (q : Query.t) =
       in
       (src, finish, scanned, sel)
 
-let query_iter t q =
+(* A streaming scan and the one way to end it. [close] (idempotent)
+   joins in-flight producers, drops the tablet refs and closes the
+   record with the rows pulled so far; draining the source calls it. *)
+let stream t q =
   let a = acct_open t t.instr.Obs.h_query Otrace.Query in
   let src, finish, scanned, sel = open_scan t a q in
   let src =
     match q.Query.limit with None -> src | Some n -> Cursor.take n src
   in
   let returned = ref 0 in
-  let finished = ref false in
-  fun () ->
-    if !finished then None
+  let closed = ref false in
+  let close () =
+    if not !closed then begin
+      closed := true;
+      finish ();
+      ignore
+        (acct_close t a ~scanned:!scanned ~returned:!returned
+           ~tablets:(List.length sel.disk))
+    end
+  in
+  let next () =
+    if !closed then None
     else begin
       match src () with
       | Some (key, h) ->
           incr returned;
           Some (key, Tablet.force h)
       | None ->
-          finished := true;
-          finish ();
-          ignore
-            (acct_close t a ~scanned:!scanned ~returned:!returned
-               ~tablets:(List.length sel.disk));
+          close ();
           None
     end
+  in
+  (next, close)
+
+let query_iter t q = fst (stream t q)
+
+let with_query t q f =
+  let next, close = stream t q in
+  Fun.protect ~finally:close (fun () -> f next)
 
 type result = {
   rows : Value.t array list;
@@ -1169,7 +1178,7 @@ let query ?(profile = false) t (q : Query.t) =
   (* Joins in-flight producers, so worker busy totals are final. *)
   finish ();
   let tablets = List.length sel.disk in
-  let profile =
+  let r =
     acct_close t a ~scanned:!scanned ~returned:(List.length rows) ~tablets
       ~pruned:(sel.considered - tablets)
   in
@@ -1179,7 +1188,8 @@ let query ?(profile = false) t (q : Query.t) =
   let more_available =
     more && (match q.Query.limit with None -> true | Some l -> l > server_cap)
   in
-  { rows; more_available; scanned = !scanned; profile }
+  { rows; more_available; scanned = !scanned;
+    profile = (if profile then Some r else None) }
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate pushdown                                                  *)
@@ -1283,11 +1293,12 @@ let query_agg ?(profile = false) t (q : Query.t) ~specs =
             sel)
   in
   let tablets = List.length sel.disk in
-  let prof =
+  let r =
     acct_close t a ~scanned:!scanned ~returned:1 ~tablets
       ~pruned:(sel.considered - tablets)
   in
-  (Array.mapi (fun i s -> Agg.result s.Agg.a_fn accs.(i)) specs, prof)
+  ( Array.mapi (fun i s -> Agg.result s.Agg.a_fn accs.(i)) specs,
+    if profile then Some r else None )
 
 (* ------------------------------------------------------------------ *)
 (* Latest row for a key prefix (§3.4.5)                                *)
@@ -1506,13 +1517,12 @@ let merge_step_unlocked t =
              is durable: a failed save leaves them live, so the release
              above cannot delete files the descriptor still names. *)
           Mutexes.with_lock t.state (fun () ->
-              commit_locked t ~removed:sources (Option.to_list new_meta);
-              Stats.note_merge t.stats
-                ~bytes_in:(sum (fun a m -> a + m.Descriptor.size) 0 sources)
-                ~bytes_out);
+              commit_locked t ~removed:sources (Option.to_list new_meta));
           ignore
             (acct_close t a ~scanned:!scanned ~returned:rows_out
-               ~tablets:(List.length sources));
+               ~tablets:(List.length sources)
+               ~bytes_in:(sum (fun a m -> a + m.Descriptor.size) 0 sources)
+               ~bytes_out);
           true)
 
 let merge_step t =
@@ -1534,7 +1544,8 @@ let expire_unlocked t =
           in
           if expired <> [] then begin
             commit_locked t ~removed:expired [];
-            Stats.note_expired t.stats ~tablets:(List.length expired)
+            Stats.note t.stats
+              { Stats.zero with tablets_expired = List.length expired }
           end;
           List.length expired)
 

@@ -111,8 +111,17 @@ type result = {
 val query : ?profile:bool -> t -> Query.t -> result
 
 (** Streaming scan (no server row cap). The source holds references on
-    the tablets it reads; they release when it is drained. *)
+    the tablets it reads, and its query is counted, only once it is
+    drained: it must be read to [None]. A caller that may stop early
+    uses {!with_query}. *)
 val query_iter : t -> Query.t -> Cursor.source
+
+(** [with_query t q f] runs [f] on a streaming scan of [q], like
+    {!query_iter}'s, that [f] may stop reading at any point. On return
+    or exception it joins the scan's producers, releases its tablet
+    references and counts the query with the rows pulled so far. The
+    source must not be used after [f] returns. *)
+val with_query : t -> Query.t -> (Cursor.source -> 'a) -> 'a
 
 (** [query_agg t q ~specs] evaluates one row of aggregates over every
     row matching [q]'s key/timestamp bounds ([q]'s direction and limit

@@ -9,9 +9,8 @@
       function of the same file calls it;
     - {b ambient must-locksets}: [must(f)] is the intersection over all
       call sites of [f] of the locks held there (plus the caller's own
-      must-set) — so [Stats.note_insert], always called under
-      [Table.state], inherits that protection even though it takes no
-      lock itself;
+      must-set) — so a helper always called under [Table.state]
+      inherits that protection even though it takes no lock itself;
     - {b per-cell contracts}: for each mutable cell, the intersection
       of effective locks over all non-owned accesses.  A cell reachable
       from a crossing closure with an empty intersection is a

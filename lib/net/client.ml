@@ -115,17 +115,8 @@ let roundtrip t req =
   | Some c ->
       Lt_util.Mutexes.with_lock t.mutex (fun () ->
           t.last_trace <- Some (c.Lt_obs.Trace.cx_trace_hi, c.cx_trace_lo));
-      Lt_obs.Trace.record (Obs.trace t.obs)
-        { Lt_obs.Trace.sp_op = Lt_obs.Trace.Backend;
-          sp_table = t.peer;
-          sp_start_us = t0;
-          sp_duration_us = Int64.max 0L (Int64.sub (Obs.now_us t.obs) t0);
-          sp_scanned = 0;
-          sp_returned = 0;
-          sp_tablets = 0;
-          sp_cache_hits = 0;
-          sp_cache_misses = 0;
-          sp_ctx = Some c }
+      Obs.record_op t.obs ~op:Lt_obs.Trace.Backend ~table:t.peer ~t0 ~ctx:c
+        (Obs.elapsed t.obs ~t0)
   | None -> ());
   resp
 
@@ -470,7 +461,9 @@ let trace t id = spans t ~trace:(Some id) ~slow_only:false
 (* A router's answer joins several processes' rings, so "newest" is by
    completion time, not by list position. *)
 let slow_ops ?(n = 20) t =
-  let ended sp = Int64.add sp.Lt_obs.Trace.sp_start_us sp.sp_duration_us in
+  let ended sp =
+    Int64.add sp.Lt_obs.Trace.sp_start_us (Lt_obs.Trace.duration_us sp)
+  in
   spans t ~trace:None ~slow_only:true
   |> List.rev
   |> List.stable_sort (fun a b -> Int64.compare (ended b) (ended a))
@@ -484,9 +477,9 @@ let sql_backend t =
         | schema, _ -> Some schema
         | exception Remote_error _ -> None);
     b_query =
-      (fun name q ->
+      (fun name q f ->
         let it = query_iter t name q in
-        fun () -> Option.map (fun row -> ("", row)) (it ()));
+        f (fun () -> Option.map (fun row -> ("", row)) (it ())));
     (* No wire aggregation: the client streams rows and aggregates
        locally. Projection pushdown still rides [b_query]'s Query.t. *)
     b_query_agg = None;

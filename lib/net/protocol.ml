@@ -5,7 +5,7 @@ exception Protocol_error of string
 
 let error fmt = Format.kasprintf (fun s -> raise (Protocol_error s)) fmt
 
-let version = 7
+let version = 8
 
 let max_frame = 64 * 1024 * 1024
 
@@ -448,31 +448,6 @@ let get_opt_ctx cur =
   | 1 -> Some (get_ctx cur)
   | n -> error "bad ctx tag %d" n
 
-let put_span b (sp : Lt_obs.Trace.span) =
-  Binio.put_u8 b (span_op_tag sp.Lt_obs.Trace.sp_op);
-  Binio.put_string b sp.sp_table;
-  Binio.put_i64 b sp.sp_start_us;
-  Binio.put_i64 b sp.sp_duration_us;
-  List.iter (Binio.put_varint b)
-    [ sp.sp_scanned; sp.sp_returned; sp.sp_tablets; sp.sp_cache_hits;
-      sp.sp_cache_misses ];
-  put_opt_ctx b sp.sp_ctx
-
-let get_span cur =
-  let sp_op = span_op_of_tag (Binio.get_u8 cur) in
-  let sp_table = Binio.get_string cur in
-  let sp_start_us = Binio.get_i64 cur in
-  let sp_duration_us = Binio.get_i64 cur in
-  let v () = Binio.get_varint cur in
-  let sp_scanned = v () in
-  let sp_returned = v () in
-  let sp_tablets = v () in
-  let sp_cache_hits = v () in
-  let sp_cache_misses = v () in
-  let sp_ctx = get_opt_ctx cur in
-  { Lt_obs.Trace.sp_op; sp_table; sp_start_us; sp_duration_us; sp_scanned;
-    sp_returned; sp_tablets; sp_cache_hits; sp_cache_misses; sp_ctx }
-
 (* ---- Query profiles ---------------------------------------------------- *)
 
 (* Shard sub-profiles recurse; a decoder bound keeps hostile input from
@@ -487,7 +462,8 @@ let rec put_profile b (p : Lt_obs.Profile.t) =
   List.iter (Binio.put_varint b)
     [ p.p_rows_scanned; p.p_rows_returned; p.p_tablets; p.p_tablets_pruned;
       p.p_cache_hits; p.p_cache_misses;
-      p.p_blocks_footer_answered; p.p_columns_decoded ];
+      p.p_blocks_footer_answered; p.p_columns_decoded; p.p_bytes_in;
+      p.p_bytes_out ];
   Binio.put_varint b (List.length p.p_shards);
   List.iter
     (fun (label, sub) ->
@@ -510,6 +486,8 @@ let rec get_profile ?(depth = 0) cur =
   let p_cache_misses = v () in
   let p_blocks_footer_answered = v () in
   let p_columns_decoded = v () in
+  let p_bytes_in = v () in
+  let p_bytes_out = v () in
   let n = Binio.get_varint cur in
   if n < 0 || n > 4096 then error "implausible shard profile count %d" n;
   let p_shards =
@@ -521,7 +499,22 @@ let rec get_profile ?(depth = 0) cur =
   { Lt_obs.Profile.p_plan_us; p_scan_us; p_stall_us; p_total_us;
     p_rows_scanned; p_rows_returned; p_tablets; p_tablets_pruned;
     p_cache_hits; p_cache_misses; p_blocks_footer_answered;
-    p_columns_decoded; p_shards }
+    p_columns_decoded; p_bytes_in; p_bytes_out; p_shards }
+
+let put_span b (sp : Lt_obs.Trace.span) =
+  Binio.put_u8 b (span_op_tag sp.Lt_obs.Trace.sp_op);
+  Binio.put_string b sp.sp_table;
+  Binio.put_i64 b sp.sp_start_us;
+  put_opt_ctx b sp.sp_ctx;
+  put_profile b sp.sp_prof
+
+let get_span cur =
+  let sp_op = span_op_of_tag (Binio.get_u8 cur) in
+  let sp_table = Binio.get_string cur in
+  let sp_start_us = Binio.get_i64 cur in
+  let sp_ctx = get_opt_ctx cur in
+  let sp_prof = get_profile cur in
+  { Lt_obs.Trace.sp_op; sp_table; sp_start_us; sp_ctx; sp_prof }
 
 let put_opt_profile b = function
   | None -> Binio.put_u8 b 0
@@ -803,3 +796,12 @@ let recv_response fd =
   let resp = read_response cur in
   Binio.expect_end cur;
   resp
+
+(* The exported span and record decoders report truncation as a
+   protocol error, like every other malformed frame. *)
+let protocol_errors f cur =
+  try f cur with Binio.Corrupt msg -> error "%s" msg
+
+let get_span = protocol_errors get_span
+
+let get_profile = protocol_errors (fun cur -> get_profile cur)

@@ -149,6 +149,18 @@ val get_ctx : Lt_util.Binio.cursor -> Lt_obs.Trace.ctx
 val put_opt_ctx : Buffer.t -> Lt_obs.Trace.ctx option -> unit
 val get_opt_ctx : Lt_util.Binio.cursor -> Lt_obs.Trace.ctx option
 
+(** Span and record codecs (exposed for protocol tests). A span is its
+    op tag, table, start time and optional context, followed by its
+    record in the {!put_profile} encoding; a record nests at most
+    {!max_profile_depth} levels of shard sub-records. The decoders raise
+    {!Protocol_error} on malformed or truncated input. *)
+
+val put_span : Buffer.t -> Lt_obs.Trace.span -> unit
+val get_span : Lt_util.Binio.cursor -> Lt_obs.Trace.span
+val put_profile : Buffer.t -> Lt_obs.Profile.t -> unit
+val get_profile : Lt_util.Binio.cursor -> Lt_obs.Profile.t
+val max_profile_depth : int
+
 (** {1 Socket helpers} (blocking, thread-safe per direction)
 
     Frames go out writev-style: the length header and the message body

@@ -197,7 +197,7 @@ let client_loop t fd =
               ~hist:(Obs.request_hist obs ~kind:(Protocol.request_kind req))
               ~op:Trace.Request
               ~table:(Protocol.request_kind req)
-              ~t0 ~ctx:c ()
+              ~t0 ~ctx:c (Obs.elapsed obs ~t0)
         | None -> ());
         (try Protocol.send_response fd resp
          with Unix.Unix_error _ -> finished := true)

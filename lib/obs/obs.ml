@@ -20,12 +20,9 @@ let clock t = t.o_clock
 let enabled t = Metrics.enabled t.o_registry
 let now_us t = if enabled t then Clock.now t.o_clock else 0L
 
-let record_op t ~hist ~op ~table ~t0 ?ctx ?(scanned = 0) ?(returned = 0)
-    ?(tablets = 0) ?(cache_hits = 0) ?(cache_misses = 0) () =
+let record_op t ?hist ~op ~table ~t0 ?ctx (r : Profile.t) =
   if enabled t then begin
-    let now = Clock.now t.o_clock in
-    let duration = Int64.max 0L (Int64.sub now t0) in
-    Metrics.Histogram.observe_us hist duration;
+    Option.iter (fun h -> Metrics.Histogram.observe_us h r.p_total_us) hist;
     let sp_ctx =
       match ctx with
       | Some _ as c -> c
@@ -35,21 +32,13 @@ let record_op t ~hist ~op ~table ~t0 ?ctx ?(scanned = 0) ?(returned = 0)
           Option.map Trace.child_of (Trace.current ())
     in
     Trace.record t.o_trace
-      { Trace.sp_op = op;
-        sp_table = table;
-        sp_start_us = t0;
-        sp_duration_us = duration;
-        sp_scanned = scanned;
-        sp_returned = returned;
-        sp_tablets = tablets;
-        sp_cache_hits = cache_hits;
-        sp_cache_misses = cache_misses;
-        sp_ctx }
+      { Trace.sp_op = op; sp_table = table; sp_start_us = t0; sp_ctx;
+        sp_prof = r }
   end
 
-(* Fresh root context for an outbound request, or [None] when disabled
-   so tracing-off stays a boolean load. *)
-let root_ctx t = if enabled t then Some (Trace.new_root ~clock:t.o_clock) else None
+let elapsed t ~t0 =
+  { Profile.empty with
+    p_total_us = Int64.max 0L (Int64.sub (Clock.now t.o_clock) t0) }
 
 type table_instruments = {
   h_insert : Metrics.Histogram.t;
@@ -79,7 +68,7 @@ let table_instruments t ~table =
         "Latency of Table.latest prefix searches." ~labels;
     h_flush =
       duration_hist t "lt_flush_duration_seconds"
-        "Latency of one memtable flush to a tablet." ~labels;
+        "Latency of one memtable flush, through its commit." ~labels;
     h_merge =
       duration_hist t "lt_merge_duration_seconds"
         "Latency of one adjacent-pair tablet merge step." ~labels;

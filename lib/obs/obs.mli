@@ -34,21 +34,21 @@ val enabled : t -> bool
     timing site costs one load and no clock read). *)
 val now_us : t -> int64
 
-(** [record_op t ~hist ~op ~table ~t0 ... ()] — close the span opened
-    at [t0] (a {!now_us} result): observe the duration on [hist],
-    push a {!Trace.span} onto the ring (logging it if slow). No-op
-    when disabled. When [ctx] is omitted the span attaches to the
+(** [record_op t ?hist ~op ~table ~t0 ?ctx r] — the one span
+    recorder: push a {!Trace.span} for the operation that started at
+    [t0] and finished with record [r] onto the ring (logging it if
+    slow), and observe [r.p_total_us] on [hist] when one is given.
+    No-op when disabled. When [ctx] is omitted the span attaches to the
     calling thread's ambient {!Trace.ctx} (if any) as a fresh child;
     pass [ctx] to pin an exact context (servers recording the request
     span itself). *)
 val record_op :
-  t -> hist:Metrics.Histogram.t -> op:Trace.op -> table:string ->
-  t0:int64 -> ?ctx:Trace.ctx -> ?scanned:int -> ?returned:int ->
-  ?tablets:int -> ?cache_hits:int -> ?cache_misses:int -> unit -> unit
+  t -> ?hist:Metrics.Histogram.t -> op:Trace.op -> table:string ->
+  t0:int64 -> ?ctx:Trace.ctx -> Profile.t -> unit
 
-(** Fresh root {!Trace.ctx} for an outbound request, [None] when
-    disabled. *)
-val root_ctx : t -> Trace.ctx option
+(** The record of an operation that carries no counts: only
+    [p_total_us], the time since [t0] (a {!now_us} result). *)
+val elapsed : t -> t0:int64 -> Profile.t
 
 (** Per-table histograms for the engine operations plus the
     parallel-scan instruments, all labeled [{table="<name>"}]. *)

@@ -11,6 +11,8 @@ type t = {
   p_cache_misses : int;
   p_blocks_footer_answered : int;
   p_columns_decoded : int;
+  p_bytes_in : int;
+  p_bytes_out : int;
   p_shards : (string * t) list;
 }
 
@@ -27,6 +29,8 @@ let empty =
     p_cache_misses = 0;
     p_blocks_footer_answered = 0;
     p_columns_decoded = 0;
+    p_bytes_in = 0;
+    p_bytes_out = 0;
     p_shards = [] }
 
 (* Merge same-labeled shard sub-profiles, preserving first-seen label
@@ -63,6 +67,8 @@ and aggregate ps =
         p_blocks_footer_answered =
           acc.p_blocks_footer_answered + p.p_blocks_footer_answered;
         p_columns_decoded = acc.p_columns_decoded + p.p_columns_decoded;
+        p_bytes_in = acc.p_bytes_in + p.p_bytes_in;
+        p_bytes_out = acc.p_bytes_out + p.p_bytes_out;
         p_shards = merge_shards (acc.p_shards @ p.p_shards) })
     empty ps
 
@@ -80,6 +86,9 @@ let rec pp_indent ppf ~indent p =
     p.p_cache_misses;
   Format.fprintf ppf "%spush    blocks_footer_answered=%d columns_decoded=%d@."
     pad p.p_blocks_footer_answered p.p_columns_decoded;
+  if p.p_bytes_in > 0 || p.p_bytes_out > 0 then
+    Format.fprintf ppf "%sbytes   in=%d out=%d@." pad p.p_bytes_in
+      p.p_bytes_out;
   List.iter
     (fun (label, sub) ->
       Format.fprintf ppf "%sshard %s: total %.3f ms@." pad label

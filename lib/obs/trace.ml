@@ -21,13 +21,8 @@ type span = {
   sp_op : op;
   sp_table : string;
   sp_start_us : int64;
-  sp_duration_us : int64;
-  sp_scanned : int;
-  sp_returned : int;
-  sp_tablets : int;
-  sp_cache_hits : int;
-  sp_cache_misses : int;
   sp_ctx : ctx option;
+  sp_prof : Profile.t;
 }
 
 type t = {
@@ -167,17 +162,32 @@ let op_name = function
   | Backend -> "backend"
   | Failover -> "failover"
 
+let duration_us sp = sp.sp_prof.Profile.p_total_us
+
+let counts sp =
+  let p = sp.sp_prof in
+  let rows =
+    if p.Profile.p_rows_scanned > 0 || p.p_rows_returned > 0 then
+      Printf.sprintf " scanned=%d returned=%d" p.p_rows_scanned
+        p.p_rows_returned
+    else ""
+  in
+  if p.p_bytes_in > 0 || p.p_bytes_out > 0 then
+    Printf.sprintf "%s bytes_in=%d bytes_out=%d" rows p.p_bytes_in
+      p.p_bytes_out
+  else rows
+
 let pp_span ppf sp =
+  let p = sp.sp_prof in
   let ids =
     match sp.sp_ctx with
     | None -> ""
     | Some c -> Printf.sprintf "  trace=%s" (trace_id_hex c)
   in
-  Format.fprintf ppf
-    "%-8s %-16s %8Ld us  scanned=%d returned=%d tablets=%d cache=%d/%d%s"
-    (op_name sp.sp_op) sp.sp_table sp.sp_duration_us sp.sp_scanned
-    sp.sp_returned sp.sp_tablets sp.sp_cache_hits
-    (sp.sp_cache_hits + sp.sp_cache_misses)
+  Format.fprintf ppf "%-8s %-16s %8Ld us %s tablets=%d cache=%d/%d%s"
+    (op_name sp.sp_op) sp.sp_table (duration_us sp) (counts sp)
+    p.Profile.p_tablets p.p_cache_hits
+    (p.p_cache_hits + p.p_cache_misses)
     ids
 
 let record t sp =
@@ -186,7 +196,7 @@ let record t sp =
         let cap = Array.length t.ring in
         t.ring.(t.next mod cap) <- Some sp;
         t.next <- t.next + 1;
-        sp.sp_duration_us >= t.slow_us)
+        duration_us sp >= t.slow_us)
   in
   if slow then Log.warn (fun m -> m "slow op: %a" pp_span sp)
 
@@ -228,4 +238,4 @@ let find ?trace ?(slow_only = false) t =
   in
   List.rev
     (fold_recent t (fun sp ->
-         ((not slow_only) || sp.sp_duration_us >= t.slow_us) && in_trace sp))
+         ((not slow_only) || duration_us sp >= t.slow_us) && in_trace sp))

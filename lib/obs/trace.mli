@@ -34,17 +34,15 @@ type ctx = {
   cx_parent : int64;
 }
 
+(** A finished operation as the ring keeps it: what ran, where, when,
+    under which trace context, and its one {!Profile.t} record — whose
+    [p_total_us] is the span's duration. *)
 type span = {
   sp_op : op;
   sp_table : string;
   sp_start_us : int64; (* clock time at operation start *)
-  sp_duration_us : int64;
-  sp_scanned : int; (* rows scanned; 0 when not applicable *)
-  sp_returned : int; (* rows returned / inserted / flushed / merged *)
-  sp_tablets : int; (* tablets touched *)
-  sp_cache_hits : int;
-  sp_cache_misses : int;
   sp_ctx : ctx option; (* None: span predates tracing / ambient off *)
+  sp_prof : Profile.t;
 }
 
 type t
@@ -102,11 +100,19 @@ val recent : ?n:int -> ?table:string -> t -> span list
 
 (** Retained spans, oldest first — ready for tree assembly: only those
     of the trace [(hi, lo)] when [trace] is given, and only those with
-    [sp_duration_us >= slow_us] when [slow_only] (default [false]).
+    [p_total_us >= slow_us] when [slow_only] (default [false]).
     What a [Get_trace] request answers with. *)
 val find : ?trace:int64 * int64 -> ?slow_only:bool -> t -> span list
 
 val op_name : op -> string
+
+(** The span's duration: its record's [p_total_us]. *)
+val duration_us : span -> int64
+
+(** The span's counts as [" scanned=... returned=..."] (plus
+    [" bytes_in=... bytes_out=..."] for flushes and merges); empty when
+    all are zero. *)
+val counts : span -> string
 
 val pp_span : Format.formatter -> span -> unit
 

@@ -6,7 +6,7 @@ let error fmt = Format.kasprintf (fun s -> raise (Exec_error s)) fmt
 
 type backend = {
   b_schema : string -> Schema.t option;
-  b_query : string -> Query.t -> Cursor.source;
+  b_query : 'a. string -> Query.t -> (Cursor.source -> 'a) -> 'a;
   b_query_agg : (string -> Query.t -> Agg.spec array -> Value.t array) option;
   b_insert : string -> Value.t array list -> unit;
   b_create : string -> Schema.t -> ttl:int64 option -> unit;
@@ -29,9 +29,9 @@ let local_backend db =
     b_schema =
       (fun name -> Option.map Table.schema (Db.find_table db name));
     b_query =
-      (fun name q ->
+      (fun name q f ->
         match Db.find_table db name with
-        | Some t -> Table.query_iter t q
+        | Some t -> Table.with_query t q f
         | None -> error "no such table %S" name);
     b_query_agg =
       Some
@@ -152,7 +152,7 @@ let run_select b (s : Ast.select) =
       in
       Rows { columns; rows }
   | None ->
-  let src = b.b_query s.Ast.table plan.Planner.query in
+  b.b_query s.Ast.table plan.Planner.query @@ fun src ->
   let passes row = List.for_all (fun r -> cond_holds r row) plan.Planner.residuals in
   if not plan.Planner.aggregated then begin
     let out = ref [] and count = ref 0 in

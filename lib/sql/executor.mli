@@ -12,8 +12,10 @@ exception Exec_error of string
 
 type backend = {
   b_schema : string -> Schema.t option;
-  b_query : string -> Query.t -> Cursor.source;
-      (** streaming scan; the executor drains it fully or up to LIMIT *)
+  b_query : 'a. string -> Query.t -> (Cursor.source -> 'a) -> 'a;
+      (** [b_query table q f] runs [f] on a streaming scan of [q]; [f]
+          may stop reading early (at a LIMIT), so the backend ends the
+          scan when [f] returns or raises *)
   b_query_agg : (string -> Query.t -> Agg.spec array -> Value.t array) option;
       (** whole-query aggregates evaluated inside the engine (columnar
           footer pushdown); [None] (e.g. over the wire) streams rows and

@@ -109,6 +109,8 @@ let sample_profile =
     p_cache_misses = 1;
     p_blocks_footer_answered = 4;
     p_columns_decoded = 11;
+    p_bytes_in = 0;
+    p_bytes_out = 0;
     p_shards =
       [
         ("shard0", { Lt_obs.Profile.empty with Lt_obs.Profile.p_scan_us = 100L });
@@ -161,37 +163,31 @@ let test_protocol_responses () =
             Lt_obs.Trace.sp_op = Lt_obs.Trace.Query;
             sp_table = "usage";
             sp_start_us = 17L;
-            sp_duration_us = 250_000L;
-            sp_scanned = 512;
-            sp_returned = 3;
-            sp_tablets = 4;
-            sp_cache_hits = 9;
-            sp_cache_misses = 2;
             sp_ctx = Some sample_ctx;
+            sp_prof =
+              { Lt_obs.Profile.empty with
+                p_total_us = 250_000L;
+                p_rows_scanned = 512;
+                p_rows_returned = 3;
+                p_tablets = 4;
+                p_cache_hits = 9;
+                p_cache_misses = 2 };
           };
           {
             Lt_obs.Trace.sp_op = Lt_obs.Trace.Merge;
             sp_table = "t2";
             sp_start_us = 0L;
-            sp_duration_us = 0L;
-            sp_scanned = 0;
-            sp_returned = 0;
-            sp_tablets = 0;
-            sp_cache_hits = 0;
-            sp_cache_misses = 0;
             sp_ctx = None;
+            sp_prof =
+              { Lt_obs.Profile.empty with
+                p_bytes_in = 70_000; p_bytes_out = 65_536 };
           };
           {
-            Lt_obs.Trace.sp_op = Lt_obs.Trace.Request;
+            Lt_obs.Trace.sp_op = Lt_obs.Trace.Route;
             sp_table = "query";
             sp_start_us = 5L;
-            sp_duration_us = 9L;
-            sp_scanned = 1;
-            sp_returned = 1;
-            sp_tablets = 0;
-            sp_cache_hits = 0;
-            sp_cache_misses = 0;
             sp_ctx = Some sample_ctx;
+            sp_prof = sample_profile;
           };
         ];
       Protocol.Trace_spans [];
@@ -457,10 +453,11 @@ let test_stop_leaves_other_server_alone () =
               Alcotest.fail "stopping server A cut a connection to server B");
           Client.close c2))
 
-(* A client one version behind (v6 still sent the stats, text-metrics
-   and slow-op requests as tags 9, 15 and 16; v5 single-table inserts as
-   tag 5) must be refused at the door, not half-served with messages it
-   cannot decode; those tags themselves no longer decode. *)
+(* A client one version behind (v7 sent spans with five fixed counts
+   and records without byte counts) must be refused at the door, not
+   half-served with messages it cannot decode. Older request tags (v6's
+   stats, text-metrics and slow-op requests as tags 9, 15 and 16; v5's
+   single-table inserts as tag 5) no longer decode at all. *)
 let test_mixed_version_hello_rejected () =
   let retired tag =
     let b = Buffer.create 16 in
@@ -486,7 +483,7 @@ let test_mixed_version_hello_rejected () =
         (fun () ->
           Unix.connect fd
             (Unix.ADDR_INET (Unix.inet_addr_loopback, Server.port server));
-          Protocol.send_request fd (Protocol.Hello 6);
+          Protocol.send_request fd (Protocol.Hello 7);
           (match Protocol.recv_response fd with
           | Protocol.Error msg ->
               Alcotest.(check bool) "names the version" true
@@ -568,7 +565,7 @@ let test_trace_fetch_over_wire () =
                  | None -> false)
                spans);
           let ended sp =
-            Int64.add sp.Lt_obs.Trace.sp_start_us sp.Lt_obs.Trace.sp_duration_us
+            Int64.add sp.Lt_obs.Trace.sp_start_us (Lt_obs.Trace.duration_us sp)
           in
           (match Client.slow_ops ~n:2 c with
           | [ a; b ] ->
@@ -846,7 +843,102 @@ let prop_decoders_total =
         | exception (Protocol.Protocol_error _ | Lt_util.Binio.Corrupt _) -> true
         | exception Littletable.Schema.Invalid _ -> true
       in
-      ok Protocol.read_request && ok Protocol.read_response)
+      ok Protocol.read_request && ok Protocol.read_response
+      && ok Protocol.get_span && ok Protocol.get_profile)
+
+(* Random operation records, shard sub-records nested up to the
+   decoder's depth bound, and spans carrying them. *)
+let gen_record =
+  let open QCheck.Gen in
+  let count = oneof [ small_nat; map (fun x -> x land max_int) int ] in
+  let rec record depth =
+    let shards =
+      if depth >= Protocol.max_profile_depth then return []
+      else
+        list_size (int_bound 2)
+          (pair (string_size (int_bound 6)) (record (depth + 1)))
+    in
+    map2
+      (fun (plan, scan, stall, total) (counts, shards) ->
+        match counts with
+        | [ s; r; t; pr; h; m; f; c; bi; bo ] ->
+            { Lt_obs.Profile.p_plan_us = plan; p_scan_us = scan;
+              p_stall_us = stall; p_total_us = total; p_rows_scanned = s;
+              p_rows_returned = r; p_tablets = t; p_tablets_pruned = pr;
+              p_cache_hits = h; p_cache_misses = m;
+              p_blocks_footer_answered = f; p_columns_decoded = c;
+              p_bytes_in = bi; p_bytes_out = bo; p_shards = shards }
+        | _ -> assert false)
+      (quad ui64 ui64 ui64 ui64)
+      (pair (list_repeat 10 count) shards)
+  in
+  record 0
+
+let gen_span =
+  let open QCheck.Gen in
+  let ctx =
+    map
+      (fun (hi, lo, sp, parent) ->
+        { Lt_obs.Trace.cx_trace_hi = hi; cx_trace_lo = lo; cx_span = sp;
+          cx_parent = parent })
+      (quad ui64 ui64 ui64 ui64)
+  in
+  map
+    (fun ((op, table, start), (ctx, prof)) ->
+      { Lt_obs.Trace.sp_op = op; sp_table = table; sp_start_us = start;
+        sp_ctx = ctx; sp_prof = prof })
+    (pair
+       (triple
+          (oneofl
+             Lt_obs.Trace.
+               [ Insert; Query; Latest; Flush; Merge; Stall; Request; Route;
+                 Backend; Failover ])
+          (string_size (int_bound 12))
+          ui64)
+       (pair (opt ctx) gen_record))
+
+(* [put] then [get] gives the value back and consumes every byte; every
+   strict prefix of the encoding is a protocol error. *)
+let roundtrips put get v =
+  let b = Buffer.create 64 in
+  put b v;
+  let bytes = Buffer.contents b in
+  let cur = Lt_util.Binio.cursor bytes in
+  get cur = v
+  && Lt_util.Binio.remaining cur = 0
+  && List.for_all
+       (fun n ->
+         match get (Lt_util.Binio.cursor (String.sub bytes 0 n)) with
+         | _ -> false
+         | exception Protocol.Protocol_error _ -> true)
+       (List.init (String.length bytes) Fun.id)
+
+let prop_span_roundtrip =
+  QCheck.Test.make ~name:"span encoding roundtrips, truncation rejected"
+    ~count:300 (QCheck.make gen_span)
+    (roundtrips Protocol.put_span Protocol.get_span)
+
+let prop_profile_roundtrip =
+  QCheck.Test.make ~name:"record encoding roundtrips, truncation rejected"
+    ~count:300 (QCheck.make gen_record)
+    (roundtrips Protocol.put_profile Protocol.get_profile)
+
+(* One level past the bound is refused rather than recursed into. *)
+let test_profile_depth_bound () =
+  let rec nest d =
+    if d = 0 then Lt_obs.Profile.empty
+    else { Lt_obs.Profile.empty with p_shards = [ ("s", nest (d - 1)) ] }
+  in
+  let decode d =
+    let b = Buffer.create 64 in
+    Protocol.put_profile b (nest d);
+    Protocol.get_profile (Lt_util.Binio.cursor (Buffer.contents b))
+  in
+  Alcotest.(check bool) "depth at the bound decodes" true
+    (decode Protocol.max_profile_depth = nest Protocol.max_profile_depth);
+  match decode (Protocol.max_profile_depth + 1) with
+  | _ -> Alcotest.fail "record nested past the bound accepted"
+  | exception Protocol.Protocol_error _ -> ()
 
 (* Regression: a varint overflowing to a negative count must be a
    protocol error, not Invalid_argument from Array.init/List.init. *)
@@ -901,4 +993,7 @@ let suite =
     ("client gone mid-pipeline leaves the server up", `Quick, test_client_gone_mid_pipeline);
     ("negative decode counts rejected", `Quick, test_negative_count_rejected);
     Support.qcheck prop_decoders_total;
+    Support.qcheck prop_span_roundtrip;
+    Support.qcheck prop_profile_roundtrip;
+    ("record nesting bound", `Quick, test_profile_depth_bound);
   ]

@@ -161,14 +161,13 @@ let span ~op ~dur_us i =
     Trace.sp_op = op;
     sp_table = "t";
     sp_start_us = Int64.of_int i;
-    sp_duration_us = dur_us;
-    sp_scanned = i;
-    sp_returned = 0;
-    sp_tablets = 1;
-    sp_cache_hits = 0;
-    sp_cache_misses = 0;
     sp_ctx = None;
+    sp_prof =
+      { Lt_obs.Profile.empty with
+        p_total_us = dur_us; p_rows_scanned = i; p_tablets = 1 };
   }
+
+let scanned sp = sp.Trace.sp_prof.Lt_obs.Profile.p_rows_scanned
 
 let test_ring_wraparound () =
   let t = Trace.create ~capacity:4 ~slow_us:700L () in
@@ -179,9 +178,9 @@ let test_ring_wraparound () =
   let recent = Trace.recent t in
   check_int "capacity bounds retention" 4 (List.length recent);
   Alcotest.(check (list int)) "newest first" [ 9; 8; 7; 6 ]
-    (List.map (fun sp -> sp.Trace.sp_scanned) recent);
+    (List.map scanned recent);
   Alcotest.(check (list int)) "slow filters by threshold" [ 9; 8; 7 ]
-    (List.rev_map (fun sp -> sp.Trace.sp_scanned)
+    (List.rev_map scanned
        (Trace.find ~slow_only:true t));
   check_bool "slow threshold fixed at create" true (Trace.slow_us t = 700L)
 
@@ -260,7 +259,7 @@ let test_trace_filters () =
   let found = Trace.find ~trace:trace_a t in
   check_int "trace filter matches both spans" 2 (List.length found);
   Alcotest.(check (list int)) "trace filter is oldest first" [ 0; 1 ]
-    (List.map (fun sp -> sp.Trace.sp_scanned) found);
+    (List.map scanned found);
   check_int "other trace isolated" 1
     (List.length
        (Trace.find ~trace:(rb.Trace.cx_trace_hi, rb.Trace.cx_trace_lo) t))
@@ -273,7 +272,8 @@ let test_record_op_ambient () =
   let root = Trace.new_root ~clock in
   let h = Metrics.histogram (Obs.registry obs) "lt_test_seconds" in
   Trace.with_ctx (Some root) (fun () ->
-      Obs.record_op obs ~hist:h ~op:Trace.Query ~table:"t" ~t0:0L ());
+      Obs.record_op obs ~hist:h ~op:Trace.Query ~table:"t" ~t0:0L
+        Lt_obs.Profile.empty);
   (match Trace.recent (Obs.trace obs) with
   | [ sp ] -> (
       match sp.Trace.sp_ctx with
@@ -372,11 +372,17 @@ let test_snapshot_federation () =
 
 let test_stats_ratios () =
   let s = Stats.create () in
+  let query ~scanned ~returned =
+    Stats.note s
+      (Stats.of_op Trace.Query
+         { Lt_obs.Profile.empty with
+           p_rows_scanned = scanned; p_rows_returned = returned })
+  in
   check_float "no queries" 0.0 (Stats.scan_ratio (Stats.read s));
   (* A pure-waste scan must not hide behind returned=0. *)
-  Stats.note_query s ~scanned:40 ~returned:0;
+  query ~scanned:40 ~returned:0;
   check_float "pure waste" 40.0 (Stats.scan_ratio (Stats.read s));
-  Stats.note_query s ~scanned:60 ~returned:50;
+  query ~scanned:60 ~returned:50;
   check_float "mixed" 2.0 (Stats.scan_ratio (Stats.read s));
   check_float "cold cache" 0.0 (Stats.cache_hit_ratio (Stats.read s));
   let cache =
@@ -410,7 +416,7 @@ let test_slow_query_e2e () =
   let is_slow_query sp =
     sp.Trace.sp_op = Trace.Query
     && sp.Trace.sp_table = "usage"
-    && sp.Trace.sp_duration_us >= Clock.msec 50
+    && Trace.duration_us sp >= Clock.msec 50
   in
   check_bool "slow query traced" true (List.exists is_slow_query slow);
   let text = Obs.render obs in

@@ -210,6 +210,92 @@ let test_merge_reduces_tablets () =
   let s = Table.stats t in
   Alcotest.(check bool) "merge stats" true (s.Stats.merges = !merged)
 
+(* Regression: a scan whose reader stops early — the SQL executor's
+   LIMIT over a residual filter, an app search that reaches its limit —
+   kept its tablet refs forever, so tablets merged away stayed on disk,
+   and its query was never counted. *)
+let test_abandoned_scan_releases_tablets () =
+  let db, clock, vfs, t = fresh () in
+  let base = Int64.sub (Clock.now clock) (Int64.mul 3L Clock.week) in
+  for batch = 0 to 4 do
+    Table.insert t
+      (List.init 20 (fun i ->
+           let k = (batch * 20) + i in
+           row 1L (Int64.of_int k) (Int64.add base (Int64.of_int k))));
+    Table.flush_all t
+  done;
+  let files () = List.map (fun m -> m.Descriptor.file) (Table.tablets t) in
+  let flushed = files () in
+  Alcotest.(check int) "five tablets" 5 (List.length flushed);
+  Alcotest.(check bool) "scoped scan stopped after one row" true
+    (Table.with_query t Query.all (fun src -> src ()) <> None);
+  (match
+     Lt_sql.Executor.execute (Lt_sql.Executor.local_backend db)
+       "SELECT device FROM usage WHERE bytes = 0 LIMIT 1"
+   with
+  | Lt_sql.Executor.Rows { rows = [ _ ]; _ } -> ()
+  | _ -> Alcotest.fail "LIMIT 1 over a residual filter gives one row");
+  while Table.merge_step t do () done;
+  let live = files () in
+  let on_disk = Lt_vfs.Vfs.readdir vfs (Table.dir t) in
+  Alcotest.(check bool) "merges retired tablets" true
+    (List.exists (fun f -> not (List.mem f live)) flushed);
+  Alcotest.(check (list string)) "no retired tablet left on disk" []
+    (List.filter (fun f -> (not (List.mem f live)) && List.mem f on_disk)
+       flushed);
+  Alcotest.(check int) "both scans counted" 2 (Table.stats t).Stats.queries
+
+(* Regression: a flush whose descriptor commit failed was recorded as a
+   span and a latency sample but not counted, so the three disagreed
+   after the retry. *)
+let test_telemetry_after_failed_commit () =
+  let clock = Clock.manual ~start:Support.ts0 () in
+  let armed = ref false in
+  let vfs =
+    Lt_vfs.Vfs.faulty
+      ~should_fail:(fun ~op ~path ->
+        let hit =
+          !armed && op = "append"
+          && Filename.basename path = Descriptor.file_name ^ ".tmp"
+        in
+        if hit then armed := false;
+        hit)
+      (Lt_vfs.Vfs.memory ())
+  in
+  let db = Db.open_ ~config:small_config ~clock ~vfs ~dir:"dbroot" () in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  let t = Db.create_table db "usage" (schema ()) ~ttl:None in
+  Table.insert t [ row 1L 1L Support.ts0; row 1L 2L Support.ts0 ];
+  armed := true;
+  (match Table.flush_all t with
+  | () -> Alcotest.fail "the descriptor append was meant to fail"
+  | exception Lt_vfs.Vfs.Io_error _ -> ());
+  Table.flush_all t;
+  let obs = Db.obs db in
+  let hist_count =
+    List.concat_map
+      (fun f ->
+        if f.Lt_obs.Metrics.sn_name = "lt_flush_duration_seconds" then
+          List.filter_map
+            (fun c ->
+              if c.Lt_obs.Metrics.sn_labels = [ ("table", "usage") ] then
+                Some c.Lt_obs.Metrics.sn_count
+              else None)
+            f.Lt_obs.Metrics.sn_children
+        else [])
+      (Lt_obs.Metrics.snapshot (Lt_obs.Obs.registry obs))
+  in
+  let spans =
+    List.filter
+      (fun sp -> sp.Lt_obs.Trace.sp_op = Lt_obs.Trace.Flush)
+      (Lt_obs.Trace.recent (Lt_obs.Obs.trace obs))
+  in
+  let flushes = (Table.stats t).Stats.flushes in
+  Alcotest.(check int) "one flush counted" 1 flushes;
+  Alcotest.(check (list int)) "histogram agrees" [ flushes ] hist_count;
+  Alcotest.(check int) "spans agree" flushes (List.length spans);
+  Alcotest.(check int) "rows durable" 2 (List.length (all_rows t))
+
 let test_merge_respects_periods () =
   let _, clock, _, t = fresh () in
   let now = Clock.now clock in
@@ -775,12 +861,14 @@ let accounting_transcript ~domains =
     in
     let span_fields sp =
       let open Lt_obs.Trace in
+      let p = sp.sp_prof in
+      let open Lt_obs.Profile in
       if sp.sp_op = Latest then
-        latest_tablets := (label, sp.sp_tablets) :: !latest_tablets;
-      Printf.sprintf "%s/s%d/r%d/t%s/h%d/m%d" (op_name sp.sp_op) sp.sp_scanned
-        sp.sp_returned
-        (if sp.sp_op = Latest then "_" else string_of_int sp.sp_tablets)
-        sp.sp_cache_hits sp.sp_cache_misses
+        latest_tablets := (label, p.p_tablets) :: !latest_tablets;
+      Printf.sprintf "%s/s%d/r%d/t%s/h%d/m%d" (op_name sp.sp_op)
+        p.p_rows_scanned p.p_rows_returned
+        (if sp.sp_op = Latest then "_" else string_of_int p.p_tablets)
+        p.p_cache_hits p.p_cache_misses
     in
     lines :=
       Printf.sprintf "%s rows=%s prof=%s spans=[%s] stats=%s" label
@@ -996,6 +1084,10 @@ let suite =
     ("ttl: straddling tablet kept", `Quick, test_ttl_partial_tablet);
     ("merge reduces tablets", `Quick, test_merge_reduces_tablets);
     ("merge respects periods", `Quick, test_merge_respects_periods);
+    ("abandoned scan releases its tablets", `Quick, test_abandoned_scan_releases_tablets);
+    ( "telemetry agrees after a failed flush commit",
+      `Quick,
+      test_telemetry_after_failed_commit );
     ("merge drops expired rows", `Quick, test_merge_drops_expired_rows);
     ("latest: full prefix", `Quick, test_latest_full_prefix);
     ("latest: respects ttl", `Quick, test_latest_respects_ttl);
