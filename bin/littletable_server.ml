@@ -104,11 +104,7 @@ let run_router ~backends ~replicas ~placement_spec ~row_limit ~port
   let shards = List.length backends in
   let policy = parse_placement ~shards placement_spec in
   let placement = Lt_cluster.Placement.create ~shards ~policy in
-  let obs =
-    Lt_obs.Obs.create
-      ~trace_capacity:Littletable.Config.default.Littletable.Config.trace_capacity
-      ~clock:Lt_util.Clock.system ()
-  in
+  let obs = Lt_obs.Obs.create ~clock:Lt_util.Clock.system () in
   let cluster =
     Lt_cluster.Cluster_client.create ~obs ~connect_timeout:5.0 ~replicas
       ~backends ()

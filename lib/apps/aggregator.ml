@@ -179,8 +179,9 @@ let run_once t =
     | Safety_lag lag -> Int64.sub now lag
     | Flush_command ->
         (* The proposed flush command (§4.1.2): after it returns, every
-           source row with ts <= now is durable. *)
-        Table.flush_before t.source ~ts:now;
+           source row with ts <= now is durable. A full flush round
+           covers them. *)
+        Table.flush_all t.source;
         now
   in
   (match t.next_period with

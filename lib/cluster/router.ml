@@ -239,58 +239,39 @@ let route_insert t payload =
 
 (* ---- Queries ----------------------------------------------------------- *)
 
-(* A pull source over one shard's slice of the bounding box: pages
-   through capped [Row_batch]es with the adaptor's §3.5 resubmission
-   step, lazily — the merge pulls the next page only when needed. When
-   profiling, each page's backend profile is pushed onto [profs] under
-   this shard's index; [route_query] folds them per shard afterwards. *)
+(* A pull source over one shard's slice of the bounding box: the
+   adaptor's §3.5 pager ({!Client.pager}) over capped [Row_batch]es,
+   fetched through the failover client, lazily — the merge pulls the
+   next page only when needed. Each page adds its scanned count to
+   [scanned]; when profiling, its backend profile is pushed onto
+   [profs] under this shard's index, and [route_query] folds them per
+   shard afterwards. *)
 let shard_source t shard table schema q ~profile ~profs scanned =
-  let q = { q with Query.limit = None } in
-  let next_q = ref (Some q) in
-  let buf = ref [] in
-  let rec pull () =
-    match !buf with
-    | row :: rest ->
-        buf := rest;
-        Some (Key_codec.encode_key schema row, row)
-    | [] -> (
-        match !next_q with
-        | None -> None
-        | Some q -> (
-            match
-              Cluster_client.request_read t.cc shard
-                (Protocol.Query { table; query = q; profile })
-            with
-            | Protocol.Row_batch { rows; more_available; scanned = s; profile = p }
-              ->
-                scanned := !scanned + s;
-                (match p with
-                | Some p ->
-                    let prev =
-                      Option.value ~default:[] (Hashtbl.find_opt profs shard)
-                    in
-                    Hashtbl.replace profs shard (p :: prev)
-                | None -> ());
-                buf := rows;
-                next_q :=
-                  (if more_available then
-                     match List.rev rows with
-                     | last :: _ -> Some (Client.advance_past schema q last)
-                     | [] -> None
-                   else None);
-                if rows = [] && !next_q = None then None else pull ()
-            | Protocol.Error msg -> err "%s" msg
-            | _ -> err "bad query response"))
+  let fetch query =
+    match
+      Cluster_client.request_read t.cc shard
+        (Protocol.Query { table; query; profile })
+    with
+    | Protocol.Row_batch { rows; more_available; scanned = s; profile = p } ->
+        scanned := !scanned + s;
+        (match p with
+        | Some p ->
+            let prev = Option.value ~default:[] (Hashtbl.find_opt profs shard) in
+            Hashtbl.replace profs shard (p :: prev)
+        | None -> ());
+        { Client.rows; more_available; scanned = s; profile = p }
+    | Protocol.Error msg -> err "%s" msg
+    | _ -> err "bad query response"
   in
-  pull
+  let next = Client.pager schema ~fetch { q with Query.limit = None } in
+  fun () ->
+    Option.map (fun row -> (Key_codec.encode_key schema row, row)) (next ())
 
 (* Recombine the owning shards' ordered streams with the same k-way
    merge the engine uses for tablets, then re-apply the single-node row
-   cap: [cap = min(limit, row_limit)] rows, one extra pull to learn
-   whether more rows exist, and [more_available] only when the client's
-   own limit did not bind first — byte-identical to
-   [Table.query] on a single node holding all the rows, provided
-   [row_limit] equals that node's [server_row_limit]. *)
+   cap ({!Cursor.cap}) — byte-identical to [Table.query] on a single
+   node holding all the rows, provided [row_limit] equals that node's
+   [server_row_limit]. *)
 let route_query t table q ~profile =
   (* The fan-out runs under a fresh Route span so each backend round
      trip's Backend span (recorded by the client adaptor) nests under
@@ -320,23 +301,9 @@ let route_query t table q ~profile =
               (s, shard_source t s table schema q ~profile ~profs scanned))
             shards
         in
-        let merged = Cursor.merge ~asc:(q.Query.direction = Query.Asc) sources in
-        let cap =
-          match q.Query.limit with
-          | None -> t.row_limit
-          | Some l -> min l t.row_limit
-        in
-        let rec collect acc n =
-          if n = 0 then (List.rev acc, merged () <> None)
-          else
-            match merged () with
-            | None -> (List.rev acc, false)
-            | Some (_, row) -> collect (row :: acc) (n - 1)
-        in
-        let rows, more = collect [] cap in
-        let more_available =
-          more
-          && (match q.Query.limit with None -> true | Some l -> l > t.row_limit)
+        let rows, more_available =
+          Cursor.cap ~limit:q.Query.limit ~row_limit:t.row_limit snd
+            (Cursor.merge ~asc:(q.Query.direction = Query.Asc) sources)
         in
         let record =
           if not timed then None

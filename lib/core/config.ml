@@ -14,7 +14,6 @@ type t = {
   cache_bytes : int;
   obs_enabled : bool;
   slow_op_micros : int64;
-  trace_capacity : int;
   query_domains : int;
   columnar_age : int64;
 }
@@ -34,7 +33,6 @@ let default =
     cache_bytes = 64 * 1024 * 1024;
     obs_enabled = true;
     slow_op_micros = Clock.msec 100;
-    trace_capacity = 1024;
     query_domains = Lt_exec.Pool.default_domains ();
     columnar_age = Int64.max_int;
   }
@@ -50,7 +48,6 @@ let make ?(block_size = default.block_size) ?(flush_size = default.flush_size)
     ?(enforce_unique = default.enforce_unique)
     ?(cache_bytes = default.cache_bytes) ?(obs_enabled = default.obs_enabled)
     ?(slow_op_micros = default.slow_op_micros)
-    ?(trace_capacity = default.trace_capacity)
     ?(query_domains = default.query_domains)
     ?(columnar_age = default.columnar_age) () =
   {
@@ -67,7 +64,6 @@ let make ?(block_size = default.block_size) ?(flush_size = default.flush_size)
     cache_bytes;
     obs_enabled;
     slow_op_micros;
-    trace_capacity;
     query_domains;
     columnar_age;
   }

@@ -40,10 +40,6 @@ type t = {
       (** operations at least this slow (microseconds) are kept in the
           slow-op ring's [.slow] view and logged through ["lt.slowop"]
           — 100 ms default *)
-  trace_capacity : int;
-      (** spans retained in the slow-op/trace ring — 1024 default (a
-          router reassembling fan-outs needs deeper history than the
-          original 256) *)
   query_domains : int;
       (** worker domains for parallel tablet scans ([Lt_exec]); queries
           touching more than one tablet fan out over a pool of this
@@ -77,7 +73,6 @@ val make :
   ?cache_bytes:int ->
   ?obs_enabled:bool ->
   ?slow_op_micros:int64 ->
-  ?trace_capacity:int ->
   ?query_domains:int ->
   ?columnar_age:int64 ->
   unit ->

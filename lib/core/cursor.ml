@@ -64,6 +64,18 @@ let take n src =
           some
     end
 
+let cap ~limit ~row_limit f src =
+  let cap = match limit with None -> row_limit | Some l -> min l row_limit in
+  let rec collect acc n =
+    if n = 0 then (List.rev acc, Option.is_some (src ()))
+    else
+      match src () with
+      | None -> (List.rev acc, false)
+      | Some kv -> collect (f kv :: acc) (n - 1)
+  in
+  let rows, more = collect [] cap in
+  (rows, more && match limit with None -> true | Some l -> l > row_limit)
+
 let fold f init src =
   let rec go acc = match src () with None -> acc | Some kv -> go (f acc kv) in
   go init

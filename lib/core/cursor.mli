@@ -45,6 +45,17 @@ val filter_ts :
 (** Stop after [n] rows. *)
 val take : int -> 'a stream -> 'a stream
 
+(** [cap ~limit ~row_limit f src] is the server row cap of §3.5: the
+    first [min limit row_limit] items of [src] through [f], then one
+    probe pull to learn whether more exist. The flag is
+    [more_available]: [true] only when the probe found a row and the
+    client's own [limit] did not bind first, so a client that asked for
+    fewer rows than the cap is never told to resubmit. [Table.query] and
+    the router's merged shard streams both answer a page with it. *)
+val cap :
+  limit:int option -> row_limit:int -> (string * 'a -> 'b) -> 'a stream ->
+  'b list * bool
+
 (** Drain the stream through an accumulator — how aggregate pushdown
     consumes the residue streams that footer stats could not answer. *)
 val fold : ('acc -> string * 'a -> 'acc) -> 'acc -> 'a stream -> 'acc

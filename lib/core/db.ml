@@ -43,21 +43,10 @@ let stats_samples t =
         gauge "lt_disk_bytes" "Total bytes of on-disk tablets." labels
           (Table.disk_size tbl) ]
   in
-  let cache_samples =
-    match t.cache with
+  List.concat_map per_table tables
+  @ match t.cache with
     | None -> []
-    | Some c ->
-        let k = Lt_cache.Block_cache.counters c in
-        Stats.cache_samples
-          {
-            Stats.cache_hits = k.hits;
-            cache_misses = k.misses;
-            cache_evictions = k.evictions;
-            cache_inserted_bytes = k.inserted_bytes;
-            cache_resident_bytes = k.resident_bytes;
-          }
-  in
-  List.concat_map per_table tables @ cache_samples
+    | Some c -> Stats.cache_samples (Stats.cache_of c)
 
 let open_ ?(config = Config.default) ?(clock = Clock.system)
     ?(vfs = Vfs.real ()) ~dir () =
@@ -69,7 +58,6 @@ let open_ ?(config = Config.default) ?(clock = Clock.system)
   in
   let obs =
     Obs.create ~enabled:config.Config.obs_enabled
-      ~trace_capacity:config.Config.trace_capacity
       ~slow_op_micros:config.Config.slow_op_micros ~clock ()
   in
   (* [Pool.shared] keys process-wide pools by size, so opening many

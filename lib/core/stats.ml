@@ -15,6 +15,16 @@ let no_cache =
     cache_resident_bytes = 0;
   }
 
+let cache_of c =
+  let k = Lt_cache.Block_cache.counters c in
+  {
+    cache_hits = k.hits;
+    cache_misses = k.misses;
+    cache_evictions = k.evictions;
+    cache_inserted_bytes = k.inserted_bytes;
+    cache_resident_bytes = k.resident_bytes;
+  }
+
 type snapshot = {
   rows_inserted : int;
   insert_batches : int;

@@ -36,6 +36,9 @@ type cache_snapshot = {
 
 val no_cache : cache_snapshot
 
+(** The current counters of a block cache. *)
+val cache_of : 'a Lt_cache.Block_cache.t -> cache_snapshot
+
 type snapshot = {
   rows_inserted : int;
   insert_batches : int;

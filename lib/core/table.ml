@@ -75,21 +75,7 @@ let schema t = Mutexes.with_lock t.state (fun () -> t.schema)
 
 let ttl t = Mutexes.with_lock t.state (fun () -> t.ttl)
 
-let stats t =
-  let cache =
-    Option.map
-      (fun c ->
-        let k = Bcache.counters c in
-        {
-          Stats.cache_hits = k.Bcache.hits;
-          cache_misses = k.Bcache.misses;
-          cache_evictions = k.Bcache.evictions;
-          cache_inserted_bytes = k.Bcache.inserted_bytes;
-          cache_resident_bytes = k.Bcache.resident_bytes;
-        })
-      t.cache
-  in
-  Stats.read ?cache t.stats
+let stats t = Stats.read ?cache:(Option.map Stats.cache_of t.cache) t.stats
 
 let tablet_path t file = Filename.concat t.dir file
 
@@ -568,63 +554,43 @@ let write_memtable t mt =
        ~expected_rows:(Memtable.row_count mt) next)
 
 (* Flush [mt] and its dependency closure as one atomic descriptor
-   update (§3.4.3). Caller holds [writer_lock]. *)
+   update (§3.4.3). [mt] is frozen, and every queued memtable holds rows
+   (bulk delete drops the ones it empties), so the members are the
+   closure's frozen memtables once its filling ones freeze. Caller holds
+   [writer_lock]. *)
 let flush_closure t mt =
   let members =
     Mutexes.with_lock t.state (fun () ->
         let ids = Flush_graph.closure t.graph (Memtable.id mt) in
         let in_ids m = List.mem (Memtable.id m) ids in
-        let from_filling = List.filter in_ids t.filling in
-        (* Anything still filling in the closure freezes now. *)
-        List.iter (freeze_locked t) from_filling;
+        List.iter (freeze_locked t) (List.filter in_ids t.filling);
         List.filter in_ids t.frozen)
   in
-  let members =
-    if List.exists (fun m -> Memtable.id m = Memtable.id mt) members then members
-    else mt :: members
-  in
-  let members, empties =
-    List.partition (fun m -> Memtable.row_count m > 0) members
-  in
-  (* Empty memtables (possible after a bulk delete) have nothing to
-     write; drop them from the queues or the flush loop would pick them
-     forever. *)
-  if empties <> [] then
-    Mutexes.with_lock t.state (fun () ->
-        let ids = List.map Memtable.id empties in
-        t.frozen <- List.filter (fun m -> not (List.mem (Memtable.id m) ids)) t.frozen;
-        t.filling <- List.filter (fun m -> not (List.mem (Memtable.id m) ids)) t.filling;
-        Flush_graph.remove t.graph ids;
-        match t.last_insert_tablet with
-        | Some id when List.mem id ids -> t.last_insert_tablet <- None
-        | _ -> ());
-  let metas =
+  let written =
     List.map
       (fun m ->
         let a = acct_open t t.instr.Obs.h_flush Otrace.Flush in
-        (m, write_memtable t m, a))
+        (write_memtable t m, a))
       members
   in
-  (* Persist before touching the queues: if the commit fails, the
-     memtables must stay frozen (the rows are acked and nowhere else). *)
+  (* Persist before retiring the memtables: if the commit fails, they
+     must stay frozen (the rows are acked and nowhere else). *)
+  let ids = List.map Memtable.id members in
   Mutexes.with_lock t.state (fun () ->
-      commit_locked t ~removed:[] (List.map (fun (_, meta, _) -> meta) metas);
-      List.iter
-        (fun (m, _, _) ->
-          let id = Memtable.id m in
-          t.frozen <- List.filter (fun x -> Memtable.id x <> id) t.frozen;
-          if t.last_insert_tablet = Some id then t.last_insert_tablet <- None)
-        metas;
-      Flush_graph.remove t.graph
-        (List.map (fun (m, _, _) -> Memtable.id m) metas));
+      commit_locked t ~removed:[] (List.map fst written);
+      t.frozen <- List.filter (fun m -> not (List.mem (Memtable.id m) ids)) t.frozen;
+      (match t.last_insert_tablet with
+      | Some id when List.mem id ids -> t.last_insert_tablet <- None
+      | _ -> ());
+      Flush_graph.remove t.graph ids);
   (* A flush is recorded only once its commit is durable, so a failed
      commit leaves no span, histogram sample or count behind. *)
   List.iter
-    (fun (_, meta, a) ->
+    (fun (meta, a) ->
       ignore
         (acct_close t a ~returned:meta.Descriptor.row_count
            ~bytes_out:meta.Descriptor.size))
-    metas
+    written
 
 (* Retry backoff for background flushes: 100 ms doubling to a 10 s cap. *)
 let flush_backoff_base_us = 100_000
@@ -646,43 +612,34 @@ let flush_frozen_backlog ?(swallow = false) t ~limit =
     in
     match next with
     | None -> ()
-    | Some m ->
-        if swallow then begin
-          if now t >= t.flush_retry_at then begin
-            match flush_closure t m with
-            | () ->
-                t.flush_failures <- 0;
-                t.flush_retry_at <- 0L;
-                go ()
-            | exception Vfs.Io_error _ ->
-                t.flush_failures <- t.flush_failures + 1;
-                Stats.note t.stats { Stats.zero with flush_retries = 1 };
-                let backoff =
-                  min flush_backoff_cap_us
-                    (flush_backoff_base_us
-                    * (1 lsl min 10 (t.flush_failures - 1)))
-                in
-                t.flush_retry_at <- Int64.add (now t) (Int64.of_int backoff)
-          end
-        end
-        else begin
-          flush_closure t m;
-          t.flush_failures <- 0;
-          t.flush_retry_at <- 0L;
-          go ()
-        end
+    | Some _ when swallow && now t < t.flush_retry_at -> ()
+    | Some m -> (
+        match flush_closure t m with
+        | () ->
+            t.flush_failures <- 0;
+            t.flush_retry_at <- 0L;
+            go ()
+        | exception Vfs.Io_error _ when swallow ->
+            t.flush_failures <- t.flush_failures + 1;
+            Stats.note t.stats { Stats.zero with flush_retries = 1 };
+            let backoff =
+              min flush_backoff_cap_us
+                (flush_backoff_base_us * (1 lsl min 10 (t.flush_failures - 1)))
+            in
+            t.flush_retry_at <- Int64.add (now t) (Int64.of_int backoff))
   in
   go ()
 
-(* Group commit: concurrent explicit-durability callers ([flush_all],
-   [flush_before]) share one flush round — and so one set of fsyncs —
-   instead of queueing N identical rounds on [writer_lock]. A caller
-   whose insert batches are already covered returns without touching
-   the writer lock; one arriving while a round is in flight waits for
-   that round and rechecks; otherwise it leads a round itself. A led
-   round freezes everything filling and drains the frozen backlog, so
-   it covers every batch acked before its freeze point. *)
-let rec commit_rounds t =
+(* Group commit: concurrent explicit-durability callers share one
+   flush round — and so one set of fsyncs — instead of queueing N
+   identical rounds on [writer_lock]. A caller whose insert batches are
+   already covered returns without touching the writer lock; one
+   arriving while a round is in flight waits for that round and
+   rechecks; otherwise it leads a round itself. A led round freezes
+   everything filling and drains the frozen backlog, so it covers every
+   batch acked before its freeze point — with any timestamp, which is
+   why it also serves the §4.1.2 flush-before-timestamp command. *)
+let rec flush_all t =
   let role =
     Mutexes.with_lock t.state (fun () ->
         let target = t.commit_seq in
@@ -705,7 +662,7 @@ let rec commit_rounds t =
   match role with
   | `Covered -> ()
   | `Joined -> count "joined"
-  | `Retry -> commit_rounds t
+  | `Retry -> flush_all t
   | `Lead ->
       count "led";
       Fun.protect
@@ -724,13 +681,6 @@ let rec commit_rounds t =
               Mutexes.with_lock t.state (fun () ->
                   if covered > t.durable_seq then t.durable_seq <- covered)))
 
-let flush_all t = commit_rounds t
-
-(* Anything inserted before the call with any timestamp — including
-   every row with ts [<= ts] — is covered by a full round, so the §4.1.2
-   flush-before-timestamp command rides the same group commit. *)
-let flush_before t ~ts:_ = commit_rounds t
-
 (* ------------------------------------------------------------------ *)
 (* Inserts                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -740,6 +690,11 @@ let pp_key schema key =
   | vs ->
       String.concat ", " (Array.to_list (Array.map Value.to_string vs))
   | exception _ -> "<undecodable>"
+
+(* Whether a tablet's key span meets the key range [\[lo, hi)]. *)
+let key_span_meets ~lo ~hi m =
+  String.compare lo m.Descriptor.max_key <= 0
+  && match hi with None -> true | Some h -> String.compare h m.Descriptor.min_key > 0
 
 (* Uniqueness verdict (§3.4.4) that can be reached without touching
    disk, under [t.state]. Fast paths: a timestamp newer than everything
@@ -817,11 +772,13 @@ let insert_into_locked t mt ~key ~ts row =
    with a large batch), so a B-row batch costs O(B / max_run) lock
    round trips instead of two per row. A row whose uniqueness needs a
    disk point read (rare: its ts and key fall inside a flushed
-   tablet's bounds) ends the run, reads with the lock released, and
-   the loop resumes. Caller holds [writer_lock]. *)
+   tablet's bounds) ends the run and reads with the lock released; a
+   row the read clears heads the next run and lands there. Caller holds
+   [writer_lock], so no row can appear in between. *)
 let insert_rows_locked t rows ~landed =
   let max_run = 512 in
   let pending = ref rows in
+  let cleared = ref false in
   while !pending <> [] do
     let deferred =
       Mutexes.with_lock t.state (fun () ->
@@ -852,13 +809,17 @@ let insert_rows_locked t rows ~landed =
                   | None -> Period.bin ~now:n ts
                 in
                 let verdict =
-                  if t.config.Config.enforce_unique then
+                  if !cleared then begin
+                    cleared := false;
+                    `Unique
+                  end
+                  else if t.config.Config.enforce_unique then
                     classify_unique_locked t ~key ~ts ~bin
                   else `Unique
                 in
                 (match verdict with
                 | `Duplicate -> raise (Duplicate_key (pp_key t.schema key))
-                | `Check cands -> defer := Some (row, key, ts, cands)
+                | `Check cands -> defer := Some (key, cands)
                 | `Unique ->
                     let mt =
                       match cached with
@@ -877,7 +838,7 @@ let insert_rows_locked t rows ~landed =
     in
     match deferred with
     | None -> ()
-    | Some (row, key, ts, cands) ->
+    | Some (key, cands) ->
         let dup =
           Fun.protect
             ~finally:(fun () ->
@@ -895,12 +856,7 @@ let insert_rows_locked t rows ~landed =
                 cands)
         in
         if dup then raise (Duplicate_key (pp_key t.schema key));
-        Mutexes.with_lock t.state (fun () ->
-            let n = now t in
-            let mt = memtable_for_locked t ~now:n (Period.bin ~now:n ts) in
-            ignore (insert_into_locked t mt ~key ~ts row));
-        incr landed;
-        (match !pending with _ :: rest -> pending := rest | [] -> ())
+        cleared := true
   done
 
 (* [insert_report] is [insert] that reports whatever ended a batch
@@ -997,11 +953,7 @@ let select t ~lo ~hi ~ts_min ~ts_max =
           (fun dt ->
             let m = dt.meta in
             ts_overlaps ~lo:m.Descriptor.min_ts ~hi:m.Descriptor.max_ts
-            && String.compare lo m.Descriptor.max_key <= 0
-            &&
-            match hi with
-            | None -> true
-            | Some h -> String.compare h m.Descriptor.min_key > 0)
+            && key_span_meets ~lo ~hi m)
           t.disk
       in
       List.iter (fun dt -> dt.refs <- dt.refs + 1) disk;
@@ -1070,52 +1022,54 @@ let maybe_stage t a ~has_disk sources =
       Pscan.stage pool ~now_us ~on_worker ~on_stall sources
   | _ -> (sources, fun () -> ())
 
-(* Open a range scan over [q]: the selection, its readers, and the
-   merged, ts-filtered cursor over them. [finish] (idempotent) joins
-   in-flight producers before dropping the tablet refs they read
-   through. *)
+(* Open a range scan over [q] under record [a]: the selection, its
+   readers, and the merged, ts-filtered cursor over them. [close
+   ~returned], called once, joins in-flight producers (so worker busy
+   totals are final), drops the tablet refs they read through, and
+   closes the record. *)
 let open_scan t a (q : Query.t) =
-  match Query.compile t.schema q with
-  | None -> (empty_source, (fun () -> ()), ref 0, no_selection)
-  | Some { Query.lo; hi } ->
-      let asc = q.Query.direction = Query.Asc in
-      let sel =
-        select t ~lo ~hi ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max
-      in
-      let disk_sources =
-        List.map
-          (fun (dt, r) ->
-            ( dt.meta.Descriptor.id,
-              Tablet.iter r ~asc ~lo ?hi ?projection:q.Query.projection
-                ~counters:a.a_counters () ))
-          (open_readers t sel)
-      in
-      let staged, finish_stage =
-        maybe_stage t a ~has_disk:(sel.disk <> [])
-          (List.map (mem_source ~asc ~lo ?hi) sel.mems @ disk_sources)
-      in
-      acct_planned t a;
-      let scanned = ref 0 in
-      let src =
-        Cursor.filter_ts ~scanned ?ts_min:sel.eff_ts_min ?ts_max:q.Query.ts_max
-          (Cursor.merge ~asc staged)
-      in
-      let finished = ref false in
-      let finish () =
-        if not !finished then begin
-          finished := true;
-          finish_stage ();
-          release t sel.disk
-        end
-      in
-      (src, finish, scanned, sel)
+  let scanned = ref 0 in
+  let src, finish_stage, sel =
+    match Query.compile t.schema q with
+    | None -> (empty_source, (fun () -> ()), no_selection)
+    | Some { Query.lo; hi } ->
+        let asc = q.Query.direction = Query.Asc in
+        let sel =
+          select t ~lo ~hi ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max
+        in
+        let disk_sources =
+          List.map
+            (fun (dt, r) ->
+              ( dt.meta.Descriptor.id,
+                Tablet.iter r ~asc ~lo ?hi ?projection:q.Query.projection
+                  ~counters:a.a_counters () ))
+            (open_readers t sel)
+        in
+        let staged, finish_stage =
+          maybe_stage t a ~has_disk:(sel.disk <> [])
+            (List.map (mem_source ~asc ~lo ?hi) sel.mems @ disk_sources)
+        in
+        acct_planned t a;
+        ( Cursor.filter_ts ~scanned ?ts_min:sel.eff_ts_min
+            ?ts_max:q.Query.ts_max (Cursor.merge ~asc staged),
+          finish_stage,
+          sel )
+  in
+  let close ~returned =
+    finish_stage ();
+    release t sel.disk;
+    let tablets = List.length sel.disk in
+    acct_close t a ~scanned:!scanned ~returned ~tablets
+      ~pruned:(sel.considered - tablets)
+  in
+  (src, close)
 
 (* A streaming scan and the one way to end it. [close] (idempotent)
-   joins in-flight producers, drops the tablet refs and closes the
-   record with the rows pulled so far; draining the source calls it. *)
+   closes the scan with the rows pulled so far; draining the source
+   calls it. *)
 let stream t q =
   let a = acct_open t t.instr.Obs.h_query Otrace.Query in
-  let src, finish, scanned, sel = open_scan t a q in
+  let src, close_scan = open_scan t a q in
   let src =
     match q.Query.limit with None -> src | Some n -> Cursor.take n src
   in
@@ -1124,10 +1078,7 @@ let stream t q =
   let close () =
     if not !closed then begin
       closed := true;
-      finish ();
-      ignore
-        (acct_close t a ~scanned:!scanned ~returned:!returned
-           ~tablets:(List.length sel.disk))
+      ignore (close_scan ~returned:!returned)
     end
   in
   let next () =
@@ -1159,36 +1110,14 @@ type result = {
 
 let query ?(profile = false) t (q : Query.t) =
   let a = acct_open ~profile t t.instr.Obs.h_query Otrace.Query in
-  let src, finish, scanned, sel = open_scan t a q in
-  let server_cap = t.config.Config.server_row_limit in
-  let cap =
-    match q.Query.limit with
-    | None -> server_cap
-    | Some l -> min l server_cap
+  let src, close = open_scan t a q in
+  let rows, more_available =
+    Cursor.cap ~limit:q.Query.limit ~row_limit:t.config.Config.server_row_limit
+      (fun (_, h) -> Tablet.force h)
+      src
   in
-  let rec collect acc n =
-    if n = 0 then (List.rev acc, src () <> None)
-    else begin
-      match src () with
-      | None -> (List.rev acc, false)
-      | Some (_, h) -> collect (Tablet.force h :: acc) (n - 1)
-    end
-  in
-  let rows, more = collect [] cap in
-  (* Joins in-flight producers, so worker busy totals are final. *)
-  finish ();
-  let tablets = List.length sel.disk in
-  let r =
-    acct_close t a ~scanned:!scanned ~returned:(List.length rows) ~tablets
-      ~pruned:(sel.considered - tablets)
-  in
-  (* more_available signals only the server's own cap (§3.5): when the
-     client asked for fewer rows than the server cap, hitting the client
-     limit is not "more available" in the protocol sense. *)
-  let more_available =
-    more && (match q.Query.limit with None -> true | Some l -> l > server_cap)
-  in
-  { rows; more_available; scanned = !scanned;
+  let r = close ~returned:(List.length rows) in
+  { rows; more_available; scanned = r.Lt_obs.Profile.p_rows_scanned;
     profile = (if profile then Some r else None) }
 
 (* ------------------------------------------------------------------ *)
@@ -1599,14 +1528,7 @@ let delete_prefix t prefix_values =
                 (* Disk tablets overlapping the range, ref'd until the
                    commit is over. *)
                 let vs =
-                  List.filter
-                    (fun dt ->
-                      let m = dt.meta in
-                      String.compare m.Descriptor.max_key lo >= 0
-                      && match hi_opt with
-                         | None -> true
-                         | Some hi -> String.compare m.Descriptor.min_key hi < 0)
-                    t.disk
+                  List.filter (fun dt -> key_span_meets ~lo ~hi:hi_opt dt.meta) t.disk
                 in
                 List.iter (fun dt -> dt.refs <- dt.refs + 1) vs;
                 vs)

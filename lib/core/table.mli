@@ -151,18 +151,14 @@ val max_ts : t -> int64 option
 
 (** Freeze and flush every memtable (with dependency closures).
 
-    Explicit durability is group-committed: concurrent [flush_all] /
-    {!flush_before} callers share one flush round — and its fsyncs —
-    instead of queueing identical rounds; a caller whose inserts are
-    already covered by a completed round returns immediately. Led and
-    joined commits are counted as [lt_group_commit_total{mode}]. *)
+    Explicit durability is group-committed: concurrent callers share
+    one flush round — and its fsyncs — instead of queueing identical
+    rounds; a caller whose inserts are already covered by a completed
+    round returns immediately. Led and joined commits are counted as
+    [lt_group_commit_total{mode}]. A round covers every row inserted
+    before the call, whatever its timestamp, so it also serves the
+    §4.1.2 flush-before-timestamp command. *)
 val flush_all : t -> unit
-
-(** The §4.1.2 proposed extension: returns once every row with
-    timestamp [<= ts] inserted before the call is durable. Rides the
-    same group-commit round as {!flush_all} (which covers every
-    timestamp, so the guarantee holds a fortiori). *)
-val flush_before : t -> ts:int64 -> unit
 
 (** One merge per the policy; [true] if a merge happened. *)
 val merge_step : t -> bool

@@ -625,167 +625,78 @@ let key_window b ~lo ~hi =
   let first = Option.value (at lo) ~default:0 in
   (first, max first (Option.value (at hi) ~default:(Block.count b)))
 
-(* What a scan holds of a loaded block: a row-major block's entries stay
-   encoded until forced; a columnar block's window (the rows the scan's
-   key bounds can reach, starting at index [first]) is materialized. *)
-type window = Entries of block_ref | Rows of int * Value.t array array
-
-type loaded = { lb : Block.t; lwin : window }
-
-let iter r ~asc ?lo ?hi ?projection ?counters () =
+(* The one block walker behind [iter] and [iter_encoded]: visits the
+   blocks that keys in [\[lo, hi)] can reach, ascending or descending,
+   and in each the positions of its key window, in the same direction.
+   [view b ~first ~last], called once per loaded block, says what the
+   scan holds of the block's window [\[first, last)] and returns how
+   to hand out the entry at a position. Blocks are sorted, so the walk
+   ends after the first block whose window stops short of the block's
+   far end (its last entry ascending, its first descending). *)
+let walk r ~asc ~lo ~hi view =
   let nblocks = block_count r in
-  let load bi =
-    let b = load_block r bi in
-    let into = r.target in
-    let lwin =
-      match Block.layout b with
-      | Block.Row_major -> Entries { b; from = r.footer.schema; into }
-      | Block.Col_major ->
-          let first, last = key_window b ~lo ~hi in
-          Rows (first, materialize r ?counters ~projection ~into ~first ~last b)
-    in
-    { lb = b; lwin }
+  let bi =
+    ref
+      (if asc then match lo with None -> 0 | Some k -> search_block r k
+       else
+         match hi with
+         | None -> nblocks - 1
+         | Some k -> min (search_block r k) (nblocks - 1))
   in
-  let row_at l i ~key =
-    match l.lwin with
-    | Entries br -> In_block (br, i, key)
-    | Rows (first, rows) -> Decoded rows.(i - first)
-  in
-  let in_lo k = match lo with None -> true | Some b -> String.compare k b >= 0 in
-  let in_hi k = match hi with None -> true | Some b -> String.compare k b < 0 in
-  if asc then begin
-    let bi = ref (match lo with None -> 0 | Some k -> search_block r k) in
-    let block = ref None in
-    let pos = ref 0 in
-    let rec next () =
-      match !block with
-      | None ->
-          if !bi >= nblocks then None
-          else begin
-            let l = load !bi in
-            block := Some l;
-            pos := (match lo with None -> 0 | Some k -> Block.search_geq l.lb k);
-            next ()
-          end
-      | Some l ->
-          if !pos >= Block.count l.lb then begin
-            block := None;
-            incr bi;
-            next ()
-          end
-          else begin
-            let i = !pos in
-            let key = Block.key l.lb i in
-            incr pos;
-            if not (in_hi key) then begin
-              (* Sorted: nothing further can qualify. *)
-              bi := nblocks;
-              block := None;
-              None
-            end
-            else Some (key, row_at l i ~key)
-          end
-    in
-    next
-  end
-  else begin
-    let bi =
-      ref
-        (match hi with
-        | None -> nblocks - 1
-        | Some k -> min (search_block r k) (nblocks - 1))
-    in
-    let block = ref None in
-    let pos = ref (-1) in
-    let rec next () =
-      if !bi < 0 then None
-      else begin
-        match !block with
-        | None ->
-            let l = load !bi in
-            block := Some l;
-            (* Last index with key < hi. *)
-            pos :=
-              (match hi with
-              | None -> Block.count l.lb - 1
-              | Some k -> Block.search_geq l.lb k - 1);
-            next ()
-        | Some l ->
-            if !pos < 0 then begin
-              block := None;
-              decr bi;
-              (* Earlier blocks are entirely below hi. *)
-              if !bi >= 0 then begin
-                let l' = load !bi in
-                block := Some l';
-                pos := Block.count l'.lb - 1
-              end;
-              next ()
-            end
-            else begin
-              let i = !pos in
-              let key = Block.key l.lb i in
-              decr pos;
-              if not (in_lo key) then begin
-                bi := -1;
-                block := None;
-                None
-              end
-              else Some (key, row_at l i ~key)
-            end
-      end
-    in
-    next
-  end
-
-(* A block as the encoded scan hands it out: stored rows copied as they
-   are, or rows translated to the target schema and re-encoded. *)
-type encoded_block = Stored of Block.t | Recoded of (string * string) array
-
-let iter_encoded r =
-  let into = r.target in
-  let from = r.footer.schema in
-  let nblocks = block_count r in
-  let load bi =
-    let b = load_block r bi in
-    let recode rows =
-      Recoded
-        (Array.mapi (fun i row -> (Block.key b i, Row_codec.encode_value into row))
-           rows)
-    in
-    match Block.layout b with
-    | Block.Row_major when Schema.version from = Schema.version into -> Stored b
-    | Block.Row_major ->
-        recode
-          (Array.init (Block.count b) (fun i ->
-               translate_at ~from ~into b i ~key:(Block.key b i)))
-    | Block.Col_major ->
-        recode
-          (materialize r ~projection:None ~into ~first:0 ~last:(Block.count b) b)
-  in
-  let bi = ref 0 and block = ref None and pos = ref 0 in
+  let at = ref (fun _ -> assert false) in
+  let pos = ref 0 and stop = ref 0 in
   let rec next () =
-    match !block with
-    | None ->
-        if !bi >= nblocks then None
-        else begin
-          block := Some (load !bi);
-          incr bi;
-          pos := 0;
-          next ()
-        end
-    | Some (Stored b) when !pos < Block.count b ->
-        let e = Block.entry b !pos in
-        incr pos;
-        Some (e.Block.key, e.Block.value)
-    | Some (Recoded rows) when !pos < Array.length rows ->
-        incr pos;
-        Some rows.(!pos - 1)
-    | Some _ ->
-        block := None;
-        next ()
+    if !pos <> !stop then begin
+      let i = !pos in
+      pos := if asc then i + 1 else i - 1;
+      Some (!at i)
+    end
+    else if !bi < 0 || !bi >= nblocks then None
+    else begin
+      let b = load_block r !bi in
+      let first, last = key_window b ~lo ~hi in
+      let reaches_edge = if asc then last = Block.count b else first = 0 in
+      bi := if not reaches_edge then -1 else if asc then !bi + 1 else !bi - 1;
+      at := view b ~first ~last;
+      pos := if asc then first else last - 1;
+      stop := if asc then last else first - 1;
+      next ()
+    end
   in
   next
+
+(* A row-major block's entries stay encoded until forced; a columnar
+   block's window is materialized when the scan loads it. *)
+let iter r ~asc ?lo ?hi ?projection ?counters () =
+  let from = r.footer.schema and into = r.target in
+  walk r ~asc ~lo ~hi (fun b ~first ~last ->
+      match Block.layout b with
+      | Block.Row_major ->
+          let br = { b; from; into } in
+          fun i ->
+            let key = Block.key b i in
+            (key, In_block (br, i, key))
+      | Block.Col_major ->
+          let rows = materialize r ?counters ~projection ~into ~first ~last b in
+          fun i -> (Block.key b i, Decoded rows.(i - first)))
+
+(* Stored rows are copied as they are; rows of an older schema version
+   or of a columnar block are translated to the target and re-encoded. *)
+let iter_encoded r =
+  let from = r.footer.schema and into = r.target in
+  walk r ~asc:true ~lo:None ~hi:None (fun b ~first ~last ->
+      match Block.layout b with
+      | Block.Row_major when Schema.version from = Schema.version into ->
+          fun i ->
+            let e = Block.entry b i in
+            (e.Block.key, e.Block.value)
+      | Block.Row_major ->
+          fun i ->
+            let key = Block.key b i in
+            (key, Row_codec.encode_value into (translate_at ~from ~into b i ~key))
+      | Block.Col_major ->
+          let rows = materialize r ~projection:None ~into ~first ~last b in
+          fun i -> (Block.key b i, Row_codec.encode_value into rows.(i - first)))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate pushdown                                                  *)

@@ -140,7 +140,7 @@ val fresh_counters : unit -> scan_counters
     a reference to an entry of a loaded row-major block: the block, the
     entry index, the key and the schemas to decode under. {!force}
     decodes it, translated to the target schema the reader had when the
-    block was loaded. So a row that {!Cursor.filter_ts} drops, that
+    scan was created. So a row that {!Cursor.filter_ts} drops, that
     {!Cursor.merge} shadows, or that a limit cuts off is never decoded.
 
     Loaded blocks are immutable and a handle holds nothing mutable, so a
@@ -166,7 +166,8 @@ val force : row -> Value.t array
     indices) lets columnar blocks decode only the named columns —
     unprojected non-key cells are unspecified (defaults); row-major
     blocks ignore it. [counters] receives per-block pushdown tallies.
-    The returned thunk is single-consumer. *)
+    Rows are translated to the reader's target schema as it stands when
+    the stream is created. The returned thunk is single-consumer. *)
 val iter :
   reader ->
   asc:bool ->
@@ -182,9 +183,10 @@ val iter :
     value encoded ({!Row_codec}) under the reader's target schema as it
     stands when the stream is created — what merges and rewrites feed to
     {!add}. Row-major blocks written under that schema hand out their
-    stored value bytes untouched; other blocks (an older schema version,
-    or column-major) are decoded and translated once per block, then
-    re-encoded. Single-consumer. *)
+    stored value bytes untouched; rows of other blocks (an older schema
+    version, or column-major) are decoded, translated and re-encoded.
+    It walks the blocks with the same walker as {!iter}.
+    Single-consumer. *)
 val iter_encoded : reader -> unit -> (string * string) option
 
 (** [fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs ()]

@@ -358,39 +358,36 @@ let advance_past schema (q : Query.t) last_row =
   | Query.Asc -> { q with Query.key_low = Query.Excl key_values }
   | Query.Desc -> { q with Query.key_high = Query.Excl key_values }
 
-let query_iter t table query =
-  let schema, _ = table_info t table in
+let pager schema ~fetch query =
   let remaining = ref query.Query.limit in
-  let current = ref query in
+  let next_q = ref (Some query) in
   let batch = ref [] in
-  let more = ref true in
   let rec next () =
-    match !batch with
-    | row :: rest ->
+    match (!batch, !remaining) with
+    | _, Some 0 -> None
+    | row :: rest, _ ->
         batch := rest;
-        (match !remaining with
-        | Some 0 -> None
-        | Some n ->
-            remaining := Some (n - 1);
-            Some row
-        | None -> Some row)
-    | [] ->
-        if not !more then None
-        else begin
-          (match !remaining with
-          | Some 0 ->
-              more := false
-          | _ ->
-              let page = query_page t table !current in
-              batch := page.rows;
-              more := page.more_available;
-              (match List.rev page.rows with
-              | last :: _ -> current := advance_past schema !current last
-              | [] -> more := false));
-          if !batch = [] && not !more then None else next ()
-        end
+        remaining := Option.map pred !remaining;
+        Some row
+    | [], _ -> (
+        match !next_q with
+        | None -> None
+        | Some q ->
+            let page = fetch q in
+            batch := page.rows;
+            (next_q :=
+               if not page.more_available then None
+               else
+                 match List.rev page.rows with
+                 | last :: _ -> Some (advance_past schema q last)
+                 | [] -> None);
+            next ())
   in
   next
+
+let query_iter t table query =
+  let schema, _ = table_info t table in
+  pager schema ~fetch:(query_page t table) query
 
 let query_all t table query =
   let it = query_iter t table query in

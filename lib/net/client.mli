@@ -135,15 +135,26 @@ val query_all : t -> string -> Query.t -> Value.t array list
 (** Streaming variant of {!query_all}; fetches pages lazily. *)
 val query_iter : t -> string -> Query.t -> (unit -> Value.t array option)
 
+(** [pager schema ~fetch q] is the adaptor's §3.5 resubmission loop over
+    any page source: [fetch] answers one capped page of a query, and
+    while a page says [more_available] the next request resumes past
+    its last row ({!advance_past}). Pages are fetched lazily; [q]'s own
+    limit is applied here, across pages. {!query_iter} pages one server
+    with it, the router one shard (through its failover client). *)
+val pager :
+  Schema.t -> fetch:(Query.t -> page) -> Query.t -> (unit -> Value.t array option)
+
 (** [advance_past schema q last_row] is the §3.5 resubmission step: the
     query whose key bound excludes [last_row]'s full primary key, in
-    [q]'s direction. Exposed for the router's per-shard paging. *)
+    [q]'s direction. *)
 val advance_past : Schema.t -> Query.t -> Value.t array -> Query.t
 
 val latest : t -> string -> Value.t list -> Value.t array option
 
 (** The §4.1.2 flush command: returns once every row with a timestamp
-    [<= ts] is durable. *)
+    [<= ts] is durable. The server answers it with a full flush round
+    ({!Littletable.Table.flush_all}), which covers every row inserted
+    before the request. *)
 val flush_before : t -> string -> ts:int64 -> unit
 
 (** The §7 bulk delete: remove every row whose key starts with the

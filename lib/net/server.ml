@@ -110,11 +110,13 @@ let handle db req =
           match Table.latest tbl prefix with
           | row -> Latest_row row
           | exception Schema.Invalid msg -> Error msg))
-  | Flush_before { table; ts } -> (
+  | Flush_before { table; ts = _ } -> (
+      (* Every row inserted before the request, whatever its timestamp,
+         is covered by a full group-commit round. *)
       match Db.find_table db table with
       | None -> Error (Printf.sprintf "no such table %S" table)
       | Some tbl ->
-          Table.flush_before tbl ~ts;
+          Table.flush_all tbl;
           Ok)
   | Delete_prefix { table; prefix } -> (
       match Db.find_table db table with

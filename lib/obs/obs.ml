@@ -6,13 +6,19 @@ type t = {
   o_clock : Clock.t;
 }
 
-let create ?(enabled = true) ?(trace_capacity = 256)
-    ?(slow_op_micros = Clock.msec 100) ~clock () =
+(* Spans kept in the trace ring, for every node and router alike: a
+   router reassembling fan-outs needs the deeper history. *)
+let trace_capacity = 1024
+
+let create ?(enabled = true) ?(slow_op_micros = Clock.msec 100) ~clock () =
   { o_registry = Metrics.create_registry ~enabled ();
     o_trace = Trace.create ~capacity:trace_capacity ~slow_us:slow_op_micros ();
     o_clock = clock }
 
-let noop = create ~enabled:false ~trace_capacity:1 ~clock:Clock.system ()
+let noop =
+  { o_registry = Metrics.create_registry ~enabled:false ();
+    o_trace = Trace.create ~capacity:1 ~slow_us:(Clock.msec 100) ();
+    o_clock = Clock.system }
 
 let registry t = t.o_registry
 let trace t = t.o_trace

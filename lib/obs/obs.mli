@@ -13,11 +13,10 @@
 
 type t
 
-(** [create ?enabled ?trace_capacity ?slow_op_micros ~clock ()] —
-    defaults: enabled, 256-span ring, 100 ms slow threshold. *)
+(** [create ?enabled ?slow_op_micros ~clock ()] — defaults: enabled,
+    100 ms slow threshold. The trace ring keeps the last 1024 spans. *)
 val create :
-  ?enabled:bool -> ?trace_capacity:int -> ?slow_op_micros:int64 ->
-  clock:Lt_util.Clock.t -> unit -> t
+  ?enabled:bool -> ?slow_op_micros:int64 -> clock:Lt_util.Clock.t -> unit -> t
 
 (** A shared disabled instance: observes nothing, retains nothing. *)
 val noop : t
@@ -77,9 +76,9 @@ val block_read_hist : t -> Metrics.Histogram.t
 val block_decompress_hist : t -> Metrics.Histogram.t
 
 (** [lt_group_commit_total{table,mode}] — explicit durability commits
-    ([Table.flush_all] / [flush_before]), [mode="led"] when the caller
-    ran the flush round itself, [mode="joined"] when it shared a round
-    (and its fsyncs) already in flight. *)
+    ([Table.flush_all], which also serves [Flush_before]), [mode="led"]
+    when the caller ran the flush round itself, [mode="joined"] when it
+    shared a round (and its fsyncs) already in flight. *)
 val group_commit : t -> table:string -> mode:string -> Metrics.Counter.t
 
 (** [lt_request_duration_seconds{kind="<request>"}] — server-side wire

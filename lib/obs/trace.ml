@@ -137,7 +137,7 @@ let with_ctx ctx f =
 
 (* ---- Ring ------------------------------------------------------------- *)
 
-let create ?(capacity = 256) ~slow_us () =
+let create ~capacity ~slow_us () =
   if capacity <= 0 then invalid_arg "Trace.create: capacity must be positive";
   { ring = Array.make capacity None;
     next = 0;

@@ -78,11 +78,10 @@ val current : unit -> ctx option
 
 (** {1 The ring} *)
 
-(** [create ?capacity ~slow_us ()] — [capacity] defaults to 256 spans
-    ([Config.trace_capacity] raises it to 1024 for servers; routers
-    need deeper history to reassemble fan-outs); [slow_us] is the
-    threshold at or above which a span is also logged. *)
-val create : ?capacity:int -> slow_us:int64 -> unit -> t
+(** [create ~capacity ~slow_us ()] keeps the last [capacity] spans;
+    [slow_us] is the threshold at or above which a span is also
+    logged. *)
+val create : capacity:int -> slow_us:int64 -> unit -> t
 
 val capacity : t -> int
 

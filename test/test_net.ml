@@ -351,6 +351,42 @@ let test_server_end_to_end () =
       | exception Client.Remote_error _ -> ());
       Client.close c)
 
+(* The §4.1.2 flush command over the wire: rows acknowledged in two
+   period bins survive a crash once [flush_before] returns, although its
+   timestamp names only the older bin. *)
+let test_flush_before_over_wire () =
+  let clock = Lt_util.Clock.manual ~start:Support.ts0 () in
+  let vfs = Lt_vfs.Vfs.memory () in
+  let config = Littletable.Config.make ~flush_size:(1 lsl 20) () in
+  let db = Db.open_ ~config ~clock ~vfs ~dir:"dbroot" () in
+  let server = Server.start ~maintenance_period_s:0.0 ~db ~port:0 () in
+  Fun.protect
+    ~finally:(fun () -> Server.stop server)
+    (fun () ->
+      let c = Client.connect ~port:(Server.port server) () in
+      Client.create_table c "usage" (Support.usage_schema ()) ~ttl:None;
+      let now = Lt_util.Clock.now clock in
+      let old = Int64.sub now (Int64.mul 2L Lt_util.Clock.week) in
+      let rows =
+        List.concat_map
+          (fun ts ->
+            List.init 5 (fun d ->
+                Support.usage_row ~network:1L ~device:(Int64.of_int d) ~ts
+                  ~bytes:(Int64.of_int d) ~rate:0.0))
+          [ old; now ]
+      in
+      Client.insert c "usage" rows;
+      Alcotest.(check int) "two period bins" 2
+        (Table.memtable_count (Db.table db "usage"));
+      Client.flush_before c "usage" ~ts:old;
+      Client.close c;
+      Lt_vfs.Vfs.crash vfs;
+      let db2 = Db.open_ ~config ~clock ~vfs ~dir:"dbroot" () in
+      let got = (Table.query (Db.table db2 "usage") Query.all).Table.rows in
+      Alcotest.(check bool) "every acknowledged row survives" true
+        (List.sort compare got = List.sort compare rows);
+      Db.close db2)
+
 let test_server_sql_over_wire () =
   with_server (fun server ->
       let c = Client.connect ~port:(Server.port server) () in
@@ -975,6 +1011,7 @@ let suite =
     ("query profile over the wire", `Quick, test_query_profile_over_wire);
     ("trace fetch over the wire", `Quick, test_trace_fetch_over_wire);
     ("sql over the wire", `Quick, test_server_sql_over_wire);
+    ("flush_before over the wire", `Quick, test_flush_before_over_wire);
     ("multiple concurrent clients", `Quick, test_multiple_clients);
     ("reconnect after restart", `Quick, test_reconnect_after_server_restart);
     ("mixed-version hello rejected", `Quick, test_mixed_version_hello_rejected);

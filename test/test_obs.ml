@@ -274,7 +274,7 @@ let test_record_op_ambient () =
   Trace.with_ctx (Some root) (fun () ->
       Obs.record_op obs ~hist:h ~op:Trace.Query ~table:"t" ~t0:0L
         Lt_obs.Profile.empty);
-  (match Trace.recent (Obs.trace obs) with
+  match Trace.recent (Obs.trace obs) with
   | [ sp ] -> (
       match sp.Trace.sp_ctx with
       | Some c ->
@@ -284,13 +284,7 @@ let test_record_op_ambient () =
           check_bool "span is a child of ambient" true
             (c.Trace.cx_parent = root.Trace.cx_span)
       | None -> Alcotest.fail "span must carry a ctx")
-  | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans));
-  check_bool "trace_capacity knob is wired" true
-    (Trace.capacity
-       (Obs.trace
-          (Obs.create ~trace_capacity:Config.default.Config.trace_capacity
-             ~clock ()))
-    = Config.default.Config.trace_capacity)
+  | spans -> Alcotest.failf "expected 1 span, got %d" (List.length spans)
 
 (* ---- Profiles ---------------------------------------------------------- *)
 

@@ -441,23 +441,6 @@ let test_flush_by_age () =
   Alcotest.(check int) "aged memtable flushed" 0 (Table.memtable_count t);
   Alcotest.(check bool) "on disk" true (Table.tablet_count t >= 1)
 
-let test_flush_before () =
-  let _, clock, _, t = fresh ~config:(Config.make ~flush_size:(1 lsl 20) ()) () in
-  let now = Clock.now clock in
-  let old = Int64.sub now (Int64.mul 2L Clock.week) in
-  Table.insert_row t (row 1L 1L old);
-  Table.insert_row t (row 1L 2L now);
-  Alcotest.(check int) "two memtables" 2 (Table.memtable_count t);
-  Table.flush_before t ~ts:old;
-  (* The old-period memtable flushed; but because the fresh memtable
-     received a later insert, dependencies may pull it in — the paper
-     only promises rows up to ts are durable. Verify durability of the
-     old row via reopen semantics instead. *)
-  Alcotest.(check bool) "old row on disk" true (Table.tablet_count t >= 1);
-  let metas = Table.tablets t in
-  Alcotest.(check bool) "covers old ts" true
-    (List.exists (fun m -> m.Descriptor.min_ts <= old && old <= m.Descriptor.max_ts) metas)
-
 (* Explicit durability is group-committed: a caller already covered by
    a completed round returns without flushing anything, and concurrent
    committers share one round's fsyncs instead of queueing identical
@@ -474,16 +457,16 @@ let test_group_commit () =
   Alcotest.(check int) "first commit leads a round" 1 (commits "led");
   (* Nothing new since the round: covered callers flush nothing. *)
   Table.flush_all t;
-  Table.flush_before t ~ts:5L;
+  Table.flush_all t;
   Table.flush_all t;
   Alcotest.(check int) "covered calls lead no round" 1 (commits "led");
   Alcotest.(check int) "covered calls join no round" 0 (commits "joined");
   let tablets_after_first = Table.tablet_count t in
   Alcotest.(check int) "covered calls write no tablets" tablets_after_first
     (Table.tablet_count t);
-  (* New data un-covers the table; flush_before rides a fresh round. *)
+  (* New data un-covers the table; the next call leads a fresh round. *)
   Table.insert_row t (row 9L 9L 99L);
-  Table.flush_before t ~ts:99L;
+  Table.flush_all t;
   Alcotest.(check int) "new data leads a new round" 2 (commits "led");
   (* Concurrent committers: each call leads, joins an in-flight round,
      or rides a completed one; all rows are durable at the end. *)
@@ -1095,7 +1078,6 @@ let suite =
     ("schema evolution live", `Quick, test_schema_evolution_live);
     ("reopen from descriptor", `Quick, test_reopen_from_descriptor);
     ("flush by age", `Quick, test_flush_by_age);
-    ("flush_before (proposed extension)", `Quick, test_flush_before);
     ("group commit shares flush rounds", `Quick, test_group_commit);
     ("out-of-order inserts bin correctly", `Quick, test_out_of_order_inserts_bin_correctly);
     ("drop and recreate", `Quick, test_drop_and_recreate_via_db);

@@ -380,6 +380,130 @@ let test_buffered_bloom_golden () =
   Alcotest.(check string) "file digest" "e5806bc961d6d8bdb59df68ae2406530"
     (Digest.to_hex (Digest.string (Vfs.read_all vfs "g.tab")))
 
+(* ---- Block walker ----------------------------------------------------- *)
+
+(* A scan bound drawn from the tablet's own keys: a stored key, the keys
+   just above and just below it, a block's last key, or no bound. The
+   index is taken modulo the pool it picks from. *)
+type bound_pick =
+  | No_bound
+  | Stored of int
+  | Above of int
+  | Below of int
+  | Block_end of int
+
+let pp_pick = function
+  | No_bound -> "none"
+  | Stored i -> Printf.sprintf "stored %d" i
+  | Above i -> Printf.sprintf "above %d" i
+  | Below i -> Printf.sprintf "below %d" i
+  | Block_end i -> Printf.sprintf "block end %d" i
+
+(* Last keys of the blocks a 1 KiB writer cuts, by the writer's own
+   rule: a block ends once its raw size reaches the block size. *)
+let block_last_keys layout keyed =
+  let ends add size finish =
+    List.filter_map
+      (fun (key, row) ->
+        add key row;
+        if size () >= 1024 then (finish (); Some key) else None)
+      keyed
+  in
+  match layout with
+  | Block.Row_major ->
+      let b = Block.builder () in
+      ends
+        (fun key row -> Block.add b ~key ~value:(Row_codec.encode_value schema row))
+        (fun () -> Block.raw_size b)
+        (fun () -> ignore (Block.finish b))
+  | Block.Col_major ->
+      let b = Block.col_builder schema in
+      ends
+        (fun key row -> Block.col_add b ~key row)
+        (fun () -> Block.col_raw_size b)
+        (fun () -> ignore (Block.col_finish b))
+
+(* [iter] in both directions and [iter_encoded] against a reference
+   filter over the rows written, for random rows spread over many small
+   blocks in both layouts, read as stored or under an evolved schema,
+   with bounds at and around stored keys and block edges (including
+   [lo >= hi]). *)
+let prop_block_walker =
+  let gen =
+    QCheck.Gen.(
+      let pick =
+        frequency
+          [ (1, return No_bound);
+            (3, map (fun i -> Stored i) nat);
+            (2, map (fun i -> Above i) nat);
+            (2, map (fun i -> Below i) nat);
+            (2, map (fun i -> Block_end i) nat) ]
+      in
+      quad
+        (list_size (int_range 1 400)
+           (triple (int_bound 7) (int_bound 30) (int_bound 5000)))
+        (pair bool bool) pick pick)
+  in
+  let print (rows, (col, evolved), lo, hi) =
+    Printf.sprintf "%d rows, %s, %s, lo=%s, hi=%s" (List.length rows)
+      (if col then "columnar" else "row-major")
+      (if evolved then "evolved" else "stored schema")
+      (pp_pick lo) (pp_pick hi)
+  in
+  QCheck.Test.make ~name:"block walker = reference filter" ~count:200
+    (QCheck.make ~print gen) (fun (specs, (col, evolved), lo, hi) ->
+      let layout = if col then Block.Col_major else Block.Row_major in
+      let rows =
+        key_sorted schema
+          (List.map
+             (fun (net, dev, ts) ->
+               Support.usage_row ~network:(Int64.of_int net)
+                 ~device:(Int64.of_int dev) ~ts:(Int64.of_int ts)
+                 ~bytes:(Int64.of_int (net * dev * ts))
+                 ~rate:(float_of_int (ts mod 97)))
+             specs)
+      in
+      let keyed = List.map (fun row -> (Key_codec.encode_key schema row, row)) rows in
+      let vfs = Vfs.memory () in
+      write_source vfs "w.tab" (schema, layout, rows);
+      let into = if evolved then add_flags schema else schema in
+      let r = Tablet.open_reader vfs ~path:"w.tab" ~into in
+      let keys = Array.of_list (List.map fst keyed) in
+      let ends = Array.of_list (block_last_keys layout keyed) in
+      let nth pool i = pool.(i mod Array.length pool) in
+      let resolve = function
+        | No_bound -> None
+        | Stored i -> Some (nth keys i)
+        | Above i -> Some (nth keys i ^ "\x00")
+        | Below i ->
+            let k = nth keys i in
+            Some (String.sub k 0 (String.length k - 1))
+        | Block_end i when Array.length ends > 0 -> Some (nth ends i)
+        | Block_end i -> Some (nth keys i)
+      in
+      let lo = resolve lo and hi = resolve hi in
+      let expected =
+        List.filter_map
+          (fun (k, row) ->
+            let above_lo = match lo with None -> true | Some b -> k >= b in
+            let below_hi = match hi with None -> true | Some b -> k < b in
+            if above_lo && below_hi then
+              Some (k, Schema.translate_row ~from:schema ~into row)
+            else None)
+          keyed
+      in
+      let asc = drain (Tablet.iter r ~asc:true ?lo ?hi ()) in
+      let desc = drain (Tablet.iter r ~asc:false ?lo ?hi ()) in
+      let encoded = Cursor.to_list (Tablet.iter_encoded r) in
+      let expected_encoded =
+        List.map
+          (fun (k, row) ->
+            (k, Row_codec.encode_value into (Schema.translate_row ~from:schema ~into row)))
+          keyed
+      in
+      Tablet.close r;
+      asc = expected && desc = List.rev expected && encoded = expected_encoded)
+
 (* ---- Descriptor ------------------------------------------------------ *)
 
 let meta id =
@@ -455,6 +579,7 @@ let suite =
     ("encoded merge = decoded: schema versions", `Quick, test_merge_identity_schema_versions);
     ("encoded merge = decoded: columnar", `Quick, test_merge_identity_columnar);
     ("buffered bloom sizing unchanged", `Quick, test_buffered_bloom_golden);
+    Support.qcheck prop_block_walker;
     ("descriptor roundtrip", `Quick, test_descriptor_roundtrip);
     ("descriptor atomic replace", `Quick, test_descriptor_atomic_replace);
     ("descriptor corruption", `Quick, test_descriptor_corruption);
