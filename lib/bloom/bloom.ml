@@ -48,13 +48,23 @@ let get_bit t idx =
 
 let add t key = set_bits t (fnv1a 0 key) (fnv1a seed2 key)
 
-let add_with_prefixes t key ends =
+let add_with_prefixes t ~seen key ends =
   let h1 = ref fnv_basis and h2 = ref (fnv_basis lxor seed2) in
   let j = ref 0 in
   let nends = Array.length ends in
+  if Array.length seen < 2 * nends then
+    invalid_arg "Bloom.add_with_prefixes: seen needs two slots per end";
   for i = 0 to String.length key - 1 do
     if !j < nends && Array.unsafe_get ends !j = i then begin
-      set_bits t (!h1 land max_int) (!h2 land max_int);
+      (* A boundary whose pair is the one [seen] holds for it would set
+         the bits it set last time. Hashes are non-negative, so a [-1]
+         slot never matches. *)
+      let p1 = !h1 land max_int and p2 = !h2 land max_int in
+      if seen.(2 * !j) <> p1 || seen.((2 * !j) + 1) <> p2 then begin
+        seen.(2 * !j) <- p1;
+        seen.((2 * !j) + 1) <- p2;
+        set_bits t p1 p2
+      end;
       incr j
     end;
     let c = Char.code (String.unsafe_get key i) in

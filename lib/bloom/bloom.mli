@@ -20,13 +20,22 @@ val create : ?bits_per_key:int -> expected_keys:int -> unit -> t
 
 val add : t -> string -> unit
 
-(** [add_with_prefixes t key ends] sets exactly the bits of {!add} [t
-    key] plus {!add} [t (String.sub key 0 e)] for every [e] in [ends],
-    but hashes [key] once and allocates nothing: each prefix's hashes
-    are the running hash state at its boundary. [ends] must be strictly
-    ascending, each in [\[1, String.length key)].
-    @raise Invalid_argument if an end lies outside the key. *)
-val add_with_prefixes : t -> string -> int array -> unit
+(** [add_with_prefixes t ~seen key ends] sets exactly the bits of {!add}
+    [t key] plus {!add} [t (String.sub key 0 e)] for every [e] in
+    [ends], but hashes [key] once and allocates nothing: each prefix's
+    hashes are the running hash state at its boundary. [ends] must be
+    strictly ascending, each in [\[1, String.length key)].
+
+    [seen] lets a writer that adds sorted keys skip prefixes it just
+    added: it holds, per boundary [j], the hash pair last inserted there
+    (slots [2j] and [2j + 1]), and a boundary whose pair matches is not
+    set again, since it would set the same bits. The bits of [t] are
+    those {!add} would set provided every pair [seen] holds was inserted
+    into [t]: fill it with [-1] whenever the filter it serves is
+    created.
+    @raise Invalid_argument if an end lies outside the key, or [seen]
+    has fewer than two slots per end. *)
+val add_with_prefixes : t -> seen:int array -> string -> int array -> unit
 
 (** [mem t key] is [false] only if [key] was never added; [true] may be a
     false positive. *)

@@ -185,7 +185,10 @@ let col_finish b =
 
 (* {1 Reading} *)
 
-type row_repr = { offsets : int array; payload_start : int }
+(* Row offsets are read where the block holds them: entry [i] starts
+   at [payload_start] plus the u32 at [r_table + 4i]. Decoding checks
+   the table's extent once and copies nothing. *)
+type row_repr = { r_count : int; r_table : int; payload_start : int }
 
 type col_desc = {
   cd_bitmap : int option;  (** offset of the presence bitmap in [data] *)
@@ -195,9 +198,15 @@ type col_desc = {
   cd_raw_len : int;
 }
 
+(* Keys stay where the key section holds them: [c_keys] is the section's
+   raw bytes (the block data itself when the section is stored, its
+   inflated copy when compressed), and key [i] is the [c_key_spans.(2i +
+   1)] bytes at [c_key_spans.(2i)]. Scans compare keys in place and copy
+   one out only for a row they yield. *)
 type col_repr = {
   c_rows : int;
-  c_keys : string array;
+  c_keys : string;
+  c_key_spans : int array;
   c_cols : col_desc option array;  (** [None] = primary-key column *)
 }
 
@@ -210,8 +219,10 @@ let decode data =
   let count = Binio.get_varint cur in
   if count < 0 || count > String.length data then
     raise (Binio.Corrupt "block: implausible row count");
-  let offsets = Array.init count (fun _ -> Binio.get_u32 cur) in
-  { data; repr = Row_r { offsets; payload_start = cur.Binio.pos } }
+  let table = cur.Binio.pos in
+  Binio.skip cur (4 * count);
+  { data;
+    repr = Row_r { r_count = count; r_table = table; payload_start = cur.Binio.pos } }
 
 (* A section's raw bytes as a bounded cursor: a stored section is read
    in place, an LZ section is inflated straight out of the block data;
@@ -257,7 +268,13 @@ let decode_columnar schema data =
     raise (Binio.Corrupt "block: column count does not match footer schema");
   let keys_desc = get_section_desc cur ~bitmap:None in
   let kcur = section_cursor data keys_desc in
-  let keys = Array.init rows (fun _ -> Binio.get_string kcur) in
+  let spans = Array.make (2 * rows) 0 in
+  for i = 0 to rows - 1 do
+    let len = Binio.get_varint kcur in
+    spans.((2 * i) + 1) <- len;
+    spans.(2 * i) <- kcur.Binio.pos;
+    Binio.skip kcur len
+  done;
   Binio.expect_end kcur;
   let cols =
     Array.init ncols (fun c ->
@@ -280,13 +297,17 @@ let decode_columnar schema data =
         end)
   in
   Binio.expect_end cur;
-  { data; repr = Col_r { c_rows = rows; c_keys = keys; c_cols = cols } }
+  { data;
+    repr =
+      Col_r
+        { c_rows = rows; c_keys = kcur.Binio.data; c_key_spans = spans;
+          c_cols = cols } }
 
 let layout t = match t.repr with Row_r _ -> Row_major | Col_r _ -> Col_major
 
 let count t =
   match t.repr with
-  | Row_r r -> Array.length r.offsets
+  | Row_r r -> r.r_count
   | Col_r c -> c.c_rows
 
 let row_repr t =
@@ -299,9 +320,16 @@ let col_repr t =
   | Col_r c -> c
   | Row_r _ -> invalid_arg "Block: not a columnar block"
 
+(* Where row-major entry [i] starts in [t.data]. *)
+let entry_pos t r i =
+  if i < 0 || i >= r.r_count then invalid_arg "Block: entry index out of bounds";
+  r.payload_start
+  + (Int32.to_int (String.get_int32_le t.data (r.r_table + (4 * i)))
+    land 0xffff_ffff)
+
 let entry t i =
   let r = row_repr t in
-  let cur = Binio.cursor ~pos:(r.payload_start + r.offsets.(i)) t.data in
+  let cur = Binio.cursor ~pos:(entry_pos t r i) t.data in
   let key = Binio.get_string cur in
   let value = Binio.get_string cur in
   { key; value }
@@ -309,15 +337,61 @@ let entry t i =
 let key t i =
   match t.repr with
   | Row_r r ->
-      let cur = Binio.cursor ~pos:(r.payload_start + r.offsets.(i)) t.data in
+      let cur = Binio.cursor ~pos:(entry_pos t r i) t.data in
       Binio.get_string cur
-  | Col_r c -> c.c_keys.(i)
+  | Col_r c -> String.sub c.c_keys c.c_key_spans.(2 * i) c.c_key_spans.((2 * i) + 1)
+
+(* A cursor at row-major entry [i]'s key bytes, and the key's length,
+   checked against the block. *)
+let row_key_cursor t r i =
+  let cur = Binio.cursor ~pos:(entry_pos t r i) t.data in
+  let len = Binio.get_varint cur in
+  if len < 0 || Binio.remaining cur < len then
+    raise (Binio.Corrupt "block: truncated key");
+  (cur, len)
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+(* [String.compare (String.sub s off len) k], without the copy: whole
+   words while they agree, then the first differing byte. The caller
+   guarantees [off + len <= String.length s]. *)
+let compare_in_place s off len k =
+  let klen = String.length k in
+  let n = if len < klen then len else klen in
+  let i = ref 0 in
+  while !i + 8 <= n && get64u s (off + !i) = get64u k !i do
+    i := !i + 8
+  done;
+  while !i < n && String.unsafe_get s (off + !i) = String.unsafe_get k !i do
+    incr i
+  done;
+  if !i < n then
+    Char.compare (String.unsafe_get s (off + !i)) (String.unsafe_get k !i)
+  else Int.compare len klen
+
+let compare_key t i k =
+  match t.repr with
+  | Row_r r ->
+      let cur, len = row_key_cursor t r i in
+      compare_in_place t.data cur.Binio.pos len k
+  | Col_r c ->
+      compare_in_place c.c_keys c.c_key_spans.(2 * i)
+        c.c_key_spans.((2 * i) + 1) k
+
+let key_ts t i =
+  match t.repr with
+  | Row_r r ->
+      let cur, len = row_key_cursor t r i in
+      Key_codec.ts_at t.data ~off:cur.Binio.pos ~len
+  | Col_r c ->
+      Key_codec.ts_at c.c_keys ~off:c.c_key_spans.(2 * i)
+        ~len:c.c_key_spans.((2 * i) + 1)
 
 let data t = t.data
 
 let value_span t i =
   let r = row_repr t in
-  let cur = Binio.cursor ~pos:(r.payload_start + r.offsets.(i)) t.data in
+  let cur = Binio.cursor ~pos:(entry_pos t r i) t.data in
   let key_len = Binio.get_varint cur in
   if Binio.remaining cur < key_len then
     raise (Binio.Corrupt "block: truncated key");
@@ -331,7 +405,7 @@ let search_geq t k =
   let lo = ref 0 and hi = ref (count t) in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    if String.compare (key t mid) k < 0 then lo := mid + 1 else hi := mid
+    if compare_key t mid k < 0 then lo := mid + 1 else hi := mid
   done;
   !lo
 
@@ -364,11 +438,12 @@ let columnar_rows ?cols t schema ~first ~last =
   let defaults = Array.map (fun c -> c.Schema.default) columns in
   let out = Array.init (last - first) (fun _ -> Array.copy defaults) in
   (* Primary-key columns are never stored as sections; every row's key
-     values come from one decode of its already materialized key. *)
-  let pk = Schema.pkey schema in
+     values are decoded straight out of the key section. *)
   for i = first to last - 1 do
-    let kv = Key_codec.decode_key schema r.c_keys.(i) in
-    Array.iteri (fun j idx -> out.(i - first).(idx) <- kv.(j)) pk
+    Key_codec.decode_key_into schema
+      (Binio.cursor ~pos:r.c_key_spans.(2 * i) ~len:r.c_key_spans.((2 * i) + 1)
+         r.c_keys)
+      out.(i - first)
   done;
   let wanted c = match cols with None -> true | Some l -> List.mem c l in
   let decoded = ref 0 in

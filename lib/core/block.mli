@@ -89,13 +89,15 @@ val col_finish : col_builder -> string * Agg.col_stats array
 
 type t
 
-(** Decode a row-major block.
+(** Decode a row-major block. The offset table is checked for length
+    and read in place, so decoding copies nothing.
     @raise Lt_util.Binio.Corrupt on malformed input. *)
 val decode : string -> t
 
 (** Decode a column-major block written under the given (stored)
-    schema. Keys are materialized eagerly; column sections stay
-    compressed until {!columnar_rows} asks for them.
+    schema. The key section is inflated eagerly and indexed (one offset
+    and length per key), but no key is copied out of it; column
+    sections stay compressed until {!columnar_rows} asks for them.
     @raise Lt_util.Binio.Corrupt on malformed input. *)
 val decode_columnar : Schema.t -> string -> t
 
@@ -106,7 +108,16 @@ val count : t -> int
 (** Row-major only. @raise Invalid_argument on a columnar block. *)
 val entry : t -> int -> entry
 
+(** [key t i] copies entry [i]'s key out of the block; {!compare_key}
+    and {!key_ts} read it in place. *)
 val key : t -> int -> string
+
+(** [compare_key t i k] is [String.compare (key t i) k], without the
+    copy. *)
+val compare_key : t -> int -> string -> int
+
+(** [key_ts t i] is [Key_codec.ts_of_key (key t i)], without the copy. *)
+val key_ts : t -> int -> int64
 
 (** The decoded block's backing bytes — pair with {!value_span} for
     copy-free value access. *)
@@ -119,7 +130,7 @@ val data : t -> string
 val value_span : t -> int -> int * int
 
 (** [search_geq t k] is the smallest index whose key is [>= k], or
-    [count t] when every key is smaller. *)
+    [count t] when every key is smaller. Keys are compared in place. *)
 val search_geq : t -> string -> int
 
 (** {1 Columnar reading} *)

@@ -20,7 +20,7 @@ let merge ~asc sources =
       | None -> ()
       | Some (key, row) -> Heap.add heap { key; row; prio; src })
     sources;
-  let last_key = ref None in
+  let started = ref false and last_key = ref "" in
   let rec next () =
     match Heap.peek heap with
     | None -> None
@@ -29,9 +29,11 @@ let merge ~asc sources =
         | None -> ignore (Heap.pop heap)
         | Some (key, row) ->
             Heap.replace_min heap { top with key; row });
-        if !last_key = Some top.key then next () (* shadowed duplicate *)
+        if !started && String.equal !last_key top.key then
+          next () (* shadowed duplicate *)
         else begin
-          last_key := Some top.key;
+          started := true;
+          last_key := top.key;
           Some (top.key, top.row)
         end
   in

@@ -6,12 +6,13 @@ let put_be64 buf x =
       (Char.chr (Int64.to_int (Int64.shift_right_logical x (i * 8)) land 0xff))
   done
 
+(* One bounds-checked 8-byte read. *)
 let get_be64 cur =
-  let x = ref 0L in
-  for _ = 0 to 7 do
-    x := Int64.logor (Int64.shift_left !x 8) (Int64.of_int (Binio.get_u8 cur))
-  done;
-  !x
+  if Binio.remaining cur < 8 then
+    raise (Binio.Corrupt "key: truncated 8-byte column");
+  let x = String.get_int64_be cur.Binio.data cur.Binio.pos in
+  cur.Binio.pos <- cur.Binio.pos + 8;
+  x
 
 let flip_i64 x = Int64.logxor x Int64.min_int
 
@@ -35,7 +36,8 @@ let encode_string buf s =
     s;
   Buffer.add_char buf '\x00'
 
-let decode_string cur =
+(* The slow path: unescape from the cursor into a buffer. *)
+let decode_escaped cur =
   let b = Buffer.create 16 in
   let rec go () =
     match Binio.get_u8 cur with
@@ -55,6 +57,22 @@ let decode_string cur =
         go ()
   in
   go ()
+
+(* Most strings hold no 0x00/0x01 byte, so their encoding is the string
+   itself and a terminator: one [String.sub] up to the first byte below
+   0x02, falling back to unescaping when that byte is an escape. *)
+let decode_string cur =
+  let data = cur.Binio.data and start = cur.Binio.pos in
+  let limit = cur.Binio.limit in
+  let i = ref start in
+  while !i < limit && Char.code (String.unsafe_get data !i) > 0x01 do
+    incr i
+  done;
+  if !i < limit && String.unsafe_get data !i = '\x00' then begin
+    cur.Binio.pos <- !i + 1;
+    String.sub data start (!i - start)
+  end
+  else decode_escaped cur
 
 let encode_value buf = function
   | Value.Int32 x ->
@@ -87,12 +105,11 @@ let key_size schema row =
 let decode_value ctype cur =
   match ctype with
   | Value.T_int32 ->
-      let x = ref 0l in
-      for _ = 0 to 3 do
-        x :=
-          Int32.logor (Int32.shift_left !x 8) (Int32.of_int (Binio.get_u8 cur))
-      done;
-      Value.Int32 (Int32.logxor !x Int32.min_int)
+      if Binio.remaining cur < 4 then
+        raise (Binio.Corrupt "key: truncated 4-byte column");
+      let x = String.get_int32_be cur.Binio.data cur.Binio.pos in
+      cur.Binio.pos <- cur.Binio.pos + 4;
+      Value.Int32 (Int32.logxor x Int32.min_int)
   | Value.T_int64 -> Value.Int64 (flip_i64 (get_be64 cur))
   | Value.T_timestamp -> Value.Timestamp (flip_i64 (get_be64 cur))
   | Value.T_double -> Value.Double (double_of_ordered (get_be64 cur))
@@ -166,10 +183,18 @@ let decode_key schema key =
   Binio.expect_end cur;
   vs
 
-let ts_of_key key =
-  let n = String.length key in
-  if n < 8 then invalid_arg "ts_of_key: key shorter than 8 bytes";
-  flip_i64 (String.get_int64_be key (n - 8))
+let decode_key_into schema cur row =
+  let cols = Schema.columns schema in
+  Array.iter
+    (fun i -> row.(i) <- decode_value cols.(i).Schema.ctype cur)
+    (Schema.pkey schema);
+  Binio.expect_end cur
+
+let ts_at s ~off ~len =
+  if len < 8 then invalid_arg "ts_of_key: key shorter than 8 bytes";
+  flip_i64 (String.get_int64_be s (off + len - 8))
+
+let ts_of_key key = ts_at key ~off:0 ~len:(String.length key)
 
 let prefix_succ p =
   let n = String.length p in

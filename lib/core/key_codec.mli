@@ -58,8 +58,18 @@ val encode_prefix : Schema.t -> Value.t list -> string
 (** Key-column values of an encoded full key, in key order. *)
 val decode_key : Schema.t -> string -> Value.t array
 
+(** [decode_key_into schema cur row] decodes the full key held in [cur]'s
+    window into [row]'s primary-key columns (schema indices), with no
+    intermediate array. @raise Lt_util.Binio.Corrupt unless the window
+    holds exactly one key. *)
+val decode_key_into : Schema.t -> Lt_util.Binio.cursor -> Value.t array -> unit
+
 (** Timestamp (microseconds) carried in the last 8 bytes of a full key. *)
 val ts_of_key : string -> int64
+
+(** [ts_at s ~off ~len] is {!ts_of_key} of the key held in the [len]
+    bytes of [s] at [off], read in place. *)
+val ts_at : string -> off:int -> len:int -> int64
 
 (** [prefix_succ p] is the smallest byte string greater than every string
     having [p] as a prefix, or [None] when no such string exists (all

@@ -44,11 +44,20 @@ let with_projection cols q = { q with projection = Some cols }
 
 type compiled = { lo : string; hi : string option }
 
+(* The timestamp is the last key column, so a bound that fixes every
+   other key column can carry a ts bound too: every key under the prefix
+   [vs] is [vs] followed by its 8-byte ts, and those keys sort by ts. *)
+let with_ts schema vs ts =
+  match ts with
+  | Some t when List.length vs = Array.length (Schema.pkey schema) - 1 ->
+      vs @ [ Value.Timestamp t ]
+  | _ -> vs
+
 let compile schema q =
   let lo =
     match q.key_low with
     | Unbounded -> Some ""
-    | Incl vs -> Some (Key_codec.encode_prefix schema vs)
+    | Incl vs -> Some (Key_codec.encode_prefix schema (with_ts schema vs q.ts_min))
     | Excl vs -> (
         (* Everything strictly after every key starting with vs. *)
         match Key_codec.prefix_succ (Key_codec.encode_prefix schema vs) with
@@ -58,7 +67,10 @@ let compile schema q =
   let hi =
     match q.key_high with
     | Unbounded -> Some None
-    | Incl vs -> Some (Key_codec.prefix_succ (Key_codec.encode_prefix schema vs))
+    | Incl vs ->
+        Some
+          (Key_codec.prefix_succ
+             (Key_codec.encode_prefix schema (with_ts schema vs q.ts_max)))
     | Excl vs -> Some (Some (Key_codec.encode_prefix schema vs))
   in
   match (lo, hi) with

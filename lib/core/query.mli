@@ -49,7 +49,14 @@ val with_projection : int list -> t -> t
 
     [compile schema q] translates the value-level bounds into encoded-key
     byte bounds: a half-open range [\[lo, hi)] ([hi = None] meaning
-    unbounded above). [None] overall means the range is provably empty. *)
+    unbounded above). [None] overall means the range is provably empty.
+
+    The timestamp is the last key column, so an [Incl] bound that fixes
+    every other key column folds the ts bound on its side into the
+    range: the low bound becomes the key [(vs, ts_min)], the high bound
+    [prefix_succ] of the key [(vs, ts_max)]. The range then holds only
+    rows inside the ts bounds; callers still filter by ts, since a range
+    with other bounds can hold rows outside them. *)
 
 type compiled = { lo : string; hi : string option }
 

@@ -16,8 +16,7 @@ let encode_value schema row =
 let decode_cursor schema ~key cur =
   let cols = Schema.columns schema in
   let row = Array.make (Array.length cols) (Value.Int32 0l) in
-  let kvs = Key_codec.decode_key schema key in
-  Array.iteri (fun ki col -> row.(col) <- kvs.(ki)) (Schema.pkey schema);
+  Key_codec.decode_key_into schema (Binio.cursor key) row;
   Array.iteri
     (fun i col ->
       if not (Schema.is_pkey schema i) then

@@ -1026,47 +1026,55 @@ let maybe_stage t a ~has_disk sources =
    readers, and the merged, ts-filtered cursor over them. [close
    ~returned], called once, joins in-flight producers (so worker busy
    totals are final), drops the tablet refs they read through, and
-   closes the record. *)
+   closes the record. If opening raises (the merge reads each source's
+   first block), the scan is closed before the exception goes on. *)
 let open_scan t a (q : Query.t) =
   let scanned = ref 0 in
-  let src, finish_stage, sel =
+  let sel = ref no_selection and finish_stage = ref (fun () -> ()) in
+  let close ~returned =
+    !finish_stage ();
+    release t !sel.disk;
+    let tablets = List.length !sel.disk in
+    acct_close t a ~scanned:!scanned ~returned ~tablets
+      ~pruned:(!sel.considered - tablets)
+  in
+  let open_src () =
     match Query.compile t.schema q with
-    | None -> (empty_source, (fun () -> ()), no_selection)
+    | None -> empty_source
     | Some { Query.lo; hi } ->
         let asc = q.Query.direction = Query.Asc in
-        let sel =
+        let s =
           select t ~lo ~hi ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max
         in
+        (* [open_readers] drops the selection's refs if it fails. *)
+        let readers = open_readers t s in
+        sel := s;
         let disk_sources =
           List.map
             (fun (dt, r) ->
               ( dt.meta.Descriptor.id,
                 Tablet.iter r ~asc ~lo ?hi ?projection:q.Query.projection
                   ~counters:a.a_counters () ))
-            (open_readers t sel)
+            readers
         in
-        let staged, finish_stage =
-          maybe_stage t a ~has_disk:(sel.disk <> [])
-            (List.map (mem_source ~asc ~lo ?hi) sel.mems @ disk_sources)
+        let staged, finish =
+          maybe_stage t a ~has_disk:(s.disk <> [])
+            (List.map (mem_source ~asc ~lo ?hi) s.mems @ disk_sources)
         in
+        finish_stage := finish;
         acct_planned t a;
-        ( Cursor.filter_ts ~scanned ?ts_min:sel.eff_ts_min
-            ?ts_max:q.Query.ts_max (Cursor.merge ~asc staged),
-          finish_stage,
-          sel )
+        Cursor.filter_ts ~scanned ?ts_min:s.eff_ts_min ?ts_max:q.Query.ts_max
+          (Cursor.merge ~asc staged)
   in
-  let close ~returned =
-    finish_stage ();
-    release t sel.disk;
-    let tablets = List.length sel.disk in
-    acct_close t a ~scanned:!scanned ~returned ~tablets
-      ~pruned:(sel.considered - tablets)
-  in
-  (src, close)
+  match open_src () with
+  | src -> (src, close)
+  | exception e ->
+      ignore (close ~returned:0);
+      raise e
 
 (* A streaming scan and the one way to end it. [close] (idempotent)
-   closes the scan with the rows pulled so far; draining the source
-   calls it. *)
+   closes the scan with the rows pulled so far; draining the source, or
+   a read that raises, calls it. *)
 let stream t q =
   let a = acct_open t t.instr.Obs.h_query Otrace.Query in
   let src, close_scan = open_scan t a q in
@@ -1083,15 +1091,21 @@ let stream t q =
   in
   let next () =
     if !closed then None
-    else begin
-      match src () with
-      | Some (key, h) ->
+    else
+      match
+        match src () with
+        | Some (key, h) -> Some (key, Tablet.force h)
+        | None -> None
+      with
+      | Some _ as item ->
           incr returned;
-          Some (key, Tablet.force h)
+          item
       | None ->
           close ();
           None
-    end
+      | exception e ->
+          close ();
+          raise e
   in
   (next, close)
 
@@ -1112,9 +1126,16 @@ let query ?(profile = false) t (q : Query.t) =
   let a = acct_open ~profile t t.instr.Obs.h_query Otrace.Query in
   let src, close = open_scan t a q in
   let rows, more_available =
-    Cursor.cap ~limit:q.Query.limit ~row_limit:t.config.Config.server_row_limit
-      (fun (_, h) -> Tablet.force h)
-      src
+    match
+      Cursor.cap ~limit:q.Query.limit
+        ~row_limit:t.config.Config.server_row_limit
+        (fun (_, h) -> Tablet.force h)
+        src
+    with
+    | capped -> capped
+    | exception e ->
+        ignore (close ~returned:0);
+        raise e
   in
   let r = close ~returned:(List.length rows) in
   { rows; more_available; scanned = r.Lt_obs.Profile.p_rows_scanned;

@@ -219,6 +219,9 @@ type writer = {
   bloom_bits_per_key : int;
   mutable bloom : Lt_bloom.Bloom.t option;
   prefix_ends : int array;  (** scratch for {!Key_codec.prefix_ends} *)
+  bloom_seen : int array;
+      (** hash pairs last inserted per prefix boundary into [bloom]; reset
+          by {!new_bloom} *)
 }
 
 let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ?expected_rows
@@ -227,6 +230,7 @@ let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ?expected_rows
   let file = Vfs.create vfs path in
   (* One insertion per key plus one per proper key prefix. *)
   let per_row = Array.length (Schema.pkey schema) in
+  let bloom_seen = Array.make (2 * (per_row - 1)) (-1) in
   let bloom =
     match expected_rows with
     | Some rows when bloom_bits_per_key > 0 ->
@@ -257,6 +261,7 @@ let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ?expected_rows
     bloom_bits_per_key;
     bloom;
     prefix_ends = Array.make (per_row - 1) 0;
+    bloom_seen;
   }
 
 let flush_block w =
@@ -289,10 +294,17 @@ let flush_block w =
           w.w_off <- w.w_off + String.length frame)
 
 (* A key and its column-boundary prefixes go into the filter in one
-   hashing pass; the prefix boundaries come from the key bytes. *)
+   hashing pass; the prefix boundaries come from the key bytes. Keys
+   arrive sorted, so a prefix usually repeats the last one at its
+   boundary, and [bloom_seen] skips setting its bits again. *)
 let bloom_insert w bloom key =
   Key_codec.prefix_ends w.w_schema key w.prefix_ends;
-  Lt_bloom.Bloom.add_with_prefixes bloom key w.prefix_ends
+  Lt_bloom.Bloom.add_with_prefixes bloom ~seen:w.bloom_seen key w.prefix_ends
+
+(* A filter sized for [expected_keys], with the skip state reset. *)
+let new_bloom w ~expected_keys =
+  Array.fill w.bloom_seen 0 (Array.length w.bloom_seen) (-1);
+  Lt_bloom.Bloom.create ~bits_per_key:w.bloom_bits_per_key ~expected_keys ()
 
 (* The filter must be sized before the first insertion, but the final key
    count is unknown while streaming. We buffer the keys of the first few
@@ -317,10 +329,7 @@ let bloom_add w key =
           let estimate =
             min 67_108_864 (max bloom_buffer_limit (per_block * 4096))
           in
-          let bloom =
-            Lt_bloom.Bloom.create ~bits_per_key:w.bloom_bits_per_key
-              ~expected_keys:estimate ()
-          in
+          let bloom = new_bloom w ~expected_keys:estimate in
           List.iter (bloom_insert w bloom) w.bloom_pending;
           w.bloom_pending <- [];
           w.bloom <- Some bloom
@@ -370,10 +379,7 @@ let finish w =
     | (Some _ as b), _ -> b
     | None, [] -> None
     | None, pending ->
-        let bloom =
-          Lt_bloom.Bloom.create ~bits_per_key:w.bloom_bits_per_key
-            ~expected_keys:w.bloom_keys ()
-        in
+        let bloom = new_bloom w ~expected_keys:w.bloom_keys in
         List.iter (bloom_insert w bloom) pending;
         Some bloom
   in
@@ -526,9 +532,9 @@ let decode_block r i raw =
 (* The cache sits above the VFS and below the block decode: a hit skips
    the (modeled) disk read, the checksum, and the decompression. Weights
    are raw frame bytes, approximating resident memory. Columnar blocks
-   cache in the same decoded form — keys materialized, column sections
-   still compressed — so cached blocks stay immutable and column
-   decompression remains per-scan. *)
+   cache in the same decoded form — key section inflated and indexed,
+   column sections still compressed — so cached blocks stay immutable
+   and column decompression remains per-scan. *)
 let load_block r i =
   match r.r_cache with
   | None -> decode_block r i (read_block r i)
@@ -561,7 +567,7 @@ let mem r key =
   &&
   let block = load_block r bi in
   let i = Block.search_geq block key in
-  i < Block.count block && Block.key block i = key
+  i < Block.count block && Block.compare_key block i key = 0
 
 (* Decode a row straight out of the block's backing bytes: no per-row
    value string, just a (offset, length) window into the block data. *)
@@ -818,9 +824,10 @@ let fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs () =
           match Block.layout b with
           | Block.Row_major ->
               for j = first to last - 1 do
-                let key = Block.key b j in
-                if in_ts (Key_codec.ts_of_key key) then
-                  feed_row (translate_at ~from:stored ~into:r.target b j ~key)
+                if in_ts (Block.key_ts b j) then
+                  feed_row
+                    (translate_at ~from:stored ~into:r.target b j
+                       ~key:(Block.key b j))
               done
           | Block.Col_major ->
               (* Only the window the key bounds reach is materialized. *)
@@ -829,7 +836,7 @@ let fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs () =
               in
               bump counters (fun c -> c.sc_cols_decoded) decoded;
               for j = first to last - 1 do
-                if in_ts (Key_codec.ts_of_key (Block.key b j)) then
+                if in_ts (Block.key_ts b j) then
                   feed_row (translate rows.(j - first))
               done
         end

@@ -13,95 +13,120 @@ let hash_log = 13
 
 let hash_size = 1 lsl hash_log
 
-(* Multiplicative hash of the 4 bytes at [i]. *)
-let hash4 s i =
-  let w =
-    Char.code (String.unsafe_get s i)
-    lor (Char.code (String.unsafe_get s (i + 1)) lsl 8)
-    lor (Char.code (String.unsafe_get s (i + 2)) lsl 16)
-    lor (Char.code (String.unsafe_get s (i + 3)) lsl 24)
-  in
-  (w * 2654435761) lsr (32 - hash_log) land (hash_size - 1)
+(* Unchecked native-endian word reads. Every call site below keeps the
+   read inside the input: the match finder only reads words that start
+   before [n - 5], where a match must end. *)
+external get32u : string -> int -> int32 = "%caml_string_get32u"
+
+external get64u : string -> int -> int64 = "%caml_string_get64u"
+
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* The 4 bytes at [i] as an unsigned little-endian integer. *)
+let word32 s i =
+  let w = get32u s i in
+  Int32.to_int (if Sys.big_endian then bswap32 w else w) land 0xffff_ffff
+
+(* Multiplicative hash of a 4-byte word. *)
+let hash4 w = (w * 2654435761) lsr (32 - hash_log) land (hash_size - 1)
 
 let max_compressed_len n = n + (n / 255) + 16
 
-(* Append a literal-length / match-length pair in token format. *)
-let put_length b extra =
-  let rec go n =
-    if n >= 255 then begin
-      Buffer.add_char b '\xff';
-      go (n - 255)
-    end
-    else Buffer.add_char b (Char.chr n)
-  in
-  go extra
+(* The compressor writes into one [Bytes] of [max_compressed_len n]
+   bytes (every sequence spends at most one byte per 255 literals more
+   than it consumes), so every write is in bounds. *)
 
-let emit_sequence b src ~lit_start ~lit_len ~match_len ~offset =
+(* Write the 255-extension bytes of a length that overflowed its
+   nibble; returns the next output position. *)
+let put_length out op extra =
+  let op = ref op and extra = ref extra in
+  while !extra >= 255 do
+    Bytes.unsafe_set out !op '\xff';
+    incr op;
+    extra := !extra - 255
+  done;
+  Bytes.unsafe_set out !op (Char.unsafe_chr !extra);
+  !op + 1
+
+(* One sequence: token, literal run [src.[lit_start .. lit_start +
+   lit_len)], then, when [match_len > 0], the match offset and length.
+   Returns the next output position. *)
+let emit_sequence out op src ~lit_start ~lit_len ~match_len ~offset =
   let lit_token = if lit_len >= 15 then 15 else lit_len in
   let match_token =
-    match match_len with
-    | None -> 0
-    | Some ml -> if ml - min_match >= 15 then 15 else ml - min_match
+    if match_len = 0 then 0
+    else if match_len - min_match >= 15 then 15
+    else match_len - min_match
   in
-  Buffer.add_char b (Char.chr ((lit_token lsl 4) lor match_token));
-  if lit_len >= 15 then put_length b (lit_len - 15);
-  Buffer.add_substring b src lit_start lit_len;
-  match match_len with
-  | None -> ()
-  | Some ml ->
-      Buffer.add_char b (Char.chr (offset land 0xff));
-      Buffer.add_char b (Char.chr ((offset lsr 8) land 0xff));
-      if ml - min_match >= 15 then put_length b (ml - min_match - 15)
+  Bytes.unsafe_set out op (Char.unsafe_chr ((lit_token lsl 4) lor match_token));
+  let op = if lit_len >= 15 then put_length out (op + 1) (lit_len - 15) else op + 1 in
+  Bytes.blit_string src lit_start out op lit_len;
+  let op = op + lit_len in
+  if match_len = 0 then op
+  else begin
+    Bytes.unsafe_set out op (Char.unsafe_chr (offset land 0xff));
+    Bytes.unsafe_set out (op + 1) (Char.unsafe_chr ((offset lsr 8) land 0xff));
+    if match_len - min_match >= 15 then
+      put_length out (op + 2) (match_len - min_match - 15)
+    else op + 2
+  end
 
 let compress src =
   let n = String.length src in
   if n = 0 then ""
-  else if n < mf_limit + min_match then begin
-    (* Too short for any match: one literal-only sequence. *)
-    let b = Buffer.create (n + 3) in
-    emit_sequence b src ~lit_start:0 ~lit_len:n ~match_len:None ~offset:0;
-    Buffer.contents b
-  end
   else begin
-    let b = Buffer.create (n / 2) in
-    let table = Array.make hash_size (-1) in
-    let match_limit = n - mf_limit in
+    let out = Bytes.create (max_compressed_len n) in
+    let op = ref 0 in
     let anchor = ref 0 in
-    let i = ref 0 in
-    while !i < match_limit do
-      let h = hash4 src !i in
-      let cand = table.(h) in
-      table.(h) <- !i;
-      if
-        cand >= 0
-        && !i - cand <= 0xffff
-        && String.unsafe_get src cand = String.unsafe_get src !i
-        && String.unsafe_get src (cand + 1) = String.unsafe_get src (!i + 1)
-        && String.unsafe_get src (cand + 2) = String.unsafe_get src (!i + 2)
-        && String.unsafe_get src (cand + 3) = String.unsafe_get src (!i + 3)
-      then begin
-        (* Extend the match forward, staying clear of the tail. *)
-        let limit = n - 5 in
-        let ml = ref min_match in
-        while
-          !i + !ml < limit
-          && String.unsafe_get src (cand + !ml) = String.unsafe_get src (!i + !ml)
-        do
-          incr ml
-        done;
-        emit_sequence b src ~lit_start:!anchor ~lit_len:(!i - !anchor)
-          ~match_len:(Some !ml) ~offset:(!i - cand);
-        i := !i + !ml;
-        anchor := !i;
-        (* Seed the table inside the match so nearby repeats are found. *)
-        if !i < match_limit then table.(hash4 src (!i - 2)) <- !i - 2
-      end
-      else incr i
-    done;
-    emit_sequence b src ~lit_start:!anchor ~lit_len:(n - !anchor)
-      ~match_len:None ~offset:0;
-    Buffer.contents b
+    (* Inputs too short for any match are one literal-only sequence. *)
+    if n >= mf_limit + min_match then begin
+      let table = Array.make hash_size (-1) in
+      let match_limit = n - mf_limit in
+      (* A match ends at or before [limit]; its 8-byte steps read
+         [cand + ml .. i + ml + 7], all below [limit]. *)
+      let limit = n - 5 in
+      let i = ref 0 in
+      while !i < match_limit do
+        let w = word32 src !i in
+        let h = hash4 w in
+        let cand = Array.unsafe_get table h in
+        Array.unsafe_set table h !i;
+        if cand >= 0 && !i - cand <= 0xffff && word32 src cand = w then begin
+          (* Extend the match forward, staying clear of the tail: whole
+             words while they fit before [limit], then byte by byte. *)
+          let ml = ref min_match in
+          while
+            !i + !ml + 8 <= limit
+            && get64u src (cand + !ml) = get64u src (!i + !ml)
+          do
+            ml := !ml + 8
+          done;
+          while
+            !i + !ml < limit
+            && String.unsafe_get src (cand + !ml)
+               = String.unsafe_get src (!i + !ml)
+          do
+            incr ml
+          done;
+          op :=
+            emit_sequence out !op src ~lit_start:!anchor
+              ~lit_len:(!i - !anchor) ~match_len:!ml ~offset:(!i - cand);
+          i := !i + !ml;
+          anchor := !i;
+          (* Seed the table inside the match so nearby repeats are found. *)
+          if !i < match_limit then
+            Array.unsafe_set table (hash4 (word32 src (!i - 2))) (!i - 2)
+        end
+        else incr i
+      done
+    end;
+    op :=
+      emit_sequence out !op src ~lit_start:!anchor ~lit_len:(n - !anchor)
+        ~match_len:0 ~offset:0;
+    Bytes.sub_string out 0 !op
   end
+
+let truncated ip off = corrupt "truncated block at input offset %d" (ip - off)
 
 let decompress ?(off = 0) ?len ~raw_len src =
   let len = match len with None -> String.length src - off | Some l -> l in
@@ -113,34 +138,28 @@ let decompress ?(off = 0) ?len ~raw_len src =
     ""
   end
   else begin
-    (* [ip] runs over the window [off, n) of [src]. *)
+    (* [ip] runs over the window [off, n) of [src]; every read is checked
+       against [n] before it is made. *)
     let n = off + len in
     let out = Bytes.create raw_len in
     let op = ref 0 (* output position *) in
     let ip = ref off (* input position *) in
-    let read_byte () =
-      if !ip >= n then corrupt "truncated block at input offset %d" (!ip - off);
-      let c = Char.code (String.unsafe_get src !ip) in
-      incr ip;
-      c
-    in
-    let read_length base =
-      if base <> 15 then base
-      else begin
-        let total = ref base in
-        let continue = ref true in
-        while !continue do
-          let c = read_byte () in
-          total := !total + c;
-          if c <> 255 then continue := false
-        done;
-        !total
-      end
-    in
     let finished = ref false in
     while not !finished do
-      let token = read_byte () in
-      let lit_len = read_length (token lsr 4) in
+      if !ip >= n then truncated !ip off;
+      let token = Char.code (String.unsafe_get src !ip) in
+      incr ip;
+      let lit_len = ref (token lsr 4) in
+      if !lit_len = 15 then begin
+        let c = ref 255 in
+        while !c = 255 do
+          if !ip >= n then truncated !ip off;
+          c := Char.code (String.unsafe_get src !ip);
+          incr ip;
+          lit_len := !lit_len + !c
+        done
+      end;
+      let lit_len = !lit_len in
       if !ip + lit_len > n then corrupt "literal run overruns input";
       if !op + lit_len > raw_len then corrupt "literal run overruns output";
       Bytes.blit_string src !ip out !op lit_len;
@@ -152,18 +171,34 @@ let decompress ?(off = 0) ?len ~raw_len src =
         finished := true
       end
       else begin
-        let o1 = read_byte () in
-        let o2 = read_byte () in
-        let offset = o1 lor (o2 lsl 8) in
+        if !ip + 2 > n then truncated n off;
+        let offset =
+          Char.code (String.unsafe_get src !ip)
+          lor (Char.code (String.unsafe_get src (!ip + 1)) lsl 8)
+        in
+        ip := !ip + 2;
         if offset = 0 || offset > !op then
           corrupt "bad match offset %d at output %d" offset !op;
-        let match_len = min_match + read_length (token land 0x0f) in
+        let match_len = ref (min_match + (token land 0x0f)) in
+        if token land 0x0f = 15 then begin
+          let c = ref 255 in
+          while !c = 255 do
+            if !ip >= n then truncated !ip off;
+            c := Char.code (String.unsafe_get src !ip);
+            incr ip;
+            match_len := !match_len + !c
+          done
+        end;
+        let match_len = !match_len in
         if !op + match_len > raw_len then corrupt "match overruns output";
-        (* Byte-wise copy: overlapping matches (offset < len) are valid. *)
         let from = !op - offset in
-        for k = 0 to match_len - 1 do
-          Bytes.unsafe_set out (!op + k) (Bytes.unsafe_get out (from + k))
-        done;
+        if offset >= match_len then Bytes.blit out from out !op match_len
+        else
+          (* Overlapping (offset < length) matches repeat the last
+             [offset] bytes: copy byte by byte. *)
+          for k = 0 to match_len - 1 do
+            Bytes.unsafe_set out (!op + k) (Bytes.unsafe_get out (from + k))
+          done;
         op := !op + match_len
       end
     done;

@@ -82,7 +82,8 @@ let prop_add_with_prefixes =
       let one_pass = fresh () and reference = fresh () in
       List.iter
         (fun (key, ends) ->
-          Bloom.add_with_prefixes one_pass key ends;
+          let seen = Array.make (2 * Array.length ends) (-1) in
+          Bloom.add_with_prefixes one_pass ~seen key ends;
           Bloom.add reference key;
           Array.iter (fun e -> Bloom.add reference (String.sub key 0 e)) ends)
         entries;
@@ -93,6 +94,37 @@ let prop_add_with_prefixes =
       in
       bytes one_pass = bytes reference)
 
+(* The tablet writer's dedup: sorted keys whose leading columns repeat,
+   added through one [seen] state, set the bits [add] sets for each key
+   and its prefixes. *)
+let prop_add_with_prefixes_seen =
+  let col choices = QCheck.Gen.(map (fun i -> Printf.sprintf "%08d" i) (int_bound choices)) in
+  QCheck.Test.make ~name:"bloom: add_with_prefixes with a shared seen = add"
+    ~count:200
+    QCheck.(
+      make ~print:(QCheck.Print.list String.escaped)
+        Gen.(
+          list_size (int_range 1 60)
+            (map3 (fun a b c -> a ^ b ^ c) (col 2) (col 4) (col 1000))))
+    (fun keys ->
+      let keys = List.sort_uniq String.compare keys in
+      let ends = [| 8; 16 |] in
+      let fresh () = Bloom.create ~bits_per_key:10 ~expected_keys:(3 * List.length keys) () in
+      let deduped = fresh () and plain = fresh () in
+      let seen = Array.make 4 (-1) in
+      List.iter
+        (fun key ->
+          Bloom.add_with_prefixes deduped ~seen key ends;
+          Bloom.add plain key;
+          Array.iter (fun e -> Bloom.add plain (String.sub key 0 e)) ends)
+        keys;
+      let bytes b =
+        let buf = Buffer.create 64 in
+        Bloom.encode buf b;
+        Buffer.contents buf
+      in
+      bytes deduped = bytes plain)
+
 let suite =
   [
     ("no false negatives", `Quick, test_no_false_negatives);
@@ -102,4 +134,5 @@ let suite =
     ("sizing", `Quick, test_sizing);
     Support.qcheck prop_membership;
     Support.qcheck prop_add_with_prefixes;
+    Support.qcheck prop_add_with_prefixes_seen;
   ]

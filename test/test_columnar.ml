@@ -443,6 +443,108 @@ let prop_columnar_rows_window =
       && part = Array.sub whole first (last - first)
       && part_decoded = whole_decoded)
 
+(* ---- ts bounds folded into the key range ------------------------------ *)
+
+(* A device prefix fixes every key column but ts, so [Query.compile]
+   folds the ts bounds into the key range. *)
+let test_compile_folds_ts () =
+  let dev = [ Value.Int64 1L; Value.Int64 2L ] in
+  let enc ts = Key_codec.encode_prefix schema (dev @ [ Value.Timestamp ts ]) in
+  let q = Query.between ~ts_min:10L ~ts_max:20L (Query.prefix dev) in
+  (match Query.compile schema q with
+  | Some { Query.lo; hi } ->
+      Alcotest.(check string) "low bound is (device, ts_min)" (enc 10L) lo;
+      Alcotest.(check (option string)) "high bound follows (device, ts_max)"
+        (Key_codec.prefix_succ (enc 20L)) hi
+  | None -> Alcotest.fail "range should not be empty");
+  Alcotest.(check bool) "ts_min > ts_max is an empty range" true
+    (Query.compile schema (Query.between ~ts_min:21L ~ts_max:20L (Query.prefix dev))
+    = None);
+  (* A network prefix leaves the device open: no folding. *)
+  let net = [ Value.Int64 1L ] in
+  Alcotest.(check bool) "network prefix unchanged" true
+    (Query.compile schema (Query.between ~ts_min:10L ~ts_max:20L (Query.prefix net))
+    = Query.compile schema (Query.prefix net))
+
+(* A three-row page cap, so most answers take several §3.5
+   resubmissions (an [Excl] bound past the last row). *)
+let paged_config =
+  Config.make ~columnar_age:0L ~server_row_limit:3 ~flush_size:2048
+    ~merge_delay:0L ~rollover_spread:0.0 ~enforce_unique:false ()
+
+let ts_choices =
+  let base = Int64.sub Support.ts0 1000L in
+  QCheck.Gen.(
+    oneof
+      [ return None;
+        return (Some Int64.min_int);
+        return (Some Int64.max_int);
+        map (fun k -> Some (Int64.add base (Int64.of_int k))) (int_range (-2) 62) ])
+
+(* Device queries with ts bounds against a reference filter, with the
+   rows spread over columnar tablets, a row-major tablet and the
+   memtable. *)
+let prop_device_ts_bounds =
+  QCheck.Test.make ~name:"device query with ts bounds = reference filter"
+    ~count:60
+    QCheck.(
+      pair arb_rows
+        (make
+           Gen.(
+             pair
+               (pair (int_bound 3) (int_bound 4))
+               (list_size (int_range 1 8)
+                  (quad ts_choices ts_choices bool (opt (int_range 1 6)))))))
+    (fun (rows, ((net, dev), queries)) ->
+      let db, _clock, _ = Support.fresh_db ~config:paged_config () in
+      Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+      let tbl = Db.create_table db "usage" schema ~ttl:None in
+      let n = List.length rows in
+      List.iteri
+        (fun i row ->
+          Table.insert_row tbl row;
+          if i = n / 3 then begin
+            Table.flush_all tbl;
+            merge_fixpoint tbl
+          end
+          else if i = 2 * n / 3 then Table.flush_all tbl)
+        rows;
+      let prefix = [ Value.Int64 (Int64.of_int net); Value.Int64 (Int64.of_int dev) ] in
+      let device = List.filter (fun r -> Array.to_list (Array.sub r 0 2) = prefix) rows in
+      let fetch q =
+        let r = Table.query tbl q in
+        { Lt_net.Client.rows = r.Table.rows; more_available = r.Table.more_available;
+          scanned = r.Table.scanned; profile = None }
+      in
+      List.for_all
+        (fun (ts_min, ts_max, desc, limit) ->
+          let q = Query.between ?ts_min ?ts_max (Query.prefix prefix) in
+          let q = if desc then Query.with_direction Query.Desc q else q in
+          let q = match limit with None -> q | Some l -> Query.with_limit l q in
+          let want =
+            List.filter
+              (fun r ->
+                let ts = Schema.row_ts schema r in
+                (match ts_min with None -> true | Some b -> ts >= b)
+                && match ts_max with None -> true | Some b -> ts <= b)
+              device
+            |> List.map (fun r -> (Key_codec.encode_key schema r, r))
+            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+            |> List.map snd
+          in
+          let want = if desc then List.rev want else want in
+          let want =
+            match limit with
+            | None -> want
+            | Some l -> List.filteri (fun i _ -> i < l) want
+          in
+          let next = Lt_net.Client.pager schema ~fetch q in
+          let rec drain acc =
+            match next () with None -> List.rev acc | Some r -> drain (r :: acc)
+          in
+          drain [] = want)
+        queries)
+
 let suite =
   [
     Support.qcheck prop_block_roundtrip_and_footer;
@@ -453,4 +555,6 @@ let suite =
     ("overflowing int64 sums wrap identically", `Quick, test_overflow_sum_wraps);
     ("footer-answered aggregates decode nothing", `Quick,
      test_footer_answering_decodes_nothing);
+    ("device ts bounds fold into the key range", `Quick, test_compile_folds_ts);
+    Support.qcheck prop_device_ts_bounds;
   ]

@@ -112,6 +112,146 @@ let prop_decompress_window =
         ~raw_len:(String.length s) framed
       = s)
 
+(* {1 The word-at-a-time kernel against the byte-at-a-time reference}
+
+   [Lz_ref] is the codec as it was before the kernel read words: the
+   compressor must make the same match decisions (same bytes out), and
+   the decoder must accept and reject exactly the same inputs. *)
+
+let same_as_reference s = Lz.compress s = Lz_ref.compress s
+
+(* Rows shaped like tablet rows: repeated key prefixes, slowly moving
+   counters. *)
+let gen_rows =
+  QCheck.Gen.(
+    map
+      (fun rows ->
+        String.concat ""
+          (List.map
+             (fun (net, dev, ts, v) ->
+               Printf.sprintf "n%02d d%03d t%010d v%d|" net dev ts v)
+             rows))
+      (list_size (int_bound 200)
+         (quad (int_bound 3) (int_bound 20) (int_bound 100_000) (int_bound 50))))
+
+(* A random block repeated, then a short tail: the second copy's match
+   runs into the [n - 5] limit at every tail length. *)
+let gen_match_to_tail =
+  QCheck.Gen.(
+    map
+      (fun (p, tail) -> p ^ p ^ tail)
+      (pair
+         (string_size ~gen:char (int_range 1 200))
+         (string_size ~gen:char (int_bound 16))))
+
+(* Periodic runs: matches at every offset from 1 to 16, with a few
+   bytes flipped so runs end at arbitrary places. *)
+let gen_short_offsets =
+  QCheck.Gen.(
+    map
+      (fun (unit, len, flips) ->
+        let b = Bytes.init len (fun i -> unit.[i mod String.length unit]) in
+        List.iter
+          (fun (at, c) -> if len > 0 then Bytes.set b (at mod len) c)
+          flips;
+        Bytes.to_string b)
+      (triple
+         (string_size ~gen:char (int_range 1 16))
+         (int_bound 600)
+         (list_size (int_bound 4) (pair nat char))))
+
+let compress_equivalence name ~count gen =
+  QCheck.Test.make ~name:("lz compress = reference: " ^ name) ~count
+    (QCheck.make ~print:String.escaped gen)
+    same_as_reference
+
+let prop_same_bytes_random =
+  compress_equivalence "random bytes" ~count:300
+    QCheck.Gen.(string_size ~gen:char (int_bound 3000))
+
+let prop_same_bytes_rows = compress_equivalence "row-like data" ~count:300 gen_rows
+
+(* Around [mf_limit + min_match] = 16, where the short-input path ends. *)
+let prop_same_bytes_short =
+  compress_equivalence "lengths 0-40" ~count:1000
+    QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b' ]) (int_bound 40))
+
+let prop_same_bytes_tail =
+  compress_equivalence "long matches ending near n - 5" ~count:500
+    gen_match_to_tail
+
+let prop_same_bytes_offsets =
+  compress_equivalence "offsets 1-16" ~count:500 gen_short_offsets
+
+let test_same_bytes_fixed () =
+  List.iter
+    (fun s ->
+      Alcotest.(check string)
+        (Printf.sprintf "length %d" (String.length s))
+        (Lz_ref.compress s) (Lz.compress s))
+    [ ""; "a"; String.make 16 'a'; String.make 17 'a'; String.make 70_000 'z';
+      String.concat "" (List.init 5000 (fun i -> string_of_int (i mod 97))) ]
+
+(* Both decoders on the same input: the same output, or both reject. *)
+let decode_outcome decompress ~raw_len s =
+  match decompress ~raw_len s with
+  | out -> Some out
+  | exception (Lz.Corrupt _ | Lz_ref.Corrupt _) -> None
+
+let prop_decoder_agrees =
+  QCheck.Test.make ~name:"lz decompress accepts what the reference accepts"
+    ~count:2000
+    QCheck.(
+      pair (int_bound 300)
+        (string_gen_of_size Gen.(int_bound 300)
+           (Gen.oneof
+              [ Gen.char; Gen.oneofl [ '\x00'; '\x01'; '\x0f'; '\xf0'; '\xff' ] ])))
+    (fun (raw_len, junk) ->
+      decode_outcome (fun ~raw_len s -> Lz.decompress ~raw_len s) ~raw_len junk
+      = decode_outcome (fun ~raw_len s -> Lz_ref.decompress ~raw_len s) ~raw_len junk)
+
+(* Valid blocks cut or altered at every byte: both decoders agree. *)
+let test_decoder_agrees_on_mutations () =
+  let s = String.concat "" (List.init 300 (fun i -> Printf.sprintf "k%03d" (i mod 37))) in
+  let c = Lz.compress s in
+  let n = String.length s in
+  let agree label input raw_len =
+    if
+      decode_outcome (fun ~raw_len s -> Lz.decompress ~raw_len s) ~raw_len input
+      <> decode_outcome (fun ~raw_len s -> Lz_ref.decompress ~raw_len s) ~raw_len input
+    then Alcotest.failf "decoders disagree on %s" label
+  in
+  for cut = 0 to String.length c do
+    agree (Printf.sprintf "prefix %d" cut) (String.sub c 0 cut) n
+  done;
+  String.iteri
+    (fun i _ ->
+      List.iter
+        (fun byte ->
+          let b = Bytes.of_string c in
+          Bytes.set b i byte;
+          agree (Printf.sprintf "byte %d" i) (Bytes.to_string b) n)
+        [ '\x00'; '\x01'; '\xff' ])
+    c
+
+(* One [Corrupt] per read the decoder makes inline. *)
+let test_corrupt_inline_reads () =
+  let expect_corrupt name raw_len input =
+    match Lz.decompress ~raw_len input with
+    | (_ : string) -> Alcotest.failf "%s: expected Lz.Corrupt" name
+    | exception Lz.Corrupt _ -> ()
+  in
+  (* Literal nibble 15 promises extension bytes; the input ends first. *)
+  expect_corrupt "truncated literal extension" 40 "\xf0";
+  expect_corrupt "truncated literal extension run" 600 "\xf0\xff\xff";
+  (* One literal, then a match whose offset is cut after one byte. *)
+  expect_corrupt "truncated offset" 10 "\x14a\x01";
+  (* A match nibble of 15 promises extension bytes; the input ends. *)
+  expect_corrupt "truncated match extension" 40 "\x1fa\x01\x00";
+  expect_corrupt "truncated match extension run" 600 "\x1fa\x01\x00\xff";
+  (* Two literals written, then a match three bytes back. *)
+  expect_corrupt "offset greater than output" 10 "\x20ab\x03\x00"
+
 let suite =
   [
     ("basic roundtrips", `Quick, test_basic);
@@ -124,4 +264,14 @@ let suite =
     Support.qcheck prop_roundtrip_low_entropy;
     Support.qcheck prop_decompress_never_crashes;
     Support.qcheck prop_decompress_window;
+    ("compress = reference on fixed inputs", `Quick, test_same_bytes_fixed);
+    Support.qcheck prop_same_bytes_random;
+    Support.qcheck prop_same_bytes_rows;
+    Support.qcheck prop_same_bytes_short;
+    Support.qcheck prop_same_bytes_tail;
+    Support.qcheck prop_same_bytes_offsets;
+    Support.qcheck prop_decoder_agrees;
+    ("decoders agree on cut and altered blocks", `Quick,
+      test_decoder_agrees_on_mutations);
+    ("corrupt inline reads rejected", `Quick, test_corrupt_inline_reads);
   ]

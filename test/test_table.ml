@@ -245,6 +245,80 @@ let test_abandoned_scan_releases_tablets () =
        flushed);
   Alcotest.(check int) "both scans counted" 2 (Table.stats t).Stats.queries
 
+(* Regression: a query whose block reads failed (an I/O error from
+   [pread]) never closed its scan, so its tablet refs were never dropped
+   and tablets that later merges retired stayed on disk. Reads fail
+   either at once, while the merge cursor reads each tablet's first
+   block as the scan opens, or after those first blocks, mid-scan; both
+   the collecting [query] and the streaming [query_iter] are checked,
+   sequential and staged on worker domains. *)
+let failed_scan_releases_tablets ~domains =
+  let clock = Clock.manual ~start:Support.ts0 () in
+  (* [Some n]: the next [n] preads succeed, the ones after fail. *)
+  let pread_budget = ref None in
+  let vfs =
+    Lt_vfs.Vfs.faulty
+      ~should_fail:(fun ~op ~path:_ ->
+        match !pread_budget with
+        | Some n when op = "pread" ->
+            pread_budget := Some (n - 1);
+            n <= 0
+        | _ -> false)
+      (Lt_vfs.Vfs.memory ())
+  in
+  (* No block cache: every scan reads its blocks through the VFS. *)
+  let config =
+    { small_config with Config.cache_bytes = 0; query_domains = domains }
+  in
+  let db = Db.open_ ~config ~clock ~vfs ~dir:"dbroot" () in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  let t = Db.create_table db "usage" (schema ()) ~ttl:None in
+  let base = Int64.sub (Clock.now clock) (Int64.mul 3L Clock.week) in
+  let per_tablet = 100 in
+  for batch = 0 to 4 do
+    Table.insert t
+      (List.init per_tablet (fun i ->
+           let k = (batch * per_tablet) + i in
+           row 1L (Int64.of_int k) (Int64.add base (Int64.of_int k))));
+    Table.flush_all t
+  done;
+  let files () = List.map (fun m -> m.Descriptor.file) (Table.tablets t) in
+  let flushed = files () in
+  Alcotest.(check int) "five tablets" 5 (List.length flushed);
+  Alcotest.(check bool) "tablets span several blocks" true
+    (List.for_all (fun m -> m.Descriptor.size > 2 * config.Config.block_size)
+       (Table.tablets t));
+  (* A good query first, so the readers (and their footers) are open
+     and the failing queries get as far as the block reads. *)
+  Alcotest.(check int) "all rows" (5 * per_tablet) (List.length (all_rows t));
+  List.iter
+    (fun budget ->
+      pread_budget := Some budget;
+      (match Table.query t Query.all with
+      | _ -> Alcotest.failf "budget %d: the block reads were meant to fail" budget
+      | exception Lt_vfs.Vfs.Io_error _ -> ());
+      pread_budget := Some budget;
+      match
+        let next = Table.query_iter t Query.all in
+        while next () <> None do () done
+      with
+      | () -> Alcotest.failf "budget %d: the streamed reads were meant to fail" budget
+      | exception Lt_vfs.Vfs.Io_error _ -> ())
+    [ 0; List.length flushed ];
+  pread_budget := None;
+  while Table.merge_step t do () done;
+  Alcotest.(check int) "merged to one tablet" 1 (Table.tablet_count t);
+  let live = files () in
+  let on_disk = Lt_vfs.Vfs.readdir vfs (Table.dir t) in
+  Alcotest.(check (list string)) "no retired tablet left on disk" []
+    (List.filter (fun f -> (not (List.mem f live)) && List.mem f on_disk)
+       flushed);
+  Alcotest.(check int) "rows intact" (5 * per_tablet) (List.length (all_rows t))
+
+let test_failed_scan_releases_tablets () =
+  failed_scan_releases_tablets ~domains:0;
+  failed_scan_releases_tablets ~domains:2
+
 (* Regression: a flush whose descriptor commit failed was recorded as a
    span and a latency sample but not counted, so the three disagreed
    after the retry. *)
@@ -1050,6 +1124,9 @@ let test_read_accounting_golden () =
 let suite =
   [
     ("read accounting golden", `Quick, test_read_accounting_golden);
+    ( "failed scan releases its tablets (faulty pread)",
+      `Quick,
+      test_failed_scan_releases_tablets );
     ("flushed and merged tablets byte-identical", `Quick, test_tablets_byte_identical);
     ("insert + query (memtable only)", `Quick, test_insert_query_memtable_only);
     ("flush and query", `Quick, test_flush_and_query);

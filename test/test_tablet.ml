@@ -560,6 +560,85 @@ let test_descriptor_corruption () =
   | (_ : Descriptor.t) -> Alcotest.fail "corruption missed"
   | exception Lt_util.Binio.Corrupt _ -> ()
 
+(* In-place key reads against copied keys: [search_geq], [compare_key]
+   and [key_ts] on row-major and columnar blocks agree with
+   [String.compare] and [Key_codec.ts_of_key] on the keys themselves.
+   String key columns with 0x00/0x01 bytes make escaped keys and keys
+   whose string columns are prefixes of each other; probes include
+   stored keys, their proper prefixes and extensions, and raw bytes. *)
+let prop_keys_in_place =
+  let s = Support.event_schema () in
+  let str = QCheck.Gen.(string_size ~gen:(oneofl [ '\x00'; '\x01'; '\x02'; 'a'; '\xff' ]) (int_bound 4)) in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 1 40)
+           (triple str str (map Int64.of_int (int_range (-3) 3))))
+        (list_size (int_bound 20)
+           (pair (int_bound 1000)
+              (oneofl [ `Prefix; `Extend; `Raw ]))))
+  in
+  QCheck.Test.make ~name:"block keys read in place = copied keys" ~count:300
+    (QCheck.make gen)
+    (fun (cells, probe_specs) ->
+      let rows =
+        List.map
+          (fun (net, dev, ts) ->
+            [| Value.String net; Value.String dev; Value.Timestamp ts;
+               Value.Int64 0L; Value.Blob "" |])
+          cells
+      in
+      let keyed =
+        List.sort_uniq
+          (fun (a, _) (b, _) -> String.compare a b)
+          (List.map (fun r -> (Key_codec.encode_key s r, r)) rows)
+      in
+      let keys = Array.of_list (List.map fst keyed) in
+      let n = Array.length keys in
+      let row_major =
+        let b = Block.builder () in
+        Array.iter (fun k -> Block.add b ~key:k ~value:"") keys;
+        Block.decode (Block.finish b)
+      in
+      let columnar =
+        let b = Block.col_builder s in
+        List.iter (fun (key, row) -> Block.col_add b ~key row) keyed;
+        Block.decode_columnar s (fst (Block.col_finish b))
+      in
+      let probes =
+        List.map
+          (fun (i, kind) ->
+            let k = keys.(i mod n) in
+            match kind with
+            | `Prefix -> String.sub k 0 (i mod (String.length k + 1))
+            | `Extend -> k ^ String.make (1 + (i mod 3)) (Char.chr (i mod 3))
+            | `Raw -> String.make (i mod 5) (Char.chr (i mod 256)))
+          probe_specs
+        @ Array.to_list keys
+      in
+      let sign x = compare x 0 in
+      List.for_all
+        (fun blk ->
+          Block.count blk = n
+          && List.for_all
+               (fun p ->
+                 let below = Array.fold_left (fun a k -> if String.compare k p < 0 then a + 1 else a) 0 keys in
+                 Block.search_geq blk p = below
+                 && Array.for_all Fun.id
+                      (Array.mapi
+                         (fun i k ->
+                           sign (Block.compare_key blk i p)
+                           = sign (String.compare k p))
+                         keys))
+               probes
+          && Array.for_all Fun.id
+               (Array.mapi
+                  (fun i k ->
+                    Block.key blk i = k
+                    && Block.key_ts blk i = Key_codec.ts_of_key k)
+                  keys))
+        [ row_major; columnar ])
+
 let suite =
   [
     ("block roundtrip", `Quick, test_block_roundtrip);
@@ -580,6 +659,7 @@ let suite =
     ("encoded merge = decoded: columnar", `Quick, test_merge_identity_columnar);
     ("buffered bloom sizing unchanged", `Quick, test_buffered_bloom_golden);
     Support.qcheck prop_block_walker;
+    Support.qcheck prop_keys_in_place;
     ("descriptor roundtrip", `Quick, test_descriptor_roundtrip);
     ("descriptor atomic replace", `Quick, test_descriptor_atomic_replace);
     ("descriptor corruption", `Quick, test_descriptor_corruption);
