@@ -139,19 +139,12 @@ let split_raw t payload =
   done;
   Hashtbl.fold
     (fun s r acc ->
-      let module B = Lt_util.Binio in
-      let groups = List.rev !r in
-      let b = Buffer.create 1024 in
-      B.put_varint b (List.length groups);
-      List.iter
-        (fun (table, count, rows) ->
-          B.put_string b table;
-          B.put_varint b !count;
-          Buffer.add_buffer b rows)
-        groups;
+      let groups =
+        List.rev_map (fun (table, count, rows) -> (table, !count, rows)) !r
+      in
       ( s,
-        List.map (fun (tbl, count, _) -> (tbl, !count)) groups,
-        Buffer.contents b )
+        List.map (fun (table, count, _) -> (table, count)) groups,
+        Protocol.raw_of_encoded_groups groups )
       :: acc)
     per_shard []
   |> List.sort compare
@@ -541,14 +534,14 @@ let rebalance t ~value ~to_shard =
             | Protocol.Deleted _ -> ()
             | Protocol.Error msg -> reb "%s" msg
             | _ -> reb "bad delete response");
-            let q = ref (Query.prefix [ value ]) in
-            let continue_ = ref true in
-            while !continue_ do
+            (* The §3.5 pager drives the copy: each page read from the
+               old owner lands on the new one as one [Insert_batch]. *)
+            let fetch query =
               match
                 Cluster_client.request_read t.cc from_shard
-                  (Protocol.Query { table; query = !q; profile = false })
+                  (Protocol.Query { table; query; profile = false })
               with
-              | Protocol.Row_batch { rows; more_available; _ } ->
+              | Protocol.Row_batch { rows; more_available; scanned; profile } ->
                   (if rows <> [] then
                      match
                        Cluster_client.request_write t.cc to_shard
@@ -560,14 +553,12 @@ let rebalance t ~value ~to_shard =
                          reb "%s" message
                      | Protocol.Error msg -> reb "%s" msg
                      | _ -> reb "bad insert response");
-                  if more_available then
-                    match List.rev rows with
-                    | last :: _ -> q := Client.advance_past schema !q last
-                    | [] -> continue_ := false
-                  else continue_ := false
+                  { Client.rows; more_available; scanned; profile }
               | Protocol.Error msg -> reb "%s" msg
               | _ -> reb "bad query response"
-            done)
+            in
+            let next = Client.pager schema ~fetch (Query.prefix [ value ]) in
+            while Option.is_some (next ()) do () done)
           tables;
         (* Phase 2: flip ownership. From here new inserts for [value]
            land on [to_shard]. *)

@@ -88,6 +88,17 @@ let feed acc value =
       | None -> acc.max_v <- Some v
       | Some m -> if Value.compare v m > 0 then acc.max_v <- Some v)
 
+(* One row into one accumulator per spec. A column past the row's end
+   feeds [None], as [count( * )] does. *)
+let feed_row specs accs row =
+  Array.iteri
+    (fun i s ->
+      feed accs.(i)
+        (match s.a_col with
+        | Some c when c < Array.length row -> Some row.(c)
+        | _ -> None))
+    specs
+
 (* Average over an integer column divides the exact wrapping integer sum,
    not a float running sum: the integer form is associative, so footer
    absorption and row-at-a-time feeding agree bit for bit regardless of

@@ -45,6 +45,11 @@ val fresh_acc : unit -> acc
 (** [feed acc v] folds one row's cell in ([None] for [count( * )]). *)
 val feed : acc -> Value.t option -> unit
 
+(** [feed_row specs accs row] feeds [row] (target-schema cells) into
+    [accs.(i)] for each [specs.(i)]: the spec's column, or [None] for
+    [count( * )] and for a column past the row's end. *)
+val feed_row : spec array -> acc array -> Value.t array -> unit
+
 (** Final value. [Avg] over an integer column divides the exact wrapping
     integer sum by the count, so the result does not depend on feeding
     order or on block boundaries. Empty [Min]/[Max] yield [Int64 0];

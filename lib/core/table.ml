@@ -907,14 +907,20 @@ type mem_view = {
   mv_hi : int64;
 }
 
+(* A read's key × timestamp box and the sources that may hold its rows. *)
 type selection = {
+  lo : string;
+  hi : string option;
   mems : mem_view list;
-  disk : disk_tablet list;  (** ref'd: the caller must [release] them *)
+  disk : disk_tablet list;  (** ref'd: the read's close releases them *)
   eff_ts_min : int64 option;  (** [ts_min] raised to the TTL cutoff *)
+  ts_max : int64 option;
   considered : int;  (** disk tablets before pruning *)
 }
 
-let no_selection = { mems = []; disk = []; eff_ts_min = None; considered = 0 }
+let no_selection =
+  { lo = ""; hi = None; mems = []; disk = []; eff_ts_min = None;
+    ts_max = None; considered = 0 }
 
 (* The one tablet selection behind every read, in a single [state]
    acquisition: raise [ts_min] to the TTL cutoff, keep the memtables
@@ -957,19 +963,63 @@ let select t ~lo ~hi ~ts_min ~ts_max =
           t.disk
       in
       List.iter (fun dt -> dt.refs <- dt.refs + 1) disk;
-      { mems; disk; eff_ts_min; considered = List.length t.disk })
+      { lo; hi; mems; disk; eff_ts_min; ts_max; considered = List.length t.disk })
 
-(* The selection's disk tablets with their readers; on failure the
-   selection's refs are dropped. *)
-let open_readers t sel =
-  match
-    Mutexes.with_lock t.state (fun () ->
-        List.map (fun dt -> (dt, get_reader_locked t dt)) sel.disk)
-  with
-  | readers -> readers
+(* The selection of [q]'s bounding box; empty when its key range is. *)
+let select_query t (q : Query.t) =
+  match Query.compile t.schema q with
+  | None -> no_selection
+  | Some { Query.lo; hi } ->
+      select t ~lo ~hi ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max
+
+(* One read in flight: its accounting record, the selection it holds
+   refs on, the rows its sources scanned, and the finish functions of
+   the sources it staged on the pool. *)
+type read = {
+  acct : acct;
+  sel : selection;
+  scanned : int ref;
+  mutable joins : (unit -> unit) list;
+  mutable closed : Lt_obs.Profile.t option;
+}
+
+let read_of acct sel = { acct; sel; scanned = ref 0; joins = []; closed = None }
+
+(* The one close of a read, however it ends: join the producers staged
+   for it (so no worker still reads, and worker busy totals are final),
+   drop the selection's tablet refs, and close the record. Later calls
+   return the first close's profile. *)
+let close_read t rd ~returned =
+  match rd.closed with
+  | Some r -> r
+  | None ->
+      List.iter (fun join -> join ()) rd.joins;
+      release t rd.sel.disk;
+      let tablets = List.length rd.sel.disk in
+      let r =
+        acct_close t rd.acct ~scanned:!(rd.scanned) ~returned ~tablets
+          ~pruned:(rd.sel.considered - tablets)
+      in
+      rd.closed <- Some r;
+      r
+
+(* [f ()] within read [rd]: if it raises, [rd] is closed, with no rows
+   returned, before the exception goes on. *)
+let or_close t rd f =
+  match f () with
+  | v -> v
   | exception e ->
-      release t sel.disk;
+      ignore (close_read t rd ~returned:0);
       raise e
+
+(* The selection's disk tablets with their readers; planning ends here. *)
+let open_readers t rd =
+  let readers =
+    Mutexes.with_lock t.state (fun () ->
+        List.map (fun dt -> (dt, get_reader_locked t dt)) rd.sel.disk)
+  in
+  acct_planned t rd.acct;
+  readers
 
 (* Memtable rows are already decoded; they travel as handles only so
    they can merge with tablet streams. *)
@@ -983,8 +1033,6 @@ let mem_source ~asc ~lo ?hi mv =
       match Avl.next it with
       | Some (key, row) -> Some (key, Tablet.decoded row)
       | None -> None )
-
-let empty_source () = None
 
 (* Fan the scan's sources out over the worker pool when it can help: a
    pool is configured, the scan touches disk, and there is more than one
@@ -1022,75 +1070,63 @@ let maybe_stage t a ~has_disk sources =
       Pscan.stage pool ~now_us ~on_worker ~on_stall sources
   | _ -> (sources, fun () -> ())
 
-(* Open a range scan over [q] under record [a]: the selection, its
-   readers, and the merged, ts-filtered cursor over them. [close
-   ~returned], called once, joins in-flight producers (so worker busy
-   totals are final), drops the tablet refs they read through, and
-   closes the record. If opening raises (the merge reads each source's
-   first block), the scan is closed before the exception goes on. *)
+(* The one source builder behind every read: memtable views [mems] and
+   opened disk tablets [disk] of [rd]'s selection become one stream,
+   merged in key order ([asc] or descending) over the selection's key
+   range, without the rows outside its ts bounds; every row the filter
+   sees counts as scanned on [rd]. Disk tablets stream through
+   {!Tablet.iter} with the record's counters, so every column a read
+   decompresses is counted. With [stage], the sources may fan out over
+   the pool, and the read's close joins their producers. *)
+let read_sources t rd ~asc ?projection ~stage mems disk =
+  let { lo; hi; eff_ts_min; ts_max; _ } = rd.sel in
+  let sources =
+    List.map (mem_source ~asc ~lo ?hi) mems
+    @ List.map
+        (fun (dt, r) ->
+          ( dt.meta.Descriptor.id,
+            Tablet.iter r ~asc ~lo ?hi ?projection
+              ~counters:rd.acct.a_counters () ))
+        disk
+  in
+  let sources =
+    if not stage then sources
+    else begin
+      let staged, join = maybe_stage t rd.acct ~has_disk:(disk <> []) sources in
+      rd.joins <- join :: rd.joins;
+      staged
+    end
+  in
+  Cursor.filter_ts ~scanned:rd.scanned ?ts_min:eff_ts_min ?ts_max
+    (Cursor.merge ~asc sources)
+
+(* Open a range scan over [q] under record [a]: the read, and the
+   merged, ts-filtered cursor over its selection. If opening raises (the
+   merge reads each source's first block), the read is closed before
+   the exception goes on. *)
 let open_scan t a (q : Query.t) =
-  let scanned = ref 0 in
-  let sel = ref no_selection and finish_stage = ref (fun () -> ()) in
-  let close ~returned =
-    !finish_stage ();
-    release t !sel.disk;
-    let tablets = List.length !sel.disk in
-    acct_close t a ~scanned:!scanned ~returned ~tablets
-      ~pruned:(!sel.considered - tablets)
+  let rd = read_of a (select_query t q) in
+  let src =
+    or_close t rd (fun () ->
+        read_sources t rd ~asc:(q.Query.direction = Query.Asc)
+          ?projection:q.Query.projection ~stage:true rd.sel.mems
+          (open_readers t rd))
   in
-  let open_src () =
-    match Query.compile t.schema q with
-    | None -> empty_source
-    | Some { Query.lo; hi } ->
-        let asc = q.Query.direction = Query.Asc in
-        let s =
-          select t ~lo ~hi ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max
-        in
-        (* [open_readers] drops the selection's refs if it fails. *)
-        let readers = open_readers t s in
-        sel := s;
-        let disk_sources =
-          List.map
-            (fun (dt, r) ->
-              ( dt.meta.Descriptor.id,
-                Tablet.iter r ~asc ~lo ?hi ?projection:q.Query.projection
-                  ~counters:a.a_counters () ))
-            readers
-        in
-        let staged, finish =
-          maybe_stage t a ~has_disk:(s.disk <> [])
-            (List.map (mem_source ~asc ~lo ?hi) s.mems @ disk_sources)
-        in
-        finish_stage := finish;
-        acct_planned t a;
-        Cursor.filter_ts ~scanned ?ts_min:s.eff_ts_min ?ts_max:q.Query.ts_max
-          (Cursor.merge ~asc staged)
-  in
-  match open_src () with
-  | src -> (src, close)
-  | exception e ->
-      ignore (close ~returned:0);
-      raise e
+  (rd, src)
 
 (* A streaming scan and the one way to end it. [close] (idempotent)
-   closes the scan with the rows pulled so far; draining the source, or
+   closes the read with the rows pulled so far; draining the source, or
    a read that raises, calls it. *)
 let stream t q =
   let a = acct_open t t.instr.Obs.h_query Otrace.Query in
-  let src, close_scan = open_scan t a q in
+  let rd, src = open_scan t a q in
   let src =
     match q.Query.limit with None -> src | Some n -> Cursor.take n src
   in
   let returned = ref 0 in
-  let closed = ref false in
-  let close () =
-    if not !closed then begin
-      closed := true;
-      ignore (close_scan ~returned:!returned)
-    end
-  in
+  let close () = ignore (close_read t rd ~returned:!returned) in
   let next () =
-    if !closed then None
+    if Option.is_some rd.closed then None
     else
       match
         match src () with
@@ -1124,20 +1160,15 @@ type result = {
 
 let query ?(profile = false) t (q : Query.t) =
   let a = acct_open ~profile t t.instr.Obs.h_query Otrace.Query in
-  let src, close = open_scan t a q in
+  let rd, src = open_scan t a q in
   let rows, more_available =
-    match
-      Cursor.cap ~limit:q.Query.limit
-        ~row_limit:t.config.Config.server_row_limit
-        (fun (_, h) -> Tablet.force h)
-        src
-    with
-    | capped -> capped
-    | exception e ->
-        ignore (close ~returned:0);
-        raise e
+    or_close t rd (fun () ->
+        Cursor.cap ~limit:q.Query.limit
+          ~row_limit:t.config.Config.server_row_limit
+          (fun (_, h) -> Tablet.force h)
+          src)
   in
-  let r = close ~returned:(List.length rows) in
+  let r = close_read t rd ~returned:(List.length rows) in
   { rows; more_available; scanned = r.Lt_obs.Profile.p_rows_scanned;
     profile = (if profile then Some r else None) }
 
@@ -1157,96 +1188,48 @@ let query ?(profile = false) t (q : Query.t) =
 let query_agg ?(profile = false) t (q : Query.t) ~specs =
   let a = acct_open ~profile t t.instr.Obs.h_query Otrace.Query in
   let accs = Array.map (fun _ -> Agg.fresh_acc ()) specs in
-  let scanned = ref 0 in
-  let feed_row row =
-    Array.iteri
-      (fun i s ->
-        let v =
-          match s.Agg.a_col with
-          | Some c when c < Array.length row -> Some row.(c)
-          | _ -> None
-        in
-        Agg.feed accs.(i) v)
-      specs
-  in
   let needed =
     Array.to_list specs
     |> List.filter_map (fun s -> s.Agg.a_col)
     |> List.sort_uniq Int.compare
   in
-  let sel =
-    match Query.compile t.schema q with
-    | None -> no_selection
-    | Some { Query.lo; hi } ->
-        let sel =
-          select t ~lo ~hi ~ts_min:q.Query.ts_min ~ts_max:q.Query.ts_max
-        in
-        let arr = Array.of_list (open_readers t sel) in
-        acct_planned t a;
-        Fun.protect
-          ~finally:(fun () -> release t sel.disk)
-          (fun () ->
-            let n = Array.length arr in
-            let span i =
-              let dt, _ = arr.(i) in
-              (dt.meta.Descriptor.min_key, dt.meta.Descriptor.max_key)
-            in
-            let mem_spans =
-              List.filter_map
-                (fun mv ->
-                  match (Avl.min_key mv.mv_rows, Avl.max_key mv.mv_rows) with
-                  | Some k0, Some k1 -> Some (k0, k1)
-                  | _ -> None)
-                sel.mems
-            in
-            let disjoint (a_lo, a_hi) (b_lo, b_hi) =
-              String.compare a_hi b_lo < 0 || String.compare b_hi a_lo < 0
-            in
-            let pushable i =
-              let s = span i in
-              List.for_all (disjoint s) mem_spans
-              &&
-              let ok = ref true in
-              for j = 0 to n - 1 do
-                if j <> i && not (disjoint s (span j)) then ok := false
-              done;
-              !ok
-            in
-            let ts_lo =
-              match sel.eff_ts_min with None -> Int64.min_int | Some v -> v
-            in
-            let ts_hi =
-              match q.Query.ts_max with None -> Int64.max_int | Some v -> v
-            in
-            let residue = ref [] in
-            for i = n - 1 downto 0 do
-              let dt, r = arr.(i) in
-              if pushable i then
-                Tablet.fold_aggs r ~counters:a.a_counters ~lo:(Some lo) ~hi
-                  ~ts_min:ts_lo ~ts_max:ts_hi ~specs ~accs ()
-              else
-                residue :=
-                  ( dt.meta.Descriptor.id,
-                    Tablet.iter r ~asc:true ~lo ?hi ~projection:needed
-                      ~counters:a.a_counters () )
-                  :: !residue
-            done;
-            (match List.map (mem_source ~asc:true ~lo ?hi) sel.mems @ !residue with
-            | [] -> ()
-            | sources ->
-                let src =
-                  Cursor.filter_ts ~scanned ?ts_min:sel.eff_ts_min
-                    ?ts_max:q.Query.ts_max
-                    (Cursor.merge ~asc:true sources)
-                in
-                Cursor.fold (fun () (_, h) -> feed_row (Tablet.force h)) () src);
-            sel)
-  in
-  let tablets = List.length sel.disk in
-  let r =
-    acct_close t a ~scanned:!scanned ~returned:1 ~tablets
-      ~pruned:(sel.considered - tablets)
-  in
+  let rd = read_of a (select_query t q) in
+  or_close t rd (fun () ->
+      let sel = rd.sel in
+      let disk = open_readers t rd in
+      let span (dt, _) = (dt.meta.Descriptor.min_key, dt.meta.Descriptor.max_key) in
+      let mem_spans =
+        List.filter_map
+          (fun mv ->
+            match (Avl.min_key mv.mv_rows, Avl.max_key mv.mv_rows) with
+            | Some k0, Some k1 -> Some (k0, k1)
+            | _ -> None)
+          sel.mems
+      in
+      let disjoint (a_lo, a_hi) (b_lo, b_hi) =
+        String.compare a_hi b_lo < 0 || String.compare b_hi a_lo < 0
+      in
+      let pushable d =
+        let s = span d in
+        List.for_all (disjoint s) mem_spans
+        && List.for_all (fun d' -> d' == d || disjoint s (span d')) disk
+      in
+      let folded, residue = List.partition pushable disk in
+      let ts_min = Option.value sel.eff_ts_min ~default:Int64.min_int in
+      let ts_max = Option.value sel.ts_max ~default:Int64.max_int in
+      (* Newest tablet first, then the residue: a float sum depends on
+         the order its rows are fed in. *)
+      List.iter
+        (fun (_, r) ->
+          Tablet.fold_aggs r ~counters:a.a_counters ~lo:(Some sel.lo)
+            ~hi:sel.hi ~ts_min ~ts_max ~specs ~accs ())
+        (List.rev folded);
+      Cursor.fold
+        (fun () (_, h) -> Agg.feed_row specs accs (Tablet.force h))
+        ()
+        (read_sources t rd ~asc:true ~projection:needed ~stage:false sel.mems
+           residue));
+  let r = close_read t rd ~returned:1 in
   ( Array.mapi (fun i s -> Agg.result s.Agg.a_fn accs.(i)) specs,
     if profile then Some r else None )
 
@@ -1268,102 +1251,85 @@ let item_span = function
 let latest t prefix_values =
   let a = acct_open t t.instr.Obs.h_latest Otrace.Latest in
   let prefix = Key_codec.encode_prefix t.schema prefix_values in
-  let hi = Key_codec.prefix_succ prefix in
   let full_prefix =
     List.length prefix_values = Array.length (Schema.pkey t.schema) - 1
   in
-  let sel = select t ~lo:prefix ~hi ~ts_min:None ~ts_max:None in
-  Fun.protect
-    ~finally:(fun () -> release t sel.disk)
-    (fun () ->
-      let items =
-        List.sort
-          (fun x y -> Int64.compare (fst (item_span x)) (fst (item_span y)))
-          (List.map (fun mv -> In_mem mv) sel.mems
-          @ List.map (fun dt -> On_disk dt) sel.disk)
-      in
-      (* Group items whose timespans overlap; within a group timespans
-         cannot be ordered, so the group is searched as one unit. *)
-      let groups =
-        List.fold_left
-          (fun groups item ->
-            let lo, hi = item_span item in
-            match groups with
-            | (ghi, members) :: rest when lo <= ghi ->
-                (max ghi hi, item :: members) :: rest
-            | _ -> (hi, [ item ]) :: groups)
-          [] items
-      in
-      (* [groups] is now newest-first. *)
-      let scanned = ref 0 in
-      let search_group members =
-        let sources =
-          List.filter_map
-            (function
-              | In_mem mv -> Some (mem_source ~asc:false ~lo:prefix ?hi mv)
-              | On_disk dt ->
-                  let r =
-                    Mutexes.with_lock t.state (fun () -> get_reader_locked t dt)
-                  in
-                  if Tablet.may_contain_prefix r prefix then
-                    Some
-                      ( dt.meta.Descriptor.id,
-                        Tablet.iter r ~asc:false ~lo:prefix ?hi () )
-                  else None)
-            members
+  let rd =
+    read_of a
+      (select t ~lo:prefix ~hi:(Key_codec.prefix_succ prefix) ~ts_min:None
+         ~ts_max:None)
+  in
+  let result =
+    or_close t rd (fun () ->
+        let items =
+          List.sort
+            (fun x y -> Int64.compare (fst (item_span x)) (fst (item_span y)))
+            (List.map (fun mv -> In_mem mv) rd.sel.mems
+            @ List.map (fun dt -> On_disk dt) rd.sel.disk)
         in
-        if sources = [] then None
-        else begin
-          let has_disk =
-            List.exists
-              (function On_disk _ -> true | In_mem _ -> false)
+        (* Group items whose timespans overlap; within a group timespans
+           cannot be ordered, so the group is searched as one unit. *)
+        let groups =
+          List.fold_left
+            (fun groups item ->
+              let lo, hi = item_span item in
+              match groups with
+              | (ghi, members) :: rest when lo <= ghi ->
+                  (max ghi hi, item :: members) :: rest
+              | _ -> (hi, [ item ]) :: groups)
+            [] items
+        in
+        (* [groups] is now newest-first. *)
+        let search_group members =
+          let mems =
+            List.filter_map
+              (function In_mem mv -> Some mv | On_disk _ -> None)
               members
           in
-          let staged, finish_stage = maybe_stage t a ~has_disk sources in
-          (* The inner protect joins producers before the outer protect
-             releases the tablet refs they read through; a full-prefix
-             hit on the first row cancels the rest of the group's
-             workers. *)
-          Fun.protect ~finally:finish_stage (fun () ->
-              let src =
-                Cursor.filter_ts ~scanned ?ts_min:sel.eff_ts_min
-                  (Cursor.merge ~asc:false staged)
-              in
-              if full_prefix then
-                (* Keys sharing all non-ts columns differ only in ts, and
-                   ts is the last key column, so descending key order is
-                   descending ts order: the first hit is the latest. *)
-                Option.map (fun (_, h) -> Tablet.force h) (src ())
-              else begin
-                let best = ref None in
-                let rec go () =
-                  match src () with
-                  | None -> ()
-                  | Some (key, h) ->
-                      let ts = Key_codec.ts_of_key key in
-                      (match !best with
-                      | Some (bts, _) when bts >= ts -> ()
-                      | _ -> best := Some (ts, h));
-                      go ()
-                in
-                go ();
-                Option.map (fun (_, h) -> Tablet.force h) !best
-              end)
-        end
-      in
-      let rec try_groups = function
-        | [] -> None
-        | (_, members) :: rest -> (
-            match search_group members with
-            | Some row -> Some row
-            | None -> try_groups rest)
-      in
-      let result = try_groups groups in
-      ignore
-        (acct_close t a ~scanned:!scanned
-           ~returned:(if result = None then 0 else 1)
-           ~tablets:(List.length sel.disk));
-      result)
+          let disk =
+            List.filter_map
+              (function
+                | In_mem _ -> None
+                | On_disk dt ->
+                    let r =
+                      Mutexes.with_lock t.state (fun () -> get_reader_locked t dt)
+                    in
+                    if Tablet.may_contain_prefix r prefix then Some (dt, r)
+                    else None)
+              members
+          in
+          (* A full-prefix hit on the first row leaves the rest of the
+             group's workers to the read's close, which cancels them. *)
+          let src = read_sources t rd ~asc:false ~stage:true mems disk in
+          if full_prefix then
+            (* Keys sharing all non-ts columns differ only in ts, and ts
+               is the last key column, so descending key order is
+               descending ts order: the first hit is the latest. *)
+            Option.map (fun (_, h) -> Tablet.force h) (src ())
+          else begin
+            let best = ref None in
+            let rec go () =
+              match src () with
+              | None -> ()
+              | Some (key, h) ->
+                  let ts = Key_codec.ts_of_key key in
+                  (match !best with
+                  | Some (bts, _) when bts >= ts -> ()
+                  | _ -> best := Some (ts, h));
+                  go ()
+            in
+            go ();
+            Option.map (fun (_, h) -> Tablet.force h) !best
+          end
+        in
+        List.fold_left
+          (fun found (_, members) ->
+            match found with None -> search_group members | Some _ -> found)
+          None groups)
+  in
+  ignore
+    (close_read t rd ~returned:(match result with None -> 0 | Some _ -> 1));
+  result
 
 (* ------------------------------------------------------------------ *)
 (* Merging (§3.4.1, §3.4.2)                                            *)

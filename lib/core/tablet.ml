@@ -214,30 +214,24 @@ type writer = {
   mutable w_max_ts : int64;
   mutable w_min_key : string option;
   mutable w_max_key : string;
-  mutable bloom_keys : int;  (** number of bloom insertions so far *)
-  mutable bloom_pending : string list;  (** keys awaiting filter sizing *)
-  bloom_bits_per_key : int;
-  mutable bloom : Lt_bloom.Bloom.t option;
+  bloom : Lt_bloom.Bloom.t option;
   prefix_ends : int array;  (** scratch for {!Key_codec.prefix_ends} *)
   bloom_seen : int array;
-      (** hash pairs last inserted per prefix boundary into [bloom]; reset
-          by {!new_bloom} *)
+      (** hash pairs last inserted per prefix boundary into [bloom] *)
 }
 
-let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ?expected_rows
+let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ~expected_rows
     ?(layout = Block.Row_major) () =
   if block_size < 1024 then invalid_arg "Tablet.writer: block size too small";
   let file = Vfs.create vfs path in
   (* One insertion per key plus one per proper key prefix. *)
   let per_row = Array.length (Schema.pkey schema) in
-  let bloom_seen = Array.make (2 * (per_row - 1)) (-1) in
   let bloom =
-    match expected_rows with
-    | Some rows when bloom_bits_per_key > 0 ->
-        Some
-          (Lt_bloom.Bloom.create ~bits_per_key:bloom_bits_per_key
-             ~expected_keys:(max 1 (rows * per_row)) ())
-    | _ -> None
+    if bloom_bits_per_key > 0 then
+      Some
+        (Lt_bloom.Bloom.create ~bits_per_key:bloom_bits_per_key
+           ~expected_keys:(max 1 (expected_rows * per_row)) ())
+    else None
   in
   {
     vfs;
@@ -256,12 +250,9 @@ let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ?expected_rows
     w_max_ts = Int64.min_int;
     w_min_key = None;
     w_max_key = "";
-    bloom_keys = 0;
-    bloom_pending = [];
-    bloom_bits_per_key;
     bloom;
     prefix_ends = Array.make (per_row - 1) 0;
-    bloom_seen;
+    bloom_seen = Array.make (2 * (per_row - 1)) (-1);
   }
 
 let flush_block w =
@@ -297,44 +288,13 @@ let flush_block w =
    hashing pass; the prefix boundaries come from the key bytes. Keys
    arrive sorted, so a prefix usually repeats the last one at its
    boundary, and [bloom_seen] skips setting its bits again. *)
-let bloom_insert w bloom key =
-  Key_codec.prefix_ends w.w_schema key w.prefix_ends;
-  Lt_bloom.Bloom.add_with_prefixes bloom ~seen:w.bloom_seen key w.prefix_ends
-
-(* A filter sized for [expected_keys], with the skip state reset. *)
-let new_bloom w ~expected_keys =
-  Array.fill w.bloom_seen 0 (Array.length w.bloom_seen) (-1);
-  Lt_bloom.Bloom.create ~bits_per_key:w.bloom_bits_per_key ~expected_keys ()
-
-(* The filter must be sized before the first insertion, but the final key
-   count is unknown while streaming. We buffer the keys of the first few
-   thousand bloom insertions (each key stands for itself and its
-   prefixes); once the stream exceeds that, we size the filter generously
-   from the rows-per-block ratio and drain the buffer. *)
-let bloom_buffer_limit = 8192
-
 let bloom_add w key =
-  if w.bloom_bits_per_key > 0 then begin
-    w.bloom_keys <- w.bloom_keys + Array.length w.prefix_ends + 1;
-    match w.bloom with
-    | Some bloom -> bloom_insert w bloom key
-    | None ->
-        w.bloom_pending <- key :: w.bloom_pending;
-        if w.bloom_keys >= bloom_buffer_limit then begin
-          (* Estimate the total: assume the tablet could be ~4096 blocks
-             of the density seen when the buffer filled (cap at 64 M
-             keys). *)
-          let blocks_so_far = max 1 (List.length w.w_index + 1) in
-          let per_block = bloom_buffer_limit / blocks_so_far in
-          let estimate =
-            min 67_108_864 (max bloom_buffer_limit (per_block * 4096))
-          in
-          let bloom = new_bloom w ~expected_keys:estimate in
-          List.iter (bloom_insert w bloom) w.bloom_pending;
-          w.bloom_pending <- [];
-          w.bloom <- Some bloom
-        end
-  end
+  match w.bloom with
+  | None -> ()
+  | Some bloom ->
+      Key_codec.prefix_ends w.w_schema key w.prefix_ends;
+      Lt_bloom.Bloom.add_with_prefixes bloom ~seen:w.bloom_seen key
+        w.prefix_ends
 
 let note_row w ~key ~ts =
   (match w.w_min_key with None -> w.w_min_key <- Some key | Some _ -> ());
@@ -374,15 +334,6 @@ let add_row w ~key ~key_prefixes:_ ~ts row =
 let finish w =
   if w.w_rows = 0 then invalid_arg "Tablet.finish: empty tablet";
   flush_block w;
-  let bloom =
-    match (w.bloom, w.bloom_pending) with
-    | (Some _ as b), _ -> b
-    | None, [] -> None
-    | None, pending ->
-        let bloom = new_bloom w ~expected_keys:w.bloom_keys in
-        List.iter (bloom_insert w bloom) pending;
-        Some bloom
-  in
   let footer =
     {
       schema = w.w_schema;
@@ -392,7 +343,7 @@ let finish w =
       f_min_key = Option.get w.w_min_key;
       f_max_key = w.w_max_key;
       index = Array.of_list (List.rev w.w_index);
-      bloom;
+      bloom = w.bloom;
     }
   in
   let footer_frame = encode_frame (encode_footer footer) in
@@ -631,15 +582,24 @@ let key_window b ~lo ~hi =
   let first = Option.value (at lo) ~default:0 in
   (first, max first (Option.value (at hi) ~default:(Block.count b)))
 
-(* The one block walker behind [iter] and [iter_encoded]: visits the
-   blocks that keys in [\[lo, hi)] can reach, ascending or descending,
-   and in each the positions of its key window, in the same direction.
-   [view b ~first ~last], called once per loaded block, says what the
-   scan holds of the block's window [\[first, last)] and returns how
-   to hand out the entry at a position. Blocks are sorted, so the walk
-   ends after the first block whose window stops short of the block's
-   far end (its last entry ascending, its first descending). *)
-let walk r ~asc ~lo ~hi view =
+(* A lower bound on block [i]'s keys: they are all greater than the
+   previous block's last key, and none is below the tablet minimum. *)
+let block_floor r i =
+  if i = 0 then r.footer.f_min_key else r.footer.index.(i - 1).last_key
+
+(* The one block walker behind [iter], [iter_encoded] and [fold_aggs]:
+   visits the blocks that keys in [\[lo, hi)] can reach, ascending or
+   descending, and in each the positions of its key window, in the same
+   direction. [view b ~first ~last], called once per loaded block, says
+   what the scan holds of the block's window [\[first, last)] and
+   returns how to hand out the entry at a position. Blocks are sorted,
+   so the walk ends after the first block whose window stops short of
+   the block's far end (its last entry ascending, its first
+   descending). [skip i], asked before block [i] loads, lets the caller
+   take the block from its index entry alone — answered from footer
+   stats, or of no interest — so it is stepped over unloaded; the index
+   then bounds its keys for the stopping rule. *)
+let walk ?(skip = fun _ -> false) r ~asc ~lo ~hi view =
   let nblocks = block_count r in
   let bi =
     ref
@@ -659,13 +619,27 @@ let walk r ~asc ~lo ~hi view =
     end
     else if !bi < 0 || !bi >= nblocks then None
     else begin
-      let b = load_block r !bi in
-      let first, last = key_window b ~lo ~hi in
-      let reaches_edge = if asc then last = Block.count b else first = 0 in
-      bi := if not reaches_edge then -1 else if asc then !bi + 1 else !bi - 1;
-      at := view b ~first ~last;
-      pos := if asc then first else last - 1;
-      stop := if asc then last else first - 1;
+      let i = !bi in
+      let reaches_edge =
+        if skip i then
+          if asc then
+            match hi with
+            | None -> true
+            | Some k -> String.compare r.footer.index.(i).last_key k < 0
+          else
+            match lo with
+            | None -> true
+            | Some k -> String.compare (block_floor r i) k >= 0
+        else begin
+          let b = load_block r i in
+          let first, last = key_window b ~lo ~hi in
+          at := view b ~first ~last;
+          pos := if asc then first else last - 1;
+          stop := if asc then last else first - 1;
+          if asc then last = Block.count b else first = 0
+        end
+      in
+      bi := if not reaches_edge then -1 else if asc then i + 1 else i - 1;
       next ()
     end
   in
@@ -711,7 +685,6 @@ let iter_encoded r =
 let fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs () =
   if Int64.compare ts_min ts_max <= 0 then begin
     let index = r.footer.index in
-    let nblocks = Array.length index in
     let stored = r.footer.schema in
     let stored_cols = Schema.columns stored in
     let target_cols = Schema.columns r.target in
@@ -755,91 +728,68 @@ let fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs () =
                   cs_max = Option.map widen s.Agg.cs_max }
           end
     in
-    let in_hi k =
-      match hi with None -> true | Some b -> String.compare k b < 0
-    in
+    let at_or_above bound i = String.compare (block_floor r i) bound >= 0 in
     let in_ts ts =
       Int64.compare ts ts_min >= 0 && Int64.compare ts ts_max <= 0
     in
-    let feed_row row =
-      Array.iteri
-        (fun si (s : Agg.spec) ->
-          Agg.feed accs.(si)
-            (match s.Agg.a_col with None -> None | Some c -> Some row.(c)))
-        specs
+    (* Decided from the index entry alone: a block inside the key
+       bounds whose footer ts span is inside [\[ts_min, ts_max\]] is
+       absorbed from its footer stats when they answer every spec; a
+       block whose ts span misses the bounds, or whose keys are all at
+       or past [hi], is stepped over. *)
+    let skip i =
+      let e = index.(i) in
+      let block_ts =
+        match e.e_stats with
+        | None -> None
+        | Some st -> (
+            match (st.(ts_ix).Agg.cs_min, st.(ts_ix).Agg.cs_max) with
+            | Some (Value.Timestamp a), Some (Value.Timestamp b) -> Some (a, b)
+            | _ -> None)
+      in
+      let covered =
+        (match lo with None -> true | Some k -> at_or_above k i)
+        && (match hi with None -> true | Some k -> String.compare e.last_key k < 0)
+        && match block_ts with
+           | Some (a, b) -> Int64.compare a ts_min >= 0 && Int64.compare b ts_max <= 0
+           | None -> false
+      in
+      if covered && Agg.block_answerable ~specs ~stats_of:(stats_of e) ~ctype_of
+      then begin
+        (* Whole block answered from the footer: no read, no decode. *)
+        Agg.absorb_block ~accs ~specs ~rows:e.rows ~stats_of:(stats_of e);
+        bump counters (fun c -> c.sc_footer_blocks) 1;
+        true
+      end
+      else
+        (match hi with Some k -> at_or_above k i | None -> false)
+        ||
+        match block_ts with
+        | Some (a, b) -> Int64.compare b ts_min < 0 || Int64.compare a ts_max > 0
+        | None -> false
     in
+    let feed = Agg.feed_row specs accs in
     let translate =
       if Schema.equal stored r.target then fun row -> row
       else Schema.translate_row ~from:stored ~into:r.target
     in
-    let start = match lo with None -> 0 | Some k -> search_block r k in
-    try
-      for i = start to nblocks - 1 do
-        let e = index.(i) in
-        (* Lower bound on this block's smallest key: the previous block's
-           last key (keys here are strictly greater), or the tablet
-           minimum for the first block. *)
-        let above bound =
-          if i = 0 then String.compare r.footer.f_min_key bound >= 0
-          else String.compare index.(i - 1).last_key bound >= 0
-        in
-        (match hi with
-        | Some k when above k -> raise Exit (* this and later blocks >= hi *)
-        | _ -> ());
-        let key_covered =
-          (match lo with None -> true | Some k -> above k) && in_hi e.last_key
-        in
-        let block_ts =
-          match e.e_stats with
-          | None -> None
-          | Some st -> (
-              match (st.(ts_ix).Agg.cs_min, st.(ts_ix).Agg.cs_max) with
-              | Some (Value.Timestamp a), Some (Value.Timestamp b) ->
-                  Some (a, b)
-              | _ -> None)
-        in
-        let ts_covered =
-          match block_ts with
-          | Some (a, b) ->
-              Int64.compare a ts_min >= 0 && Int64.compare b ts_max <= 0
-          | None -> false
-        in
-        let ts_disjoint =
-          match block_ts with
-          | Some (a, b) ->
-              Int64.compare b ts_min < 0 || Int64.compare a ts_max > 0
-          | None -> false
-        in
-        if
-          key_covered && ts_covered
-          && Agg.block_answerable ~specs ~stats_of:(stats_of e) ~ctype_of
-        then begin
-          (* Whole block answered from the footer: no read, no decode. *)
-          Agg.absorb_block ~accs ~specs ~rows:e.rows ~stats_of:(stats_of e);
-          bump counters (fun c -> c.sc_footer_blocks) 1
-        end
-        else if not ts_disjoint then begin
-          let b = load_block r i in
-          let first, last = key_window b ~lo ~hi in
+    let next =
+      walk ~skip r ~asc:true ~lo ~hi (fun b ~first ~last ->
           match Block.layout b with
           | Block.Row_major ->
-              for j = first to last - 1 do
+              fun j ->
                 if in_ts (Block.key_ts b j) then
-                  feed_row
+                  feed
                     (translate_at ~from:stored ~into:r.target b j
                        ~key:(Block.key b j))
-              done
           | Block.Col_major ->
               (* Only the window the key bounds reach is materialized. *)
               let rows, decoded =
                 Block.columnar_rows ~cols:needed_cols b stored ~first ~last
               in
               bump counters (fun c -> c.sc_cols_decoded) decoded;
-              for j = first to last - 1 do
-                if in_ts (Block.key_ts b j) then
-                  feed_row (translate rows.(j - first))
-              done
-        end
-      done
-    with Exit -> ()
+              fun j ->
+                if in_ts (Block.key_ts b j) then feed (translate rows.(j - first)))
+    in
+    while next () <> None do () done
   end

@@ -43,20 +43,21 @@ type summary = {
 
 type writer
 
-(** [writer vfs ~path ~schema ~block_size ~bloom_bits_per_key] starts a
-    tablet file. [bloom_bits_per_key = 0] disables the filter.
-    [expected_rows], when the caller knows it (a flush knows its memtable
-    count; a merge knows the sum of its inputs), sizes the Bloom filter
-    exactly; otherwise the writer estimates from the stream. [layout]
-    (default row-major) selects the data-block encoding; column-major
-    writers record per-column footer stats for aggregate pushdown. *)
+(** [writer vfs ~path ~schema ~block_size ~bloom_bits_per_key
+    ~expected_rows] starts a tablet file. [bloom_bits_per_key = 0]
+    disables the filter; otherwise the filter is created here, sized for
+    [expected_rows] rows (a flush knows its memtable's count, a merge or
+    rewrite the sum of its inputs' — an upper bound is fine) and each
+    row's key prefixes. [layout] (default row-major) selects the
+    data-block encoding; column-major writers record per-column footer
+    stats for aggregate pushdown. *)
 val writer :
   Lt_vfs.Vfs.t ->
   path:string ->
   schema:Schema.t ->
   block_size:int ->
   bloom_bits_per_key:int ->
-  ?expected_rows:int ->
+  expected_rows:int ->
   ?layout:Block.layout ->
   unit ->
   writer

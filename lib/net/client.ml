@@ -145,19 +145,16 @@ let take_pending t =
       match t.buf_groups with
       | [] -> None
       | newest_first ->
-          let groups = List.rev newest_first in
-          let b = Buffer.create 4096 in
-          Lt_util.Binio.put_varint b (List.length groups);
-          List.iter
-            (fun (tbl, count, rows) ->
-              Lt_util.Binio.put_string b tbl;
-              Lt_util.Binio.put_varint b !count;
-              Buffer.add_buffer b rows)
-            groups;
+          let payload =
+            Protocol.raw_of_encoded_groups
+              (List.rev_map
+                 (fun (tbl, count, rows) -> (tbl, !count, rows))
+                 newest_first)
+          in
           t.buf_groups <- [];
           t.buf_count <- 0;
           t.buf_deadline <- Int64.max_int;
-          Some (Buffer.contents b))
+          Some payload)
 
 (* The one insert request, shared by [insert] and [flush]. *)
 let send_batch t groups =

@@ -150,6 +150,25 @@ let put_groups b groups =
       put_rows b rows)
     groups
 
+(* Groups whose rows were appended to a buffer one by one ({!put_row}):
+   the same groups section [put_groups] writes, framed around the row
+   bytes without a walk over the rows. *)
+let raw_of_encoded_groups groups =
+  let size =
+    List.fold_left
+      (fun n (table, _, rows) -> n + String.length table + Buffer.length rows + 16)
+      8 groups
+  in
+  let b = Buffer.create size in
+  Binio.put_varint b (List.length groups);
+  List.iter
+    (fun (table, count, rows) ->
+      Binio.put_string b table;
+      Binio.put_varint b count;
+      Buffer.add_buffer b rows)
+    groups;
+  Buffer.contents b
+
 let decode_groups payload =
   let cur = Binio.cursor payload in
   let n = Binio.get_varint cur in

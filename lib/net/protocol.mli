@@ -133,6 +133,12 @@ val skip_value : Lt_util.Binio.cursor -> unit
     is a concatenation rather than a re-walk of the rows. *)
 val put_row : Buffer.t -> Value.t array -> unit
 
+(** [raw_of_encoded_groups groups] is the groups section, in wire
+    format, of [groups] given as [(table, row count, row bytes)], the
+    row bytes appended with {!put_row}: the one framing a buffering
+    client's flush and a router's per-shard split both send. *)
+val raw_of_encoded_groups : (string * int * Buffer.t) list -> string
+
 (** {1 Framing} *)
 
 val write_request : Buffer.t -> request -> unit

@@ -45,6 +45,14 @@ let insert_failure = function
   | Lt_vfs.Vfs.Io_error msg -> "io error: " ^ msg
   | e -> Printexc.to_string e
 
+let no_such_table name = Printf.sprintf "no such table %S" name
+
+(* The one table lookup of a request that names a table. *)
+let with_table db name f =
+  match Db.find_table db name with
+  | Some tbl -> f tbl
+  | None -> Protocol.Error (no_such_table name)
+
 let handle db req =
   let open Protocol in
   match req with
@@ -54,10 +62,9 @@ let handle db req =
       else Hello_ok Protocol.version
   | Ping -> Pong
   | List_tables -> Tables (Db.table_names db)
-  | Get_table name -> (
-      match Db.find_table db name with
-      | Some tbl -> Table_info { schema = Table.schema tbl; ttl = Table.ttl tbl }
-      | None -> Error (Printf.sprintf "no such table %S" name))
+  | Get_table name ->
+      with_table db name (fun tbl ->
+          Table_info { schema = Table.schema tbl; ttl = Table.ttl tbl })
   | Create_table { table; schema; ttl } -> (
       match Db.create_table db table schema ~ttl with
       | (_ : Table.t) -> Ok
@@ -65,7 +72,7 @@ let handle db req =
   | Drop_table name -> (
       match Db.drop_table db name with
       | () -> Ok
-      | exception Not_found -> Error (Printf.sprintf "no such table %S" name))
+      | exception Not_found -> Error (no_such_table name))
   | Insert_batch { groups = payload } -> (
       (* Groups run in order; on a failure the answer names how many
          rows of every attempted group are in (rows before a duplicate
@@ -80,7 +87,7 @@ let handle db req =
         | [] -> Insert_ok (List.fold_left (fun acc (_, n) -> acc + n) 0 landed)
         | (table, rows) :: rest -> (
             match Db.find_table db table with
-            | None -> failed landed (Printf.sprintf "no such table %S" table)
+            | None -> failed landed (no_such_table table)
             | Some tbl -> (
                 match Table.insert_report tbl rows with
                 | Result.Ok () -> run ((table, List.length rows) :: landed) rest
@@ -91,10 +98,8 @@ let handle db req =
       | exception (Protocol.Protocol_error msg | Lt_util.Binio.Corrupt msg) ->
           Error msg
       | groups -> run [] groups)
-  | Query { table; query; profile } -> (
-      match Db.find_table db table with
-      | None -> Error (Printf.sprintf "no such table %S" table)
-      | Some tbl ->
+  | Query { table; query; profile } ->
+      with_table db table (fun tbl ->
           let r = Table.query ~profile tbl query in
           Row_batch
             {
@@ -103,46 +108,34 @@ let handle db req =
               scanned = r.Table.scanned;
               profile = r.Table.profile;
             })
-  | Latest { table; prefix } -> (
-      match Db.find_table db table with
-      | None -> Error (Printf.sprintf "no such table %S" table)
-      | Some tbl -> (
+  | Latest { table; prefix } ->
+      with_table db table (fun tbl ->
           match Table.latest tbl prefix with
           | row -> Latest_row row
-          | exception Schema.Invalid msg -> Error msg))
-  | Flush_before { table; ts = _ } -> (
+          | exception Schema.Invalid msg -> Error msg)
+  | Flush_before { table; ts = _ } ->
       (* Every row inserted before the request, whatever its timestamp,
          is covered by a full group-commit round. *)
-      match Db.find_table db table with
-      | None -> Error (Printf.sprintf "no such table %S" table)
-      | Some tbl ->
+      with_table db table (fun tbl ->
           Table.flush_all tbl;
           Ok)
-  | Delete_prefix { table; prefix } -> (
-      match Db.find_table db table with
-      | None -> Error (Printf.sprintf "no such table %S" table)
-      | Some tbl -> (
+  | Delete_prefix { table; prefix } ->
+      with_table db table (fun tbl ->
           match Table.delete_prefix tbl prefix with
           | n -> Deleted n
-          | exception Schema.Invalid msg -> Error msg))
-  | Add_column { table; column } -> (
-      match Db.find_table db table with
-      | None -> Error (Printf.sprintf "no such table %S" table)
-      | Some tbl -> (
+          | exception Schema.Invalid msg -> Error msg)
+  | Add_column { table; column } ->
+      with_table db table (fun tbl ->
           match Table.add_column tbl column with
           | () -> Ok
-          | exception Schema.Invalid msg -> Error msg))
-  | Widen_column { table; column } -> (
-      match Db.find_table db table with
-      | None -> Error (Printf.sprintf "no such table %S" table)
-      | Some tbl -> (
+          | exception Schema.Invalid msg -> Error msg)
+  | Widen_column { table; column } ->
+      with_table db table (fun tbl ->
           match Table.widen_column tbl column with
           | () -> Ok
-          | exception Schema.Invalid msg -> Error msg))
-  | Set_ttl { table; ttl } -> (
-      match Db.find_table db table with
-      | None -> Error (Printf.sprintf "no such table %S" table)
-      | Some tbl ->
+          | exception Schema.Invalid msg -> Error msg)
+  | Set_ttl { table; ttl } ->
+      with_table db table (fun tbl ->
           Table.set_ttl tbl ttl;
           Ok)
   | Get_placement ->

@@ -62,7 +62,10 @@ let mk_row i =
     ~ts:(Int64.of_int (1_000_000 + i)) ~bytes:(Int64.of_int (i * 10)) ~rate:(float_of_int i)
 
 let write_tablet ?(bloom = 10) ?(block_size = 1024) vfs path rows =
-  let w = Tablet.writer vfs ~path ~schema ~block_size ~bloom_bits_per_key:bloom () in
+  let w =
+    Tablet.writer vfs ~path ~schema ~block_size ~bloom_bits_per_key:bloom
+      ~expected_rows:(List.length rows) ()
+  in
   List.iter
     (fun row ->
       let key = Key_codec.encode_key schema row in
@@ -147,14 +150,20 @@ let test_no_bloom () =
 
 let test_empty_tablet_rejected () =
   let vfs = Vfs.memory () in
-  let w = Tablet.writer vfs ~path:"e.tab" ~schema ~block_size:1024 ~bloom_bits_per_key:0 () in
+  let w =
+    Tablet.writer vfs ~path:"e.tab" ~schema ~block_size:1024
+      ~bloom_bits_per_key:0 ~expected_rows:0 ()
+  in
   match Tablet.finish w with
   | (_ : Tablet.summary) -> Alcotest.fail "empty tablet written"
   | exception Invalid_argument _ -> ()
 
 let test_abandon () =
   let vfs = Vfs.memory () in
-  let w = Tablet.writer vfs ~path:"a.tab" ~schema ~block_size:1024 ~bloom_bits_per_key:0 () in
+  let w =
+    Tablet.writer vfs ~path:"a.tab" ~schema ~block_size:1024
+      ~bloom_bits_per_key:0 ~expected_rows:1 ()
+  in
   let row = mk_row 0 in
   let key = Key_codec.encode_key schema row in
   Tablet.add w ~key ~ts:0L ~value:(Row_codec.encode_value schema row);
@@ -225,7 +234,7 @@ let test_large_values () =
        Value.Timestamp (Int64.of_int i); Value.Int64 0L; Value.Blob big |]
   in
   let w = Tablet.writer vfs ~path:"big.tab" ~schema:s ~block_size:(64 * 1024)
-            ~bloom_bits_per_key:10 () in
+            ~bloom_bits_per_key:10 ~expected_rows:5 () in
   for i = 0 to 4 do
     let key = Key_codec.encode_key s (row i) in
     Tablet.add w ~key ~ts:(Int64.of_int i)
@@ -271,7 +280,7 @@ let key_sorted s rows =
 let write_source vfs path (s, layout, rows) =
   let w =
     Tablet.writer vfs ~path ~schema:s ~block_size:1024 ~bloom_bits_per_key:10
-      ~layout ()
+      ~expected_rows:(List.length rows) ~layout ()
   in
   List.iter
     (fun row ->
@@ -284,7 +293,7 @@ let write_source vfs path (s, layout, rows) =
    files: the encoded path the engine uses ([iter_encoded] streams, value
    bytes into [add]) against the reference loop merges used to run
    (decoded rows, the key re-encoded with its prefixes, [add_row]). *)
-let check_merge_identity ?expected_rows ~into ~layout sources =
+let check_merge_identity ~expected_rows ~into ~layout sources =
   let vfs = Vfs.memory () in
   let readers =
     List.mapi
@@ -297,7 +306,7 @@ let check_merge_identity ?expected_rows ~into ~layout sources =
   let merged streams path add =
     let w =
       Tablet.writer vfs ~path ~schema:into ~block_size:1024
-        ~bloom_bits_per_key:10 ?expected_rows ~layout ()
+        ~bloom_bits_per_key:10 ~expected_rows ~layout ()
     in
     let src = Cursor.merge ~asc:true streams in
     let rec go () =
@@ -337,12 +346,7 @@ let test_merge_identity_string_keys () =
   check_merge_identity ~expected_rows:900 ~into:event_schema ~layout:row_major
     [ (event_schema, row_major, rows 0 300);
       (event_schema, row_major, rows 40 41 @ rows 300 600);
-      (event_schema, row_major, rows 600 900) ];
-  (* No [expected_rows]: the writer buffers keys before sizing its
-     filter, past the 8192-insertion threshold. *)
-  check_merge_identity ~into:event_schema ~layout:row_major
-    [ (event_schema, row_major, rows 0 1500);
-      (event_schema, row_major, rows 1500 3000) ]
+      (event_schema, row_major, rows 600 900) ]
 
 let test_merge_identity_schema_versions () =
   let v1 = add_flags event_schema in
@@ -370,15 +374,6 @@ let test_merge_identity_columnar () =
   in
   check_merge_identity ~expected_rows:900 ~into:v1 ~layout:Block.Col_major sources;
   check_merge_identity ~expected_rows:900 ~into:v1 ~layout:Block.Row_major sources
-
-(* A tablet written without [expected_rows] (so its filter is sized from
-   the buffered stream, the threshold crossing mid-row) is the same file
-   it was before the writer derived prefixes from the key bytes. *)
-let test_buffered_bloom_golden () =
-  let vfs = Vfs.memory () in
-  write_source vfs "g.tab" (event_schema, Block.Row_major, List.init 3000 event_row);
-  Alcotest.(check string) "file digest" "e5806bc961d6d8bdb59df68ae2406530"
-    (Digest.to_hex (Digest.string (Vfs.read_all vfs "g.tab")))
 
 (* ---- Block walker ----------------------------------------------------- *)
 
@@ -657,7 +652,6 @@ let suite =
     ("encoded merge = decoded: string keys", `Quick, test_merge_identity_string_keys);
     ("encoded merge = decoded: schema versions", `Quick, test_merge_identity_schema_versions);
     ("encoded merge = decoded: columnar", `Quick, test_merge_identity_columnar);
-    ("buffered bloom sizing unchanged", `Quick, test_buffered_bloom_golden);
     Support.qcheck prop_block_walker;
     Support.qcheck prop_keys_in_place;
     ("descriptor roundtrip", `Quick, test_descriptor_roundtrip);
