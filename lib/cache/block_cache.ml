@@ -45,13 +45,14 @@ let lru_unlink l n =
   n.next <- None;
   l.bytes <- l.bytes - n.weight
 
-type 'v shard = {
+type 'v t = {
   mutex : Mutex.t;
   table : (int * int, 'v node) Hashtbl.t;
   probation : 'v lru;
   protected : 'v lru;
-  cap : int;  (** shard byte capacity *)
-  prot_cap : int;  (** protected-segment byte target, ~80% of [cap] *)
+  capacity : int;
+  prot_cap : int;  (** protected-segment byte target, ~80% of [capacity] *)
+  next_file : int Atomic.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -59,113 +60,87 @@ type 'v shard = {
   mutable inserted_bytes : int;
 }
 
-type 'v t = {
-  shards : 'v shard array;
-  mask : int;
-  capacity : int;
-  next_file : int Atomic.t;
-}
-
-let rec pow2_geq n p = if p >= n then p else pow2_geq n (p * 2)
-
-let create ?(shards = 8) ~capacity () =
+let create ~capacity () =
   if capacity <= 0 then invalid_arg "Block_cache.create: capacity <= 0";
-  if shards <= 0 then invalid_arg "Block_cache.create: shards <= 0";
-  let n = pow2_geq shards 1 in
-  let cap = max 1 (capacity / n) in
-  let shard _ =
-    {
-      mutex = Mutex.create ();
-      table = Hashtbl.create 256;
-      probation = lru_create ();
-      protected = lru_create ();
-      cap;
-      prot_cap = cap * 4 / 5;
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      insertions = 0;
-      inserted_bytes = 0;
-    }
-  in
   {
-    shards = Array.init n shard;
-    mask = n - 1;
+    mutex = Mutex.create ();
+    table = Hashtbl.create 256;
+    probation = lru_create ();
+    protected = lru_create ();
     capacity;
+    prot_cap = capacity * 4 / 5;
     next_file = Atomic.make 0;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
+    insertions = 0;
+    inserted_bytes = 0;
   }
 
 let capacity t = t.capacity
 
 let file_id t = Atomic.fetch_and_add t.next_file 1
 
-let shard_of t ~file ~block =
-  (* Fibonacci-ish mix so consecutive block indexes spread over shards. *)
-  let h = ((file * 0x9E3779B1) lxor (block * 0x85EBCA77)) land max_int in
-  t.shards.((h lsr 7) lxor h land t.mask)
-
-let seg_list s = function Probation -> s.probation | Protected -> s.protected
+let seg_list t = function Probation -> t.probation | Protected -> t.protected
 
 (* Keep the protected segment at its byte target by demoting its LRU
    back to the probation MRU (standard SLRU: demoted blocks get one more
    chance before capacity eviction reaches them). *)
-let rec rebalance_protected s =
-  if s.protected.bytes > s.prot_cap then begin
-    match s.protected.tail with
+let rec rebalance_protected t =
+  if t.protected.bytes > t.prot_cap then begin
+    match t.protected.tail with
     | None -> ()
     | Some n ->
-        lru_unlink s.protected n;
+        lru_unlink t.protected n;
         n.seg <- Probation;
-        lru_push_front s.probation n;
-        rebalance_protected s
+        lru_push_front t.probation n;
+        rebalance_protected t
   end
 
 (* Evict from the probation LRU (protected only once probation is empty)
-   until the shard fits. *)
-let rec evict_to_cap s =
-  if s.probation.bytes + s.protected.bytes > s.cap then begin
+   until the cache fits. *)
+let rec evict_to_cap t =
+  if t.probation.bytes + t.protected.bytes > t.capacity then begin
     let victim =
-      match s.probation.tail with
+      match t.probation.tail with
       | Some _ as v -> v
-      | None -> s.protected.tail
+      | None -> t.protected.tail
     in
     match victim with
     | None -> ()
     | Some n ->
-        lru_unlink (seg_list s n.seg) n;
-        Hashtbl.remove s.table (n.file, n.block);
-        s.evictions <- s.evictions + 1;
-        evict_to_cap s
+        lru_unlink (seg_list t n.seg) n;
+        Hashtbl.remove t.table (n.file, n.block);
+        t.evictions <- t.evictions + 1;
+        evict_to_cap t
   end
 
 let find t ~file ~block =
-  let s = shard_of t ~file ~block in
-  Mutexes.with_lock s.mutex (fun () ->
-      match Hashtbl.find_opt s.table (file, block) with
+  Mutexes.with_lock t.mutex (fun () ->
+      match Hashtbl.find_opt t.table (file, block) with
       | None ->
-          s.misses <- s.misses + 1;
+          t.misses <- t.misses + 1;
           None
       | Some n ->
-          s.hits <- s.hits + 1;
+          t.hits <- t.hits + 1;
           (match n.seg with
           | Protected ->
-              lru_unlink s.protected n;
-              lru_push_front s.protected n
+              lru_unlink t.protected n;
+              lru_push_front t.protected n
           | Probation ->
-              lru_unlink s.probation n;
+              lru_unlink t.probation n;
               n.seg <- Protected;
-              lru_push_front s.protected n;
-              rebalance_protected s);
+              lru_push_front t.protected n;
+              rebalance_protected t);
           Some n.value)
 
 let insert t ~file ~block ~bytes v =
-  let s = shard_of t ~file ~block in
-  Mutexes.with_lock s.mutex (fun () ->
-      match Hashtbl.find_opt s.table (file, block) with
+  Mutexes.with_lock t.mutex (fun () ->
+      match Hashtbl.find_opt t.table (file, block) with
       | Some n ->
           (* Raced with another reader loading the same block: refresh
              recency, keep the resident value. *)
-          let l = seg_list s n.seg in
+          let l = seg_list t n.seg in
           lru_unlink l n;
           lru_push_front l n
       | None ->
@@ -180,73 +155,51 @@ let insert t ~file ~block ~bytes v =
               next = None;
             }
           in
-          Hashtbl.replace s.table (file, block) n;
-          lru_push_front s.probation n;
-          s.insertions <- s.insertions + 1;
-          s.inserted_bytes <- s.inserted_bytes + n.weight;
-          evict_to_cap s)
+          Hashtbl.replace t.table (file, block) n;
+          lru_push_front t.probation n;
+          t.insertions <- t.insertions + 1;
+          t.inserted_bytes <- t.inserted_bytes + n.weight;
+          evict_to_cap t)
 
 let invalidate_file t ~file =
-  Array.iter
-    (fun s ->
-      Mutexes.with_lock s.mutex (fun () ->
-          let victims =
-            Hashtbl.fold
-              (fun _ n acc -> if n.file = file then n :: acc else acc)
-              s.table []
-          in
-          List.iter
-            (fun n ->
-              lru_unlink (seg_list s n.seg) n;
-              Hashtbl.remove s.table (n.file, n.block))
-            victims))
-    t.shards
+  Mutexes.with_lock t.mutex (fun () ->
+      let victims =
+        Hashtbl.fold
+          (fun _ n acc -> if n.file = file then n :: acc else acc)
+          t.table []
+      in
+      List.iter
+        (fun n ->
+          lru_unlink (seg_list t n.seg) n;
+          Hashtbl.remove t.table (n.file, n.block))
+        victims)
 
 let clear t =
-  Array.iter
-    (fun s ->
-      Mutexes.with_lock s.mutex (fun () ->
-          Hashtbl.reset s.table;
-          s.probation.head <- None;
-          s.probation.tail <- None;
-          s.probation.bytes <- 0;
-          s.protected.head <- None;
-          s.protected.tail <- None;
-          s.protected.bytes <- 0))
-    t.shards
+  Mutexes.with_lock t.mutex (fun () ->
+      Hashtbl.reset t.table;
+      t.probation.head <- None;
+      t.probation.tail <- None;
+      t.probation.bytes <- 0;
+      t.protected.head <- None;
+      t.protected.tail <- None;
+      t.protected.bytes <- 0)
 
-let counters t =
-  Array.fold_left
-    (fun (acc : counters) s ->
-      Mutexes.with_lock s.mutex (fun () ->
-          {
-            hits = acc.hits + s.hits;
-            misses = acc.misses + s.misses;
-            evictions = acc.evictions + s.evictions;
-            insertions = acc.insertions + s.insertions;
-            inserted_bytes = acc.inserted_bytes + s.inserted_bytes;
-            resident_bytes =
-              acc.resident_bytes + s.probation.bytes + s.protected.bytes;
-            resident_entries = acc.resident_entries + Hashtbl.length s.table;
-          }))
-    {
-      hits = 0;
-      misses = 0;
-      evictions = 0;
-      insertions = 0;
-      inserted_bytes = 0;
-      resident_bytes = 0;
-      resident_entries = 0;
-    }
-    t.shards
+let counters t : counters =
+  Mutexes.with_lock t.mutex (fun () ->
+      {
+        hits = t.hits;
+        misses = t.misses;
+        evictions = t.evictions;
+        insertions = t.insertions;
+        inserted_bytes = t.inserted_bytes;
+        resident_bytes = t.probation.bytes + t.protected.bytes;
+        resident_entries = Hashtbl.length t.table;
+      })
 
 let reset_counters t =
-  Array.iter
-    (fun s ->
-      Mutexes.with_lock s.mutex (fun () ->
-          s.hits <- 0;
-          s.misses <- 0;
-          s.evictions <- 0;
-          s.insertions <- 0;
-          s.inserted_bytes <- 0))
-    t.shards
+  Mutexes.with_lock t.mutex (fun () ->
+      t.hits <- 0;
+      t.misses <- 0;
+      t.evictions <- 0;
+      t.insertions <- 0;
+      t.inserted_bytes <- 0)

@@ -12,18 +12,22 @@
     range scan — whose blocks are each touched once — churns only
     probation and cannot displace the established hot set.
 
-    The cache is sharded by key hash; each shard has its own mutex,
-    hash table, and intrusive LRU lists, so lookups are O(1) and
-    concurrent readers on the multi-threaded server rarely contend.
+    The whole capacity is one SLRU under one mutex: one hash table and
+    one pair of intrusive LRU lists, so lookups are O(1) and the
+    protected segment's 80% and probation-first eviction hold over the
+    configured capacity, not over a hash partition of it. The lock
+    covers only the table lookup and the list relinks; callers read,
+    check and decompress blocks outside it.
 
     Values are polymorphic ('v is {!Littletable.Block.t} in the engine)
-    and weighed by a caller-supplied byte size — the raw (decompressed)
-    frame size, so capacity bounds approximate resident memory. *)
+    and weighed by a caller-supplied byte size: a row-major block weighs
+    its decompressed bytes, a columnar block its stored frame, whose
+    column sections stay compressed until a scan decodes them. *)
 
 type 'v t
 
-(** Aggregated counters across all shards. [hits]/[misses]/[evictions]/
-    [insertions]/[inserted_bytes] are monotonic; [resident_bytes] and
+(** Cache counters. [hits]/[misses]/[evictions]/[insertions]/
+    [inserted_bytes] are monotonic; [resident_bytes] and
     [resident_entries] are the current footprint. File invalidations do
     not count as evictions. *)
 type counters = {
@@ -36,11 +40,9 @@ type counters = {
   resident_entries : int;
 }
 
-(** [create ~capacity ()] makes a cache bounded at [capacity] bytes
-    total. [shards] (default 8, rounded up to a power of two) splits the
-    capacity evenly; keys are distributed by hash.
-    @raise Invalid_argument if [capacity <= 0] or [shards <= 0]. *)
-val create : ?shards:int -> capacity:int -> unit -> 'v t
+(** [create ~capacity ()] makes a cache bounded at [capacity] bytes.
+    @raise Invalid_argument if [capacity <= 0]. *)
+val create : capacity:int -> unit -> 'v t
 
 val capacity : 'v t -> int
 
@@ -54,7 +56,7 @@ val file_id : 'v t -> int
 val find : 'v t -> file:int -> block:int -> 'v option
 
 (** Insert a block of [bytes] weight into the probation segment, then
-    evict from the probation (then protected) LRU until the shard is
+    evict from the probation (then protected) LRU until the cache is
     within capacity. Inserting a key that is already present refreshes
     the resident entry and is not counted as an insertion. *)
 val insert : 'v t -> file:int -> block:int -> bytes:int -> 'v -> unit

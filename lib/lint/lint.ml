@@ -60,7 +60,7 @@ let rules_with_doc =
     ( "blocking-under-lock",
       "[typed] no VFS I/O, sleeps, socket ops, or cross-module lock \
        acquisition while holding a hot-path mutex (Table.state, \
-       Table.writer_lock, cache shard locks): a blocked writer stalls \
+       Table.writer_lock, Block_cache's mutex): a blocked writer stalls \
        the whole batched ingest path" );
     ( "atomic-discipline",
       "[typed] plain refs used as counters from multiple domains lose \

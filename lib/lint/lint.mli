@@ -38,7 +38,7 @@
       site and an unlocked write) is flagged even without a crossing.
     - [blocking-under-lock]: no VFS I/O, sleeps, socket ops, or
       cross-module lock acquisition while a hot-path mutex
-      ([Table.state], [Table.writer_lock], cache shard locks) is held,
+      ([Table.state], [Table.writer_lock], [Block_cache]'s mutex) is held,
       lexically or ambiently (held by every caller).
     - [atomic-discipline]: plain [ref] counters updated across domains
       must be [Atomic.t].

@@ -9,7 +9,7 @@ type finding = {
   f_msg : string;
 }
 
-let hot_locks = [ "table.t.state"; "table.t.writer_lock"; "block_cache.shard.mutex" ]
+let hot_locks = [ "table.t.state"; "table.t.writer_lock"; "block_cache.t.mutex" ]
 
 let union a b = List.sort_uniq compare (a @ b)
 

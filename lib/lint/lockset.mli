@@ -35,6 +35,6 @@ type finding = {
 
 val hot_locks : string list
 (** Lock classes treated as hot-path for [blocking-under-lock]:
-    [table.t.state], [table.t.writer_lock], [block_cache.shard.mutex]. *)
+    [table.t.state], [table.t.writer_lock], [block_cache.t.mutex]. *)
 
 val analyze : Escape.facts list -> finding list

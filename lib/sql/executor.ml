@@ -132,20 +132,20 @@ let run_select b (s : Ast.select) =
     then b.b_query_agg
     else None
   in
+  (* One accumulator spec per aggregate output, in output order. Without
+     GROUP BY the planner rejects plain columns, so there every output
+     is an aggregate. *)
+  let specs =
+    Array.of_list
+      (List.filter_map
+         (fun (o, _) ->
+           match o with
+           | Planner.Out_agg (a, c) -> Some { Agg.a_fn = fn_of_agg a; a_col = c }
+           | Planner.Out_col _ -> None)
+         plan.Planner.outputs)
+  in
   match pushed_agg with
   | Some query_agg ->
-      let specs =
-        Array.of_list
-          (List.map
-             (fun (o, _) ->
-               match o with
-               | Planner.Out_agg (a, c) ->
-                   { Agg.a_fn = fn_of_agg a; a_col = c }
-               | Planner.Out_col _ ->
-                   (* ungrouped plain columns were rejected by the planner *)
-                   assert false)
-             plan.Planner.outputs)
-      in
       let row = query_agg s.Ast.table plan.Planner.query specs in
       let rows =
         match plan.Planner.post_limit with Some 0 -> [] | _ -> [ row ]
@@ -188,11 +188,7 @@ let run_select b (s : Ast.select) =
       Tbl.create 64
     in
     let order = ref [] in
-    let agg_outputs =
-      List.filter_map
-        (fun (o, _) -> match o with Planner.Out_agg (a, c) -> Some (a, c) | _ -> None)
-        plan.Planner.outputs
-    in
+    let fresh_accs () = Array.map (fun _ -> Agg.fresh_acc ()) specs in
     let rec consume () =
       match src () with
       | None -> ()
@@ -203,19 +199,12 @@ let run_select b (s : Ast.select) =
               match Tbl.find_opt groups key with
               | Some entry -> entry
               | None ->
-                  let entry =
-                    ( Array.init (List.length agg_outputs) (fun _ ->
-                          Agg.fresh_acc ()),
-                      row )
-                  in
+                  let entry = (fresh_accs (), row) in
                   Tbl.add groups key entry;
                   order := key :: !order;
                   entry
             in
-            List.iteri
-              (fun i (_, col) ->
-                Agg.feed accs.(i) (Option.map (fun c -> row.(c)) col))
-              agg_outputs
+            Agg.feed_row specs accs row
           end;
           consume ()
     in
@@ -223,11 +212,7 @@ let run_select b (s : Ast.select) =
     (* With no GROUP BY, an aggregate query yields one row even when the
        scan is empty. *)
     if plan.Planner.group_cols = [] && Tbl.length groups = 0 then begin
-      let entry =
-        ( Array.init (List.length agg_outputs) (fun _ -> Agg.fresh_acc ()),
-          [||] )
-      in
-      Tbl.add groups [] entry;
+      Tbl.add groups [] (fresh_accs (), [||]);
       order := [ [] ]
     end;
     (* Rows come off the scan in key order; groups keyed on leading key
@@ -242,9 +227,9 @@ let run_select b (s : Ast.select) =
                (fun (o, _) ->
                  match o with
                  | Planner.Out_col i -> sample.(i)
-                 | Planner.Out_agg (a, _) ->
+                 | Planner.Out_agg _ ->
                      incr agg_idx;
-                     Agg.result (fn_of_agg a) accs.(!agg_idx))
+                     Agg.result specs.(!agg_idx).Agg.a_fn accs.(!agg_idx))
                plan.Planner.outputs))
         !order
     in

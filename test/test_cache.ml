@@ -7,7 +7,7 @@ open Lt_util
 module Bcache = Lt_cache.Block_cache
 
 (* ------------------------------------------------------------------ *)
-(* Unit: SLRU mechanics (single shard for determinism)                 *)
+(* Unit: SLRU mechanics                                               *)
 (* ------------------------------------------------------------------ *)
 
 let present c ~file ~block =
@@ -16,7 +16,7 @@ let present c ~file ~block =
   Bcache.find c ~file ~block <> None
 
 let test_eviction_order () =
-  let c = Bcache.create ~shards:1 ~capacity:30 () in
+  let c = Bcache.create ~capacity:30 () in
   let f = Bcache.file_id c in
   for b = 0 to 2 do
     Bcache.insert c ~file:f ~block:b ~bytes:10 b
@@ -40,7 +40,7 @@ let test_eviction_order () =
   Alcotest.(check int) "evictions: 0, 2, 3" 3 (Bcache.counters c).Bcache.evictions
 
 let test_capacity_accounting () =
-  let c = Bcache.create ~shards:1 ~capacity:100 () in
+  let c = Bcache.create ~capacity:100 () in
   let f = Bcache.file_id c in
   for b = 0 to 9 do
     Bcache.insert c ~file:f ~block:b ~bytes:17 b
@@ -63,7 +63,7 @@ let test_capacity_accounting () =
   Alcotest.(check int) "counters survive clear" 10 k.Bcache.insertions
 
 let test_scan_resistance_unit () =
-  let c = Bcache.create ~shards:1 ~capacity:100 () in
+  let c = Bcache.create ~capacity:100 () in
   let hot = Bcache.file_id c and scan = Bcache.file_id c in
   (* Establish a hot set: insert, then touch once to promote. *)
   Bcache.insert c ~file:hot ~block:0 ~bytes:20 0;
@@ -80,8 +80,36 @@ let test_scan_resistance_unit () =
   let k = Bcache.counters c in
   Alcotest.(check bool) "scan evicted scan blocks" true (k.Bcache.evictions >= 12)
 
+(* The protected segment is 80% of the whole capacity: a hot set of
+   60-75% of it, spread over several files, survives a one-pass scan of
+   3x capacity without losing a block. (A cache split into hash shards,
+   each with its own SLRU, loses the blocks that hash unevenly into a
+   shard's smaller protected segment.) *)
+let test_hot_set_survives_scan () =
+  let weight = 1000 and blocks = 100 in
+  let capacity = blocks * weight in
+  List.iter
+    (fun pct ->
+      let c = Bcache.create ~capacity () in
+      let files = Array.init 4 (fun _ -> Bcache.file_id c) in
+      let hot = List.init (blocks * pct / 100) (fun i -> (files.(i mod 4), i / 4)) in
+      List.iter (fun (file, block) -> Bcache.insert c ~file ~block ~bytes:weight 0) hot;
+      (* A second touch promotes each hot block to the protected segment. *)
+      List.iter (fun (file, block) -> ignore (Bcache.find c ~file ~block)) hot;
+      let scan = Bcache.file_id c in
+      for b = 0 to (3 * blocks) - 1 do
+        Bcache.insert c ~file:scan ~block:b ~bytes:weight 1
+      done;
+      let lost =
+        List.length (List.filter (fun (file, block) -> not (present c ~file ~block)) hot)
+      in
+      Alcotest.(check int) (Printf.sprintf "hot set at %d%%: none lost" pct) 0 lost;
+      Alcotest.(check bool) "the scan overflowed the cache" true
+        ((Bcache.counters c).Bcache.evictions >= 2 * blocks))
+    [ 60; 70; 75 ]
+
 let test_invalidate_file () =
-  let c = Bcache.create ~shards:4 ~capacity:10_000 () in
+  let c = Bcache.create ~capacity:10_000 () in
   let a = Bcache.file_id c and b = Bcache.file_id c in
   for blk = 0 to 4 do
     Bcache.insert c ~file:a ~block:blk ~bytes:10 blk;
@@ -279,6 +307,7 @@ let suite =
     Alcotest.test_case "slru: eviction order" `Quick test_eviction_order;
     Alcotest.test_case "slru: capacity accounting" `Quick test_capacity_accounting;
     Alcotest.test_case "slru: scan resistance" `Quick test_scan_resistance_unit;
+    Alcotest.test_case "slru: hot set survives a 3x scan" `Quick test_hot_set_survives_scan;
     Alcotest.test_case "slru: invalidate file" `Quick test_invalidate_file;
     Alcotest.test_case "slru: fresh file ids" `Quick test_file_ids_fresh;
     Alcotest.test_case "engine: invalidation on merge" `Quick test_invalidation_on_merge;

@@ -180,13 +180,15 @@ let test_blocking_under_lock () =
     run_typed
       ~rules:[ "blocking-under-lock" ]
       "tblock_bad"
-      [ "mutexes.ml"; "vfs.ml"; "table.ml" ]
+      [ "mutexes.ml"; "vfs.ml"; "table.ml"; "block_cache.ml" ]
   in
-  Alcotest.(check int) "fsync under writer_lock flagged" 1
+  Alcotest.(check int) "fsync under writer_lock and the cache lock flagged" 2
     (count "blocking-under-lock" bad);
   Alcotest.(check bool) "names op and hot lock" true
     (msgs_contain ~sub:"Vfs.fsync" bad
     && msgs_contain ~sub:"table.t.writer_lock" bad);
+  Alcotest.(check bool) "the cache mutex is a hot lock" true
+    (msgs_contain ~sub:"block_cache.t.mutex" bad);
   check_clean "fsync hoisted out of the region clean"
     (run_typed
        ~rules:[ "blocking-under-lock" ]
