@@ -170,19 +170,13 @@ let send_shard_batch t s ~expected req =
   | exception Client.Remote_error msg ->
       { si_landed = none; si_fail = Some msg }
 
-(* Batched per-shard forwarding of an [Insert_batch]. Sub-batches go
-   to their shards concurrently (each shard has its own connection);
-   per-shard outcomes are then folded into one answer.
+(* Batched per-shard forwarding of an [Insert_batch]: [plan] is one
+   (shard, expected counts, request) triple per owning shard, and the
+   per-shard outcomes fold into one answer. Any failure yields
+   [Insert_partial] naming, per ["shard<i>/<table>"] label, exactly how
+   many rows are in on each shard.
 
-   The old code answered [Insert_ok (length rows)] even when a later
-   shard failed after earlier shards had committed — the client then
-   believed everything was in, or (on the error path) nothing was. Now
-   any failure yields [Insert_partial] naming, per ["shard<i>/<table>"]
-   label, exactly how many rows are in on each shard.
-
-   [plan] is one (shard, expected counts, request) triple per owning
-   shard, from either split. *)
-(* Shard sends run sequentially in shard-index order, unlike the query
+   Shard sends run sequentially in shard-index order, unlike the query
    fan-out's thread-per-shard: a batch send is short and bounded (no
    scan to wait out), per-flush thread churn costs more than it hides,
    and ordered commits make the partial-failure report deterministic —

@@ -1,12 +1,11 @@
 open Lt_util
 
-type entry = { key : string; value : string }
-
 type layout = Row_major | Col_major
 
-(* The payload is built incrementally in one buffer so callers can encode
-   row values straight into it ({!add_enc}) instead of materializing a
-   per-row value string first. *)
+(* The payload is built incrementally in one buffer, so a row reaches it
+   either as its stored entry bytes ({!add_entry}) or as a value encoded
+   once into a caller-owned buffer ({!add_enc}), never as a per-row
+   value string. *)
 type builder = {
   payload : Buffer.t;
   mutable offsets : int list;  (** reversed *)
@@ -22,25 +21,28 @@ let builder () =
     first = None;
     last = None }
 
-let add_enc b ~key ~value_size ~encode =
+(* The ordering check and bookkeeping every entry goes through, before
+   its bytes are appended at the recorded offset. *)
+let start_entry b ~key =
   (match b.last with
   | Some last when String.compare key last <= 0 ->
       invalid_arg "Block.add: keys must be strictly ascending"
   | _ -> ());
   b.offsets <- Buffer.length b.payload :: b.offsets;
   b.count <- b.count + 1;
-  Binio.put_string b.payload key;
-  Binio.put_varint b.payload value_size;
-  let before = Buffer.length b.payload in
-  encode b.payload;
-  if Buffer.length b.payload - before <> value_size then
-    invalid_arg "Block.add_enc: encoder wrote a different size than declared";
   if b.first = None then b.first <- Some key;
   b.last <- Some key
 
+let add_enc b ~key value =
+  start_entry b ~key;
+  Binio.put_string b.payload key;
+  Binio.put_varint b.payload (Buffer.length value);
+  Buffer.add_buffer b.payload value
+
 let add b ~key ~value =
-  add_enc b ~key ~value_size:(String.length value) ~encode:(fun buf ->
-      Buffer.add_string buf value)
+  start_entry b ~key;
+  Binio.put_string b.payload key;
+  Binio.put_string b.payload value
 
 let entry_count b = b.count
 
@@ -73,7 +75,6 @@ type col_builder = {
   mutable cb_rows : (string * Value.t array) list;  (** reversed *)
   mutable cb_count : int;
   mutable cb_bytes : int;
-  mutable cb_first : string option;
   mutable cb_last : string option;
 }
 
@@ -82,7 +83,6 @@ let col_builder schema =
     cb_rows = [];
     cb_count = 0;
     cb_bytes = 0;
-    cb_first = None;
     cb_last = None }
 
 let col_add b ~key row =
@@ -95,14 +95,11 @@ let col_add b ~key row =
   b.cb_bytes <-
     b.cb_bytes + String.length key + 4
     + Array.fold_left (fun a v -> a + Value.encoded_size v) 0 row;
-  if b.cb_first = None then b.cb_first <- Some key;
   b.cb_last <- Some key
 
 let col_count b = b.cb_count
 
 let col_raw_size b = b.cb_bytes + 16
-
-let col_first_key b = b.cb_first
 
 let col_last_key b = b.cb_last
 
@@ -173,7 +170,6 @@ let col_finish b =
   (b.cb_rows <- [];
    b.cb_count <- 0;
    b.cb_bytes <- 0;
-   b.cb_first <- None;
    b.cb_last <- None)
   [@lint.allow
     "domain-race: a [col_builder] is confined to the one tablet writer \
@@ -327,13 +323,6 @@ let entry_pos t r i =
   + (Int32.to_int (String.get_int32_le t.data (r.r_table + (4 * i)))
     land 0xffff_ffff)
 
-let entry t i =
-  let r = row_repr t in
-  let cur = Binio.cursor ~pos:(entry_pos t r i) t.data in
-  let key = Binio.get_string cur in
-  let value = Binio.get_string cur in
-  { key; value }
-
 let key t i =
   match t.repr with
   | Row_r r ->
@@ -400,6 +389,35 @@ let value_span t i =
   if Binio.remaining cur < len then
     raise (Binio.Corrupt "block: truncated value");
   (cur.Binio.pos, len)
+
+(* The LEB128 varint at [p] of [s] (call with [shift] and [acc] 0),
+   read without a cursor: nothing allocated on the merge copy path. *)
+let rec varint_at s p shift acc =
+  if p >= String.length s || shift > 62 then
+    raise (Binio.Corrupt "block: truncated entry");
+  let byte = Char.code (String.unsafe_get s p) in
+  let acc = acc lor ((byte land 0x7f) lsl shift) in
+  if byte land 0x80 = 0 then acc else varint_at s (p + 1) (shift + 7) acc
+
+(* Entry [i]'s bytes — key and value with their length prefixes — run
+   from its offset to the next entry's (or the block's end), and are
+   copied as they are once the key's and value's lengths are checked to
+   fill exactly that span. *)
+let add_entry b ~key src i =
+  let r = row_repr src in
+  let start = entry_pos src r i in
+  let stop =
+    if i + 1 < r.r_count then entry_pos src r (i + 1) else String.length src.data
+  in
+  let klen = String.length key in
+  if varint_at src.data start 0 0 <> klen then
+    invalid_arg "Block.add_entry: key is not the entry's key";
+  let voff = start + Binio.varint_size klen + klen in
+  let vlen = if voff < stop then varint_at src.data voff 0 0 else -1 in
+  if vlen < 0 || voff + Binio.varint_size vlen + vlen <> stop then
+    raise (Binio.Corrupt "block: entry does not fill its span");
+  start_entry b ~key;
+  Buffer.add_substring b.payload src.data start (stop - start)
 
 let search_geq t k =
   let lo = ref 0 and hi = ref (count t) in

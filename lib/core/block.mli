@@ -27,9 +27,10 @@
     column default, and readers decompress only the columns a scan
     references. *)
 
-type entry = { key : string; value : string }
-
 type layout = Row_major | Col_major
+
+(** A decoded block, row- or column-major (see {!decode}). *)
+type t
 
 (** {1 Building} *)
 
@@ -40,13 +41,21 @@ val builder : unit -> builder
 (** Keys must be added in strictly ascending order (checked). *)
 val add : builder -> key:string -> value:string -> unit
 
-(** [add_enc b ~key ~value_size ~encode] is {!add} without the value
-    string: [encode] appends the value encoding (exactly [value_size]
-    bytes, checked) straight into the block payload. This is how the
-    flush path writes memtable rows without a per-row intermediate
-    string. *)
-val add_enc :
-  builder -> key:string -> value_size:int -> encode:(Buffer.t -> unit) -> unit
+(** [add_enc b ~key value] is {!add} with the value encoding held in a
+    caller-owned buffer, appended to the block payload without an
+    intermediate string: how a tablet writer adds a row it has just
+    encoded. *)
+val add_enc : builder -> key:string -> Buffer.t -> unit
+
+(** [add_entry b ~key src i] appends entry [i] of the row-major block
+    [src], whose key is [key], as its stored bytes: the same ordering
+    check as {!add}, no value string and no re-encoding. How merges and
+    rewrites copy a row whose stored encoding is already the output's.
+    @raise Invalid_argument when [src] is columnar or [key] is not the
+    entry's key (by length).
+    @raise Lt_util.Binio.Corrupt when the entry's key and value lengths
+    do not exactly fill its span in [src]. *)
+val add_entry : builder -> key:string -> t -> int -> unit
 
 val entry_count : builder -> int
 
@@ -77,7 +86,6 @@ val col_count : col_builder -> int
 (** Approximate serialized size, for the flush threshold. *)
 val col_raw_size : col_builder -> int
 
-val col_first_key : col_builder -> string option
 val col_last_key : col_builder -> string option
 
 (** Serialize and reset the builder; also returns the per-column
@@ -86,8 +94,6 @@ val col_last_key : col_builder -> string option
 val col_finish : col_builder -> string * Agg.col_stats array
 
 (** {1 Reading} *)
-
-type t
 
 (** Decode a row-major block. The offset table is checked for length
     and read in place, so decoding copies nothing.
@@ -104,9 +110,6 @@ val decode_columnar : Schema.t -> string -> t
 val layout : t -> layout
 
 val count : t -> int
-
-(** Row-major only. @raise Invalid_argument on a columnar block. *)
-val entry : t -> int -> entry
 
 (** [key t i] copies entry [i]'s key out of the block; {!compare_key}
     and {!key_ts} read it in place. *)

@@ -87,5 +87,3 @@ let to_list src =
     match src () with None -> List.rev acc | Some kv -> go (kv :: acc)
   in
   go []
-
-let rows src = List.map snd (to_list src)

@@ -13,9 +13,8 @@
     higher-priority row wins and the others are dropped. *)
 
 (** A pull iterator over [(encoded key, payload)] pairs: [None] means
-    exhausted. Single-consumer. Queries stream row handles
-    ({!Tablet.row}); merges and rewrites stream value encodings
-    ({!Tablet.iter_encoded}).
+    exhausted. Single-consumer. Queries, flushes, merges and rewrites
+    all stream row handles ({!Tablet.row}).
 
     Nothing here decodes a row. {!merge}, {!filter_ts} and {!take} read
     only keys and pass payloads through, so a handle that the merge
@@ -23,9 +22,11 @@
     query forces a handle with {!Tablet.force} only where the row leaves
     the engine or is folded: [Table.query]'s collect loop,
     [Table.query_iter]'s output, [Table.latest]'s answer and the merged
-    residue of [Table.query_agg]. Handles reference immutable loaded
-    blocks, so a stream staged on a {!Lt_exec.Pscan} worker may hand them
-    to the consuming domain. *)
+    residue of [Table.query_agg]; a flush, merge or rewrite hands each
+    handle to {!Tablet.add}, which copies a stored entry without
+    decoding it when its encoding is already the output's. Handles
+    reference immutable loaded blocks, so a stream staged on a
+    {!Lt_exec.Pscan} worker may hand them to the consuming domain. *)
 type 'a stream = unit -> (string * 'a) option
 
 (** A stream of decoded rows, as queries hand them to callers. *)
@@ -61,6 +62,3 @@ val cap :
 val fold : ('acc -> string * 'a -> 'acc) -> 'acc -> 'a stream -> 'acc
 
 val to_list : 'a stream -> (string * 'a) list
-
-(** Payloads only, discarding keys. *)
-val rows : 'a stream -> 'a list

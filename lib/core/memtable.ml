@@ -43,10 +43,6 @@ let byte_size t = t.bytes
 let ts_range t =
   if Avl.is_empty t.tree then None else Some (t.min_ts, t.max_ts)
 
-let min_key t = Avl.min_key t.tree
-
-let max_key t = Avl.max_key t.tree
-
 let snapshot t = t.tree
 
 let add_bytes t n = t.bytes <- t.bytes + n

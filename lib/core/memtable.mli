@@ -33,9 +33,6 @@ val byte_size : t -> int
 (** Row-timestamp range actually present ([None] when empty). *)
 val ts_range : t -> (int64 * int64) option
 
-val min_key : t -> string option
-val max_key : t -> string option
-
 (** An immutable snapshot of the current contents. *)
 val snapshot : t -> Value.t array Avl.t
 

@@ -27,9 +27,6 @@ let decode_cursor schema ~key cur =
 
 let decode schema ~key ~value = decode_cursor schema ~key (Binio.cursor value)
 
-let decode_slice schema ~key ~data ~off ~len =
-  decode_cursor schema ~key (Binio.cursor ~pos:off ~len data)
-
 let decode_translated_cursor ~from ~into ~key cur =
   if Schema.version from = Schema.version into then
     decode_cursor into ~key cur

@@ -21,13 +21,6 @@ val encode_value_into : Buffer.t -> Schema.t -> Value.t array -> unit
 (** [decode schema ~key ~value] rebuilds the full row. *)
 val decode : Schema.t -> key:string -> value:string -> Value.t array
 
-(** [decode_slice schema ~key ~data ~off ~len] is {!decode} over the
-    value encoding at [data.[off .. off+len-1]], without copying the
-    slice out. *)
-val decode_slice :
-  Schema.t -> key:string -> data:string -> off:int -> len:int ->
-  Value.t array
-
 (** [decode_translated ~from ~into ~key ~value] decodes a row written
     under schema [from] and translates it to [into] (§3.5: cells are
     widened or filled with defaults; on-disk tablets are never

@@ -490,14 +490,15 @@ let output_layout t ~max_ts =
   if columnar_output t ~now:(now t) ~max_ts then Block.Col_major
   else Block.Row_major
 
-(* Write tablet [id] from an ascending stream of (key, value encoding
-   under [schema]) rows; no descriptor update yet. The one copy loop
-   behind flushes, merges and bulk-delete rewrites: rows move as encoded
-   bytes, and the writer derives its Bloom prefixes from the keys. A
-   failure mid-write abandons the partial file, so only complete files
-   ever carry a tablet name. [None] when the stream was empty. *)
+(* Write tablet [id] from an ascending stream of rows under [schema];
+   no descriptor update yet. The one copy loop behind flushes, merges
+   and bulk-delete rewrites: {!Tablet.add} decides per row whether its
+   stored bytes are copied or it is encoded, and the writer derives its
+   Bloom prefixes from the keys. A failure mid-write abandons the
+   partial file, so only complete files ever carry a tablet name.
+   [None] when the stream was empty. *)
 let write_tablet t ~id ~schema ~expected_rows ?layout
-    (next : string Cursor.stream) =
+    (next : Tablet.row Cursor.stream) =
   let file = Descriptor.tablet_file id in
   let writer =
     Tablet.writer t.vfs ~path:(tablet_path t file) ~schema
@@ -508,8 +509,8 @@ let write_tablet t ~id ~schema ~expected_rows ?layout
   let rec copy n =
     match next () with
     | None -> n
-    | Some (key, value) ->
-        Tablet.add writer ~key ~ts:(Key_codec.ts_of_key key) ~value;
+    | Some (key, row) ->
+        Tablet.add writer ~key ~ts:(Key_codec.ts_of_key key) row;
         copy (n + 1)
   in
   match if copy 0 = 0 then None else Some (Tablet.finish writer) with
@@ -540,14 +541,10 @@ let write_tablet t ~id ~schema ~expected_rows ?layout
 let write_memtable t mt =
   let schema = Mutexes.with_lock t.state (fun () -> t.schema) in
   let it = Avl.iter_asc (Memtable.snapshot mt) in
-  let buf = Buffer.create 64 in
   let next () =
     match Avl.next it with
     | None -> None
-    | Some (key, row) ->
-        Buffer.clear buf;
-        Row_codec.encode_value_into buf schema row;
-        Some (key, Buffer.contents buf)
+    | Some (key, row) -> Some (key, Tablet.decoded row)
   in
   Option.get
     (write_tablet t ~id:(Memtable.id mt) ~schema
@@ -1386,13 +1383,13 @@ let merge_step_unlocked t =
                 plan.Merge_policy.ids
             in
             List.iter (fun dt -> dt.refs <- dt.refs + 1) sources;
-            (* The streams encode values under the readers' target
-               schema as of now — [t.schema], read under the same lock. *)
+            (* The streams translate rows to the readers' target schema
+               as of now — [t.schema], read under the same lock. *)
             let streams =
               List.map
                 (fun dt ->
                   ( dt.meta.Descriptor.id,
-                    Tablet.iter_encoded (get_reader_locked t dt) ))
+                    Tablet.iter (get_reader_locked t dt) ~asc:true () ))
                 sources
             in
             let new_id = t.next_id in
@@ -1540,7 +1537,9 @@ let delete_prefix t prefix_values =
                   (* Straddling tablet: rewrite it without the range. *)
                   let it, schema, new_id =
                     Mutexes.with_lock t.state (fun () ->
-                        let it = Tablet.iter_encoded (get_reader_locked t dt) in
+                        let it =
+                          Tablet.iter (get_reader_locked t dt) ~asc:true ()
+                        in
                         let id = t.next_id in
                         t.next_id <- t.next_id + 1;
                         (it, t.schema, id))

@@ -195,6 +195,29 @@ let decode_footer raw =
   { schema; f_row_count; f_min_ts; f_max_ts; f_min_key; f_max_key; index; bloom }
 
 (* ------------------------------------------------------------------ *)
+(* Row handles                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Decode a row straight out of the block's backing bytes: no per-row
+   value string, just a (offset, length) window into the block data. *)
+let translate_at ~from ~into b i ~key =
+  let off, len = Block.value_span b i in
+  Row_codec.decode_translated_slice ~from ~into ~key ~data:(Block.data b) ~off
+    ~len
+
+(* A row-major block as a scan loaded it, with the schemas its entries
+   decode under. Immutable, like the block. *)
+type block_ref = { b : Block.t; from : Schema.t; into : Schema.t }
+
+type row = Decoded of Value.t array | In_block of block_ref * int * string
+
+let decoded row = Decoded row
+
+let force = function
+  | Decoded row -> row
+  | In_block (br, i, key) -> translate_at ~from:br.from ~into:br.into br.b i ~key
+
+(* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -218,6 +241,7 @@ type writer = {
   prefix_ends : int array;  (** scratch for {!Key_codec.prefix_ends} *)
   bloom_seen : int array;
       (** hash pairs last inserted per prefix boundary into [bloom] *)
+  scratch : Buffer.t;  (** one row's value encoding, row-major writers *)
 }
 
 let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ~expected_rows
@@ -253,6 +277,7 @@ let writer vfs ~path ~schema ~block_size ~bloom_bits_per_key ~expected_rows
     bloom;
     prefix_ends = Array.make (per_row - 1) 0;
     bloom_seen = Array.make (2 * (per_row - 1)) (-1);
+    scratch = Buffer.create 64;
   }
 
 let flush_block w =
@@ -304,32 +329,30 @@ let note_row w ~key ~ts =
   if ts > w.w_max_ts then w.w_max_ts <- ts;
   bloom_add w key
 
-let add_col w builder ~key ~ts row =
+(* The one place a row reaches a block. A row-major entry stored under
+   the writer's schema version is copied as its stored bytes; any other
+   row is decoded, then encoded once into [scratch] (row-major) or
+   handed to the columnar builder as it is. *)
+let add w ~key ~ts row =
   note_row w ~key ~ts;
-  Block.col_add builder ~key row;
-  if Block.col_raw_size builder >= w.block_size then flush_block w
+  let raw_size =
+    match (w.w_builder, row) with
+    | B_row b, In_block (br, i, _)
+      when Schema.version br.from = Schema.version w.w_schema ->
+        Block.add_entry b ~key br.b i;
+        Block.raw_size b
+    | B_row b, _ ->
+        Buffer.clear w.scratch;
+        Row_codec.encode_value_into w.scratch w.w_schema (force row);
+        Block.add_enc b ~key w.scratch;
+        Block.raw_size b
+    | B_col b, _ ->
+        Block.col_add b ~key (force row);
+        Block.col_raw_size b
+  in
+  if raw_size >= w.block_size then flush_block w
 
-(* [value_size] bytes of value encoding, appended by [encode]. *)
-let add_enc w builder ~key ~ts ~value_size ~encode =
-  note_row w ~key ~ts;
-  Block.add_enc builder ~key ~value_size ~encode;
-  if Block.raw_size builder >= w.block_size then flush_block w
-
-let add w ~key ~ts ~value =
-  match w.w_builder with
-  | B_row builder ->
-      add_enc w builder ~key ~ts ~value_size:(String.length value)
-        ~encode:(fun buf -> Buffer.add_string buf value)
-  | B_col builder ->
-      add_col w builder ~key ~ts (Row_codec.decode w.w_schema ~key ~value)
-
-let add_row w ~key ~key_prefixes:_ ~ts row =
-  match w.w_builder with
-  | B_row builder ->
-      add_enc w builder ~key ~ts
-        ~value_size:(Row_codec.value_size w.w_schema row)
-        ~encode:(fun buf -> Row_codec.encode_value_into buf w.w_schema row)
-  | B_col builder -> add_col w builder ~key ~ts row
+let add_row w ~key ~key_prefixes:_ ~ts row = add w ~key ~ts (Decoded row)
 
 let finish w =
   if w.w_rows = 0 then invalid_arg "Tablet.finish: empty tablet";
@@ -520,25 +543,6 @@ let mem r key =
   let i = Block.search_geq block key in
   i < Block.count block && Block.compare_key block i key = 0
 
-(* Decode a row straight out of the block's backing bytes: no per-row
-   value string, just a (offset, length) window into the block data. *)
-let translate_at ~from ~into b i ~key =
-  let off, len = Block.value_span b i in
-  Row_codec.decode_translated_slice ~from ~into ~key ~data:(Block.data b) ~off
-    ~len
-
-(* A row-major block as a scan loaded it, with the schemas its entries
-   decode under. Immutable, like the block. *)
-type block_ref = { b : Block.t; from : Schema.t; into : Schema.t }
-
-type row = Decoded of Value.t array | In_block of block_ref * int * string
-
-let decoded row = Decoded row
-
-let force = function
-  | Decoded row -> row
-  | In_block (br, i, key) -> translate_at ~from:br.from ~into:br.into br.b i ~key
-
 type scan_counters = {
   sc_footer_blocks : int Atomic.t;
   sc_cols_decoded : int Atomic.t;
@@ -587,7 +591,7 @@ let key_window b ~lo ~hi =
 let block_floor r i =
   if i = 0 then r.footer.f_min_key else r.footer.index.(i - 1).last_key
 
-(* The one block walker behind [iter], [iter_encoded] and [fold_aggs]:
+(* The one block walker behind [iter] and [fold_aggs]:
    visits the blocks that keys in [\[lo, hi)] can reach, ascending or
    descending, and in each the positions of its key window, in the same
    direction. [view b ~first ~last], called once per loaded block, says
@@ -659,24 +663,6 @@ let iter r ~asc ?lo ?hi ?projection ?counters () =
       | Block.Col_major ->
           let rows = materialize r ?counters ~projection ~into ~first ~last b in
           fun i -> (Block.key b i, Decoded rows.(i - first)))
-
-(* Stored rows are copied as they are; rows of an older schema version
-   or of a columnar block are translated to the target and re-encoded. *)
-let iter_encoded r =
-  let from = r.footer.schema and into = r.target in
-  walk r ~asc:true ~lo:None ~hi:None (fun b ~first ~last ->
-      match Block.layout b with
-      | Block.Row_major when Schema.version from = Schema.version into ->
-          fun i ->
-            let e = Block.entry b i in
-            (e.Block.key, e.Block.value)
-      | Block.Row_major ->
-          fun i ->
-            let key = Block.key b i in
-            (key, Row_codec.encode_value into (translate_at ~from ~into b i ~key))
-      | Block.Col_major ->
-          let rows = materialize r ~projection:None ~into ~first ~last b in
-          fun i -> (Block.key b i, Row_codec.encode_value into rows.(i - first)))
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate pushdown                                                  *)

@@ -20,10 +20,11 @@
     finds the prefix boundaries in the encoded key bytes and hashes each
     key once for all of its prefixes.
 
-    Flushes, merges and rewrites move rows as encoded bytes: a merge
-    reads {!iter_encoded} streams and hands each row's stored value
-    bytes to {!add}, so rows are decoded only where a block's schema
-    version or layout differs from the output's.
+    Every consumer of a tablet reads it through one stream, {!iter}'s
+    row handles: queries force the rows they keep, and flushes, merges
+    and bulk-delete rewrites hand the handles to {!add}, which copies a
+    row-major entry already encoded under the output's schema as its
+    stored bytes and decodes and encodes every other row once.
 
     Reading a cold tablet costs the paper's three repositionings —
     open (inode), trailer, footer — and one more per block; the disk
@@ -38,6 +39,31 @@ type summary = {
   max_key : string;
   columnar : bool;  (** data blocks are column-major *)
 }
+
+(** {1 Row handles}
+
+    Scans hand out rows as handles and decode a row only once the query
+    has accepted it. A handle is either a row already decoded (a
+    memtable row, or a row of a columnar block's materialized window) or
+    a reference to an entry of a loaded row-major block: the block, the
+    entry index, the key and the schemas to decode under. {!force}
+    decodes it, translated to the target schema the reader had when the
+    scan was created. So a row that {!Cursor.filter_ts} drops, that
+    {!Cursor.merge} shadows, or that a limit cuts off is never decoded.
+
+    Loaded blocks are immutable and a handle holds nothing mutable, so a
+    handle stays valid after its block leaves the cache or its tablet is
+    released, and a {!Lt_exec.Pscan} worker may hand it to the consumer
+    domain, which forces it there. *)
+
+type row
+
+(** A row that is already decoded, as a memtable holds it. *)
+val decoded : Value.t array -> row
+
+(** The row under the target schema. Decodes a block entry each time it
+    is called; force a handle once. *)
+val force : row -> Value.t array
 
 (** {1 Writing} *)
 
@@ -62,16 +88,19 @@ val writer :
   unit ->
   writer
 
-(** Add a row; keys must arrive in strictly ascending order. [value] is
-    the row's value encoding under the writer's schema ({!Row_codec});
-    row-major writers copy it into the block as it is, column-major
-    writers decode it. *)
-val add : writer -> key:string -> ts:int64 -> value:string -> unit
+(** Add a row; keys must arrive in strictly ascending order. [row] is
+    under the writer's schema: a decoded row, or a handle from {!iter}
+    on a reader whose target was the writer's schema when the stream
+    was created. This is the one place that decides how a row reaches a
+    block: a row-major writer copies a row-major entry stored under its
+    own schema version as the entry's stored bytes ({!Block.add_entry})
+    and encodes any other row once; a column-major writer takes the
+    decoded row. *)
+val add : writer -> key:string -> ts:int64 -> row -> unit
 
-(** Add a full decoded row (the writer's schema). Works for both
-    layouts. The writer derives the Bloom column-boundary prefixes from
-    [key] itself, as for every other entry point; [key_prefixes] is
-    ignored and kept only for existing callers. *)
+(** [add_row w ~key ~key_prefixes ~ts row] is [add w ~key ~ts (decoded
+    row)]; [key_prefixes] is ignored (the writer derives the Bloom
+    prefixes from [key]). *)
 val add_row :
   writer -> key:string -> key_prefixes:string list -> ts:int64 ->
   Value.t array -> unit
@@ -133,31 +162,6 @@ type scan_counters = {
 
 val fresh_counters : unit -> scan_counters
 
-(** {2 Row handles}
-
-    Scans hand out rows as handles and decode a row only once the query
-    has accepted it. A handle is either a row already decoded (a
-    memtable row, or a row of a columnar block's materialized window) or
-    a reference to an entry of a loaded row-major block: the block, the
-    entry index, the key and the schemas to decode under. {!force}
-    decodes it, translated to the target schema the reader had when the
-    scan was created. So a row that {!Cursor.filter_ts} drops, that
-    {!Cursor.merge} shadows, or that a limit cuts off is never decoded.
-
-    Loaded blocks are immutable and a handle holds nothing mutable, so a
-    handle stays valid after its block leaves the cache or its tablet is
-    released, and a {!Lt_exec.Pscan} worker may hand it to the consumer
-    domain, which forces it there. *)
-
-type row
-
-(** A row that is already decoded, as a memtable holds it. *)
-val decoded : Value.t array -> row
-
-(** The row under the target schema. Decodes a block entry each time it
-    is called; force a handle once. *)
-val force : row -> Value.t array
-
 (** [iter r ~asc ?lo ?hi ?projection ?counters ()] streams the rows with
     encoded keys in [\[lo, hi)], ascending or descending, as handles.
     Row-major entries stay encoded until forced. A columnar block
@@ -179,16 +183,6 @@ val iter :
   unit ->
   unit ->
   (string * row) option
-
-(** [iter_encoded r] streams every row ascending as [(key, value)], the
-    value encoded ({!Row_codec}) under the reader's target schema as it
-    stands when the stream is created — what merges and rewrites feed to
-    {!add}. Row-major blocks written under that schema hand out their
-    stored value bytes untouched; rows of other blocks (an older schema
-    version, or column-major) are decoded, translated and re-encoded.
-    It walks the blocks with the same walker as {!iter}.
-    Single-consumer. *)
-val iter_encoded : reader -> unit -> (string * string) option
 
 (** [fold_aggs r ?counters ~lo ~hi ~ts_min ~ts_max ~specs ~accs ()]
     folds every row with key in [\[lo, hi)] and timestamp in

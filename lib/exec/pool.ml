@@ -18,8 +18,8 @@ let default_domains () = max 1 (Domain.recommended_domain_count () - 2)
 (* Workers pull tasks until shutdown; a stopping pool still drains the
    queue so outstanding producer tasks always reach their completion
    bookkeeping. A raising task never kills its worker: task authors
-   (futures, Pscan producers) capture exceptions themselves, so anything
-   escaping here has nowhere better to go than the floor. *)
+   (Pscan producers) capture exceptions themselves, so anything escaping
+   here has nowhere better to go than the floor. *)
 let rec worker t =
   let task =
     Mutexes.with_lock t.mutex (fun () ->
@@ -51,51 +51,9 @@ let create ~domains =
 
 let submit_task t task =
   Mutexes.with_lock t.mutex (fun () ->
-      if t.stopping then invalid_arg "Pool.submit: pool is shut down";
+      if t.stopping then invalid_arg "Pool.submit_task: pool is shut down";
       Queue.push task t.tasks;
       Condition.signal t.has_work)
-
-type 'a fstate =
-  | Pending
-  | Done of 'a
-  | Failed of exn * Printexc.raw_backtrace
-
-type 'a future = {
-  f_mutex : Mutex.t;
-  f_cond : Condition.t;
-  mutable f_state : 'a fstate;
-}
-
-let submit t f =
-  let fut =
-    { f_mutex = Mutex.create (); f_cond = Condition.create (); f_state = Pending }
-  in
-  submit_task t (fun () ->
-      let r =
-        match f () with
-        | v -> Done v
-        | exception e -> Failed (e, Printexc.get_raw_backtrace ())
-      in
-      Mutexes.with_lock fut.f_mutex (fun () ->
-          fut.f_state <- r;
-          Condition.broadcast fut.f_cond));
-  fut
-
-let await fut =
-  Mutexes.with_lock fut.f_mutex (fun () ->
-      let rec wait () =
-        match fut.f_state with
-        | Pending ->
-            Condition.wait fut.f_cond fut.f_mutex;
-            wait ()
-        | Done v -> v
-        | Failed (e, bt) -> Printexc.raise_with_backtrace e bt
-      in
-      wait ())
-
-let map t f xs =
-  let futs = List.map (fun x -> submit t (fun () -> f x)) xs in
-  List.map await futs
 
 let shutdown t =
   let workers =

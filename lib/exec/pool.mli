@@ -3,9 +3,7 @@
     The one place in the tree that spawns domains (the [domain-discipline]
     lint rule flags [Domain.spawn]/[Domain.join] anywhere else), so worker
     counts, shutdown, and queue behaviour stay centralized. Tasks are run
-    FIFO by [domains] long-lived worker domains; {!submit} wraps a task in
-    a future whose {!await} re-raises the task's exception (with its
-    backtrace) in the caller.
+    FIFO by [domains] long-lived worker domains.
 
     Tasks must never block on other pool tasks: every consumer-side wait
     in the engine ({!Pscan}) is designed so producer tasks always run to
@@ -28,23 +26,10 @@ val size : t -> int
 val default_domains : unit -> int
 
 (** Fire-and-forget submission. Tasks run FIFO; a raising task is
-    swallowed (use {!submit} when the caller needs the outcome).
+    swallowed and its worker keeps running, so a task that needs its
+    outcome reported captures it itself (as {!Pscan} producers do).
     @raise Invalid_argument after {!shutdown}. *)
 val submit_task : t -> task -> unit
-
-type 'a future
-
-(** @raise Invalid_argument after {!shutdown}. *)
-val submit : t -> (unit -> 'a) -> 'a future
-
-(** Block until the task completes; returns its value or re-raises its
-    exception with the worker-side backtrace. *)
-val await : 'a future -> 'a
-
-(** [map t f xs] runs [f] over [xs] on the pool and awaits the results
-    in order. The first exception (in list order) re-raises after every
-    task has been submitted. *)
-val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Stop accepting work, drain queued tasks, and join every worker
     domain. Idempotent; safe to call from any thread that is not a

@@ -23,8 +23,6 @@ type 'a buf = {
 type 'a t = {
   pool : Pool.t;
   cancel : Cancel.t;
-  chunk_rows : int;
-  depth : int;
   now_us : unit -> int64;
   on_worker : busy_us:int64 -> rows:int -> unit;
   on_stall : int64 -> unit;
@@ -55,6 +53,12 @@ let report t b =
   in
   if fire then t.on_worker ~busy_us:b.busy_us ~rows:b.rows
 
+(* Rows a producer pulls per round, and chunks it may buffer ahead of
+   its consumer before it parks. *)
+let chunk_rows = 128
+
+let depth = 4
+
 (* One producer round: pull up to [chunk_rows] rows (checking the cancel
    token between rows), publish the chunk, then either reschedule itself,
    pause ([Idle], when the consumer is [depth] chunks behind), or retire
@@ -68,7 +72,7 @@ let rec producer t b =
   let outcome =
     try
       let rec pull () =
-        if !n >= t.chunk_rows then `More
+        if !n >= chunk_rows then `More
         else if Cancel.is_set t.cancel then `Drained
         else
           match b.src () with
@@ -106,7 +110,7 @@ let rec producer t b =
               b.st <- Exhausted;
               `Retire_terminal
           | `More ->
-              if Queue.length b.chunks >= t.depth then begin
+              if Queue.length b.chunks >= depth then begin
                 b.st <- Idle;
                 `Retire_idle
               end
@@ -198,10 +202,8 @@ let finish t () =
      their accumulators so every source reports exactly once. *)
   List.iter (fun b -> report t b) t.bufs
 
-let stage pool ?(chunk_rows = 128) ?(depth = 4) ?(now_us = fun () -> 0L)
+let stage pool ?(now_us = fun () -> 0L)
     ?(on_worker = fun ~busy_us:_ ~rows:_ -> ()) ?(on_stall = fun _ -> ()) sources =
-  if chunk_rows < 1 then invalid_arg "Pscan.stage: chunk_rows must be >= 1";
-  if depth < 1 then invalid_arg "Pscan.stage: depth must be >= 1";
   let bufs =
     List.map
       (fun (_prio, src) ->
@@ -221,8 +223,6 @@ let stage pool ?(chunk_rows = 128) ?(depth = 4) ?(now_us = fun () -> 0L)
     {
       pool;
       cancel = Cancel.create ();
-      chunk_rows;
-      depth;
       now_us;
       on_worker;
       on_stall;

@@ -22,11 +22,10 @@
     Early-terminating queries ([limit], latest-row) rely on this to
     cancel workers they no longer need. *)
 
-(** [stage pool ?chunk_rows ?depth ?now_us ?on_worker ?on_stall sources]
-    returns the staged sources and the [finish] function.
+(** [stage pool ?now_us ?on_worker ?on_stall sources] returns the
+    staged sources and the [finish] function. A producer round pulls 128
+    rows, and [depth] is 4 chunks.
 
-    - [chunk_rows] rows are pulled per producer round (default [128]).
-    - [depth] bounds buffered chunks per source (default [4]).
     - [now_us] supplies monotonic microseconds for the timing callbacks
       (default: constant [0L], disabling them).
     - [on_worker ~busy_us ~rows] fires exactly once per source when it
@@ -34,12 +33,9 @@
     - [on_stall dur_us] fires (outside any lock) each time the consumer
       had to wait [dur_us] > 0 for a producer mid-round — a merge stall.
 
-    Callbacks run on whichever domain triggers them and must not raise.
-    @raise Invalid_argument when [chunk_rows < 1] or [depth < 1]. *)
+    Callbacks run on whichever domain triggers them and must not raise. *)
 val stage :
   Pool.t ->
-  ?chunk_rows:int ->
-  ?depth:int ->
   ?now_us:(unit -> int64) ->
   ?on_worker:(busy_us:int64 -> rows:int -> unit) ->
   ?on_stall:(int64 -> unit) ->

@@ -133,13 +133,13 @@ let hello t =
   | Protocol.Error msg -> raise (Remote_error msg)
   | _ -> raise (Remote_error "bad hello response")
 
-(* Take every pending buffered row out, oldest first. Removing rows
-   [before] the wire write is the no-replay guarantee: whatever happens
-   to the send, the buffer never holds a row the server might already
-   have, so a later flush or reconnect cannot double-insert. *)
-(* Assemble the pending groups into a finished [Insert_batch] payload
-   (the groups section in wire order) and empty the buffer, in one
-   locked step. Returns [None] when nothing is pending. *)
+(* Take every pending buffered row out, oldest first, as a finished
+   [Insert_batch] payload (the groups section in wire order), emptying
+   the buffer in the same locked step; [None] when nothing is pending.
+   Emptying the buffer before the wire write is the no-replay
+   guarantee: whatever happens to the send, the buffer never holds a
+   row the server might already have, so a later flush or reconnect
+   cannot double-insert. *)
 let take_pending t =
   Lt_util.Mutexes.with_lock t.mutex (fun () ->
       match t.buf_groups with

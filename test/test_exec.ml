@@ -14,23 +14,45 @@ let with_pool ~domains f =
   let pool = Pool.create ~domains in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
-let test_pool_map_order () =
-  with_pool ~domains:2 (fun pool ->
-      let xs = List.init 200 Fun.id in
-      Alcotest.(check (list int))
-        "map returns results in submission order"
-        (List.map (fun x -> x * x) xs)
-        (Pool.map pool (fun x -> x * x) xs))
+(* Run [tasks] on the pool and wait for every result, in list order. *)
+let run_all pool tasks =
+  let m = Mutex.create () and c = Condition.create () in
+  let results = Array.make (List.length tasks) None in
+  let left = ref (List.length tasks) in
+  List.iteri
+    (fun i f ->
+      Pool.submit_task pool (fun () ->
+          let r = f () in
+          Lt_util.Mutexes.with_lock m (fun () ->
+              results.(i) <- Some r;
+              decr left;
+              if !left = 0 then Condition.signal c)))
+    tasks;
+  Lt_util.Mutexes.with_lock m (fun () ->
+      while !left > 0 do Condition.wait c m done);
+  Array.to_list (Array.map Option.get results)
 
-let test_pool_exception () =
-  with_pool ~domains:1 (fun pool ->
-      let fut = Pool.submit pool (fun () -> raise (Boom 7)) in
-      (match Pool.await fut with
-      | _ -> Alcotest.fail "await should re-raise the task's exception"
-      | exception Boom 7 -> ());
-      (* A raising task must not kill its worker. *)
-      Support.check_int "pool alive after exception" 3
-        (Pool.await (Pool.submit pool (fun () -> 3))))
+let test_pool_fifo () =
+  let pool = Pool.create ~domains:1 in
+  let order = ref [] in
+  for i = 1 to 200 do
+    Pool.submit_task pool (fun () -> order := i :: !order)
+  done;
+  (* Shutdown drains the queue and joins the one worker. *)
+  Pool.shutdown pool;
+  Alcotest.(check (list int))
+    "one worker runs tasks in submission order" (List.init 200 succ)
+    (List.rev !order)
+
+let test_pool_raising_task () =
+  let pool = Pool.create ~domains:1 in
+  let ran = Atomic.make false in
+  Pool.submit_task pool (fun () -> raise (Boom 7));
+  Pool.submit_task pool (fun () -> Atomic.set ran true);
+  (* A worker killed by the first task would leave the second queued,
+     and joining it would re-raise [Boom]. *)
+  Pool.shutdown pool;
+  Support.check_bool "the task after a raising one ran" true (Atomic.get ran)
 
 let test_pool_shutdown () =
   let pool = Pool.create ~domains:2 in
@@ -51,7 +73,7 @@ let test_pool_reuse () =
       (* Many sequential batches through the same pool: the workers are
          long-lived, not per-batch. *)
       for round = 1 to 20 do
-        let got = Pool.map pool (fun x -> x + round) [ 1; 2; 3; 4 ] in
+        let got = run_all pool (List.map (fun x () -> x + round) [ 1; 2; 3; 4 ]) in
         Alcotest.(check (list int))
           (Printf.sprintf "round %d" round)
           [ 1 + round; 2 + round; 3 + round; 4 + round ]
@@ -86,15 +108,15 @@ let test_pscan_order () =
         let i = ref 0 in
         ( n,
           fun () ->
-            if !i >= 500 then None
+            if !i >= 2000 then None
             else begin
               incr i;
               Some ((n * 1000) + !i)
             end )
       in
-      let staged, finish =
-        Pscan.stage pool ~chunk_rows:7 ~depth:2 [ mk 1; mk 2; mk 3 ]
-      in
+      (* 2,000 rows a source: 16 chunks of 128, so each producer fills
+         its 4-chunk depth and parks before its consumer catches up. *)
+      let staged, finish = Pscan.stage pool [ mk 1; mk 2; mk 3 ] in
       let got = List.map (fun (p, src) -> (p, drain src)) staged in
       finish ();
       Support.check_int "priorities preserved" 3 (List.length got);
@@ -102,7 +124,7 @@ let test_pscan_order () =
         (fun (p, vs) ->
           Alcotest.(check (list int))
             (Printf.sprintf "source %d ordered and complete" p)
-            (List.init 500 (fun i -> (p * 1000) + i + 1))
+            (List.init 2000 (fun i -> (p * 1000) + i + 1))
             vs)
         got)
 
@@ -114,9 +136,7 @@ let test_pscan_cancel () =
         Some (Atomic.get pulled)
       in
       (* An infinite source: only cancellation can stop its producer. *)
-      let staged, finish =
-        Pscan.stage pool ~chunk_rows:8 ~depth:2 [ (0, src) ]
-      in
+      let staged, finish = Pscan.stage pool [ (0, src) ] in
       let _, s = List.hd staged in
       for _ = 1 to 5 do
         ignore (s ())
@@ -124,11 +144,12 @@ let test_pscan_cancel () =
       finish ();
       let after = Atomic.get pulled in
       (* Credit-based flow control bounds production to the buffered
-         chunks plus one in-flight chunk. *)
+         chunks (depth 4) plus the popped and one in-flight chunk, 128
+         rows each. *)
       Support.check_bool
         (Printf.sprintf "production bounded by backpressure (pulled %d)" after)
         true
-        (after <= 8 * 4);
+        (after <= 128 * 6);
       Thread.delay 0.05;
       Support.check_int "no production after finish returned" after
         (Atomic.get pulled))
@@ -138,11 +159,10 @@ let test_pscan_failure () =
       let i = ref 0 in
       let src () =
         incr i;
-        if !i > 10 then raise (Boom !i) else Some !i
+        if !i > 300 then raise (Boom !i) else Some !i
       in
-      let staged, finish =
-        Pscan.stage pool ~chunk_rows:4 ~depth:2 [ (0, src) ]
-      in
+      (* The failure comes in the third 128-row chunk. *)
+      let staged, finish = Pscan.stage pool [ (0, src) ] in
       let _, s = List.hd staged in
       let seen = ref [] in
       (match
@@ -156,10 +176,10 @@ let test_pscan_failure () =
          go ()
        with
       | () -> Alcotest.fail "source failure should propagate to consumer"
-      | exception Boom 11 -> ());
+      | exception Boom 301 -> ());
       finish ();
       Alcotest.(check (list int))
-        "rows before the failure all delivered" (List.init 10 (fun i -> i + 1))
+        "rows before the failure all delivered" (List.init 300 (fun i -> i + 1))
         (List.rev !seen))
 
 let test_pscan_empty_sources () =
@@ -299,8 +319,9 @@ let test_fanout_metric () =
 
 let suite =
   [
-    Alcotest.test_case "pool: map order" `Quick test_pool_map_order;
-    Alcotest.test_case "pool: exception propagation" `Quick test_pool_exception;
+    Alcotest.test_case "pool: FIFO on one worker" `Quick test_pool_fifo;
+    Alcotest.test_case "pool: raising task keeps its worker" `Quick
+      test_pool_raising_task;
     Alcotest.test_case "pool: shutdown drains and joins" `Quick
       test_pool_shutdown;
     Alcotest.test_case "pool: reuse across batches" `Quick test_pool_reuse;

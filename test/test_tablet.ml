@@ -17,12 +17,32 @@ let test_block_roundtrip () =
   Alcotest.(check int) "decoded count" 100 (Block.count blk);
   List.iteri
     (fun i (key, value) ->
-      let e = Block.entry blk i in
-      Alcotest.(check string) "key" key e.Block.key;
-      Alcotest.(check string) "value" value e.Block.value)
+      let off, len = Block.value_span blk i in
+      Alcotest.(check string) "key" key (Block.key blk i);
+      Alcotest.(check string) "value" value (String.sub (Block.data blk) off len))
     entries;
   (* The builder reset: reusable. *)
-  Alcotest.(check int) "reset" 0 (Block.entry_count b)
+  Alcotest.(check int) "reset" 0 (Block.entry_count b);
+  (* Copying every entry as its stored bytes rebuilds the same block. *)
+  List.iteri (fun i (key, _) -> Block.add_entry b ~key blk i) entries;
+  Alcotest.(check string) "add_entry copies" data (Block.finish b);
+  match Block.add_entry b ~key:"k" blk 0 with
+  | () -> Alcotest.fail "add_entry accepted a key of another length"
+  | exception Invalid_argument _ -> ()
+
+let test_block_add_entry_checks_span () =
+  let b = Block.builder () in
+  Block.add b ~key:"a" ~value:"xy";
+  Block.add b ~key:"b" ~value:"z";
+  let data = Bytes.of_string (Block.finish b) in
+  (* Entry 0's value length sits after the row count, two offsets, the
+     key length and the key; make it claim one byte past its span. *)
+  Alcotest.(check char) "value length byte" '\x02' (Bytes.get data 11);
+  Bytes.set data 11 '\x03';
+  let blk = Block.decode (Bytes.to_string data) in
+  match Block.add_entry (Block.builder ()) ~key:"a" blk 0 with
+  | () -> Alcotest.fail "add_entry copied an entry that overruns its span"
+  | exception Lt_util.Binio.Corrupt _ -> ()
 
 let test_block_ordering_enforced () =
   let b = Block.builder () in
@@ -69,8 +89,7 @@ let write_tablet ?(bloom = 10) ?(block_size = 1024) vfs path rows =
   List.iter
     (fun row ->
       let key = Key_codec.encode_key schema row in
-      Tablet.add w ~key ~ts:(Schema.row_ts schema row)
-        ~value:(Row_codec.encode_value schema row))
+      Tablet.add w ~key ~ts:(Schema.row_ts schema row) (Tablet.decoded row))
     rows;
   Tablet.finish w
 
@@ -166,7 +185,7 @@ let test_abandon () =
   in
   let row = mk_row 0 in
   let key = Key_codec.encode_key schema row in
-  Tablet.add w ~key ~ts:0L ~value:(Row_codec.encode_value schema row);
+  Tablet.add w ~key ~ts:0L (Tablet.decoded row);
   Tablet.abandon w;
   Alcotest.(check bool) "file removed" false (Vfs.exists vfs "a.tab")
 
@@ -237,8 +256,7 @@ let test_large_values () =
             ~bloom_bits_per_key:10 ~expected_rows:5 () in
   for i = 0 to 4 do
     let key = Key_codec.encode_key s (row i) in
-    Tablet.add w ~key ~ts:(Int64.of_int i)
-      ~value:(Row_codec.encode_value s (row i))
+    Tablet.add w ~key ~ts:(Int64.of_int i) (Tablet.decoded (row i))
   done;
   let summary = Tablet.finish w in
   Alcotest.(check int) "rows" 5 summary.Tablet.row_count;
@@ -290,9 +308,10 @@ let write_source vfs path (s, layout, rows) =
   ignore (Tablet.finish w)
 
 (* Merge [sources] into a tablet under [into] two ways and compare the
-   files: the encoded path the engine uses ([iter_encoded] streams, value
-   bytes into [add]) against the reference loop merges used to run
-   (decoded rows, the key re-encoded with its prefixes, [add_row]). *)
+   files: the path the engine uses ([iter] handles into [add], which
+   copies stored entries and encodes the rest) against the reference
+   loop merges used to run (forced rows, the key re-encoded with its
+   prefixes, [add_row]). *)
 let check_merge_identity ~expected_rows ~into ~layout sources =
   let vfs = Vfs.memory () in
   let readers =
@@ -322,9 +341,9 @@ let check_merge_identity ~expected_rows ~into ~layout sources =
   in
   let encoded =
     merged
-      (List.map (fun (i, r) -> (i, Tablet.iter_encoded r)) readers)
+      (List.map (fun (i, r) -> (i, Tablet.iter r ~asc:true ())) readers)
       "encoded.tab"
-      (fun w key value -> Tablet.add w ~key ~ts:(Key_codec.ts_of_key key) ~value)
+      (fun w key h -> Tablet.add w ~key ~ts:(Key_codec.ts_of_key key) h)
   in
   let reference =
     merged
@@ -375,6 +394,50 @@ let test_merge_identity_columnar () =
   check_merge_identity ~expected_rows:900 ~into:v1 ~layout:Block.Col_major sources;
   check_merge_identity ~expected_rows:900 ~into:v1 ~layout:Block.Row_major sources
 
+(* A merge or rewrite creates its stream under the lock that reads the
+   output schema, so a schema change after that (here [set_target_schema]
+   to a wider schema) must not change what the stream hands the writer:
+   the file equals the one written from forced rows of a reader that was
+   never retargeted. Sources stored under an older schema (rows are
+   translated and encoded) and under the writer's (entries are copied). *)
+let test_rewrite_stream_keeps_schema () =
+  let v1 = add_flags event_schema in
+  let v2 =
+    Schema.add_column v1
+      { Schema.name = "extra"; ctype = Value.T_int64; default = Value.Int64 5L }
+  in
+  let rows = List.init 300 event_row in
+  List.iter
+    (fun (stored, rows) ->
+      let vfs = Vfs.memory () in
+      write_source vfs "src.tab" (stored, Block.Row_major, rows);
+      let copy ~retarget path add =
+        let r = Tablet.open_reader vfs ~path:"src.tab" ~into:v1 in
+        let it = Tablet.iter r ~asc:true () in
+        if retarget then Tablet.set_target_schema r v2;
+        let w =
+          Tablet.writer vfs ~path ~schema:v1 ~block_size:1024
+            ~bloom_bits_per_key:10 ~expected_rows:(List.length rows) ()
+        in
+        Cursor.fold
+          (fun () (key, h) -> add w ~key ~ts:(Key_codec.ts_of_key key) h)
+          () it;
+        ignore (Tablet.finish w);
+        Tablet.close r;
+        Vfs.read_all vfs path
+      in
+      let streamed = copy ~retarget:true "streamed.tab" Tablet.add in
+      let reference =
+        copy ~retarget:false "reference.tab" (fun w ~key ~ts h ->
+            Tablet.add_row w ~key ~key_prefixes:[] ~ts (Tablet.force h))
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "stored v%d: byte-identical" (Schema.version stored))
+        true
+        (String.equal reference streamed))
+    [ (event_schema, rows);
+      (v1, List.map (fun r -> Array.append r [| Value.Int32 9l |]) rows) ]
+
 (* ---- Block walker ----------------------------------------------------- *)
 
 (* A scan bound drawn from the tablet's own keys: a stored key, the keys
@@ -418,11 +481,10 @@ let block_last_keys layout keyed =
         (fun () -> Block.col_raw_size b)
         (fun () -> ignore (Block.col_finish b))
 
-(* [iter] in both directions and [iter_encoded] against a reference
-   filter over the rows written, for random rows spread over many small
-   blocks in both layouts, read as stored or under an evolved schema,
-   with bounds at and around stored keys and block edges (including
-   [lo >= hi]). *)
+(* [iter] in both directions against a reference filter over the rows
+   written, for random rows spread over many small blocks in both
+   layouts, read as stored or under an evolved schema, with bounds at
+   and around stored keys and block edges (including [lo >= hi]). *)
 let prop_block_walker =
   let gen =
     QCheck.Gen.(
@@ -489,15 +551,8 @@ let prop_block_walker =
       in
       let asc = drain (Tablet.iter r ~asc:true ?lo ?hi ()) in
       let desc = drain (Tablet.iter r ~asc:false ?lo ?hi ()) in
-      let encoded = Cursor.to_list (Tablet.iter_encoded r) in
-      let expected_encoded =
-        List.map
-          (fun (k, row) ->
-            (k, Row_codec.encode_value into (Schema.translate_row ~from:schema ~into row)))
-          keyed
-      in
       Tablet.close r;
-      asc = expected && desc = List.rev expected && encoded = expected_encoded)
+      asc = expected && desc = List.rev expected)
 
 (* ---- Descriptor ------------------------------------------------------ *)
 
@@ -637,6 +692,8 @@ let prop_keys_in_place =
 let suite =
   [
     ("block roundtrip", `Quick, test_block_roundtrip);
+    ("block add_entry checks the entry's span", `Quick,
+     test_block_add_entry_checks_span);
     ("block ordering enforced", `Quick, test_block_ordering_enforced);
     ("block binary search", `Quick, test_block_search);
     ("block raw size tracking", `Quick, test_block_raw_size_tracks);
@@ -652,6 +709,8 @@ let suite =
     ("encoded merge = decoded: string keys", `Quick, test_merge_identity_string_keys);
     ("encoded merge = decoded: schema versions", `Quick, test_merge_identity_schema_versions);
     ("encoded merge = decoded: columnar", `Quick, test_merge_identity_columnar);
+    ("a rewrite stream keeps the schema it was created with", `Quick,
+     test_rewrite_stream_keeps_schema);
     Support.qcheck prop_block_walker;
     Support.qcheck prop_keys_in_place;
     ("descriptor roundtrip", `Quick, test_descriptor_roundtrip);
