@@ -5,33 +5,33 @@ type layout = Row_major | Col_major
 (* The payload is built incrementally in one buffer, so a row reaches it
    either as its stored entry bytes ({!add_entry}) or as a value encoded
    once into a caller-owned buffer ({!add_enc}), never as a per-row
-   value string. *)
+   value string. The offset table is built as its serialized bytes, and
+   the first and last keys are plain fields read only once [count > 0],
+   so an entry costs the builder no allocation of its own. *)
 type builder = {
   payload : Buffer.t;
-  mutable offsets : int list;  (** reversed *)
+  offsets : Buffer.t;  (** u32 per entry, as {!finish} writes them *)
   mutable count : int;
-  mutable first : string option;
-  mutable last : string option;
+  mutable first : string;
+  mutable last : string;
 }
 
 let builder () =
   { payload = Buffer.create 4096;
-    offsets = [];
+    offsets = Buffer.create 1024;
     count = 0;
-    first = None;
-    last = None }
+    first = "";
+    last = "" }
 
 (* The ordering check and bookkeeping every entry goes through, before
    its bytes are appended at the recorded offset. *)
 let start_entry b ~key =
-  (match b.last with
-  | Some last when String.compare key last <= 0 ->
-      invalid_arg "Block.add: keys must be strictly ascending"
-  | _ -> ());
-  b.offsets <- Buffer.length b.payload :: b.offsets;
+  if b.count > 0 && String.compare key b.last <= 0 then
+    invalid_arg "Block.add: keys must be strictly ascending";
+  Binio.put_u32 b.offsets (Buffer.length b.payload);
+  if b.count = 0 then b.first <- key;
   b.count <- b.count + 1;
-  if b.first = None then b.first <- Some key;
-  b.last <- Some key
+  b.last <- key
 
 let add_enc b ~key value =
   start_entry b ~key;
@@ -46,22 +46,22 @@ let add b ~key ~value =
 
 let entry_count b = b.count
 
-let raw_size b = Buffer.length b.payload + (4 * b.count) + 5
+let raw_size b = Buffer.length b.payload + Buffer.length b.offsets + 5
 
-let last_key b = b.last
+let last_key b = if b.count = 0 then None else Some b.last
 
-let first_key b = b.first
+let first_key b = if b.count = 0 then None else Some b.first
 
 let finish b =
   let out = Buffer.create (raw_size b) in
   Binio.put_varint out b.count;
-  List.iter (fun off -> Binio.put_u32 out off) (List.rev b.offsets);
+  Buffer.add_buffer out b.offsets;
   Buffer.add_buffer out b.payload;
   Buffer.clear b.payload;
-  b.offsets <- [];
+  Buffer.clear b.offsets;
   b.count <- 0;
-  b.first <- None;
-  b.last <- None;
+  b.first <- "";
+  b.last <- "";
   Buffer.contents out
 
 (* {1 Columnar building} *)
@@ -454,7 +454,13 @@ let columnar_rows ?cols t schema ~first ~last =
     invalid_arg "Block.columnar_rows: window outside the block";
   let columns = Schema.columns schema in
   let defaults = Array.map (fun c -> c.Schema.default) columns in
-  let out = Array.init (last - first) (fun _ -> Array.copy defaults) in
+  (* Created from the static [[||]] and then filled: an array of more
+     than 256 rows is allocated on the major heap, and creating it from
+     a young row (as [Array.init] does) forces a minor collection. *)
+  let out = Array.make (last - first) [||] in
+  for i = 0 to last - first - 1 do
+    out.(i) <- Array.copy defaults
+  done;
   (* Primary-key columns are never stored as sections; every row's key
      values are decoded straight out of the key section. *)
   for i = first to last - 1 do

@@ -1,9 +1,14 @@
 open Lt_util
 
-let put_be64 buf x =
+(* Big-endian bytes of [x lxor mask]. The mask is applied inside the
+   loop so a caller passes the value it already holds: a computed int64
+   handed to a function that is not inlined is boxed. *)
+let put_be64_xor buf x mask =
   for i = 7 downto 0 do
     Buffer.add_char buf
-      (Char.chr (Int64.to_int (Int64.shift_right_logical x (i * 8)) land 0xff))
+      (Char.unsafe_chr
+         (Int64.to_int (Int64.shift_right_logical (Int64.logxor x mask) (i * 8))
+         land 0xff))
   done
 
 (* One bounds-checked 8-byte read. *)
@@ -16,24 +21,23 @@ let get_be64 cur =
 
 let flip_i64 x = Int64.logxor x Int64.min_int
 
-(* IEEE-754 total order: flip all bits of negatives, just the sign bit of
-   non-negatives. Monotone w.r.t. Float.compare (including -0.0 < 0.0). *)
-let double_to_ordered f =
-  let bits = Int64.bits_of_float f in
-  if Int64.compare bits 0L < 0 then Int64.lognot bits else flip_i64 bits
-
+(* Inverts the total-order transform of [encode_value]'s doubles. *)
 let double_of_ordered x =
   if Int64.compare x 0L < 0 then Int64.float_of_bits (flip_i64 x)
   else Int64.float_of_bits (Int64.lognot x)
 
+(* Most strings hold no 0x00/0x01 byte and are appended in one piece. *)
 let encode_string buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '\x00' -> Buffer.add_string buf "\x01\x01"
-      | '\x01' -> Buffer.add_string buf "\x01\x02"
-      | c -> Buffer.add_char buf c)
-    s;
+  let n = String.length s in
+  let i = ref 0 in
+  while !i < n && Char.code (String.unsafe_get s !i) > 0x01 do incr i done;
+  Buffer.add_substring buf s 0 !i;
+  for j = !i to n - 1 do
+    match String.unsafe_get s j with
+    | '\x00' -> Buffer.add_string buf "\x01\x01"
+    | '\x01' -> Buffer.add_string buf "\x01\x02"
+    | c -> Buffer.add_char buf c
+  done;
   Buffer.add_char buf '\x00'
 
 (* The slow path: unescape from the cursor into a buffer. *)
@@ -79,13 +83,74 @@ let encode_value buf = function
       let x = Int32.logxor x Int32.min_int in
       for i = 3 downto 0 do
         Buffer.add_char buf
-          (Char.chr (Int32.to_int (Int32.shift_right_logical x (i * 8)) land 0xff))
+          (Char.unsafe_chr
+             (Int32.to_int (Int32.shift_right_logical x (i * 8)) land 0xff))
       done
-  | Value.Int64 x -> put_be64 buf (flip_i64 x)
-  | Value.Timestamp x -> put_be64 buf (flip_i64 x)
-  | Value.Double f -> put_be64 buf (double_to_ordered f)
-  | Value.String s -> encode_string buf s
-  | Value.Blob s -> encode_string buf s
+  | Value.Int64 x | Value.Timestamp x -> put_be64_xor buf x Int64.min_int
+  | Value.Double f ->
+      (* IEEE-754 total order: flip all bits of negatives, just the sign
+         bit of non-negatives. Monotone w.r.t. Float.compare (including
+         -0.0 < 0.0). *)
+      let bits = Int64.bits_of_float f in
+      let bits =
+        if bits < 0L then Int64.lognot bits else Int64.logxor bits Int64.min_int
+      in
+      for i = 7 downto 0 do
+        Buffer.add_char buf
+          (Char.unsafe_chr
+             (Int64.to_int (Int64.shift_right_logical bits (i * 8)) land 0xff))
+      done
+  | Value.String s | Value.Blob s -> encode_string buf s
+
+(* Cells held as {!Value.encode} stores them: a number's little-endian
+   bytes, a string's bytes after its length. Their key form is written
+   straight into the key's bytes, whose length is known up front. *)
+let check_cell data ~off ~len =
+  if off < 0 || len < 0 || off + len > String.length data then
+    invalid_arg "Key_codec: cell outside the data"
+
+let cell_size ctype data ~off ~len =
+  check_cell data ~off ~len;
+  match ctype with
+  | Value.T_int32 -> 4
+  | Value.T_int64 | Value.T_timestamp | Value.T_double -> 8
+  | Value.T_string | Value.T_blob ->
+      let n = ref (len + 1) in
+      for i = off to off + len - 1 do
+        if Char.code (String.unsafe_get data i) <= 0x01 then incr n
+      done;
+      !n
+
+let blit_cell ctype data ~off ~len dst ~pos =
+  check_cell data ~off ~len;
+  match ctype with
+  | Value.T_int32 ->
+      Bytes.set_int32_be dst pos
+        (Int32.logxor (String.get_int32_le data off) Int32.min_int);
+      pos + 4
+  | Value.T_int64 | Value.T_timestamp ->
+      Bytes.set_int64_be dst pos
+        (Int64.logxor (String.get_int64_le data off) Int64.min_int);
+      pos + 8
+  | Value.T_double ->
+      (* The total-order transform of [encode_value]. *)
+      let bits = String.get_int64_le data off in
+      Bytes.set_int64_be dst pos
+        (if bits < 0L then Int64.lognot bits else Int64.logxor bits Int64.min_int);
+      pos + 8
+  | Value.T_string | Value.T_blob ->
+      let p = ref pos in
+      for i = off to off + len - 1 do
+        (match String.unsafe_get data i with
+        | ('\x00' | '\x01') as c ->
+            Bytes.set dst !p '\x01';
+            incr p;
+            Bytes.set dst !p (Char.unsafe_chr (Char.code c + 1))
+        | c -> Bytes.set dst !p c);
+        incr p
+      done;
+      Bytes.set dst !p '\x00';
+      !p + 1
 
 (* Exact size of [encode_value]'s output, without producing it: strings
    pay one extra byte per escaped 0x00/0x01 plus the terminator. *)
@@ -116,9 +181,15 @@ let decode_value ctype cur =
   | Value.T_string -> Value.String (decode_string cur)
   | Value.T_blob -> Value.Blob (decode_string cur)
 
+let encode_key_into buf schema row =
+  let pkey = Schema.pkey schema in
+  for j = 0 to Array.length pkey - 1 do
+    encode_value buf row.(pkey.(j))
+  done
+
 let encode_key schema row =
   let buf = Buffer.create 32 in
-  Array.iter (fun i -> encode_value buf row.(i)) (Schema.pkey schema);
+  encode_key_into buf schema row;
   Buffer.contents buf
 
 let encode_key_with_prefixes schema row =
@@ -184,10 +255,11 @@ let decode_key schema key =
   vs
 
 let decode_key_into schema cur row =
-  let cols = Schema.columns schema in
-  Array.iter
-    (fun i -> row.(i) <- decode_value cols.(i).Schema.ctype cur)
-    (Schema.pkey schema);
+  let cols = Schema.columns schema and pkey = Schema.pkey schema in
+  for j = 0 to Array.length pkey - 1 do
+    let i = pkey.(j) in
+    row.(i) <- decode_value cols.(i).Schema.ctype cur
+  done;
   Binio.expect_end cur
 
 let ts_at s ~off ~len =

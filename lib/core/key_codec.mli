@@ -22,6 +22,23 @@
 (** [encode_value buf v] appends the order-preserving form of [v]. *)
 val encode_value : Buffer.t -> Value.t -> unit
 
+(** {2 Cells in stored form}
+
+    A cell of type [ctype] held in [data] as {!Value.encode} stores it:
+    a number's 4 or 8 little-endian bytes at [off], or a string's or
+    blob's [len] bytes at [off] (the bytes after its length prefix). Its
+    key form is {!encode_value} of the decoded cell, read in place: how
+    rows arriving in wire form get their keys without a [Value.t].
+    Both raise [Invalid_argument] when the cell runs past [data]. *)
+
+(** Byte length of the cell's key form. *)
+val cell_size : Value.ctype -> string -> off:int -> len:int -> int
+
+(** [blit_cell ctype data ~off ~len dst ~pos] writes the cell's key form
+    into [dst] at [pos] and returns the position after it. *)
+val blit_cell :
+  Value.ctype -> string -> off:int -> len:int -> Bytes.t -> pos:int -> int
+
 (** [decode_value ctype cur] inverts {!encode_value}. *)
 val decode_value : Value.ctype -> Lt_util.Binio.cursor -> Value.t
 
@@ -33,6 +50,10 @@ val key_size : Schema.t -> Value.t array -> int
 
 (** Full primary key of a validated row. *)
 val encode_key : Schema.t -> Value.t array -> string
+
+(** [encode_key_into buf schema row] appends {!encode_key}'s bytes to
+    [buf]. *)
+val encode_key_into : Buffer.t -> Schema.t -> Value.t array -> unit
 
 (** [encode_key_with_prefixes schema row] is the full encoded key paired
     with every proper column-boundary prefix (1 to k-1 key columns) —

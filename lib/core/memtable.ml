@@ -1,8 +1,9 @@
-type t = {
+type 'v t = {
   id : int;
   period : Period.t;
   created_at : int64;
-  mutable tree : Value.t array Avl.t;
+  mutable tree : 'v Avl.t;
+  mutable epoch : int;
   mutable bytes : int;
   mutable min_ts : int64;
   mutable max_ts : int64;
@@ -14,6 +15,7 @@ let create ~id ~period ~created_at =
     period;
     created_at;
     tree = Avl.empty;
+    epoch = 0;
     bytes = 0;
     min_ts = Int64.max_int;
     max_ts = Int64.min_int;
@@ -25,16 +27,18 @@ let period t = t.period
 
 let created_at t = t.created_at
 
-let insert t ~key ~ts row =
-  match Avl.insert key row t.tree with
-  | `Duplicate -> `Duplicate
-  | `Ok tree ->
+let insert t ~key ~ts v =
+  match Avl.insert_owned ~epoch:t.epoch key v t.tree with
+  | exception Avl.Duplicate -> `Duplicate
+  | tree ->
       t.tree <- tree;
       if ts < t.min_ts then t.min_ts <- ts;
       if ts > t.max_ts then t.max_ts <- ts;
       `Ok
 
-let mem t key = Avl.mem key t.tree
+(* A row's ts is part of its key, so a memtable whose ts span misses
+   [ts] cannot hold [key]. *)
+let mem t ~ts key = ts >= t.min_ts && ts <= t.max_ts && Avl.mem key t.tree
 
 let row_count t = Avl.length t.tree
 
@@ -43,6 +47,10 @@ let byte_size t = t.bytes
 let ts_range t =
   if Avl.is_empty t.tree then None else Some (t.min_ts, t.max_ts)
 
-let snapshot t = t.tree
+(* Moving to a new epoch freezes every node the returned root reaches:
+   later inserts copy them rather than write them. *)
+let snapshot t =
+  t.epoch <- t.epoch + 1;
+  t.tree
 
 let add_bytes t n = t.bytes <- t.bytes + n

@@ -1,9 +1,12 @@
 open Lt_util
 
+(* The per-row loops here are plain [for] loops: a closure handed to an
+   array iterator is allocated on every call, and these run once per
+   row stored, flushed or read. *)
 let encode_value_into buf schema row =
-  Array.iteri
-    (fun i v -> if not (Schema.is_pkey schema i) then Value.encode buf v)
-    row
+  for i = 0 to Array.length row - 1 do
+    if not (Schema.is_pkey schema i) then Value.encode buf row.(i)
+  done
 
 let encode_value schema row =
   let buf = Buffer.create 32 in
@@ -17,11 +20,10 @@ let decode_cursor schema ~key cur =
   let cols = Schema.columns schema in
   let row = Array.make (Array.length cols) (Value.Int32 0l) in
   Key_codec.decode_key_into schema (Binio.cursor key) row;
-  Array.iteri
-    (fun i col ->
-      if not (Schema.is_pkey schema i) then
-        row.(i) <- Value.decode col.Schema.ctype cur)
-    cols;
+  for i = 0 to Array.length cols - 1 do
+    if not (Schema.is_pkey schema i) then
+      row.(i) <- Value.decode cols.(i).Schema.ctype cur
+  done;
   Binio.expect_end cur;
   row
 
@@ -47,10 +49,9 @@ let decode_translated_slice ~from ~into ~key ~data ~off ~len =
    asserted in the model-oracle suite. *)
 let value_size schema row =
   let n = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if not (Schema.is_pkey schema i) then n := !n + Value.encoded_size v)
-    row;
+  for i = 0 to Array.length row - 1 do
+    if not (Schema.is_pkey schema i) then n := !n + Value.encoded_size row.(i)
+  done;
   !n
 
 let stored_size schema row =

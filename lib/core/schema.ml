@@ -70,19 +70,26 @@ let find_column t name =
 
 let pkey_names t = Array.to_list (Array.map (fun i -> t.columns.(i).name) t.pkey)
 
-let is_pkey t i = Array.exists (fun j -> j = i) t.pkey
+(* The per-row checks below are plain loops: they run for every column
+   of every inserted or decoded row, and a closure passed to an array
+   iterator is allocated on each call. *)
+let is_pkey t i =
+  let k = t.pkey in
+  let j = ref 0 in
+  while !j < Array.length k && k.(!j) <> i do incr j done;
+  !j < Array.length k
 
 let validate_row t row =
   if Array.length row <> Array.length t.columns then
     invalid "row has %d values, schema has %d columns" (Array.length row)
       (Array.length t.columns);
-  Array.iteri
-    (fun i v ->
-      if not (Value.matches t.columns.(i).ctype v) then
-        invalid "column %S: value %s does not match type %s" t.columns.(i).name
-          (Value.to_string v)
-          (Value.type_name t.columns.(i).ctype))
-    row
+  for i = 0 to Array.length row - 1 do
+    let v = row.(i) in
+    if not (Value.matches t.columns.(i).ctype v) then
+      invalid "column %S: value %s does not match type %s" t.columns.(i).name
+        (Value.to_string v)
+        (Value.type_name t.columns.(i).ctype)
+  done
 
 let row_ts t row =
   match row.(ts_index t) with

@@ -27,8 +27,9 @@ type t = {
   mutable schema : Schema.t;
   mutable ttl : int64 option;
   mutable next_id : int;
-  mutable filling : Memtable.t list;  (** one per active period bin *)
-  mutable frozen : Memtable.t list;  (** oldest frozen first *)
+  mutable filling : string Memtable.t list;
+      (** one per active period bin; rows are value bytes under [schema] *)
+  mutable frozen : string Memtable.t list;  (** oldest frozen first *)
   mutable disk : disk_tablet list;  (** timespan order *)
   mutable doomed_paths : string list;
       (** unreferenced tablet files awaiting deletion; guarded by
@@ -420,41 +421,49 @@ let set_ttl t ttl =
           t.ttl <- ttl;
           save_descriptor_locked t))
 
+(* Land an encoded row in memtable [mt]; [false] on a duplicate key. *)
+let land_in mt ~key ~ts value =
+  match Memtable.insert mt ~key ~ts value with
+  | `Ok ->
+      Memtable.add_bytes mt (String.length key + String.length value);
+      true
+  | `Duplicate -> false
+
 (* The one memtable rewrite: [mt]'s rows under the same id, period and
-   age, each mapped by [f] (under [t.schema]) or dropped on [None].
-   Schema changes translate every row; bulk delete drops a key range.
-   Caller holds [state]. *)
-let rebuild_memtable t f mt =
+   age, each mapped by [f] to its new key and value bytes or dropped on
+   [None]. Schema changes translate every row; bulk delete drops a key
+   range. Caller holds [state]. *)
+let rebuild_memtable f mt =
   let fresh =
     Memtable.create ~id:(Memtable.id mt) ~period:(Memtable.period mt)
       ~created_at:(Memtable.created_at mt)
   in
-  let it = Avl.iter_asc (Memtable.snapshot mt) in
-  let rec go () =
-    match Avl.next it with
-    | None -> ()
-    | Some (key, row) ->
-        (match f key row with
-        | None -> ()
-        | Some row -> (
-            match Memtable.insert fresh ~key ~ts:(Key_codec.ts_of_key key) row with
-            | `Ok -> Memtable.add_bytes fresh (Row_codec.stored_size t.schema row)
-            | `Duplicate -> assert false));
-        go ()
-  in
-  go ();
+  Avl.fold
+    (fun key value () ->
+      match f key value with
+      | None -> ()
+      | Some (key, value) ->
+          if not (land_in fresh ~key ~ts:(Key_codec.ts_of_key key) value) then
+            assert false)
+    (Memtable.snapshot mt) ();
   fresh
 
 let change_schema t f =
   Mutexes.with_lock t.writer_lock (fun () ->
       Mutexes.with_lock t.state (fun () ->
           let from = t.schema in
-          t.schema <- f from;
-          let translate _ row =
-            Some (Schema.translate_row ~from ~into:t.schema row)
+          let into = f from in
+          t.schema <- into;
+          (* Decode, translate, encode: the key too, in case a key
+             column's type changed. *)
+          let translate key value =
+            let row =
+              Schema.translate_row ~from ~into (Row_codec.decode from ~key ~value)
+            in
+            Some (Key_codec.encode_key into row, Row_codec.encode_value into row)
           in
-          t.filling <- List.map (rebuild_memtable t translate) t.filling;
-          t.frozen <- List.map (rebuild_memtable t translate) t.frozen;
+          t.filling <- List.map (rebuild_memtable translate) t.filling;
+          t.frozen <- List.map (rebuild_memtable translate) t.frozen;
           List.iter
             (fun dt ->
               match dt.reader with
@@ -535,20 +544,25 @@ let write_tablet t ~id ~schema ~expected_rows ?layout
       Tablet.abandon writer;
       raise e
 
-(* Write one (non-empty) memtable out as a tablet file. Runs without the
-   state lock: frozen memtables are immutable. On failure the memtable
-   is untouched — the caller keeps it queued for retry. *)
+(* A frozen memtable's rows, encoded under [schema], as a stream of
+   handles: a row is decoded only if it is forced. *)
+let mem_stream schema it =
+  let handle key value = (key, Tablet.encoded schema ~key value) in
+  fun () -> Avl.next it handle
+
+(* Write one (non-empty) memtable out as a tablet file. Writes without
+   the state lock, from a snapshot taken under it; a frozen memtable
+   takes no more inserts anyway. The stored value bytes go to the
+   writer as they are. On failure the memtable is untouched — the
+   caller keeps it queued for retry. *)
 let write_memtable t mt =
-  let schema = Mutexes.with_lock t.state (fun () -> t.schema) in
-  let it = Avl.iter_asc (Memtable.snapshot mt) in
-  let next () =
-    match Avl.next it with
-    | None -> None
-    | Some (key, row) -> Some (key, Tablet.decoded row)
+  let schema, rows =
+    Mutexes.with_lock t.state (fun () -> (t.schema, Memtable.snapshot mt))
   in
   Option.get
     (write_tablet t ~id:(Memtable.id mt) ~schema
-       ~expected_rows:(Memtable.row_count mt) next)
+       ~expected_rows:(Avl.length rows)
+       (mem_stream schema (Avl.iter_asc rows)))
 
 (* Flush [mt] and its dependency closure as one atomic descriptor
    update (§3.4.3). [mt] is frozen, and every queued memtable holds rows
@@ -693,6 +707,45 @@ let key_span_meets ~lo ~hi m =
   String.compare lo m.Descriptor.max_key <= 0
   && match hi with None -> true | Some h -> String.compare h m.Descriptor.min_key > 0
 
+(* The per-row uniqueness probes below are top-level loops, so a row
+   allocates nothing to run them. [held_by_any] asks every memtable of
+   a list whether it holds [key]; [held_by_other] every one but the
+   filling memtable of [bin]. *)
+let rec held_by_any ~key ~ts = function
+  | [] -> false
+  | m :: rest -> Memtable.mem m ~ts key || held_by_any ~key ~ts rest
+
+let rec held_by_other ~bin ~key ~ts = function
+  | [] -> false
+  | m :: rest ->
+      (let p = Memtable.period m in
+       (p.Period.start <> bin.Period.start || p.Period.cls <> bin.Period.cls)
+       && Memtable.mem m ~ts key)
+      || held_by_other ~bin ~key ~ts rest
+
+(* The disk tablets that may hold [key], added to [acc]: its ts and key
+   fall inside their bounds, and the Bloom filter of an open reader does
+   not rule it out. A filter test reads only the footer the reader holds
+   in memory; a tablet whose reader is not open yet stays a candidate,
+   and the point read that decides it opens the reader. *)
+let rec disk_candidates_locked ~key ~ts acc = function
+  | [] -> acc
+  | dt :: rest ->
+      let m = dt.meta in
+      let acc =
+        if
+          ts >= m.Descriptor.min_ts && ts <= m.Descriptor.max_ts
+          && String.compare key m.Descriptor.min_key >= 0
+          && String.compare key m.Descriptor.max_key <= 0
+          &&
+          match dt.reader with
+          | Some r -> Tablet.may_contain_prefix r key
+          | None -> true
+        then dt :: acc
+        else acc
+      in
+      disk_candidates_locked ~key ~ts acc rest
+
 (* Uniqueness verdict (§3.4.4) that can be reached without touching
    disk, under [t.state]. Fast paths: a timestamp newer than everything
    seen is provably fresh, and the filling memtable of [bin] — the one
@@ -706,27 +759,12 @@ let classify_unique_locked t ~key ~ts ~bin =
   match t.max_ts_seen with
   | Some mts when ts > mts -> `Unique
   | _ ->
-      let other m =
-        let p = Memtable.period m in
-        (p.Period.start <> bin.Period.start || p.Period.cls <> bin.Period.cls)
-        && Memtable.mem m key
-      in
-      if List.exists other t.filling
-         || List.exists (fun m -> Memtable.mem m key) t.frozen
+      if held_by_other ~bin ~key ~ts t.filling || held_by_any ~key ~ts t.frozen
       then `Duplicate
       else begin
-        let cands =
-          List.filter
-            (fun dt ->
-              let m = dt.meta in
-              ts >= m.Descriptor.min_ts && ts <= m.Descriptor.max_ts
-              && String.compare key m.Descriptor.min_key >= 0
-              && String.compare key m.Descriptor.max_key <= 0)
-            t.disk
-        in
-        match cands with
+        match disk_candidates_locked ~key ~ts [] t.disk with
         | [] -> `Unique
-        | _ ->
+        | cands ->
             List.iter (fun dt -> dt.refs <- dt.refs + 1) cands;
             `Check cands
       end
@@ -743,18 +781,20 @@ let memtable_for_locked t ~now:n bin =
       t.filling <- m :: t.filling;
       m
 
-(* Land one validated row in [mt]. Caller holds [t.state]. Returns
+(* Land one encoded row in [mt]. Caller holds [t.state]. Returns
    [true] when the insert pushed [mt] over the flush threshold and it
    was frozen out of [t.filling]. *)
-let insert_into_locked t mt ~key ~ts row =
+let insert_into_locked t mt ~key ~ts value =
+  let id = Memtable.id mt in
   (match t.last_insert_tablet with
-  | Some prev when prev <> Memtable.id mt ->
-      Flush_graph.add_edge t.graph ~before:prev ~after:(Memtable.id mt)
-  | _ -> ());
-  t.last_insert_tablet <- Some (Memtable.id mt);
-  (match Memtable.insert mt ~key ~ts row with
-  | `Ok -> Memtable.add_bytes mt (Row_codec.stored_size t.schema row)
-  | `Duplicate -> raise (Duplicate_key (pp_key t.schema key)));
+  | Some prev when prev = id -> ()
+  | last ->
+      Option.iter
+        (fun prev -> Flush_graph.add_edge t.graph ~before:prev ~after:id)
+        last;
+      t.last_insert_tablet <- Some id);
+  if not (land_in mt ~key ~ts value) then
+    raise (Duplicate_key (pp_key t.schema key));
   (match t.max_ts_seen with
   | Some v when v >= ts -> ()
   | _ -> t.max_ts_seen <- Some ts);
@@ -764,19 +804,34 @@ let insert_into_locked t mt ~key ~ts row =
   end
   else false
 
-(* The batched insert driver: runs of rows share one [t.state]
+(* The one landing loop behind both kinds of insert. [next ()] is the
+   next row's encoded key and value bytes, or [None] at the end of the
+   batch; it raises on a row that does not fit the schema, after every
+   row before it has landed. Runs of rows share one [t.state]
    acquisition (capped at [max_run] so concurrent readers interleave
    with a large batch), so a B-row batch costs O(B / max_run) lock
    round trips instead of two per row. A row whose uniqueness needs a
-   disk point read (rare: its ts and key fall inside a flushed
-   tablet's bounds) ends the run and reads with the lock released; a
-   row the read clears heads the next run and lands there. Caller holds
-   [writer_lock], so no row can appear in between. *)
-let insert_rows_locked t rows ~landed =
+   disk point read (rare: its ts and key fall inside a flushed tablet's
+   bounds and its Bloom filter) ends the run and reads with the lock
+   released; a row the read clears heads the next run and lands there.
+   Caller holds [writer_lock], so no row can appear in between and the
+   schema cannot change. *)
+let land_rows_locked t next ~landed =
   let max_run = 512 in
-  let pending = ref rows in
+  (* The row being landed. A row that waits for a disk read stays here
+     and, once the read clears it ([cleared]), heads the next run. *)
+  let key = ref "" and value = ref "" in
   let cleared = ref false in
-  while !pending <> [] do
+  let pull () =
+    match next () with
+    | Some (k, v) ->
+        key := k;
+        value := v;
+        true
+    | None -> false
+  in
+  let more = ref true in
+  while !more do
     let deferred =
       Mutexes.with_lock t.state (fun () ->
           let n = now t in
@@ -788,54 +843,53 @@ let insert_rows_locked t rows ~landed =
              period skip the bin computation and the filling scan.
              Invalidated when the target freezes out of [t.filling]. *)
           let cache = ref None in
-          while Option.is_none !defer && !pending <> [] && !run < max_run do
-            (match !pending with
-            | [] -> assert false
-            | row :: rest ->
-                Schema.validate_row t.schema row;
-                let ts = Schema.row_ts t.schema row in
-                let key = Key_codec.encode_key t.schema row in
-                let cached =
+          while
+            Option.is_none !defer && !run < max_run
+            && (!cleared || (more := pull (); !more))
+          do
+            let key = !key and value = !value in
+            let ts = Key_codec.ts_of_key key in
+            let hit =
+              match !cache with
+              | Some (b0, b1, _) -> ts >= b0 && ts < b1
+              | None -> false
+            in
+            let bin =
+              match !cache with
+              | Some (_, _, mt) when hit -> Memtable.period mt
+              | _ -> Period.bin ~now:n ts
+            in
+            let verdict =
+              if !cleared then begin
+                cleared := false;
+                `Unique
+              end
+              else if t.config.Config.enforce_unique then
+                classify_unique_locked t ~key ~ts ~bin
+              else `Unique
+            in
+            (match verdict with
+            | `Duplicate -> raise (Duplicate_key (pp_key t.schema key))
+            | `Check cands -> defer := Some cands
+            | `Unique ->
+                let mt =
                   match !cache with
-                  | Some (b0, b1, mt) when ts >= b0 && ts < b1 -> Some mt
-                  | _ -> None
+                  | Some (_, _, mt) when hit -> mt
+                  | _ ->
+                      let mt = memtable_for_locked t ~now:n bin in
+                      cache := Some (bin.Period.start, Period.stop bin, mt);
+                      mt
                 in
-                let bin =
-                  match cached with
-                  | Some mt -> Memtable.period mt
-                  | None -> Period.bin ~now:n ts
-                in
-                let verdict =
-                  if !cleared then begin
-                    cleared := false;
-                    `Unique
-                  end
-                  else if t.config.Config.enforce_unique then
-                    classify_unique_locked t ~key ~ts ~bin
-                  else `Unique
-                in
-                (match verdict with
-                | `Duplicate -> raise (Duplicate_key (pp_key t.schema key))
-                | `Check cands -> defer := Some (key, cands)
-                | `Unique ->
-                    let mt =
-                      match cached with
-                      | Some mt -> mt
-                      | None ->
-                          let mt = memtable_for_locked t ~now:n bin in
-                          cache := Some (bin.Period.start, Period.stop bin, mt);
-                          mt
-                    in
-                    if insert_into_locked t mt ~key ~ts row then cache := None;
-                    incr landed;
-                    pending := rest));
+                if insert_into_locked t mt ~key ~ts value then cache := None;
+                incr landed);
             incr run
           done;
           !defer)
     in
     match deferred with
     | None -> ()
-    | Some (key, cands) ->
+    | Some cands ->
+        let key = !key in
         let dup =
           Fun.protect
             ~finally:(fun () ->
@@ -856,20 +910,22 @@ let insert_rows_locked t rows ~landed =
         cleared := true
   done
 
-(* [insert_report] is [insert] that reports whatever ended a batch
-   early (a duplicate, an invalid row) as data instead of an exception:
+(* The one insert entry point: lands the rows [rows schema] pulls (see
+   [land_rows_locked]), with [schema] the table's schema under the
+   writer lock, and reports whatever ended the batch early (a
+   duplicate, an invalid row) as data instead of an exception:
    [Error (landed, e)] says exactly how many leading rows committed
    before it (they stay inserted — §3.4.4 checks row by row), so a
    caller can retry only the remainder instead of double-sending. The
    landed rows are counted and covered by the next flush round like
    any other batch. *)
-let insert_report t rows =
+let insert_encoded t rows =
   let a = acct_open t t.instr.Obs.h_insert Otrace.Insert in
   let landed = ref 0 in
   let result =
     Mutexes.with_lock t.writer_lock (fun () ->
         let res =
-          match insert_rows_locked t rows ~landed with
+          match land_rows_locked t (rows t.schema) ~landed with
           | () -> Ok ()
           | exception e -> Error (!landed, e)
         in
@@ -881,6 +937,24 @@ let insert_report t rows =
   in
   ignore (acct_close t a ~returned:!landed);
   result
+
+(* Each row is checked against the schema and encoded once, as the
+   landing loop pulls it. *)
+let insert_report t rows =
+  insert_encoded t (fun schema ->
+      let pending = ref rows in
+      let kb = Buffer.create 64 and vb = Buffer.create 128 in
+      fun () ->
+        match !pending with
+        | [] -> None
+        | row :: rest ->
+            Schema.validate_row schema row;
+            Buffer.clear kb;
+            Buffer.clear vb;
+            Key_codec.encode_key_into kb schema row;
+            Row_codec.encode_value_into vb schema row;
+            pending := rest;
+            Some (Buffer.contents kb, Buffer.contents vb))
 
 let insert t rows =
   match insert_report t rows with
@@ -895,11 +969,13 @@ let max_ts t = Mutexes.with_lock t.state (fun () -> t.max_ts_seen)
 (* Queries                                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* A memtable as one read sees it: an immutable snapshot of its rows
-   and their timestamp span, taken under [state]. *)
+(* A memtable as one read sees it: a frozen snapshot of its rows, the
+   schema their bytes are encoded under and their timestamp span, taken
+   under [state]. *)
 type mem_view = {
   mv_id : int;
-  mv_rows : Value.t array Avl.t;
+  mv_rows : string Avl.t;
+  mv_schema : Schema.t;
   mv_lo : int64;
   mv_hi : int64;
 }
@@ -946,6 +1022,7 @@ let select t ~lo ~hi ~ts_min ~ts_max =
                 Some
                   { mv_id = Memtable.id m;
                     mv_rows = Memtable.snapshot m;
+                    mv_schema = t.schema;
                     mv_lo = a;
                     mv_hi = b }
             | _ -> None)
@@ -1018,23 +1095,17 @@ let open_readers t rd =
   acct_planned t rd.acct;
   readers
 
-(* Memtable rows are already decoded; they travel as handles only so
-   they can merge with tablet streams. *)
 let mem_source ~asc ~lo ?hi mv =
   let it =
     if asc then Avl.iter_asc ~lo ?hi mv.mv_rows
     else Avl.iter_desc ~lo ?hi mv.mv_rows
   in
-  ( mv.mv_id,
-    fun () ->
-      match Avl.next it with
-      | Some (key, row) -> Some (key, Tablet.decoded row)
-      | None -> None )
+  (mv.mv_id, mem_stream mv.mv_schema it)
 
 (* Fan the scan's sources out over the worker pool when it can help: a
    pool is configured, the scan touches disk, and there is more than one
    source. Each source gets a single self-rescheduling producer task at
-   a time, so the memtable AVL snapshots (immutable) and per-source
+   a time, so the memtable AVL snapshots (frozen) and per-source
    tablet iterators (never shared between tasks) need no extra locking.
    The returned finish function must run before the caller releases its
    tablet references; {!Pscan.stage} guarantees no producer task is
@@ -1482,12 +1553,12 @@ let delete_prefix t prefix_values =
   Mutexes.with_lock t.writer_lock (fun () ->
       Mutexes.with_lock t.maint_lock (fun () ->
           let deleted = ref 0 in
-          let drop key row =
+          let drop key value =
             if in_range key then begin
               incr deleted;
               None
             end
-            else Some row
+            else Some (key, value)
           in
           let victims =
             Mutexes.with_lock t.state (fun () ->
@@ -1497,7 +1568,7 @@ let delete_prefix t prefix_values =
                 let rebuild mts =
                   List.filter
                     (fun m -> Memtable.row_count m > 0)
-                    (List.map (rebuild_memtable t drop) mts)
+                    (List.map (rebuild_memtable drop) mts)
                 in
                 t.filling <- rebuild t.filling;
                 t.frozen <- rebuild t.frozen;

@@ -9,8 +9,9 @@
 
     Concurrency: inserts and schema changes serialize on a per-table
     writer lock (the paper's applications are single-writer per table
-    anyway, §2.3.4); queries snapshot the persistent memtables and the
-    tablet list under a brief state lock and then scan without blocking
+    anyway, §2.3.4); queries snapshot the memtables (a snapshot is
+    frozen: later inserts copy, never write, its nodes) and the tablet
+    list under a brief state lock and then scan without blocking
     inserts. On-disk tablets are reference-counted so a merge or expiry
     never deletes a file out from under a running scan. *)
 
@@ -90,6 +91,19 @@ val insert : t -> Value.t array list -> unit
 val insert_report : t -> Value.t array list -> (unit, int * exn) result
 
 val insert_row : t -> Value.t array -> unit
+
+(** [insert_encoded t rows] is {!insert_report} for rows that arrive
+    already in stored form, so none is boxed as a [Value.t] on its way
+    in. [rows schema] is called once, under the table's writer lock,
+    with the schema the rows must fit; each call of the puller it
+    returns gives the next row's encoded key ({!Key_codec.encode_key})
+    and value encoding ({!Row_codec.encode_value}), or [None] at the
+    end of the batch. A puller raises on a row that does not fit the
+    schema; the rows before it stay inserted and are counted in
+    [Error (landed, e)], as in {!insert_report}. Both kinds of insert
+    share one landing loop. *)
+val insert_encoded :
+  t -> (Schema.t -> unit -> (string * string) option) -> (unit, int * exn) result
 
 (** {1 Queries} *)
 

@@ -209,13 +209,19 @@ let translate_at ~from ~into b i ~key =
    decode under. Immutable, like the block. *)
 type block_ref = { b : Block.t; from : Schema.t; into : Schema.t }
 
-type row = Decoded of Value.t array | In_block of block_ref * int * string
+type row =
+  | Decoded of Value.t array
+  | In_block of block_ref * int * string
+  | Encoded of Schema.t * string * string  (** schema, key, value bytes *)
 
 let decoded row = Decoded row
+
+let encoded schema ~key value = Encoded (schema, key, value)
 
 let force = function
   | Decoded row -> row
   | In_block (br, i, key) -> translate_at ~from:br.from ~into:br.into br.b i ~key
+  | Encoded (schema, key, value) -> Row_codec.decode schema ~key ~value
 
 (* ------------------------------------------------------------------ *)
 (* Writer                                                              *)
@@ -329,10 +335,10 @@ let note_row w ~key ~ts =
   if ts > w.w_max_ts then w.w_max_ts <- ts;
   bloom_add w key
 
-(* The one place a row reaches a block. A row-major entry stored under
-   the writer's schema version is copied as its stored bytes; any other
-   row is decoded, then encoded once into [scratch] (row-major) or
-   handed to the columnar builder as it is. *)
+(* The one place a row reaches a block. A row-major entry or an encoded
+   row stored under the writer's schema version is copied as its stored
+   bytes; any other row is decoded, then encoded once into [scratch]
+   (row-major) or handed to the columnar builder as it is. *)
 let add w ~key ~ts row =
   note_row w ~key ~ts;
   let raw_size =
@@ -340,6 +346,10 @@ let add w ~key ~ts row =
     | B_row b, In_block (br, i, _)
       when Schema.version br.from = Schema.version w.w_schema ->
         Block.add_entry b ~key br.b i;
+        Block.raw_size b
+    | B_row b, Encoded (schema, _, value)
+      when Schema.version schema = Schema.version w.w_schema ->
+        Block.add b ~key ~value;
         Block.raw_size b
     | B_row b, _ ->
         Buffer.clear w.scratch;
@@ -578,7 +588,13 @@ let materialize r ?counters ~projection ~into ~first ~last b =
   in
   bump counters (fun c -> c.sc_cols_decoded) decoded;
   if Schema.equal r.footer.schema into then rows
-  else Array.map (Schema.translate_row ~from:r.footer.schema ~into) rows
+  else begin
+    (* Filled in place, not [Array.map]ped: see {!Block.columnar_rows}. *)
+    for i = 0 to Array.length rows - 1 do
+      rows.(i) <- Schema.translate_row ~from:r.footer.schema ~into rows.(i)
+    done;
+    rows
+  end
 
 (* The index range of [b] that keys in [\[lo, hi)] can reach. *)
 let key_window b ~lo ~hi =

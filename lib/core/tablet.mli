@@ -23,8 +23,9 @@
     Every consumer of a tablet reads it through one stream, {!iter}'s
     row handles: queries force the rows they keep, and flushes, merges
     and bulk-delete rewrites hand the handles to {!add}, which copies a
-    row-major entry already encoded under the output's schema as its
-    stored bytes and decodes and encodes every other row once.
+    row already encoded under the output's schema (a row-major entry, or
+    a memtable row) as its stored bytes and decodes and encodes every
+    other row once.
 
     Reading a cold tablet costs the paper's three repositionings —
     open (inode), trailer, footer — and one more per block; the disk
@@ -43,9 +44,10 @@ type summary = {
 (** {1 Row handles}
 
     Scans hand out rows as handles and decode a row only once the query
-    has accepted it. A handle is either a row already decoded (a
-    memtable row, or a row of a columnar block's materialized window) or
-    a reference to an entry of a loaded row-major block: the block, the
+    has accepted it. A handle is a row already decoded (a row of a
+    columnar block's materialized window), a memtable row as its stored
+    key and value bytes with the schema they are encoded under, or a
+    reference to an entry of a loaded row-major block: the block, the
     entry index, the key and the schemas to decode under. {!force}
     decodes it, translated to the target schema the reader had when the
     scan was created. So a row that {!Cursor.filter_ts} drops, that
@@ -58,8 +60,13 @@ type summary = {
 
 type row
 
-(** A row that is already decoded, as a memtable holds it. *)
+(** A row that is already decoded. *)
 val decoded : Value.t array -> row
+
+(** [encoded schema ~key value] is a row held as its encoded key and
+    its value encoding under [schema] ({!Row_codec}), as a memtable
+    holds it. *)
+val encoded : Schema.t -> key:string -> string -> row
 
 (** The row under the target schema. Decodes a block entry each time it
     is called; force a handle once. *)
@@ -92,10 +99,10 @@ val writer :
     under the writer's schema: a decoded row, or a handle from {!iter}
     on a reader whose target was the writer's schema when the stream
     was created. This is the one place that decides how a row reaches a
-    block: a row-major writer copies a row-major entry stored under its
-    own schema version as the entry's stored bytes ({!Block.add_entry})
-    and encodes any other row once; a column-major writer takes the
-    decoded row. *)
+    block: a row-major writer copies a row-major entry or an {!encoded}
+    row stored under its own schema version as its stored bytes
+    ({!Block.add_entry}, {!Block.add}) and encodes any other row once;
+    a column-major writer takes the decoded row. *)
 val add : writer -> key:string -> ts:int64 -> row -> unit
 
 (** [add_row w ~key ~key_prefixes ~ts row] is [add w ~key ~ts (decoded

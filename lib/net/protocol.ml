@@ -12,8 +12,10 @@ let max_frame = 64 * 1024 * 1024
 (* A batch's groups travel either structured (the sender has rows in
    hand) or raw (the receiver captured the wire bytes without decoding
    them). Both spellings share one wire format; [read_request] always
-   returns [Raw] so a router can forward row spans without boxing a
-   single value, and [groups_of_payload] decodes on first need. *)
+   returns [Raw] so a router can forward row spans and a server can
+   transcode rows into stored form ([transcode_rows]) without boxing a
+   single value; [groups_of_payload] decodes for a caller that wants
+   the values. *)
 type batch_payload =
   | Groups of (string * Value.t array list) list
   | Raw of string
@@ -96,6 +98,9 @@ let value_tag = function
   | Value.Timestamp _ -> 3
   | Value.String _ -> 4
   | Value.Blob _ -> 5
+
+(* The tag a value of a column of type [ctype] travels with. *)
+let tag_of_ctype ctype = value_tag (Value.zero ctype)
 
 let put_value b v =
   Binio.put_u8 b (value_tag v);
@@ -185,6 +190,106 @@ let decode_groups payload =
 let groups_of_payload = function
   | Groups gs -> gs
   | Raw payload -> decode_groups payload
+
+(* ---- Rows in stored form ------------------------------------------------- *)
+
+let skip_row cur =
+  let n = Binio.get_varint cur in
+  if n < 0 || n > 65536 then error "implausible row arity %d" n;
+  for _ = 1 to n do skip_value cur done
+
+(* The framing checks of [decode_groups], made by stepping over every
+   value instead of building it. *)
+let raw_groups payload =
+  let cur = Binio.cursor payload in
+  let n = Binio.get_varint cur in
+  if n < 0 || n > 65536 then error "implausible group count %d" n;
+  let groups =
+    List.init n (fun _ ->
+        let table = Binio.get_string cur in
+        let count = Binio.get_varint cur in
+        if count < 0 then error "implausible row count %d" count;
+        let pos = cur.Binio.pos in
+        for _ = 1 to count do skip_row cur done;
+        (table, count, pos))
+  in
+  Binio.expect_end cur;
+  groups
+
+(* A wire cell's [Value.encode] bytes are a stored value cell's, so a
+   row is transcoded by checking each tag against its column's type,
+   writing the key cells' order-preserving form and copying the others.
+   [spans] holds, per column of the current row, where its cell starts
+   (past the tag), where its content starts (past a string's length)
+   and where it ends. A row that does not fit the schema is decoded
+   and refused by [Schema.validate_row], so it fails with the message
+   the boxed path gives. *)
+let transcode_rows payload ~pos ~count schema =
+  let cols = Schema.columns schema and pkey = Schema.pkey schema in
+  let ncols = Array.length cols in
+  let tags = Array.map (fun c -> tag_of_ctype c.Schema.ctype) cols in
+  let is_key = Array.init ncols (Schema.is_pkey schema) in
+  let spans = Array.make (3 * ncols) 0 in
+  let cur = Binio.cursor ~pos payload in
+  let left = ref count in
+  let refuse start =
+    Schema.validate_row schema (get_row (Binio.cursor ~pos:start payload));
+    raise (Schema.Invalid "row does not match the schema")
+  in
+  fun () ->
+    if !left = 0 then None
+    else begin
+      decr left;
+      let start = cur.Binio.pos in
+      if Binio.get_varint cur <> ncols then refuse start;
+      let vlen = ref 0 in
+      for i = 0 to ncols - 1 do
+        let tag = Binio.get_u8 cur in
+        if tag <> tags.(i) then refuse start;
+        spans.(3 * i) <- cur.Binio.pos;
+        if tag >= 4 then begin
+          (* A string or blob: its length, then its bytes. *)
+          let len = Binio.get_varint cur in
+          spans.((3 * i) + 1) <- cur.Binio.pos;
+          Binio.skip cur len
+        end
+        else begin
+          spans.((3 * i) + 1) <- cur.Binio.pos;
+          Binio.skip cur (if tag = 0 then 4 else 8)
+        end;
+        spans.((3 * i) + 2) <- cur.Binio.pos;
+        if not is_key.(i) then vlen := !vlen + cur.Binio.pos - spans.(3 * i)
+      done;
+      (* The key: sized, then written, cell by cell in key order. *)
+      let klen = ref 0 in
+      for j = 0 to Array.length pkey - 1 do
+        let i = pkey.(j) in
+        let off = spans.((3 * i) + 1) in
+        klen :=
+          !klen
+          + Key_codec.cell_size cols.(i).Schema.ctype payload ~off
+              ~len:(spans.((3 * i) + 2) - off)
+      done;
+      let key = Bytes.create !klen in
+      let at = ref 0 in
+      for j = 0 to Array.length pkey - 1 do
+        let i = pkey.(j) in
+        let off = spans.((3 * i) + 1) in
+        at :=
+          Key_codec.blit_cell cols.(i).Schema.ctype payload ~off
+            ~len:(spans.((3 * i) + 2) - off) key ~pos:!at
+      done;
+      let value = Bytes.create !vlen in
+      let at = ref 0 in
+      for i = 0 to ncols - 1 do
+        if not is_key.(i) then begin
+          let n = spans.((3 * i) + 2) - spans.(3 * i) in
+          Bytes.blit_string payload spans.(3 * i) value !at n;
+          at := !at + n
+        end
+      done;
+      Some (Bytes.unsafe_to_string key, Bytes.unsafe_to_string value)
+    end
 
 let raw_of_payload = function
   | Raw payload -> payload
@@ -409,9 +514,10 @@ let read_request cur =
       Get_trace { trace; slow_only }
   | 19 -> Get_metrics_snapshot
   | 20 ->
-      (* Captured undecoded: the single-node server decodes once via
-         [groups_of_payload]; the router never decodes forwarded
-         columns at all (it scans spans, see Router.split_raw). *)
+      (* Captured undecoded: the single-node server transcodes rows
+         straight into stored form ([transcode_rows]); the router never
+         decodes forwarded columns at all (it scans spans, see
+         Router.split_raw). *)
       Insert_batch { groups = Raw (Binio.rest cur) }
   | n -> error "bad request tag %d" n
 

@@ -20,9 +20,10 @@ exception Protocol_error of string
     or raw: the undecoded wire bytes of the groups section, as captured
     by {!read_request}. Both spellings share one wire format. Raw is
     the zero-copy half — a router can scan the payload for each row's
-    leading key and forward the row's byte span verbatim, never boxing
-    the other columns; {!groups_of_payload} decodes when a receiver
-    finally needs the rows. *)
+    leading key and forward the row's byte span verbatim, and a server
+    transcodes each row into stored form ({!transcode_rows}), neither
+    boxing a value; {!groups_of_payload} decodes when a caller wants
+    the values. *)
 type batch_payload =
   | Groups of (string * Value.t array list) list
   | Raw of string
@@ -118,6 +119,26 @@ val request_kind : request -> string
     bytes — deferred from {!read_request}, which no longer validates
     the groups section it captures. *)
 val groups_of_payload : batch_payload -> (string * Value.t array list) list
+
+(** [raw_groups payload] checks a raw groups section whole, with the
+    checks {!groups_of_payload} makes but no value built, and returns
+    each group's table, row count and the offset of its first row.
+    @raise Protocol_error or {!Lt_util.Binio.Corrupt} on malformed
+    bytes. *)
+val raw_groups : string -> (string * int * int) list
+
+(** [transcode_rows payload ~pos ~count schema] is a puller for
+    {!Table.insert_encoded} over the [count] wire rows of a checked
+    ({!raw_groups}) payload starting at [pos]: each call returns the
+    next row's encoded key and value bytes, the bytes
+    {!Key_codec.encode_key} and {!Row_codec.encode_value} give for the
+    decoded row, without building a [Value.t]. A value cell's wire
+    bytes are its stored bytes and are copied; key cells are written in
+    order-preserving form.
+    @raise Schema.Invalid, as {!Schema.validate_row} would, on a row
+    whose arity or value types do not fit [schema]. *)
+val transcode_rows :
+  string -> pos:int -> count:int -> Schema.t -> unit -> (string * string) option
 
 (** The payload's groups section in wire format (a no-op on [Raw]). *)
 val raw_of_payload : batch_payload -> string

@@ -78,23 +78,30 @@ let handle db req =
          rows of every attempted group are in (rows before a duplicate
          or invalid row stay committed), so the client resends only the
          remainder. The payload arrives raw (undecoded) from the frame
-         reader; a malformed one surfaces here. *)
+         reader; a structured one (an in-process caller's) is encoded
+         to its wire bytes first, as the router does. The payload is
+         checked whole, so a malformed one lands nothing; then each row
+         is transcoded straight from its wire bytes into stored form as
+         it lands. *)
+      let raw = Protocol.raw_of_payload payload in
       let failed landed msg =
         if List.for_all (fun (_, n) -> n = 0) landed then Error msg
         else Insert_partial { landed = List.rev landed; message = msg }
       in
       let rec run landed = function
         | [] -> Insert_ok (List.fold_left (fun acc (_, n) -> acc + n) 0 landed)
-        | (table, rows) :: rest -> (
+        | (table, count, pos) :: rest -> (
             match Db.find_table db table with
             | None -> failed landed (no_such_table table)
             | Some tbl -> (
-                match Table.insert_report tbl rows with
-                | Result.Ok () -> run ((table, List.length rows) :: landed) rest
+                match
+                  Table.insert_encoded tbl (Protocol.transcode_rows raw ~pos ~count)
+                with
+                | Result.Ok () -> run ((table, count) :: landed) rest
                 | Result.Error (n, e) ->
                     failed ((table, n) :: landed) (insert_failure e)))
       in
-      match Protocol.groups_of_payload payload with
+      match Protocol.raw_groups raw with
       | exception (Protocol.Protocol_error msg | Lt_util.Binio.Corrupt msg) ->
           Error msg
       | groups -> run [] groups)

@@ -77,16 +77,18 @@ let get_i64 c =
 
 let get_double c = Int64.float_of_bits (get_i64 c)
 
+(* The varint loops are loops, not local recursive functions: a local
+   function that captures the buffer or cursor is a closure allocated on
+   every call, and every length prefix on the read and write paths goes
+   through here. *)
 let put_varint b v =
   if v < 0 then corrupt "put_varint: negative %d" v;
-  let rec go v =
-    if v < 0x80 then put_u8 b v
-    else begin
-      put_u8 b (0x80 lor (v land 0x7f));
-      go (v lsr 7)
-    end
-  in
-  go v
+  let v = ref v in
+  while !v >= 0x80 do
+    put_u8 b (0x80 lor (!v land 0x7f));
+    v := !v lsr 7
+  done;
+  put_u8 b !v
 
 let varint_size v =
   if v < 0 then corrupt "varint_size: negative %d" v;
@@ -94,13 +96,14 @@ let varint_size v =
   go v 1
 
 let get_varint c =
-  let rec go shift acc =
-    if shift > 62 then corrupt "varint too long at offset %d" c.pos;
+  let shift = ref 0 and acc = ref 0 and more = ref true in
+  while !more do
+    if !shift > 62 then corrupt "varint too long at offset %d" c.pos;
     let byte = get_u8 c in
-    let acc = acc lor ((byte land 0x7f) lsl shift) in
-    if byte land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+    acc := !acc lor ((byte land 0x7f) lsl !shift);
+    if byte land 0x80 = 0 then more := false else shift := !shift + 7
+  done;
+  !acc
 
 let put_string b s =
   put_varint b (String.length s);

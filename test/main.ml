@@ -29,5 +29,6 @@ let () =
       ("exec", Test_exec.suite);
       ("columnar", Test_columnar.suite);
       ("model", Test_model.suite);
+      ("alloc", Test_alloc.suite);
       ("lint", Test_lint.suite);
     ]

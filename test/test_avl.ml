@@ -2,7 +2,9 @@ open Littletable
 
 let drain it =
   let rec go acc =
-    match Avl.next it with None -> List.rev acc | Some kv -> go (kv :: acc)
+    match Avl.next it (fun k v -> (k, v)) with
+    | None -> List.rev acc
+    | Some kv -> go (kv :: acc)
   in
   go []
 
@@ -115,6 +117,97 @@ let test_balanced_under_sequential_insert () =
   Alcotest.(check bool) "invariant" true (Avl.invariant_ok t);
   Alcotest.(check int) "length" 10_000 (Avl.length t)
 
+(* Epoch-owned inserts against the persistent reference: a sequence of
+   inserts and snapshots (an epoch bump each) must leave the owned tree
+   with the reference's bindings and balance, and every snapshot must
+   still read back the bindings it had when it was taken. *)
+type op = Put of string | Snap
+
+let ops_gen =
+  QCheck.(
+    list_of_size Gen.(int_bound 500)
+      (map
+         (fun (snap, k) -> if snap = 0 then Snap else Put k)
+         (pair (int_bound 15) (string_gen_of_size Gen.(int_bound 4) Gen.printable))))
+
+let prop_owned_vs_persistent =
+  QCheck.Test.make ~name:"epoch-owned inserts match persistent inserts"
+    ~count:300 ops_gen (fun ops ->
+      let reference = ref Avl.empty and owned = ref Avl.empty in
+      let epoch = ref 0 and snaps = ref [] and i = ref 0 in
+      List.iter
+        (function
+          | Snap ->
+              snaps := (!owned, drain (Avl.iter_asc !reference)) :: !snaps;
+              incr epoch
+          | Put k ->
+              incr i;
+              let dup_ref =
+                match Avl.insert k !i !reference with
+                | `Ok t ->
+                    reference := t;
+                    false
+                | `Duplicate -> true
+              in
+              let dup_owned =
+                match Avl.insert_owned ~epoch:!epoch k !i !owned with
+                | t ->
+                    owned := t;
+                    false
+                | exception Avl.Duplicate -> true
+              in
+              if dup_ref <> dup_owned then raise Exit)
+        ops;
+      let same t bindings =
+        Avl.invariant_ok t
+        && drain (Avl.iter_asc t) = bindings
+        && drain (Avl.iter_desc t) = List.rev bindings
+        && Avl.length t = List.length bindings
+      in
+      same !owned (drain (Avl.iter_asc !reference))
+      && List.for_all (fun (t, bindings) -> same t bindings) !snaps)
+
+(* The memtable half of the epoch contract: a snapshot reads back the
+   same rows after any number of inserts, in this thread and in a pool
+   worker domain that walks it while the owner keeps inserting between
+   and around the snapshot's keys. *)
+let test_memtable_snapshot_unchanged () =
+  let mt =
+    Memtable.create ~id:1
+      ~period:(Period.bin ~now:Support.ts0 Support.ts0)
+      ~created_at:Support.ts0
+  in
+  let key i = Printf.sprintf "k%06d" i in
+  let put i =
+    match Memtable.insert mt ~key:(key i) ~ts:Support.ts0 (string_of_int i) with
+    | `Ok -> ()
+    | `Duplicate -> Alcotest.fail "duplicate"
+  in
+  for i = 0 to 999 do put (2 * i) done;
+  let snap = Memtable.snapshot mt in
+  let expect = drain (Avl.iter_asc snap) in
+  let pool = Lt_exec.Pool.shared ~domains:1 in
+  let seen = Atomic.make None and go = Atomic.make false in
+  Lt_exec.Pool.submit_task pool (fun () ->
+      while not (Atomic.get go) do Domain.cpu_relax () done;
+      Atomic.set seen (Some (drain (Avl.iter_asc snap))));
+  (* Odd keys land between the snapshot's, so an insert that wrote a
+     node the snapshot reaches would show in its walk. *)
+  for i = 0 to 499 do put ((2 * i) + 1) done;
+  Atomic.set go true;
+  for i = 500 to 999 do put ((2 * i) + 1) done;
+  let rec wait () =
+    match Atomic.get seen with Some l -> l | None -> Domain.cpu_relax (); wait ()
+  in
+  let from_worker = wait () in
+  Support.check_int "snapshot rows" 1000 (List.length expect);
+  Alcotest.(check bool) "snapshot unchanged here" true
+    (drain (Avl.iter_asc snap) = expect);
+  Alcotest.(check bool) "snapshot unchanged in a worker" true
+    (from_worker = expect);
+  Alcotest.(check bool) "snapshot balanced" true (Avl.invariant_ok snap);
+  Support.check_int "memtable holds every row" 2000 (Memtable.row_count mt)
+
 let suite =
   [
     ("basic ops", `Quick, test_basic);
@@ -126,4 +219,7 @@ let suite =
     ("balanced under sorted insert", `Quick, test_balanced_under_sequential_insert);
     Support.qcheck prop_model_vs_map;
     Support.qcheck prop_range_vs_filter;
+    Support.qcheck prop_owned_vs_persistent;
+    ("memtable snapshot unchanged by later inserts", `Quick,
+      test_memtable_snapshot_unchanged);
   ]

@@ -882,6 +882,161 @@ let prop_decoders_total =
       ok Protocol.read_request && ok Protocol.read_response
       && ok Protocol.get_span && ok Protocol.get_profile)
 
+(* Raw rows transcoded straight into stored form must equal what the
+   boxed path makes of them: [decode_groups], then [Schema.validate_row]
+   and the key and value encoders. Schemas mix every column type in a
+   random column order, keyed by some of them and [ts]; payloads are
+   clean, or carry a cell of the wrong type, a row of the wrong arity,
+   a cut or an overwritten byte. A payload is refused whole exactly
+   when [decode_groups] refuses it, and an ill-typed row stops the
+   rows at the same place with the same message. *)
+let gen_cell =
+  let open QCheck.Gen in
+  let text =
+    string_size
+      ~gen:(frequency [ (4, char); (1, oneofl [ '\x00'; '\x01'; '\x02' ]) ])
+      (int_bound 12)
+  in
+  function
+  | Value.T_int32 -> map (fun i -> Value.Int32 (Int32.of_int i)) int
+  | Value.T_int64 -> map (fun i -> Value.Int64 (Int64.of_int i)) int
+  | Value.T_timestamp -> map (fun i -> Value.Timestamp (Int64.of_int i)) int
+  | Value.T_double ->
+      map
+        (fun f -> Value.Double f)
+        (frequency
+           [ (4, float); (1, oneofl [ nan; -0.0; 0.0; infinity; neg_infinity ]) ])
+  | Value.T_string -> map (fun s -> Value.String s) text
+  | Value.T_blob -> map (fun s -> Value.Blob s) text
+
+type fault =
+  | Clean
+  | Bad_type of int * int
+  | Bad_arity of int * bool
+  | Cut of float
+  | Poke of float * char
+
+let gen_transcode_case =
+  let open QCheck.Gen in
+  let ctype =
+    oneofl Value.[ T_int32; T_int64; T_double; T_timestamp; T_string; T_blob ]
+  in
+  list_size (int_bound 2) ctype >>= fun key_types ->
+  list_size (int_bound 3) ctype >>= fun val_types ->
+  let cols =
+    List.mapi (fun i c -> (Printf.sprintf "k%d" i, c, true)) key_types
+    @ [ ("ts", Value.T_timestamp, true) ]
+    @ List.mapi (fun i c -> (Printf.sprintf "v%d" i, c, false)) val_types
+  in
+  shuffle_l cols >>= fun cols ->
+  let schema =
+    Schema.create
+      ~columns:
+        (List.map
+           (fun (name, ctype, _) -> { Schema.name; ctype; default = Value.zero ctype })
+           cols)
+      ~pkey:(List.mapi (fun i _ -> Printf.sprintf "k%d" i) key_types @ [ "ts" ])
+  in
+  let row = flatten_l (List.map (fun (_, c, _) -> gen_cell c) cols) in
+  list_size (int_bound 12) (map Array.of_list row) >>= fun rows ->
+  let nrows = max 1 (List.length rows) and ncols = List.length cols in
+  frequency
+    [
+      (2, return Clean);
+      ( 2,
+        map2 (fun r c -> Bad_type (r, c)) (int_bound (nrows - 1))
+          (int_bound (ncols - 1)) );
+      (1, map2 (fun r longer -> Bad_arity (r, longer)) (int_bound (nrows - 1)) bool);
+      (1, map (fun f -> Cut f) (float_bound_exclusive 1.0));
+      (1, map2 (fun f c -> Poke (f, c)) (float_bound_exclusive 1.0) char);
+    ]
+  >|= fun fault -> (schema, rows, fault)
+
+let prop_transcode_matches_boxed_path =
+  let print (schema, rows, _) =
+    Format.asprintf "%a@.%s" Schema.pp schema
+      (String.concat "\n"
+         (List.map
+            (fun r -> String.concat ", " (Array.to_list (Array.map Value.to_string r)))
+            rows))
+  in
+  QCheck.Test.make ~name:"wire transcoding = decode then encode" ~count:1000
+    (QCheck.make ~print gen_transcode_case) (fun (schema, rows, fault) ->
+      let other = function
+        | Value.T_int32 -> Value.String "x"
+        | _ -> Value.Int32 7l
+      in
+      let rows =
+        List.mapi
+          (fun i r ->
+            match fault with
+            | Bad_type (ri, c) when ri = i ->
+                let r = Array.copy r in
+                r.(c) <- other (Value.type_of r.(c));
+                r
+            | Bad_arity (ri, longer) when ri = i ->
+                if longer then Array.append r [| Value.Int64 1L |]
+                else Array.sub r 0 (Array.length r - 1)
+            | _ -> r)
+          rows
+      in
+      let b = Buffer.create 256 in
+      List.iter (Protocol.put_row b) rows;
+      let payload = Protocol.raw_of_encoded_groups [ ("t", List.length rows, b) ] in
+      let payload =
+        let n = String.length payload in
+        match fault with
+        | Cut f -> String.sub payload 0 (int_of_float (f *. float n))
+        | Poke (f, c) ->
+            let by = Bytes.of_string payload in
+            Bytes.set by (int_of_float (f *. float n)) c;
+            Bytes.to_string by
+        | _ -> payload
+      in
+      let refused f =
+        match f payload with
+        | _ -> false
+        | exception (Protocol.Protocol_error _ | Lt_util.Binio.Corrupt _) -> true
+      in
+      let boxed_refused =
+        refused (fun p -> Protocol.groups_of_payload (Protocol.Raw p))
+      in
+      boxed_refused = refused Protocol.raw_groups
+      && (boxed_refused
+         ||
+         (* Both ends stop at the first row that does not fit, with its
+            message, after the same stored rows. *)
+         let rec boxed acc = function
+           | [] -> (List.rev acc, None)
+           | r :: rest -> (
+               match Schema.validate_row schema r with
+               | () ->
+                   let stored =
+                     (Key_codec.encode_key schema r, Row_codec.encode_value schema r)
+                   in
+                   boxed (stored :: acc) rest
+               | exception Schema.Invalid msg -> (List.rev acc, Some msg))
+         in
+         let expect =
+           List.concat_map
+             (fun (_, rows) -> [ boxed [] rows ])
+             (Protocol.groups_of_payload (Protocol.Raw payload))
+         in
+         let actual =
+           List.map
+             (fun (_, count, pos) ->
+               let next = Protocol.transcode_rows payload ~pos ~count schema in
+               let rec go acc =
+                 match next () with
+                 | Some kv -> go (kv :: acc)
+                 | None -> (List.rev acc, None)
+                 | exception Schema.Invalid msg -> (List.rev acc, Some msg)
+               in
+               go [])
+             (Protocol.raw_groups payload)
+         in
+         expect = actual))
+
 (* Random operation records, shard sub-records nested up to the
    decoder's depth bound, and spans carrying them. *)
 let gen_record =
@@ -1030,6 +1185,7 @@ let suite =
     ("client gone mid-pipeline leaves the server up", `Quick, test_client_gone_mid_pipeline);
     ("negative decode counts rejected", `Quick, test_negative_count_rejected);
     Support.qcheck prop_decoders_total;
+    Support.qcheck prop_transcode_matches_boxed_path;
     Support.qcheck prop_span_roundtrip;
     Support.qcheck prop_profile_roundtrip;
     ("record nesting bound", `Quick, test_profile_depth_bound);

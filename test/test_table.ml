@@ -319,6 +319,38 @@ let test_failed_scan_releases_tablets () =
   failed_scan_releases_tablets ~domains:0;
   failed_scan_releases_tablets ~domains:2
 
+(* A read's memtable snapshot is frozen: rows inserted into the same
+   memtable after the read began, between the snapshot's keys, stay out
+   of it. The scan is staged on the worker pool (a disk tablet makes it
+   fan out), and the memtable holds more rows than the producers read
+   ahead, so a worker domain walks the snapshot while the inserts land
+   in place. *)
+let test_snapshot_unchanged_by_inserts () =
+  let config =
+    Config.make ~flush_size:(64 * 1024 * 1024) ~rollover_spread:0.0
+      ~server_row_limit:100_000 ~query_domains:2 ()
+  in
+  let db, clock, _ = Support.fresh_db ~config () in
+  Fun.protect ~finally:(fun () -> Db.close db) @@ fun () ->
+  let t = Db.create_table db "usage" (schema ()) ~ttl:None in
+  let now = Clock.now clock in
+  Table.insert t [ row 9L 0L now ];
+  Table.flush_all t;
+  let n = 3000 in
+  Table.insert t (List.init n (fun i -> row 1L (Int64.of_int (2 * i)) now));
+  let next = Table.query_iter t Query.all in
+  let first = Option.get (next ()) in
+  Table.insert t (List.init n (fun i -> row 1L (Int64.of_int ((2 * i) + 1)) now));
+  let rec drain acc =
+    match next () with Some r -> drain (r :: acc) | None -> List.rev acc
+  in
+  let seen = Support.usage_tuples (List.map snd (first :: drain [])) in
+  Alcotest.(check int) "the snapshot's rows" (n + 1) (List.length seen);
+  Alcotest.(check bool) "no row inserted after the snapshot" true
+    (List.for_all (fun (net, dev, _, _) -> net = 9L || Int64.rem dev 2L = 0L) seen);
+  Alcotest.(check int) "a later read sees every row" ((2 * n) + 1)
+    (List.length (all_rows t))
+
 (* The usage table's sample count in duration histogram [name], and
    its value of counter [name], from the registry's snapshot. *)
 let registry_children db name =
@@ -1290,6 +1322,9 @@ let test_read_accounting_golden () =
 let suite =
   [
     ("read accounting golden", `Quick, test_read_accounting_golden);
+    ( "a scan's snapshot is unchanged by later inserts (pool worker)",
+      `Quick,
+      test_snapshot_unchanged_by_inserts );
     ( "failed scan releases its tablets (faulty pread)",
       `Quick,
       test_failed_scan_releases_tablets );
