@@ -17,32 +17,12 @@ let encoded v =
   Key_codec.encode_value b v;
   Buffer.contents b
 
-(* FNV-1a 64 with a murmur-style finalizer. Deterministic across
-   processes and OCaml versions, unlike [Hashtbl.hash] — the router and
-   any future cluster-aware client must agree on placement
-   byte-for-byte. The finalizer matters: bare FNV-1a barely moves the
-   high bits for short inputs that differ only in their last bytes
-   (consecutive int64 keys, vnode indices), which collapses the ring. *)
-let fmix64 h =
-  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-  let h = Int64.mul h 0xff51afd7ed558ccdL in
-  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
-  Int64.logxor h (Int64.shift_right_logical h 33)
-
-let fnv1a s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code c))) 0x100000001b3L)
-    s;
-  fmix64 !h
-
 let build_ring ~shards ~vnodes =
   let ring = Array.make (shards * vnodes) (0L, 0) in
   for s = 0 to shards - 1 do
     for v = 0 to vnodes - 1 do
-      ring.((s * vnodes) + v) <- (fnv1a (Printf.sprintf "shard-%d-vnode-%d" s v), s)
+      ring.((s * vnodes) + v) <-
+        (Lt_util.Fnv.hash (Printf.sprintf "shard-%d-vnode-%d" s v), s)
     done
   done;
   Array.sort (fun (a, _) (b, _) -> Int64.unsigned_compare a b) ring;
@@ -98,7 +78,7 @@ let ring_lookup ring h =
    range shard [i] owns [p_{i-1} <= v < p_i]. *)
 let base_shard t enc =
   match t.p_policy with
-  | Hash _ -> ring_lookup t.p_ring (fnv1a enc)
+  | Hash _ -> ring_lookup t.p_ring (Lt_util.Fnv.hash enc)
   | Range _ ->
       let n = Array.length t.p_points in
       let i = ref 0 in

@@ -83,44 +83,31 @@ let first_error_else resps ok =
 
 (* Split an [Insert_batch] payload's rows by owning shard (stable
    within a group), so each shard receives one [Insert_batch] holding
-   its slice of every group. One scan over the undecoded payload
-   decodes only each row's leading key value (for placement) and blits
-   the row's wire bytes straight into its owner's outgoing sub-payload.
-   Forwarded columns are never boxed or re-encoded — the per-row router
-   cost is a hash and a memcpy. Returns, in shard order, the
-   sub-payload (already in wire format) and its per-table expected row
-   counts. *)
+   its slice of every group. One {!Protocol.walk_groups} pass over the
+   undecoded payload — which makes every framing check, so a malformed
+   payload is refused whole before any shard is sent a row, as a single
+   node refuses it — decodes only each row's leading key value (for
+   placement) and blits the row's wire bytes straight into its owner's
+   outgoing sub-payload. Forwarded columns are never boxed or
+   re-encoded — the per-row router cost is a hash and a memcpy.
+   Returns, in shard order, the sub-payload (already in wire format)
+   and its per-table expected row counts. *)
 let split_raw t payload =
-  let module B = Lt_util.Binio in
-  let cur = B.cursor payload in
-  let ngroups = B.get_varint cur in
-  if ngroups < 0 || ngroups > 65536 then
-    err "implausible group count %d" ngroups;
   (* Per shard: groups in arrival order, each (table, count, row bytes). *)
   let per_shard : (int, (string * int ref * Buffer.t) list ref) Hashtbl.t =
     Hashtbl.create 8
   in
-  for _ = 1 to ngroups do
-    let table = B.get_string cur in
-    let schema = schema_of t table in
-    let lead = (Schema.pkey schema).(0) in
-    let nrows = B.get_varint cur in
-    if nrows < 0 then err "implausible row count %d" nrows;
-    (* This group's slice on each shard, created on first row. *)
-    let slices = Hashtbl.create 4 in
-    for _ = 1 to nrows do
-      let start = cur.B.pos in
-      let arity = B.get_varint cur in
-      if arity < 0 || arity > 65536 then err "implausible row arity %d" arity;
+  Protocol.walk_groups payload
+    ~group:(fun table ~count:_ ~pos:_ ->
+      (* This group's slice on each shard, created on first row. *)
+      (table, (Schema.pkey (schema_of t table)).(0), Hashtbl.create 4))
+    ~row:(fun (table, lead, slices) cur ~start ~arity ->
       if arity <= lead then
         err "row arity %d lacks the leading key column" arity;
-      let lead_v = ref (Value.Int64 0L) in
-      for i = 0 to arity - 1 do
-        if i = lead then lead_v := Protocol.get_value cur
-        else Protocol.skip_value cur
-      done;
-      let stop = cur.B.pos in
-      let s = Placement.shard_of_value t.placement !lead_v in
+      for _ = 1 to lead do Protocol.skip_value cur done;
+      let lead_v = Protocol.get_value cur in
+      for _ = lead + 2 to arity do Protocol.skip_value cur done;
+      let s = Placement.shard_of_value t.placement lead_v in
       let count, buf =
         match Hashtbl.find_opt slices s with
         | Some cb -> cb
@@ -134,9 +121,7 @@ let split_raw t payload =
             cb
       in
       incr count;
-      Buffer.add_substring buf payload start (stop - start)
-    done
-  done;
+      Buffer.add_substring buf payload start (cur.Lt_util.Binio.pos - start));
   Hashtbl.fold
     (fun s r acc ->
       let groups =
@@ -481,8 +466,8 @@ let handle t req =
   | Client.Remote_error msg -> Protocol.Error msg
   | Schema.Invalid msg -> Protocol.Error msg
   | Invalid_argument msg -> Protocol.Error msg
-  (* A malformed raw batch payload surfaces during the span scan, not
-     at frame decode. *)
+  (* A malformed raw batch payload surfaces during the split, not at
+     frame decode. *)
   | Protocol.Protocol_error msg -> Protocol.Error msg
   | Lt_util.Binio.Corrupt msg -> Protocol.Error msg
 
@@ -540,7 +525,10 @@ let rebalance t ~value ~to_shard =
                      match
                        Cluster_client.request_write t.cc to_shard
                          (Protocol.Insert_batch
-                            { groups = Protocol.Groups [ (table, rows) ] })
+                            {
+                              groups =
+                                Protocol.Raw (Protocol.raw_of_rows table rows);
+                            })
                      with
                      | Protocol.Insert_ok n -> moved := !moved + n
                      | Protocol.Insert_partial { message; _ } ->

@@ -111,7 +111,10 @@ let vfs t = t.vfs
 let dir t = t.dir
 
 let validate_name name =
-  if name = "" || String.contains name '/' || name = Descriptor.file_name then
+  if
+    name = "" || name = "." || name = ".." || String.contains name '/'
+    || name = Descriptor.file_name
+  then
     invalid_arg (Printf.sprintf "Db: bad table name %S" name)
 
 let create_table t name schema ~ttl =
@@ -137,16 +140,19 @@ let table_names t =
       List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.tables []))
 
 let drop_table t name =
-  let tbl =
-    Mutexes.with_lock t.mutex (fun () ->
-        match Hashtbl.find_opt t.tables name with
-        | None -> raise Not_found
-        | Some tbl ->
-            Hashtbl.remove t.tables name;
-            tbl)
-  in
-  Table.close tbl;
+  (* The descriptor's removal, made durable, is the drop; the table
+     leaves the map only then, so a drop that raises can be retried.
+     A crash may undo the tablets' unlinks; [Table.create] clears what
+     is left before a table of the same name reuses the directory. *)
   let tdir = table_dir t name in
+  Mutexes.with_lock t.mutex (fun () ->
+      match Hashtbl.find_opt t.tables name with
+      | None -> raise Not_found
+      | Some tbl ->
+          Table.close tbl;
+          Vfs.delete t.vfs (Filename.concat tdir Descriptor.file_name);
+          Vfs.sync_dir t.vfs tdir;
+          Hashtbl.remove t.tables name);
   List.iter
     (fun entry ->
       let path = Filename.concat tdir entry in

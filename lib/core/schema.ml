@@ -112,6 +112,7 @@ let widen_column t name =
   | Some i ->
       if t.columns.(i).ctype <> Value.T_int32 then
         invalid "column %S is not int32" name;
+      if is_pkey t i then invalid "key column %S cannot be widened" name;
       let columns = Array.copy t.columns in
       let default =
         match Value.widen ~from:Value.T_int32 ~into:Value.T_int64 t.columns.(i).default with
@@ -157,31 +158,19 @@ let pp ppf t =
     t.columns;
   Format.fprintf ppf "  primary key (%s)@]" (String.concat ", " (pkey_names t))
 
-let ctype_tag = function
-  | Value.T_int32 -> 0
-  | Value.T_int64 -> 1
-  | Value.T_double -> 2
-  | Value.T_timestamp -> 3
-  | Value.T_string -> 4
-  | Value.T_blob -> 5
-
-let ctype_of_tag = function
-  | 0 -> Value.T_int32
-  | 1 -> Value.T_int64
-  | 2 -> Value.T_double
-  | 3 -> Value.T_timestamp
-  | 4 -> Value.T_string
-  | 5 -> Value.T_blob
-  | n -> raise (Binio.Corrupt (Printf.sprintf "schema: bad type tag %d" n))
-
 let encode_column buf c =
   Binio.put_string buf c.name;
-  Binio.put_u8 buf (ctype_tag c.ctype);
+  Binio.put_u8 buf (Value.tag c.ctype);
   Value.encode buf c.default
 
 let decode_column cur =
   let name = Binio.get_string cur in
-  let ctype = ctype_of_tag (Binio.get_u8 cur) in
+  let ctype =
+    let tag = Binio.get_u8 cur in
+    match Value.ctype_of_tag tag with
+    | Some ctype -> ctype
+    | None -> raise (Binio.Corrupt (Printf.sprintf "schema: bad type tag %d" tag))
+  in
   let default = Value.decode ctype cur in
   { name; ctype; default }
 

@@ -6,7 +6,7 @@
     this subset must be of type timestamp and named 'ts'." (§3.1)
 
     Supported evolutions (§3.5): appending columns, widening int32
-    columns to int64, and changing the TTL (the TTL lives in the table
+    value (non-key) columns to int64, and changing the TTL (the TTL lives in the table
     descriptor, not here). Each evolution bumps {!version}; tablet footers
     record the schema they were written with and readers translate rows
     forward with {!translate_row}. *)
@@ -56,8 +56,11 @@ val row_ts : t -> Value.t array -> int64
     @raise Invalid on a duplicate name or type/default mismatch. *)
 val add_column : t -> column -> t
 
-(** [widen_column t name] turns an int32 column into int64.
-    @raise Invalid if [name] is unknown or not int32. *)
+(** [widen_column t name] turns an int32 column into int64. A key
+    column cannot be widened: its cell grows from 4 to 8 bytes in every
+    encoded key, and tablets already on disk, never rewritten, would
+    then sort and look up their rows under the old width.
+    @raise Invalid if [name] is unknown, not int32, or in the key. *)
 val widen_column : t -> string -> t
 
 (** [translate_row ~from ~into row] rewrites a row written under schema

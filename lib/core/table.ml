@@ -232,33 +232,38 @@ let make vfs ~clock ~config ~dir ~name ~desc ~cache ~obs ~pool =
     closed = false;
   }
 
+(* Crash hygiene: a crash, a failed flush or a dropped table can leave
+   tablet files no descriptor names, and interrupted descriptor
+   temporaries. Delete, best effort, every such file of a table's that
+   [referenced] does not name. Quarantined tablets ([".tab.quarantine"])
+   stay for forensics, and files a table never writes are not its own. *)
+let sweep vfs dir ~referenced =
+  List.iter
+    (fun entry ->
+      if
+        (Filename.check_suffix entry ".tab" || entry = Descriptor.file_name ^ ".tmp")
+        && not (List.mem entry referenced)
+      then try Vfs.delete vfs (Filename.concat dir entry) with Vfs.Io_error _ -> ())
+    (try Vfs.readdir vfs dir with Vfs.Io_error _ -> [])
+
 let create ?cache ?(obs = Obs.noop) ?pool vfs ~clock ~config ~dir ~name schema
     ~ttl =
   Vfs.mkdir_p vfs dir;
   if Descriptor.exists vfs ~dir then
     invalid_arg (Printf.sprintf "Table.create: %s already holds a table" dir);
+  (* Before new tablets take their names; the descriptor's save syncs
+     the directory, committing the unlinks with it. *)
+  sweep vfs dir ~referenced:[];
   let desc = Descriptor.{ schema; ttl; next_id = 1; tablets = [] } in
   Descriptor.save vfs ~dir desc;
   make vfs ~clock ~config ~dir ~name ~desc ~cache ~obs ~pool
 
 let quarantine_log = Logs.Src.create "lt.quarantine" ~doc:"Tablet quarantine"
 
-let is_quarantine_file entry = Filename.check_suffix entry ".quarantine"
-
 let open_ ?cache ?(obs = Obs.noop) ?pool vfs ~clock ~config ~dir ~name =
   let desc = Descriptor.load vfs ~dir in
-  (* Crash hygiene: a crash or failed flush can leave tablet files that
-     never made it into a descriptor (and interrupted descriptor
-     temporaries). Anything the descriptor does not reference is dead —
-     except quarantined tablets, kept aside for forensics. *)
-  let referenced =
-    Descriptor.file_name :: List.map (fun m -> m.Descriptor.file) desc.Descriptor.tablets
-  in
-  List.iter
-    (fun entry ->
-      if (not (List.mem entry referenced)) && not (is_quarantine_file entry) then
-        try Vfs.delete vfs (Filename.concat dir entry) with Vfs.Io_error _ -> ())
-    (try Vfs.readdir vfs dir with Vfs.Io_error _ -> []);
+  sweep vfs dir
+    ~referenced:(List.map (fun m -> m.Descriptor.file) desc.Descriptor.tablets);
   (* Validate every referenced tablet; a corrupt or truncated one is set
      aside rather than making the whole table unopenable. A missing file
      is simply dropped — there is nothing left to preserve. *)
@@ -454,13 +459,14 @@ let change_schema t f =
           let from = t.schema in
           let into = f from in
           t.schema <- into;
-          (* Decode, translate, encode: the key too, in case a key
-             column's type changed. *)
+          (* Decode, translate, encode the value. No evolution changes
+             a key column ({!Schema.widen_column} refuses one), so the
+             key bytes stay as they are. *)
           let translate key value =
             let row =
               Schema.translate_row ~from ~into (Row_codec.decode from ~key ~value)
             in
-            Some (Key_codec.encode_key into row, Row_codec.encode_value into row)
+            Some (key, Row_codec.encode_value into row)
           in
           t.filling <- List.map (rebuild_memtable translate) t.filling;
           t.frozen <- List.map (rebuild_memtable translate) t.frozen;
@@ -1121,7 +1127,7 @@ let maybe_stage t a ~has_disk sources =
       let timed = a.a_timed in
       let worker_us = a.a_worker_us and stall_us = a.a_stall_us in
       let now_us () = if timed then Clock.now t.clock else 0L in
-      let on_worker ~busy_us ~rows:_ =
+      let on_worker busy_us =
         if obs_on then
           Ometrics.Histogram.observe_us t.instr.Obs.h_worker_scan busy_us;
         if timed then

@@ -35,6 +35,23 @@ let type_of_name = function
   | "blob" -> Some T_blob
   | _ -> None
 
+let tag = function
+  | T_int32 -> 0
+  | T_int64 -> 1
+  | T_double -> 2
+  | T_timestamp -> 3
+  | T_string -> 4
+  | T_blob -> 5
+
+let[@inline] ctype_of_tag = function
+  | 0 -> Some T_int32
+  | 1 -> Some T_int64
+  | 2 -> Some T_double
+  | 3 -> Some T_timestamp
+  | 4 -> Some T_string
+  | 5 -> Some T_blob
+  | _ -> None
+
 let zero = function
   | T_int32 -> Int32 0l
   | T_int64 -> Int64 0L
@@ -101,7 +118,7 @@ let decode ctype cur =
   | T_string -> String (Binio.get_string cur)
   | T_blob -> Blob (Binio.get_string cur)
 
-let skip ctype cur =
+let[@inline] skip ctype cur =
   match ctype with
   | T_int32 -> Binio.skip cur 4
   | T_int64 | T_double | T_timestamp -> Binio.skip cur 8

@@ -28,6 +28,14 @@ val type_name : ctype -> string
 
 val type_of_name : string -> ctype option
 
+(** The one numbering of the types, [0]–[5] in declaration order, that
+    both the schema codec and the wire protocol's tagged values write. *)
+val tag : ctype -> int
+
+(** The type a {!tag} names; [None] for any other number, which each
+    reader refuses with its own error. Allocation-free. *)
+val ctype_of_tag : int -> ctype option
+
 (** The conventional default for a type: zero / the epoch / empty. *)
 val zero : ctype -> t
 

@@ -12,19 +12,19 @@ type 'a buf = {
   chunks : 'a array Queue.t;
   mutable st : 'a state;
   src : unit -> 'a option;
-  (* Accumulators are written by the (single, self-rescheduling) producer
-     task and read by the consumer only after the terminal transition, so
-     they need no lock of their own. *)
+  (* Written by the (single, self-rescheduling) producer task and read by
+     the consumer only after the terminal transition, so it needs no lock
+     of its own. *)
   mutable busy_us : int64;
-  mutable rows : int;
   mutable reported : bool;
 }
 
 type 'a t = {
   pool : Pool.t;
-  cancel : Cancel.t;
+  cancelled : bool Atomic.t;
+      (** set by [finish]; producers observe it between rows *)
   now_us : unit -> int64;
-  on_worker : busy_us:int64 -> rows:int -> unit;
+  on_worker : int64 -> unit;
   on_stall : int64 -> unit;
   done_mutex : Mutex.t;
   done_cond : Condition.t;
@@ -51,7 +51,7 @@ let report t b =
           true
         end)
   in
-  if fire then t.on_worker ~busy_us:b.busy_us ~rows:b.rows
+  if fire then t.on_worker b.busy_us
 
 (* Rows a producer pulls per round, and chunks it may buffer ahead of
    its consumer before it parks. *)
@@ -73,7 +73,7 @@ let rec producer t b =
     try
       let rec pull () =
         if !n >= chunk_rows then `More
-        else if Cancel.is_set t.cancel then `Drained
+        else if Atomic.get t.cancelled then `Drained
         else
           match b.src () with
           | Some v ->
@@ -88,13 +88,7 @@ let rec producer t b =
   (b.busy_us <- Int64.add b.busy_us (Int64.sub (t.now_us ()) t0))
   [@lint.allow
     "domain-race: only the single self-rescheduling producer task writes \
-     the accumulators, and the consumer reads them in [report] strictly \
-     after the terminal [reported] transition under [b_mutex], which \
-     orders every write before the read"];
-  (b.rows <- b.rows + !n)
-  [@lint.allow
-    "domain-race: only the single self-rescheduling producer task writes \
-     the accumulators, and the consumer reads them in [report] strictly \
+     the accumulator, and the consumer reads it in [report] strictly \
      after the terminal [reported] transition under [b_mutex], which \
      orders every write before the read"];
   let chunk = if !n = 0 then [||] else Array.of_list (List.rev !out) in
@@ -193,7 +187,7 @@ let staged_source t b =
   next
 
 let finish t () =
-  Cancel.set t.cancel;
+  Atomic.set t.cancelled true;
   Mutexes.with_lock t.done_mutex (fun () ->
       while t.inflight > 0 do
         Condition.wait t.done_cond t.done_mutex
@@ -203,7 +197,7 @@ let finish t () =
   List.iter (fun b -> report t b) t.bufs
 
 let stage pool ?(now_us = fun () -> 0L)
-    ?(on_worker = fun ~busy_us:_ ~rows:_ -> ()) ?(on_stall = fun _ -> ()) sources =
+    ?(on_worker = fun _ -> ()) ?(on_stall = fun _ -> ()) sources =
   let bufs =
     List.map
       (fun (_prio, src) ->
@@ -214,7 +208,6 @@ let stage pool ?(now_us = fun () -> 0L)
           st = Running;
           src;
           busy_us = 0L;
-          rows = 0;
           reported = false;
         })
       sources
@@ -222,7 +215,7 @@ let stage pool ?(now_us = fun () -> 0L)
   let t =
     {
       pool;
-      cancel = Cancel.create ();
+      cancelled = Atomic.make false;
       now_us;
       on_worker;
       on_stall;

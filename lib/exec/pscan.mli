@@ -16,9 +16,9 @@
     count cannot deadlock.
 
     The returned [finish] function must be called exactly once, before
-    releasing whatever the sources read from (tablet references): it sets
-    the scan's {!Cancel} token — in-flight producers observe it between
-    rows and stop early — and blocks until no producer task remains.
+    releasing whatever the sources read from (tablet references): it
+    cancels the scan — in-flight producers observe that between rows and
+    stop early — and blocks until no producer task remains.
     Early-terminating queries ([limit], latest-row) rely on this to
     cancel workers they no longer need. *)
 
@@ -28,8 +28,8 @@
 
     - [now_us] supplies monotonic microseconds for the timing callbacks
       (default: constant [0L], disabling them).
-    - [on_worker ~busy_us ~rows] fires exactly once per source when it
-      retires, with its total producer-side scan time and row count.
+    - [on_worker busy_us] fires exactly once per source when it retires,
+      with its total producer-side scan time.
     - [on_stall dur_us] fires (outside any lock) each time the consumer
       had to wait [dur_us] > 0 for a producer mid-round — a merge stall.
 
@@ -37,7 +37,7 @@
 val stage :
   Pool.t ->
   ?now_us:(unit -> int64) ->
-  ?on_worker:(busy_us:int64 -> rows:int -> unit) ->
+  ?on_worker:(int64 -> unit) ->
   ?on_stall:(int64 -> unit) ->
   (int * (unit -> 'a option)) list ->
   (int * (unit -> 'a option)) list * (unit -> unit)

@@ -11,25 +11,6 @@ let copy t = { t with registers = Bytes.copy t.registers }
 
 let precision t = t.precision
 
-(* FNV-1a with a murmur-style fmix64 finalizer: plain FNV diffuses its
-   low bits poorly, which skews the leading-zero statistic HLL relies
-   on. *)
-let fmix64 h =
-  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-  let h = Int64.mul h 0xff51afd7ed558ccdL in
-  let h = Int64.logxor h (Int64.shift_right_logical h 33) in
-  let h = Int64.mul h 0xc4ceb9fe1a85ec53L in
-  Int64.logxor h (Int64.shift_right_logical h 33)
-
-let hash s =
-  let h = ref 0xcbf29ce484222325L in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h 0x100000001b3L)
-    s;
-  fmix64 !h
-
 (* Number of leading zeros of [x] within its low [width] bits, plus one. *)
 let rho x width =
   let rec go i =
@@ -41,7 +22,7 @@ let rho x width =
   go 0
 
 let add t s =
-  let h = hash s in
+  let h = Fnv.hash s in
   let m = 1 lsl t.precision in
   let idx = Int64.to_int (Int64.logand h (Int64.of_int (m - 1))) in
   let rest = Int64.shift_right_logical h t.precision in

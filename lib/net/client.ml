@@ -306,7 +306,8 @@ let drop_table t name =
   Lt_util.Mutexes.with_lock t.mutex (fun () -> Hashtbl.remove t.schemas name);
   expect_ok (roundtrip t (Protocol.Drop_table name))
 
-let insert t table rows = send_batch t (Protocol.Groups [ (table, rows) ])
+let insert t table rows =
+  send_batch t (Protocol.Raw (Protocol.raw_of_rows table rows))
 
 type page = {
   rows : Value.t array list;

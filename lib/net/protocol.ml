@@ -9,13 +9,12 @@ let version = 8
 
 let max_frame = 64 * 1024 * 1024
 
-(* A batch's groups travel either structured (the sender has rows in
-   hand) or raw (the receiver captured the wire bytes without decoding
-   them). Both spellings share one wire format; [read_request] always
-   returns [Raw] so a router can forward row spans and a server can
-   transcode rows into stored form ([transcode_rows]) without boxing a
-   single value; [groups_of_payload] decodes for a caller that wants
-   the values. *)
+(* A batch's groups section travels [Raw]: every sender frames it with
+   [put_section], [read_request] captures it undecoded and
+   [walk_groups] is its one reader, so a router can forward row spans
+   and a server can transcode rows into stored form ([transcode_rows])
+   without boxing a single value. [Groups] spells the same section as
+   rows in hand, for tests and benchmarks. *)
 type batch_payload =
   | Groups of (string * Value.t array list) list
   | Raw of string
@@ -91,42 +90,41 @@ let request_kind = function
 
 (* ---- Tagged values ---------------------------------------------------- *)
 
-let value_tag = function
-  | Value.Int32 _ -> 0
-  | Value.Int64 _ -> 1
-  | Value.Double _ -> 2
-  | Value.Timestamp _ -> 3
-  | Value.String _ -> 4
-  | Value.Blob _ -> 5
-
-(* The tag a value of a column of type [ctype] travels with. *)
-let tag_of_ctype ctype = value_tag (Value.zero ctype)
-
+(* A value travels as its type's {!Value.tag}, then its [Value.encode]
+   bytes. *)
 let put_value b v =
-  Binio.put_u8 b (value_tag v);
+  Binio.put_u8 b (Value.tag (Value.type_of v));
   Value.encode b v
 
-let get_value cur =
+(* Inlined, as are the [Value] functions it calls: a walk over a
+   payload runs it for every cell. *)
+let[@inline] get_ctype cur =
   let tag = Binio.get_u8 cur in
-  let ctype =
-    match tag with
-    | 0 -> Value.T_int32
-    | 1 -> Value.T_int64
-    | 2 -> Value.T_double
-    | 3 -> Value.T_timestamp
-    | 4 -> Value.T_string
-    | 5 -> Value.T_blob
-    | n -> error "bad value tag %d" n
-  in
+  match Value.ctype_of_tag tag with
+  | Some ctype -> ctype
+  | None -> error "bad value tag %d" tag
+
+let get_value cur =
+  let ctype = get_ctype cur in
   Value.decode ctype cur
+
+(* Step over one tagged value without constructing it: the zero-copy
+   side of {!get_value}, used by span scans that only need offsets. *)
+let skip_value cur =
+  let ctype = get_ctype cur in
+  Value.skip ctype cur
 
 let put_row b row =
   Binio.put_varint b (Array.length row);
   Array.iter (put_value b) row
 
-let get_row cur =
+let get_arity cur =
   let n = Binio.get_varint cur in
   if n < 0 || n > 65536 then error "implausible row arity %d" n;
+  n
+
+let get_row cur =
+  let n = get_arity cur in
   Array.init n (fun _ -> get_value cur)
 
 let put_rows b rows =
@@ -138,26 +136,21 @@ let get_rows cur =
   if n < 0 then error "implausible row count %d" n;
   List.init n (fun _ -> get_row cur)
 
-(* Step over one tagged value without constructing it: the zero-copy
-   side of {!get_value}, used by span scans that only need offsets. *)
-let skip_value cur =
-  match Binio.get_u8 cur with
-  | 0 -> Binio.skip cur 4
-  | 1 | 2 | 3 -> Binio.skip cur 8
-  | 4 | 5 -> Binio.skip cur (Binio.get_varint cur)
-  | n -> error "bad value tag %d" n
+(* ---- The groups section of an [Insert_batch] ---------------------------- *)
 
-let put_groups b groups =
+(* The one writer: a group count, then per group its table name, its
+   row count and its rows, which [put_rows] appends — as bytes already
+   encoded one by one with {!put_row}, or by encoding rows in hand with
+   it, straight into [b]. *)
+let put_section b groups ~put_rows =
   Binio.put_varint b (List.length groups);
   List.iter
-    (fun (table, rows) ->
+    (fun (table, count, rows) ->
       Binio.put_string b table;
+      Binio.put_varint b count;
       put_rows b rows)
     groups
 
-(* Groups whose rows were appended to a buffer one by one ({!put_row}):
-   the same groups section [put_groups] writes, framed around the row
-   bytes without a walk over the rows. *)
 let raw_of_encoded_groups groups =
   let size =
     List.fold_left
@@ -165,56 +158,68 @@ let raw_of_encoded_groups groups =
       8 groups
   in
   let b = Buffer.create size in
-  Binio.put_varint b (List.length groups);
-  List.iter
-    (fun (table, count, rows) ->
-      Binio.put_string b table;
-      Binio.put_varint b count;
-      Buffer.add_buffer b rows)
-    groups;
+  put_section b groups ~put_rows:Buffer.add_buffer;
   Buffer.contents b
 
-let decode_groups payload =
+let put_row_groups b gs =
+  put_section b
+    (List.map (fun (table, rows) -> (table, List.length rows, rows)) gs)
+    ~put_rows:(fun b rows -> List.iter (put_row b) rows)
+
+let raw_of_row_groups gs =
+  let b = Buffer.create 256 in
+  put_row_groups b gs;
+  Buffer.contents b
+
+let raw_of_rows table rows = raw_of_row_groups [ (table, rows) ]
+
+let raw_of_payload = function
+  | Raw payload -> payload
+  | Groups gs -> raw_of_row_groups gs
+
+(* The one reader: every framing check of the section is made here, and
+   each caller's [row] step consumes one row's cells through
+   [get_value]/[skip_value], which check the tags. *)
+let walk_groups payload ~group ~row =
   let cur = Binio.cursor payload in
   let n = Binio.get_varint cur in
   if n < 0 || n > 65536 then error "implausible group count %d" n;
-  let groups =
-    List.init n (fun _ ->
-        let table = Binio.get_string cur in
-        let rows = get_rows cur in
-        (table, rows))
-  in
-  Binio.expect_end cur;
-  groups
+  for _ = 1 to n do
+    let table = Binio.get_string cur in
+    let count = Binio.get_varint cur in
+    if count < 0 then error "implausible row count %d" count;
+    let g = group table ~count ~pos:cur.Binio.pos in
+    for _ = 1 to count do
+      let start = cur.Binio.pos in
+      row g cur ~start ~arity:(get_arity cur)
+    done
+  done;
+  Binio.expect_end cur
+
+let decode_groups payload =
+  let groups = ref [] in
+  walk_groups payload
+    ~group:(fun table ~count:_ ~pos:_ ->
+      let rows = ref [] in
+      groups := (table, rows) :: !groups;
+      rows)
+    ~row:(fun rows cur ~start:_ ~arity ->
+      rows := Array.init arity (fun _ -> get_value cur) :: !rows);
+  List.rev_map (fun (table, rows) -> (table, List.rev !rows)) !groups
 
 let groups_of_payload = function
   | Groups gs -> gs
   | Raw payload -> decode_groups payload
 
-(* ---- Rows in stored form ------------------------------------------------- *)
-
-let skip_row cur =
-  let n = Binio.get_varint cur in
-  if n < 0 || n > 65536 then error "implausible row arity %d" n;
-  for _ = 1 to n do skip_value cur done
-
-(* The framing checks of [decode_groups], made by stepping over every
-   value instead of building it. *)
 let raw_groups payload =
-  let cur = Binio.cursor payload in
-  let n = Binio.get_varint cur in
-  if n < 0 || n > 65536 then error "implausible group count %d" n;
-  let groups =
-    List.init n (fun _ ->
-        let table = Binio.get_string cur in
-        let count = Binio.get_varint cur in
-        if count < 0 then error "implausible row count %d" count;
-        let pos = cur.Binio.pos in
-        for _ = 1 to count do skip_row cur done;
-        (table, count, pos))
-  in
-  Binio.expect_end cur;
-  groups
+  let groups = ref [] in
+  walk_groups payload
+    ~group:(fun table ~count ~pos -> groups := (table, count, pos) :: !groups)
+    ~row:(fun () cur ~start:_ ~arity ->
+      for _ = 1 to arity do skip_value cur done);
+  List.rev !groups
+
+(* ---- Rows in stored form ------------------------------------------------- *)
 
 (* A wire cell's [Value.encode] bytes are a stored value cell's, so a
    row is transcoded by checking each tag against its column's type,
@@ -227,7 +232,8 @@ let raw_groups payload =
 let transcode_rows payload ~pos ~count schema =
   let cols = Schema.columns schema and pkey = Schema.pkey schema in
   let ncols = Array.length cols in
-  let tags = Array.map (fun c -> tag_of_ctype c.Schema.ctype) cols in
+  let ctypes = Array.map (fun c -> c.Schema.ctype) cols in
+  let tags = Array.map Value.tag ctypes in
   let is_key = Array.init ncols (Schema.is_pkey schema) in
   let spans = Array.make (3 * ncols) 0 in
   let cur = Binio.cursor ~pos payload in
@@ -244,19 +250,17 @@ let transcode_rows payload ~pos ~count schema =
       if Binio.get_varint cur <> ncols then refuse start;
       let vlen = ref 0 in
       for i = 0 to ncols - 1 do
-        let tag = Binio.get_u8 cur in
-        if tag <> tags.(i) then refuse start;
+        if Binio.get_u8 cur <> tags.(i) then refuse start;
         spans.(3 * i) <- cur.Binio.pos;
-        if tag >= 4 then begin
-          (* A string or blob: its length, then its bytes. *)
-          let len = Binio.get_varint cur in
-          spans.((3 * i) + 1) <- cur.Binio.pos;
-          Binio.skip cur len
-        end
-        else begin
-          spans.((3 * i) + 1) <- cur.Binio.pos;
-          Binio.skip cur (if tag = 0 then 4 else 8)
-        end;
+        (match ctypes.(i) with
+        | Value.T_string | Value.T_blob ->
+            (* Its length, then its bytes. *)
+            let len = Binio.get_varint cur in
+            spans.((3 * i) + 1) <- cur.Binio.pos;
+            Binio.skip cur len
+        | ctype ->
+            spans.((3 * i) + 1) <- cur.Binio.pos;
+            Value.skip ctype cur);
         spans.((3 * i) + 2) <- cur.Binio.pos;
         if not is_key.(i) then vlen := !vlen + cur.Binio.pos - spans.(3 * i)
       done;
@@ -290,13 +294,6 @@ let transcode_rows payload ~pos ~count schema =
       done;
       Some (Bytes.unsafe_to_string key, Bytes.unsafe_to_string value)
     end
-
-let raw_of_payload = function
-  | Raw payload -> payload
-  | Groups gs ->
-      let b = Buffer.create 256 in
-      put_groups b gs;
-      Buffer.contents b
 
 let put_opt_i64 b = function
   | None -> Binio.put_u8 b 0
@@ -451,8 +448,8 @@ let write_request b = function
   | Insert_batch { groups } -> (
       Binio.put_u8 b 20;
       match groups with
-      | Groups gs -> put_groups b gs
-      | Raw payload -> Buffer.add_string b payload)
+      | Raw payload -> Buffer.add_string b payload
+      | Groups gs -> put_row_groups b gs)
 
 let get_flag cur what =
   match Binio.get_u8 cur with
@@ -516,8 +513,8 @@ let read_request cur =
   | 20 ->
       (* Captured undecoded: the single-node server transcodes rows
          straight into stored form ([transcode_rows]); the router never
-         decodes forwarded columns at all (it scans spans, see
-         Router.split_raw). *)
+         decodes forwarded columns at all (it walks the section for
+         each row's leading key and copies row spans). *)
       Insert_batch { groups = Raw (Binio.rest cur) }
   | n -> error "bad request tag %d" n
 

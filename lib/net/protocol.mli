@@ -16,14 +16,13 @@ open Littletable
 
 exception Protocol_error of string
 
-(** A batch's groups, either structured (the sender holds rows in hand)
-    or raw: the undecoded wire bytes of the groups section, as captured
-    by {!read_request}. Both spellings share one wire format. Raw is
-    the zero-copy half — a router can scan the payload for each row's
-    leading key and forward the row's byte span verbatim, and a server
-    transcodes each row into stored form ({!transcode_rows}), neither
-    boxing a value; {!groups_of_payload} decodes when a caller wants
-    the values. *)
+(** A batch's groups section: the rows of one or more tables. Every
+    sender and receiver of this library holds it [Raw], as wire bytes
+    that {!read_request} captures undecoded and {!walk_groups} alone
+    reads, so a router forwards row spans and a server transcodes rows
+    ({!transcode_rows}) without boxing a value. [Groups] spells it as
+    rows in hand, for tests and benchmarks; {!write_request} and
+    {!raw_of_payload} encode it with the same writer. *)
 type batch_payload =
   | Groups of (string * Value.t array list) list
   | Raw of string
@@ -114,15 +113,30 @@ val request_kind : request -> string
 
 (** {1 Batch payloads} *)
 
+(** [walk_groups payload ~group ~row] walks a groups section once, and
+    is the only reader of one: it checks the group count's bound, each
+    table name, row count and row arity, and that no bytes trail.
+    [group table ~count ~pos] opens each group ([pos] is the offset of
+    its first row); [row g cur ~start ~arity] must consume, through
+    {!get_value} and {!skip_value} (which check each tag), the [arity]
+    cells of one row of group [g], whose bytes begin at [start].
+    @raise Protocol_error or {!Lt_util.Binio.Corrupt} on malformed
+    bytes, before any later part of the payload is read. *)
+val walk_groups :
+  string ->
+  group:(string -> count:int -> pos:int -> 'g) ->
+  row:('g -> Lt_util.Binio.cursor -> start:int -> arity:int -> unit) ->
+  unit
+
 (** Decode a payload's groups (a no-op on [Groups]).
     @raise Protocol_error or {!Lt_util.Binio.Corrupt} on malformed raw
     bytes — deferred from {!read_request}, which no longer validates
     the groups section it captures. *)
 val groups_of_payload : batch_payload -> (string * Value.t array list) list
 
-(** [raw_groups payload] checks a raw groups section whole, with the
-    checks {!groups_of_payload} makes but no value built, and returns
-    each group's table, row count and the offset of its first row.
+(** [raw_groups payload] checks a raw groups section whole, with
+    {!walk_groups} stepping over every cell, and returns each group's
+    table, row count and the offset of its first row.
     @raise Protocol_error or {!Lt_util.Binio.Corrupt} on malformed
     bytes. *)
 val raw_groups : string -> (string * int * int) list
@@ -140,11 +154,10 @@ val raw_groups : string -> (string * int * int) list
 val transcode_rows :
   string -> pos:int -> count:int -> Schema.t -> unit -> (string * string) option
 
-(** The payload's groups section in wire format (a no-op on [Raw]). *)
-val raw_of_payload : batch_payload -> string
-
 (** Read one tagged value / step over one without constructing it — the
-    primitives of a raw-payload span scan. *)
+    cell primitives of a {!walk_groups} step. A value's tag is its
+    type's {!Value.tag}.
+    @raise Protocol_error on any other tag. *)
 
 val get_value : Lt_util.Binio.cursor -> Value.t
 val skip_value : Lt_util.Binio.cursor -> unit
@@ -156,9 +169,17 @@ val put_row : Buffer.t -> Value.t array -> unit
 
 (** [raw_of_encoded_groups groups] is the groups section, in wire
     format, of [groups] given as [(table, row count, row bytes)], the
-    row bytes appended with {!put_row}: the one framing a buffering
-    client's flush and a router's per-shard split both send. *)
+    row bytes appended with {!put_row}: what a buffering client's flush
+    and a router's per-shard split send. It, {!raw_of_rows},
+    {!raw_of_payload} and {!write_request} frame the section with one
+    writer, and write every row with {!put_row}. *)
 val raw_of_encoded_groups : (string * int * Buffer.t) list -> string
+
+(** [raw_of_rows table rows] is the groups section of one group. *)
+val raw_of_rows : string -> Value.t array list -> string
+
+(** The payload's groups section in wire format (a no-op on [Raw]). *)
+val raw_of_payload : batch_payload -> string
 
 (** {1 Framing} *)
 

@@ -78,11 +78,10 @@ let handle db req =
          rows of every attempted group are in (rows before a duplicate
          or invalid row stay committed), so the client resends only the
          remainder. The payload arrives raw (undecoded) from the frame
-         reader; a structured one (an in-process caller's) is encoded
-         to its wire bytes first, as the router does. The payload is
-         checked whole, so a malformed one lands nothing; then each row
-         is transcoded straight from its wire bytes into stored form as
-         it lands. *)
+         reader; a structured one (a test's or a benchmark's) is
+         encoded to its wire bytes first. The payload is checked whole,
+         so a malformed one lands nothing; then each row is transcoded
+         straight from its wire bytes into stored form as it lands. *)
       let raw = Protocol.raw_of_payload payload in
       let failed landed msg =
         if List.for_all (fun (_, n) -> n = 0) landed then Error msg

@@ -28,6 +28,19 @@ let test_hash_placement () =
   Alcotest.(check (list int)) "open scan fans out" [ 0; 1; 2; 3 ]
     (Placement.shards_of_query p Query.all)
 
+(* Placement must not move between releases: a changed hash sends rows
+   already on one shard to another. Pinned owners of a few values. *)
+let test_hash_placement_golden () =
+  let owners shards =
+    let p = Placement.create ~shards ~policy:(Placement.Hash { vnodes = 64 }) in
+    List.map (Placement.shard_of_value p)
+      [ Value.Int64 0L; Value.Int64 1L; Value.Int64 2L; Value.Int64 42L;
+        Value.Int64 (-7L); Value.Int64 1_000_000_007L; Value.String "";
+        Value.String "net-17"; Value.Int32 5l; Value.Timestamp 1_720_000_000_000_000L ]
+  in
+  Alcotest.(check (list int)) "3 shards" [ 1; 0; 2; 2; 1; 1; 0; 0; 2; 1 ] (owners 3);
+  Alcotest.(check (list int)) "4 shards" [ 1; 3; 3; 2; 1; 3; 0; 0; 3; 3 ] (owners 4)
+
 let test_range_placement () =
   let p =
     Placement.create ~shards:3
@@ -417,6 +430,256 @@ let test_router_batched_equality () =
       let s = Client.stats rc "usage" in
       Alcotest.(check int) "all rows inserted" 120 s.Stats.rows_inserted)
 
+(* ---- Router = single node on insert payloads ------------------------- *)
+
+(* An [Insert_batch] groups section has one reader, [Protocol.walk_groups],
+   behind both the router's split and a single node's check, so the two
+   agree on a payload's framing: both refuse a malformed one whole,
+   landing nothing, and both land every row of a valid one. (Rows that
+   are well framed but wrong for their table are checked apart on each
+   side, and there the two can still differ.) Payloads are random
+   valid batches over two existing tables (int64 and string leading
+   keys), intact or with trailing bytes, a cut, a value tag outside
+   [Value.tag]'s table, or a group count, row count or row arity that is
+   negative or larger than the payload holds. *)
+
+type mutation =
+  | Intact
+  | Trailing of string
+  | Cut of int  (** bytes removed from the end *)
+  | Bad_tag of int * int  (** (cell index in the payload, tag) *)
+  | Group_count of int
+  | Row_count of int * int  (** (group index, count) *)
+  | Arity of int * int  (** (row index in the payload, arity) *)
+
+(* Both tables keep [ts] in column 2. *)
+let payload_tables () =
+  [ ("usage", Support.usage_schema ()); ("events", Support.event_schema ()) ]
+
+(* A varint of any int, a negative one included: nine 7-bit groups, as
+   a hostile peer may send them ([Binio.put_varint] refuses to). *)
+let put_any_varint b v =
+  if v >= 0 then Lt_util.Binio.put_varint b v
+  else begin
+    for i = 0 to 7 do
+      Buffer.add_char b (Char.chr (0x80 lor ((v lsr (7 * i)) land 0x7f)))
+    done;
+    Buffer.add_char b (Char.chr ((v lsr 56) land 0x7f))
+  end
+
+(* The groups section written field by field, so a mutation can replace
+   any one field. *)
+let encode_payload mutation groups =
+  let b = Buffer.create 256 in
+  let row_i = ref 0 and cell_i = ref 0 in
+  put_any_varint b
+    (match mutation with Group_count n -> n | _ -> List.length groups);
+  List.iteri
+    (fun gi (table, rows) ->
+      Lt_util.Binio.put_string b table;
+      put_any_varint b
+        (match mutation with
+        | Row_count (g, n) when g = gi -> n
+        | _ -> List.length rows);
+      List.iter
+        (fun row ->
+          put_any_varint b
+            (match mutation with
+            | Arity (r, n) when r = !row_i -> n
+            | _ -> Array.length row);
+          incr row_i;
+          Array.iter
+            (fun v ->
+              Lt_util.Binio.put_u8 b
+                (match mutation with
+                | Bad_tag (c, tag) when c = !cell_i -> tag
+                | _ -> Value.tag (Value.type_of v));
+              incr cell_i;
+              Value.encode b v)
+            row)
+        rows)
+    groups;
+  let p = Buffer.contents b in
+  match mutation with
+  | Trailing extra -> p ^ extra
+  | Cut n -> String.sub p 0 (String.length p - n)
+  | _ -> p
+
+let gen_payload_case =
+  let open QCheck.Gen in
+  let usage_row =
+    map3
+      (fun net dev bytes ->
+        Support.usage_row ~network:(Int64.of_int net) ~device:(Int64.of_int dev)
+          ~ts:0L ~bytes:(Int64.of_int bytes) ~rate:0.5)
+      (int_range 1 6) (int_range 1 4) int
+  in
+  let event_row =
+    map3
+      (fun net id body ->
+        [| Value.String net; Value.String "ap"; Value.Timestamp 0L;
+           Value.Int64 (Int64.of_int id); Value.Blob body |])
+      (oneofl [ "n1"; "n2"; "n3"; "" ])
+      int (string_size (int_bound 6))
+  in
+  let group =
+    oneofl [ "usage"; "events" ] >>= fun table ->
+    list_size (int_bound 8) (if table = "usage" then usage_row else event_row)
+    >|= fun rows -> (table, rows)
+  in
+  list_size (int_bound 3) group >>= fun groups ->
+  let rows = List.concat_map snd groups in
+  let nrows = List.length rows in
+  let ncells = List.fold_left (fun n r -> n + Array.length r) 0 rows in
+  let ngroups = List.length groups in
+  let size = String.length (encode_payload Intact groups) in
+  let negative = map (fun n -> -1 - n) (oneof [ small_nat; int_bound max_int ]) in
+  let past = map (fun k -> 65537 + k) small_nat in
+  let mutation =
+    frequency
+      ([ (3, return Intact);
+         (2, map (fun s -> Trailing s) (string_size (int_range 1 3)));
+         (2, map (fun n -> Cut n) (int_range 1 size));
+         (1, map (fun n -> Group_count n) (oneof [ negative; past ]));
+         (1, map (fun k -> Group_count (ngroups + k)) (int_range 1 3)) ]
+      @ (if ngroups = 0 then []
+         else
+           [ ( 2,
+               int_bound (ngroups - 1) >>= fun g ->
+               let count = List.length (snd (List.nth groups g)) in
+               map
+                 (fun n -> Row_count (g, n))
+                 (oneof
+                    [ negative; map (fun k -> 1 lsl k) (int_range 20 40);
+                      map (fun k -> count + k) (int_range 1 3) ]) ) ])
+      @ (if nrows = 0 then []
+         else
+           let last = Array.length (List.nth rows (nrows - 1)) in
+           [ ( 2,
+               map2
+                 (fun r n -> Arity (r, n))
+                 (int_bound (nrows - 1))
+                 (oneof [ negative; past ]) );
+             (* More cells than are left: only the last row's overrun is
+                sure to run off the end rather than into the next row. *)
+             (1, map (fun k -> Arity (nrows - 1, last + k)) (int_range 1 3));
+             ( 2,
+               map2
+                 (fun c tag -> Bad_tag (c, tag))
+                 (int_bound (ncells - 1))
+                 (int_range 6 255) ) ]))
+  in
+  mutation >|= fun m -> (groups, m)
+
+let print_payload_case (groups, m) =
+  let mutation =
+    match m with
+    | Intact -> "intact"
+    | Trailing s -> Printf.sprintf "trailing %S" s
+    | Cut n -> Printf.sprintf "cut %d" n
+    | Bad_tag (c, t) -> Printf.sprintf "cell %d tag %d" c t
+    | Group_count n -> Printf.sprintf "group count %d" n
+    | Row_count (g, n) -> Printf.sprintf "group %d row count %d" g n
+    | Arity (r, n) -> Printf.sprintf "row %d arity %d" r n
+  in
+  String.concat "\n"
+    (mutation
+    :: List.map
+         (fun (table, rows) ->
+           Printf.sprintf "%s: %s" table
+             (String.concat "; "
+                (List.map
+                   (fun r ->
+                     String.concat ", "
+                       (Array.to_list (Array.map Value.to_string r)))
+                   rows)))
+         groups)
+
+(* Every row of [table] from [ts_min] on, paged through [handle]. *)
+let rows_from handle table schema ~ts_min =
+  let fetch query =
+    match handle (P.Query { table; query; profile = false }) with
+    | P.Row_batch { rows; more_available; scanned; profile } ->
+        { Client.rows; more_available; scanned; profile }
+    | _ -> Alcotest.fail "query refused"
+  in
+  let next = Client.pager schema ~fetch (Query.between ~ts_min Query.all) in
+  let rec go acc = match next () with Some r -> go (r :: acc) | None -> List.rev acc in
+  go []
+
+let test_router_payloads_match_single_node () =
+  let nodes = List.init 3 (fun _ -> start_node ()) in
+  let reference = start_node () in
+  let cluster = Cluster_client.create ~backends:(List.map endpoint_of nodes) () in
+  Fun.protect
+    ~finally:(fun () ->
+      Cluster_client.close cluster;
+      List.iter stop_node (reference :: nodes))
+    (fun () ->
+      let placement =
+        Placement.create ~shards:3 ~policy:(Placement.Hash { vnodes = 64 })
+      in
+      let router = Router.create ~row_limit ~placement ~cluster () in
+      let routed = Router.handle router and single = Server.handle reference.n_db in
+      List.iter
+        (fun (table, schema) ->
+          let req = P.Create_table { table; schema; ttl = None } in
+          Alcotest.(check bool) ("created " ^ table) true
+            (routed req = P.Ok && single req = P.Ok))
+        (payload_tables ());
+      (* Each case stamps its rows with timestamps of its own, so the
+         rows a case landed are those at or past its first one. *)
+      let case = ref 0 in
+      let prop (groups, mutation) =
+        incr case;
+        let base = Int64.of_int (!case * 1000) in
+        let k = ref 0 in
+        let groups =
+          List.map
+            (fun (table, rows) ->
+              ( table,
+                List.map
+                  (fun r ->
+                    let r = Array.copy r in
+                    r.(2) <- Value.Timestamp (Int64.add base (Int64.of_int !k));
+                    incr k;
+                    r)
+                  rows ))
+            groups
+        in
+        let payload = encode_payload mutation groups in
+        if mutation = Intact then
+          Alcotest.(check string) "the test's encoding is the wire's"
+            (P.raw_of_payload (P.Groups groups)) payload;
+        let req = P.Insert_batch { groups = P.Raw payload } in
+        let answers = (routed req, single req) in
+        let landed =
+          List.for_all
+            (fun (table, schema) ->
+              rows_from routed table schema ~ts_min:base
+              = rows_from single table schema ~ts_min:base)
+            (payload_tables ())
+        in
+        let none_landed =
+          List.for_all
+            (fun (table, schema) ->
+              rows_from single table schema ~ts_min:base = [])
+            (payload_tables ())
+        in
+        match answers with
+        | P.Error _, P.Error _ -> landed && none_landed
+        | P.Insert_ok a, P.Insert_ok b -> a = b && landed
+        | _ -> false
+      in
+      let _, _, run =
+        Support.qcheck
+          (QCheck.Test.make ~name:"router = single node on insert payloads"
+             ~count:300
+             (QCheck.make ~print:print_payload_case gen_payload_case)
+             prop)
+      in
+      run ())
+
 (* ---- Replica failover -------------------------------------------------- *)
 
 (* Kill the only backend; reads fail over to its warm spare and lose
@@ -771,6 +1034,7 @@ let test_client_backoff () =
 let suite =
   [
     ("hash placement", `Quick, test_hash_placement);
+    ("hash placement is pinned", `Quick, test_hash_placement_golden);
     ("range placement", `Quick, test_range_placement);
     ("placement overrides", `Quick, test_placement_overrides);
     ("router equality gate (hash)", `Quick, test_equality_hash);
@@ -780,6 +1044,8 @@ let suite =
     ("router partial failure reports per-shard landed rows", `Quick,
       test_router_partial_failure);
     ("router batched ingest equality", `Quick, test_router_batched_equality);
+    ("router = single node on insert payloads", `Quick,
+      test_router_payloads_match_single_node);
     ("replica failover", `Quick, test_replica_failover);
     ("telemetry probes never promote a spare", `Quick,
       test_spare_probes_never_promote);

@@ -189,6 +189,24 @@ let test_schema_evolution () =
   | (_ : Schema.t) -> Alcotest.fail "duplicate add accepted"
   | exception Schema.Invalid _ -> ()
 
+(* A key column keeps its width: widening it would change the encoded
+   key of every row, and tablets on disk are never rewritten. *)
+let test_widen_key_refused () =
+  let col name ctype default = { Schema.name; ctype; default } in
+  let s =
+    Schema.create
+      ~columns:
+        [ col "network" Value.T_int32 (Value.Int32 0l);
+          col "ts" Value.T_timestamp (Value.Timestamp 0L);
+          col "pkts" Value.T_int32 (Value.Int32 0l) ]
+      ~pkey:[ "network"; "ts" ]
+  in
+  (match Schema.widen_column s "network" with
+  | (_ : Schema.t) -> Alcotest.fail "widened a key column"
+  | exception Schema.Invalid _ -> ());
+  Alcotest.(check int) "a value column still widens" 1
+    (Schema.version (Schema.widen_column s "pkts"))
+
 let test_schema_serialization () =
   let s =
     Schema.widen_column
@@ -395,6 +413,7 @@ let suite =
   [
     ("value types", `Quick, test_value_types);
     ("value widen", `Quick, test_value_widen);
+    ("widening a key column refused", `Quick, test_widen_key_refused);
     ("value compare", `Quick, test_value_compare);
     ("schema validation", `Quick, test_schema_validation);
     ("schema accessors", `Quick, test_schema_accessors);

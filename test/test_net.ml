@@ -282,6 +282,46 @@ let with_db_server ?slow_op_micros f =
 
 let with_server f = with_db_server (fun _ server -> f server)
 
+(* A table name that is a path step ("." or "..") is refused on the
+   wire, and the refusal touches no file: with ".." the table directory
+   would be the data root's parent, which holds files of other owners. *)
+let test_create_table_dot_names_refused () =
+  let parent = Filename.temp_file "lt_net_names" "" in
+  Sys.remove parent;
+  Sys.mkdir parent 0o755;
+  let root = Filename.concat parent "db" in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote parent))))
+    (fun () ->
+      let plant dir file =
+        Out_channel.with_open_bin (Filename.concat dir file) (fun oc ->
+            output_string oc file)
+      in
+      let db = Db.open_ ~dir:root () in
+      List.iter (plant parent) [ "000001.tab"; "notes.txt" ];
+      List.iter (plant root) [ "000002.tab" ];
+      let listing () =
+        List.map
+          (fun dir -> List.sort compare (Array.to_list (Sys.readdir dir)))
+          [ parent; root ]
+      in
+      let before = listing () in
+      List.iter
+        (fun table ->
+          (match
+             Server.handle db
+               (Protocol.Create_table
+                  { table; schema = Support.usage_schema (); ttl = None })
+           with
+          | Protocol.Error _ -> ()
+          | _ -> Alcotest.failf "table name %S accepted" table);
+          Alcotest.(check (list (list string)))
+            (Printf.sprintf "%S deletes and writes nothing" table)
+            before (listing ()))
+        [ ".."; "." ];
+      Alcotest.(check (list string)) "no table" [] (Db.table_names db))
+
 let test_server_end_to_end () =
   with_db_server (fun db server ->
       let c = Client.connect ~port:(Server.port server) () in
@@ -1163,6 +1203,7 @@ let suite =
     ("protocol rejects garbage", `Quick, test_protocol_rejects_garbage);
     ("trace ctx framing", `Quick, test_ctx_framing);
     ("server end-to-end", `Quick, test_server_end_to_end);
+    ("table names . and .. refused", `Quick, test_create_table_dot_names_refused);
     ("query profile over the wire", `Quick, test_query_profile_over_wire);
     ("trace fetch over the wire", `Quick, test_trace_fetch_over_wire);
     ("sql over the wire", `Quick, test_server_sql_over_wire);

@@ -636,6 +636,34 @@ let test_schema_evolution_live () =
   (* Reopen-safe: descriptor carries the evolved schema. *)
   Alcotest.(check int) "version" 2 (Schema.version (Table.schema t))
 
+(* Widening an int32 key column is refused: on-disk tablets keep their
+   4-byte key cells, so a widened key would no longer find their rows
+   and would admit a second copy of one. *)
+let test_widen_key_column_refused () =
+  let db, _, _ = Support.fresh_db ~config:small_config () in
+  let col name ctype default = { Schema.name; ctype; default } in
+  let schema =
+    Schema.create
+      ~columns:
+        [ col "network" Value.T_int32 (Value.Int32 0l);
+          col "ts" Value.T_timestamp (Value.Timestamp 0L) ]
+      ~pkey:[ "network"; "ts" ]
+  in
+  let t = Db.create_table db "nets" schema ~ttl:None in
+  let ts = Value.Timestamp Support.ts0 in
+  Table.insert t [ [| Value.Int32 1l; ts |]; [| Value.Int32 2l; ts |] ];
+  Table.flush_all t;
+  (match Table.widen_column t "network" with
+  | () -> Alcotest.fail "widened a key column"
+  | exception Schema.Invalid _ -> ());
+  Alcotest.(check int) "schema version unchanged" 0
+    (Schema.version (Table.schema t));
+  let prefix = [ Value.Int32 1l ] in
+  Alcotest.(check int) "prefix query finds the row" 1
+    (List.length (Table.query t (Query.prefix prefix)).Table.rows);
+  Alcotest.(check bool) "latest finds the row" true
+    (Table.latest t prefix = Some [| Value.Int32 1l; ts |])
+
 let test_reopen_from_descriptor () =
   let db, clock, vfs, t = fresh () in
   ignore db;
@@ -767,6 +795,43 @@ let test_drop_and_recreate_via_db () =
   Alcotest.(check bool) "gone" true (Db.find_table db "usage" = None);
   let t2 = Db.create_table db "usage" (schema ()) ~ttl:None in
   Alcotest.(check int) "fresh table empty" 0 (List.length (all_rows t2))
+
+(* An acknowledged drop is durable: the descriptor's removal is synced
+   before the call returns, so a crash cannot bring the table back. *)
+let test_drop_survives_crash () =
+  let db, clock, vfs, t = fresh () in
+  Table.insert_row t (row 1L 1L 1L);
+  Table.flush_all t;
+  Db.drop_table db "usage";
+  Lt_vfs.Vfs.crash vfs;
+  let db = Db.open_ ~config:small_config ~clock ~vfs ~dir:"dbroot" () in
+  Alcotest.(check (list string)) "no table after the crash" [] (Db.table_names db)
+
+(* A crash between a drop and a re-create under the same name: the new
+   table starts empty, and the dropped table's tablet files, whose
+   unlinks the crash may undo, never surface in it. *)
+let test_drop_crash_recreate () =
+  let db, clock, vfs, t = fresh () in
+  Table.insert t [ row 1L 1L 1L; row 1L 2L 2L ];
+  Table.flush_all t;
+  Table.insert_row t (row 2L 1L 3L);
+  Table.flush_all t;
+  Db.drop_table db "usage";
+  Lt_vfs.Vfs.crash vfs;
+  let db = Db.open_ ~config:small_config ~clock ~vfs ~dir:"dbroot" () in
+  let files () = Lt_vfs.Vfs.readdir vfs "dbroot/usage" in
+  Alcotest.(check bool) "the crash undid the tablets' unlinks" true
+    (List.exists (fun f -> Filename.check_suffix f ".tab") (files ()));
+  let t2 = Db.create_table db "usage" (schema ()) ~ttl:None in
+  Alcotest.(check (list string)) "no leftover beside the new descriptor"
+    [ Descriptor.file_name ] (files ());
+  Alcotest.(check int) "fresh table empty" 0 (List.length (all_rows t2));
+  Table.insert_row t2 (row 9L 9L 9L);
+  Table.flush_all t2;
+  Lt_vfs.Vfs.crash vfs;
+  let db = Db.open_ ~config:small_config ~clock ~vfs ~dir:"dbroot" () in
+  Alcotest.(check int) "only the new table's row" 1
+    (List.length (all_rows (Db.table db "usage")))
 
 let test_stats_scan_ratio () =
   let _, _, _, t = fresh () in
@@ -1365,6 +1430,9 @@ let suite =
     ("group commit shares flush rounds", `Quick, test_group_commit);
     ("out-of-order inserts bin correctly", `Quick, test_out_of_order_inserts_bin_correctly);
     ("drop and recreate", `Quick, test_drop_and_recreate_via_db);
+    ("drop survives a crash", `Quick, test_drop_survives_crash);
+    ("drop, crash, recreate", `Quick, test_drop_crash_recreate);
+    ("widening a key column refused", `Quick, test_widen_key_column_refused);
     ("stats scan ratio", `Quick, test_stats_scan_ratio);
     ("concurrent readers vs maintenance", `Quick, test_concurrent_readers);
     Support.qcheck prop_matches_reference;
