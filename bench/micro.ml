@@ -3,7 +3,8 @@
    (the disk side is the cost model's job in the figure benches):
 
    - headline row path: key encode, row encode/decode (table of §5.1.2);
-   - Figure 2 counterpart: single-batch insert into a table;
+   - Figure 2 counterpart: single-batch insert into a table, and the
+     memtable insert under it in poll-cycle and in random key order;
    - Figure 3 counterpart: block build + LZ compression (flush path);
    - Figure 5/6 counterpart: cursor merge step and block binary search;
    - §3.4.5: bloom add/mem; §4.1.2: HLL add. *)
@@ -47,19 +48,51 @@ let test_row_decode =
     (Staged.stage (fun () ->
          ignore (Row_codec.decode schema ~key:sample_key ~value:sample_value)))
 
-let test_memtable_insert =
-  Test.make ~name:"memtable insert (1k rows)"
+(* One memtable's worth of rows (about the 9.4k rows a 400 KiB memtable
+   holds), encoded before timing so the memtable cases time
+   [Memtable.insert] alone. In ascending-run order the rows come as a
+   grabber polls 2,000 devices: each cycle's rows in key order, landing
+   between the last cycle's, as in perfbench's [ingest]; the random
+   order is a shuffle of the same rows, the tree's finger fallback. *)
+let memtable_rows =
+  let rng = Lt_util.Xorshift.create 3L in
+  let devices = 2_000 in
+  Array.init 9_472 (fun i ->
+      let ts = Int64.of_int (i / devices) in
+      let row = Support.make_row rng ~ts ~row_size:128 in
+      row.(0) <- Value.Int64 (Int64.of_int (i mod devices));
+      for c = 1 to 4 do row.(c) <- Value.Int64 0L done;
+      (Key_codec.encode_key schema row, ts, Row_codec.encode_value schema row))
+
+let memtable_rows_shuffled =
+  let rng = Lt_util.Xorshift.create 4L in
+  let a = Array.copy memtable_rows in
+  for i = Array.length a - 1 downto 1 do
+    let j = Lt_util.Xorshift.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  a
+
+let memtable_fill name rows =
+  Test.make ~name
     (Staged.stage (fun () ->
-         let rng = Lt_util.Xorshift.create 3L in
          let mt =
            Memtable.create ~id:1
              ~period:{ Period.start = 0L; cls = Period.Week }
              ~created_at:0L
          in
-         for i = 0 to 999 do
-           let row = Support.make_row rng ~ts:(Int64.of_int i) ~row_size:128 in
-           ignore (Memtable.insert mt ~key:(Key_codec.encode_key schema row) ~ts:(Int64.of_int i) row)
-         done))
+         Array.iter
+           (fun (key, ts, value) -> ignore (Memtable.insert mt ~key ~ts value))
+           rows))
+
+let test_memtable_insert_runs =
+  memtable_fill "memtable insert, ascending runs (9,472 rows)" memtable_rows
+
+let test_memtable_insert_random =
+  memtable_fill "memtable insert, random order (9,472 rows)"
+    memtable_rows_shuffled
 
 let test_block_decode_search =
   let blk = Block.decode block_64k in
@@ -116,7 +149,8 @@ let test_query_point =
 let all_tests =
   Test.make_grouped ~name:"littletable"
     [
-      test_key_encode; test_row_decode; test_memtable_insert;
+      test_key_encode; test_row_decode; test_memtable_insert_runs;
+      test_memtable_insert_random;
       test_block_decode_search; test_lz_compress; test_lz_roundtrip;
       test_bloom; test_hll; test_table_insert_batch; test_query_point;
     ]

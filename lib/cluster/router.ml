@@ -55,16 +55,20 @@ let observe_fanout t n =
   if Obs.enabled t.obs then
     Metrics.Histogram.observe (Obs.router_fanout_hist t.obs) (float_of_int n)
 
-let schema_of t table =
+(* [Error msg] is shard 0's refusal, a missing table's message. *)
+let find_schema t table =
   match Hashtbl.find_opt t.schemas table with
-  | Some s -> s
+  | Some s -> Result.Ok s
   | None -> (
       match Cluster_client.request_read t.cc 0 (Protocol.Get_table table) with
       | Protocol.Table_info { schema; _ } ->
           Hashtbl.replace t.schemas table schema;
-          schema
-      | Protocol.Error msg -> err "%s" msg
+          Result.Ok schema
+      | Protocol.Error msg -> Result.Error msg
       | _ -> err "bad table info response")
+
+let schema_of t table =
+  match find_schema t table with Result.Ok s -> s | Result.Error msg -> err "%s" msg
 
 let is_error = function Protocol.Error _ -> true | _ -> false
 
@@ -86,53 +90,76 @@ let first_error_else resps ok =
    its slice of every group. One {!Protocol.walk_groups} pass over the
    undecoded payload — which makes every framing check, so a malformed
    payload is refused whole before any shard is sent a row, as a single
-   node refuses it — decodes only each row's leading key value (for
+   node refuses it — checks each row against its table with
+   {!Protocol.fit_row}, decodes only its leading key value (for
    placement) and blits the row's wire bytes straight into its owner's
    outgoing sub-payload. Forwarded columns are never boxed or
    re-encoded — the per-row router cost is a hash and a memcpy.
-   Returns, in shard order, the sub-payload (already in wire format)
-   and its per-table expected row counts. *)
+
+   The split stops where a single node would: at the first group whose
+   table is missing or the first row that does not fit its table. Only
+   the rows before that point are forwarded, and the refusal's message
+   is returned with them. Returns, in shard order, the sub-payload
+   (already in wire format) and its per-table expected row counts, and
+   the stopping message if any. *)
 let split_raw t payload =
   (* Per shard: groups in arrival order, each (table, count, row bytes). *)
   let per_shard : (int, (string * int ref * Buffer.t) list ref) Hashtbl.t =
     Hashtbl.create 8
   in
+  let stop = ref None in
   Protocol.walk_groups payload
     ~group:(fun table ~count:_ ~pos:_ ->
-      (* This group's slice on each shard, created on first row. *)
-      (table, (Schema.pkey (schema_of t table)).(0), Hashtbl.create 4))
-    ~row:(fun (table, lead, slices) cur ~start ~arity ->
-      if arity <= lead then
-        err "row arity %d lacks the leading key column" arity;
-      for _ = 1 to lead do Protocol.skip_value cur done;
-      let lead_v = Protocol.get_value cur in
-      for _ = lead + 2 to arity do Protocol.skip_value cur done;
-      let s = Placement.shard_of_value t.placement lead_v in
-      let count, buf =
-        match Hashtbl.find_opt slices s with
-        | Some cb -> cb
-        | None ->
-            let cb = (ref 0, Buffer.create 512) in
-            Hashtbl.add slices s cb;
-            let count, buf = cb in
-            (match Hashtbl.find_opt per_shard s with
-            | Some r -> r := (table, count, buf) :: !r
-            | None -> Hashtbl.add per_shard s (ref [ (table, count, buf) ]));
-            cb
-      in
-      incr count;
-      Buffer.add_substring buf payload start (cur.Lt_util.Binio.pos - start));
-  Hashtbl.fold
-    (fun s r acc ->
-      let groups =
-        List.rev_map (fun (table, count, rows) -> (table, !count, rows)) !r
-      in
-      ( s,
-        List.map (fun (table, count, _) -> (table, count)) groups,
-        Protocol.raw_of_encoded_groups groups )
-      :: acc)
-    per_shard []
-  |> List.sort compare
+      if !stop <> None then None
+      else
+        match find_schema t table with
+        | Result.Error msg ->
+            stop := Some msg;
+            None
+        | Result.Ok schema ->
+            (* This group's slice on each shard, created on first row. *)
+            Some
+              (table, (Schema.pkey schema).(0), Protocol.row_fit schema, Hashtbl.create 4))
+    ~row:(fun g cur ~start ~arity ->
+      let cells = cur.Lt_util.Binio.pos in
+      for _ = 1 to arity do Protocol.skip_value cur done;
+      match g with
+      | Some (table, lead, fit, slices) when !stop = None -> (
+          (* The row is well framed: [row] holds exactly its cells. *)
+          let row = Lt_util.Binio.cursor ~pos:cells ~len:(cur.pos - cells) cur.data in
+          match Protocol.fit_row fit row ~start ~arity with
+          | exception Schema.Invalid msg -> stop := Some msg
+          | () ->
+              let s = Placement.shard_of_value t.placement (Protocol.fit_value fit row lead) in
+              let count, buf =
+                match Hashtbl.find_opt slices s with
+                | Some cb -> cb
+                | None ->
+                    let cb = (ref 0, Buffer.create 512) in
+                    Hashtbl.add slices s cb;
+                    let count, buf = cb in
+                    (match Hashtbl.find_opt per_shard s with
+                    | Some r -> r := (table, count, buf) :: !r
+                    | None -> Hashtbl.add per_shard s (ref [ (table, count, buf) ]));
+                    cb
+              in
+              incr count;
+              Buffer.add_substring buf payload.Protocol.buf start (cur.pos - start))
+      | _ -> ());
+  let plan =
+    Hashtbl.fold
+      (fun s r acc ->
+        let groups =
+          List.rev_map (fun (table, count, rows) -> (table, !count, rows)) !r
+        in
+        ( s,
+          List.map (fun (table, count, _) -> (table, count)) groups,
+          Protocol.raw_of_encoded_groups groups )
+        :: acc)
+      per_shard []
+    |> List.sort compare
+  in
+  (plan, !stop)
 
 (* One outcome per shard: which rows of its sub-batch landed, and the
    failure message if not all of them did. A shard that answers a plain
@@ -166,8 +193,10 @@ let send_shard_batch t s ~expected req =
    scan to wait out), per-flush thread churn costs more than it hides,
    and ordered commits make the partial-failure report deterministic —
    when shard [i] fails, every shard's landed count is a prefix of its
-   own sub-batch and lower-indexed shards have already answered. *)
-let route_insert_plan t plan =
+   own sub-batch and lower-indexed shards have already answered. [stop]
+   is the split's refusal of the rows it did not forward, reported when
+   no shard failed first. *)
+let route_insert_plan t plan ~stop =
   observe_fanout t (max 1 (List.length plan));
   let results =
     Array.make (List.length plan) { si_landed = []; si_fail = None }
@@ -176,7 +205,10 @@ let route_insert_plan t plan =
     (fun i (s, expected, req) ->
       results.(i) <- send_shard_batch t s ~expected req)
     plan;
-  let failed = Array.to_list results |> List.filter_map (fun r -> r.si_fail) in
+  let failed =
+    (Array.to_list results |> List.filter_map (fun r -> r.si_fail))
+    @ Option.to_list stop
+  in
   match failed with
   | [] ->
       Protocol.Insert_ok
@@ -199,15 +231,16 @@ let route_insert_plan t plan =
 
 let route_insert t payload =
   Lt_util.Mutexes.with_lock t.mutex (fun () ->
+      let plan, stop = split_raw t payload in
       let plan =
         List.map
           (fun (s, expected, sub) ->
             ( s,
               expected,
               Protocol.Insert_batch { groups = Protocol.Raw sub } ))
-          (split_raw t payload)
+          plan
       in
-      route_insert_plan t plan)
+      route_insert_plan t plan ~stop)
 
 (* ---- Queries ----------------------------------------------------------- *)
 

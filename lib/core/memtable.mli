@@ -1,7 +1,7 @@
 (** In-memory (filling) tablets.
 
     A memtable accumulates freshly inserted rows for one time period,
-    ordered by encoded primary key in an AVL tree ({!Avl}). When it
+    ordered by encoded primary key in a B+tree ({!Btree}). When it
     reaches the configured size or age, the table freezes it and flushes
     it to disk as an on-disk tablet (§3.2). The engine's memtables hold
     each row as its stored value bytes, encoded once at insert
@@ -11,7 +11,9 @@
     {b The epoch contract.} A memtable has one owner, the table, which
     calls {!insert}, {!mem} and {!snapshot} under its own lock. An
     insert mutates in place the tree nodes created since the last
-    {!snapshot} and copies any older node it has to change. {!snapshot}
+    {!snapshot} and copies any older node it has to change; inserts
+    that follow one another in key order land through the tree's
+    finger without a descent. {!snapshot}
     moves the memtable to a new epoch, so the root it returns is frozen:
     no later insert writes a node that root reaches. A snapshot can
     therefore be handed to readers in other threads or domains (query
@@ -51,7 +53,7 @@ val ts_range : 'v t -> (int64 * int64) option
 
 (** The current contents, frozen: later inserts leave the returned tree
     as it is (see the epoch contract above). *)
-val snapshot : 'v t -> 'v Avl.t
+val snapshot : 'v t -> 'v Btree.t
 
 (** Record the encoded bytes a row contributes. Separated from
     {!insert} so the memtable does not need to know its payload's

@@ -39,6 +39,11 @@ type t = {
   graph : Flush_graph.t;
   mutable last_insert_tablet : int option;
   mutable max_ts_seen : int64 option;
+  mutable settled_max_ts : int64;
+      (** at least the largest ts any frozen memtable or disk tablet
+          holds ([Int64.min_int] when none may hold a row): raised as a
+          memtable freezes, left high by merges and expiry, rebuilt
+          from the descriptor on open *)
   mutable flush_failures : int;
       (** consecutive failed flush attempts; guarded by [writer_lock] *)
   mutable flush_retry_at : int64;
@@ -190,13 +195,11 @@ let disk_tablet ~config ~now meta =
 let make vfs ~clock ~config ~dir ~name ~desc ~cache ~obs ~pool =
   let open Descriptor in
   let disk = List.map (disk_tablet ~config ~now:(Clock.now clock)) desc.tablets in
+  let settled_max_ts =
+    List.fold_left (fun acc m -> max acc m.max_ts) Int64.min_int desc.tablets
+  in
   let max_ts_seen =
-    List.fold_left
-      (fun acc m ->
-        match acc with
-        | None -> Some m.max_ts
-        | Some v -> Some (max v m.max_ts))
-      None desc.tablets
+    if desc.tablets = [] then None else Some settled_max_ts
   in
   {
     vfs;
@@ -214,6 +217,7 @@ let make vfs ~clock ~config ~dir ~name ~desc ~cache ~obs ~pool =
     graph = Flush_graph.create ();
     last_insert_tablet = None;
     max_ts_seen;
+    settled_max_ts;
     flush_failures = 0;
     flush_retry_at = 0L;
     commit_seq = 0;
@@ -443,7 +447,7 @@ let rebuild_memtable f mt =
     Memtable.create ~id:(Memtable.id mt) ~period:(Memtable.period mt)
       ~created_at:(Memtable.created_at mt)
   in
-  Avl.fold
+  Btree.fold
     (fun key value () ->
       match f key value with
       | None -> ()
@@ -488,6 +492,9 @@ let widen_column t cname = change_schema t (fun s -> Schema.widen_column s cname
 
 let freeze_locked t mt =
   t.filling <- List.filter (fun m -> Memtable.id m <> Memtable.id mt) t.filling;
+  (match Memtable.ts_range mt with
+  | Some (_, hi) when hi > t.settled_max_ts -> t.settled_max_ts <- hi
+  | _ -> ());
   if not (List.exists (fun m -> Memtable.id m = Memtable.id mt) t.frozen) then
     t.frozen <- t.frozen @ [ mt ]
 
@@ -554,7 +561,7 @@ let write_tablet t ~id ~schema ~expected_rows ?layout
    handles: a row is decoded only if it is forced. *)
 let mem_stream schema it =
   let handle key value = (key, Tablet.encoded schema ~key value) in
-  fun () -> Avl.next it handle
+  fun () -> Btree.next it handle
 
 (* Write one (non-empty) memtable out as a tablet file. Writes without
    the state lock, from a snapshot taken under it; a frozen memtable
@@ -567,8 +574,8 @@ let write_memtable t mt =
   in
   Option.get
     (write_tablet t ~id:(Memtable.id mt) ~schema
-       ~expected_rows:(Avl.length rows)
-       (mem_stream schema (Avl.iter_asc rows)))
+       ~expected_rows:(Btree.length rows)
+       (mem_stream schema (Btree.iter_asc rows)))
 
 (* Flush [mt] and its dependency closure as one atomic descriptor
    update (§3.4.3). [mt] is frozen, and every queued memtable holds rows
@@ -753,27 +760,28 @@ let rec disk_candidates_locked ~key ~ts acc = function
       disk_candidates_locked ~key ~ts acc rest
 
 (* Uniqueness verdict (§3.4.4) that can be reached without touching
-   disk, under [t.state]. Fast paths: a timestamp newer than everything
-   seen is provably fresh, and the filling memtable of [bin] — the one
-   the row is about to land in — is skipped because [Memtable.insert]
+   disk, under [t.state]. The filling memtable of [bin] — the one the
+   row is about to land in — is skipped because [Memtable.insert]
    detects its own duplicates, so checking it here would traverse the
-   tree twice. [`Check cands] means only a point read can decide; the
-   candidates' refcounts are bumped so the caller can read them with
-   the lock released. Caller holds [writer_lock], so no new rows can
-   appear concurrently. *)
+   tree twice; the other filling memtables are asked (their ts span
+   rules most of them out). A ts above [settled_max_ts] cannot be held
+   by a frozen memtable or a disk tablet, so a poll cycle's rows, which
+   share one ts, skip those probes even after the cycle's first row.
+   [`Check cands] means only a point read can decide; the candidates'
+   refcounts are bumped so the caller can read them with the lock
+   released. Caller holds [writer_lock], so no new rows can appear
+   concurrently. *)
 let classify_unique_locked t ~key ~ts ~bin =
-  match t.max_ts_seen with
-  | Some mts when ts > mts -> `Unique
-  | _ ->
-      if held_by_other ~bin ~key ~ts t.filling || held_by_any ~key ~ts t.frozen
-      then `Duplicate
-      else begin
-        match disk_candidates_locked ~key ~ts [] t.disk with
-        | [] -> `Unique
-        | cands ->
-            List.iter (fun dt -> dt.refs <- dt.refs + 1) cands;
-            `Check cands
-      end
+  if held_by_other ~bin ~key ~ts t.filling then `Duplicate
+  else if ts > t.settled_max_ts then `Unique
+  else if held_by_any ~key ~ts t.frozen then `Duplicate
+  else begin
+    match disk_candidates_locked ~key ~ts [] t.disk with
+    | [] -> `Unique
+    | cands ->
+        List.iter (fun dt -> dt.refs <- dt.refs + 1) cands;
+        `Check cands
+  end
 
 (* The filling memtable of period [bin], created on first use. Caller
    holds [t.state]. *)
@@ -980,7 +988,7 @@ let max_ts t = Mutexes.with_lock t.state (fun () -> t.max_ts_seen)
    under [state]. *)
 type mem_view = {
   mv_id : int;
-  mv_rows : string Avl.t;
+  mv_rows : string Btree.t;
   mv_schema : Schema.t;
   mv_lo : int64;
   mv_hi : int64;
@@ -1103,8 +1111,8 @@ let open_readers t rd =
 
 let mem_source ~asc ~lo ?hi mv =
   let it =
-    if asc then Avl.iter_asc ~lo ?hi mv.mv_rows
-    else Avl.iter_desc ~lo ?hi mv.mv_rows
+    if asc then Btree.iter_asc ~lo ?hi mv.mv_rows
+    else Btree.iter_desc ~lo ?hi mv.mv_rows
   in
   (mv.mv_id, mem_stream mv.mv_schema it)
 
@@ -1275,7 +1283,7 @@ let query_agg ?(profile = false) t (q : Query.t) ~specs =
       let mem_spans =
         List.filter_map
           (fun mv ->
-            match (Avl.min_key mv.mv_rows, Avl.max_key mv.mv_rows) with
+            match (Btree.min_key mv.mv_rows, Btree.max_key mv.mv_rows) with
             | Some k0, Some k1 -> Some (k0, k1)
             | _ -> None)
           sel.mems

@@ -10,14 +10,19 @@ let version = 8
 let max_frame = 64 * 1024 * 1024
 
 (* A batch's groups section travels [Raw]: every sender frames it with
-   [put_section], [read_request] captures it undecoded and
-   [walk_groups] is its one reader, so a router can forward row spans
-   and a server can transcode rows into stored form ([transcode_rows])
-   without boxing a single value. [Groups] spells the same section as
-   rows in hand, for tests and benchmarks. *)
+   [put_section], [read_request] captures it undecoded where it lies in
+   the received frame and [walk_groups] is its one reader, so a router
+   can forward row spans and a server can transcode rows into stored
+   form ([transcode_rows]) without boxing a single value or copying the
+   section. [Groups] spells the same section as rows in hand, for tests
+   and benchmarks. *)
+type section = { buf : string; off : int; len : int }
+
 type batch_payload =
   | Groups of (string * Value.t array list) list
-  | Raw of string
+  | Raw of section
+
+let section_of_string s = { buf = s; off = 0; len = String.length s }
 
 type request =
   | Hello of int
@@ -159,7 +164,7 @@ let raw_of_encoded_groups groups =
   in
   let b = Buffer.create size in
   put_section b groups ~put_rows:Buffer.add_buffer;
-  Buffer.contents b
+  section_of_string (Buffer.contents b)
 
 let put_row_groups b gs =
   put_section b
@@ -169,7 +174,7 @@ let put_row_groups b gs =
 let raw_of_row_groups gs =
   let b = Buffer.create 256 in
   put_row_groups b gs;
-  Buffer.contents b
+  section_of_string (Buffer.contents b)
 
 let raw_of_rows table rows = raw_of_row_groups [ (table, rows) ]
 
@@ -180,8 +185,8 @@ let raw_of_payload = function
 (* The one reader: every framing check of the section is made here, and
    each caller's [row] step consumes one row's cells through
    [get_value]/[skip_value], which check the tags. *)
-let walk_groups payload ~group ~row =
-  let cur = Binio.cursor payload in
+let walk_groups sec ~group ~row =
+  let cur = Binio.cursor ~pos:sec.off ~len:sec.len sec.buf in
   let n = Binio.get_varint cur in
   if n < 0 || n > 65536 then error "implausible group count %d" n;
   for _ = 1 to n do
@@ -221,48 +226,75 @@ let raw_groups payload =
 
 (* ---- Rows in stored form ------------------------------------------------- *)
 
-(* A wire cell's [Value.encode] bytes are a stored value cell's, so a
-   row is transcoded by checking each tag against its column's type,
-   writing the key cells' order-preserving form and copying the others.
-   [spans] holds, per column of the current row, where its cell starts
-   (past the tag), where its content starts (past a string's length)
-   and where it ends. A row that does not fit the schema is decoded
-   and refused by [Schema.validate_row], so it fails with the message
-   the boxed path gives. *)
-let transcode_rows payload ~pos ~count schema =
-  let cols = Schema.columns schema and pkey = Schema.pkey schema in
-  let ncols = Array.length cols in
-  let ctypes = Array.map (fun c -> c.Schema.ctype) cols in
-  let tags = Array.map Value.tag ctypes in
-  let is_key = Array.init ncols (Schema.is_pkey schema) in
-  let spans = Array.make (3 * ncols) 0 in
-  let cur = Binio.cursor ~pos payload in
-  let left = ref count in
-  let refuse start =
-    Schema.validate_row schema (get_row (Binio.cursor ~pos:start payload));
+(* A wire row checked against one schema. [spans] holds, per column of
+   the row last fitted, where its cell starts (past the tag), where its
+   content starts (past a string's length) and where it ends. *)
+type fit = {
+  f_schema : Schema.t;
+  ctypes : Value.ctype array;
+  tags : int array;
+  spans : int array;
+}
+
+let row_fit schema =
+  let ctypes = Array.map (fun c -> c.Schema.ctype) (Schema.columns schema) in
+  {
+    f_schema = schema;
+    ctypes;
+    tags = Array.map Value.tag ctypes;
+    spans = Array.make (3 * Array.length ctypes) 0;
+  }
+
+(* The one check of a wire row against its table, behind a single
+   node's transcoding and a router's split alike: one cell per column,
+   each tagged with its column's type. A row that does not fit is
+   decoded and refused by [Schema.validate_row], so it fails with the
+   message the boxed path gives. *)
+let fit_row f cur ~start ~arity =
+  let refuse () =
+    Schema.validate_row f.f_schema (get_row (Binio.cursor ~pos:start cur.Binio.data));
     raise (Schema.Invalid "row does not match the schema")
   in
+  let spans = f.spans in
+  if arity <> Array.length f.ctypes then refuse ();
+  for i = 0 to arity - 1 do
+    if Binio.get_u8 cur <> f.tags.(i) then refuse ();
+    spans.(3 * i) <- cur.Binio.pos;
+    (match f.ctypes.(i) with
+    | Value.T_string | Value.T_blob ->
+        (* Its length, then its bytes. *)
+        let len = Binio.get_varint cur in
+        spans.((3 * i) + 1) <- cur.Binio.pos;
+        Binio.skip cur len
+    | ctype ->
+        spans.((3 * i) + 1) <- cur.Binio.pos;
+        Value.skip ctype cur);
+    spans.((3 * i) + 2) <- cur.Binio.pos
+  done
+
+let fit_value f cur i =
+  Value.decode f.ctypes.(i) (Binio.cursor ~pos:f.spans.(3 * i) cur.Binio.data)
+
+(* A wire cell's [Value.encode] bytes are a stored value cell's, so a
+   fitted row is transcoded by writing the key cells' order-preserving
+   form and copying the others. *)
+let transcode_rows sec ~pos ~count schema =
+  let f = row_fit schema in
+  let cols = Schema.columns schema and pkey = Schema.pkey schema in
+  let ncols = Array.length cols in
+  let is_key = Array.init ncols (Schema.is_pkey schema) in
+  let spans = f.spans and payload = sec.buf in
+  let cur = Binio.cursor ~pos ~len:(sec.off + sec.len - pos) payload in
+  let left = ref count in
   fun () ->
     if !left = 0 then None
     else begin
       decr left;
       let start = cur.Binio.pos in
-      if Binio.get_varint cur <> ncols then refuse start;
+      fit_row f cur ~start ~arity:(Binio.get_varint cur);
       let vlen = ref 0 in
       for i = 0 to ncols - 1 do
-        if Binio.get_u8 cur <> tags.(i) then refuse start;
-        spans.(3 * i) <- cur.Binio.pos;
-        (match ctypes.(i) with
-        | Value.T_string | Value.T_blob ->
-            (* Its length, then its bytes. *)
-            let len = Binio.get_varint cur in
-            spans.((3 * i) + 1) <- cur.Binio.pos;
-            Binio.skip cur len
-        | ctype ->
-            spans.((3 * i) + 1) <- cur.Binio.pos;
-            Value.skip ctype cur);
-        spans.((3 * i) + 2) <- cur.Binio.pos;
-        if not is_key.(i) then vlen := !vlen + cur.Binio.pos - spans.(3 * i)
+        if not is_key.(i) then vlen := !vlen + spans.((3 * i) + 2) - spans.(3 * i)
       done;
       (* The key: sized, then written, cell by cell in key order. *)
       let klen = ref 0 in
@@ -448,7 +480,7 @@ let write_request b = function
   | Insert_batch { groups } -> (
       Binio.put_u8 b 20;
       match groups with
-      | Raw payload -> Buffer.add_string b payload
+      | Raw sec -> Buffer.add_substring b sec.buf sec.off sec.len
       | Groups gs -> put_row_groups b gs)
 
 let get_flag cur what =
@@ -511,11 +543,14 @@ let read_request cur =
       Get_trace { trace; slow_only }
   | 19 -> Get_metrics_snapshot
   | 20 ->
-      (* Captured undecoded: the single-node server transcodes rows
-         straight into stored form ([transcode_rows]); the router never
-         decodes forwarded columns at all (it walks the section for
-         each row's leading key and copies row spans). *)
-      Insert_batch { groups = Raw (Binio.rest cur) }
+      (* Captured undecoded, in place in the frame: the single-node
+         server transcodes rows straight into stored form
+         ([transcode_rows]); the router never decodes forwarded columns
+         at all (it walks the section for each row's leading key and
+         copies row spans). *)
+      let sec = { buf = cur.Binio.data; off = cur.Binio.pos; len = Binio.remaining cur } in
+      Binio.skip cur sec.len;
+      Insert_batch { groups = Raw sec }
   | n -> error "bad request tag %d" n
 
 (* ---- Responses ------------------------------------------------------------ *)

@@ -16,16 +16,25 @@ open Littletable
 
 exception Protocol_error of string
 
+(** A groups section in wire format: the [len] bytes of [buf] from
+    [off]. Offsets that {!walk_groups}, {!raw_groups} and
+    {!transcode_rows} take and give are offsets into [buf]. *)
+type section = { buf : string; off : int; len : int }
+
 (** A batch's groups section: the rows of one or more tables. Every
     sender and receiver of this library holds it [Raw], as wire bytes
-    that {!read_request} captures undecoded and {!walk_groups} alone
-    reads, so a router forwards row spans and a server transcodes rows
-    ({!transcode_rows}) without boxing a value. [Groups] spells it as
-    rows in hand, for tests and benchmarks; {!write_request} and
+    that {!read_request} captures undecoded, in place in the received
+    frame, and {!walk_groups} alone reads, so a router forwards row
+    spans and a server transcodes rows ({!transcode_rows}) without
+    boxing a value or copying the section. [Groups] spells it as rows
+    in hand, for tests and benchmarks; {!write_request} and
     {!raw_of_payload} encode it with the same writer. *)
 type batch_payload =
   | Groups of (string * Value.t array list) list
-  | Raw of string
+  | Raw of section
+
+(** The whole of a string, as a section. *)
+val section_of_string : string -> section
 
 type request =
   | Hello of int  (** protocol version *)
@@ -123,7 +132,7 @@ val request_kind : request -> string
     @raise Protocol_error or {!Lt_util.Binio.Corrupt} on malformed
     bytes, before any later part of the payload is read. *)
 val walk_groups :
-  string ->
+  section ->
   group:(string -> count:int -> pos:int -> 'g) ->
   row:('g -> Lt_util.Binio.cursor -> start:int -> arity:int -> unit) ->
   unit
@@ -139,7 +148,27 @@ val groups_of_payload : batch_payload -> (string * Value.t array list) list
     table, row count and the offset of its first row.
     @raise Protocol_error or {!Lt_util.Binio.Corrupt} on malformed
     bytes. *)
-val raw_groups : string -> (string * int * int) list
+val raw_groups : section -> (string * int * int) list
+
+(** A wire row's check against one table's schema, and the scratch in
+    which it records where the row's cells lie. *)
+type fit
+
+val row_fit : Schema.t -> fit
+
+(** [fit_row f cur ~start ~arity] steps [cur] over the [arity] cells of
+    the wire row whose bytes begin at [start] (its arity already read)
+    and checks that the row fits [f]'s schema: one cell per column,
+    each tagged with its column's type. The one row check behind
+    {!transcode_rows} and a router's split, so both refuse the same
+    rows with the same message.
+    @raise Schema.Invalid, as {!Schema.validate_row} would on the
+    decoded row, when it does not fit. *)
+val fit_row : fit -> Lt_util.Binio.cursor -> start:int -> arity:int -> unit
+
+(** [fit_value f cur i] decodes column [i] of the row [f] last fitted
+    from [cur]. *)
+val fit_value : fit -> Lt_util.Binio.cursor -> int -> Value.t
 
 (** [transcode_rows payload ~pos ~count schema] is a puller for
     {!Table.insert_encoded} over the [count] wire rows of a checked
@@ -149,10 +178,10 @@ val raw_groups : string -> (string * int * int) list
     decoded row, without building a [Value.t]. A value cell's wire
     bytes are its stored bytes and are copied; key cells are written in
     order-preserving form.
-    @raise Schema.Invalid, as {!Schema.validate_row} would, on a row
-    whose arity or value types do not fit [schema]. *)
+    @raise Schema.Invalid, from {!fit_row}, on a row that does not fit
+    [schema]. *)
 val transcode_rows :
-  string -> pos:int -> count:int -> Schema.t -> unit -> (string * string) option
+  section -> pos:int -> count:int -> Schema.t -> unit -> (string * string) option
 
 (** Read one tagged value / step over one without constructing it — the
     cell primitives of a {!walk_groups} step. A value's tag is its
@@ -173,13 +202,13 @@ val put_row : Buffer.t -> Value.t array -> unit
     and a router's per-shard split send. It, {!raw_of_rows},
     {!raw_of_payload} and {!write_request} frame the section with one
     writer, and write every row with {!put_row}. *)
-val raw_of_encoded_groups : (string * int * Buffer.t) list -> string
+val raw_of_encoded_groups : (string * int * Buffer.t) list -> section
 
 (** [raw_of_rows table rows] is the groups section of one group. *)
-val raw_of_rows : string -> Value.t array list -> string
+val raw_of_rows : string -> Value.t array list -> section
 
 (** The payload's groups section in wire format (a no-op on [Raw]). *)
-val raw_of_payload : batch_payload -> string
+val raw_of_payload : batch_payload -> section
 
 (** {1 Framing} *)
 

@@ -24,16 +24,6 @@ let skip c n =
   need c n;
   c.pos <- c.pos + n
 
-let rest c =
-  let s = String.sub c.data c.pos (remaining c) in
-  (c.pos <- c.limit)
-  [@lint.allow
-    "domain-race: a cursor is call-local decode state that never \
-     outlives the decoding call that allocated it, so every access \
-     happens-before the next on the same thread; any lock a caller \
-     happens to hold at one site is incidental, not a contract"];
-  s
-
 let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
 
 let put_u16 b v =

@@ -26,12 +26,6 @@ val remaining : cursor -> int
     span steps over the values it does not care about. *)
 val skip : cursor -> int -> unit
 
-(** [rest c] returns everything from the cursor to its limit and leaves
-    the cursor at the limit. One copy of the window, no per-item cost:
-    how a frame's undecoded tail is captured for later (or remote)
-    decoding. *)
-val rest : cursor -> string
-
 (** {1 Fixed-width encoders} *)
 
 val put_u8 : Buffer.t -> int -> unit

@@ -433,15 +433,18 @@ let test_router_batched_equality () =
 (* ---- Router = single node on insert payloads ------------------------- *)
 
 (* An [Insert_batch] groups section has one reader, [Protocol.walk_groups],
-   behind both the router's split and a single node's check, so the two
-   agree on a payload's framing: both refuse a malformed one whole,
-   landing nothing, and both land every row of a valid one. (Rows that
-   are well framed but wrong for their table are checked apart on each
-   side, and there the two can still differ.) Payloads are random
-   valid batches over two existing tables (int64 and string leading
-   keys), intact or with trailing bytes, a cut, a value tag outside
+   and a row one check against its table, [Protocol.fit_row], behind
+   both the router's split and a single node's landing, so the two
+   agree on a payload: both refuse a malformed one whole, landing
+   nothing; both land every row of a valid one; and on a well-framed
+   one that a single node stops part-way through, both land the same
+   rows and answer with the same message. Payloads are random valid
+   batches over two existing tables (int64 and string leading keys),
+   intact or with trailing bytes, a cut, a value tag outside
    [Value.tag]'s table, or a group count, row count or row arity that is
-   negative or larger than the payload holds. *)
+   negative or larger than the payload holds; or well framed with a cell
+   of the wrong type, a row cut short (down to no cells, below its
+   leading key column), or a group naming a missing table. *)
 
 type mutation =
   | Intact
@@ -451,6 +454,9 @@ type mutation =
   | Group_count of int
   | Row_count of int * int  (** (group index, count) *)
   | Arity of int * int  (** (row index in the payload, arity) *)
+  | Wrong_type of int  (** cell index in the payload *)
+  | Short of int * int  (** (row index, cells kept), well framed *)
+  | Missing_table of int  (** group index *)
 
 (* Both tables keep [ts] in column 2. *)
 let payload_tables () =
@@ -476,13 +482,19 @@ let encode_payload mutation groups =
     (match mutation with Group_count n -> n | _ -> List.length groups);
   List.iteri
     (fun gi (table, rows) ->
-      Lt_util.Binio.put_string b table;
+      Lt_util.Binio.put_string b
+        (match mutation with Missing_table g when g = gi -> "nope" | _ -> table);
       put_any_varint b
         (match mutation with
         | Row_count (g, n) when g = gi -> n
         | _ -> List.length rows);
       List.iter
         (fun row ->
+          let row =
+            match mutation with
+            | Short (r, n) when r = !row_i -> Array.sub row 0 n
+            | _ -> row
+          in
           put_any_varint b
             (match mutation with
             | Arity (r, n) when r = !row_i -> n
@@ -490,6 +502,12 @@ let encode_payload mutation groups =
           incr row_i;
           Array.iter
             (fun v ->
+              let v =
+                match mutation with
+                | Wrong_type c when c = !cell_i -> (
+                    match v with Value.Int32 _ -> Value.String "x" | _ -> Value.Int32 7l)
+                | _ -> v
+              in
               Lt_util.Binio.put_u8 b
                 (match mutation with
                 | Bad_tag (c, tag) when c = !cell_i -> tag
@@ -551,7 +569,8 @@ let gen_payload_case =
                  (fun n -> Row_count (g, n))
                  (oneof
                     [ negative; map (fun k -> 1 lsl k) (int_range 20 40);
-                      map (fun k -> count + k) (int_range 1 3) ]) ) ])
+                      map (fun k -> count + k) (int_range 1 3) ]) );
+             (2, map (fun g -> Missing_table g) (int_bound (ngroups - 1))) ])
       @ (if nrows = 0 then []
          else
            let last = Array.length (List.nth rows (nrows - 1)) in
@@ -563,6 +582,12 @@ let gen_payload_case =
              (* More cells than are left: only the last row's overrun is
                 sure to run off the end rather than into the next row. *)
              (1, map (fun k -> Arity (nrows - 1, last + k)) (int_range 1 3));
+             (2, map (fun c -> Wrong_type c) (int_bound (ncells - 1)));
+             ( 2,
+               int_bound (nrows - 1) >>= fun r ->
+               map
+                 (fun n -> Short (r, n))
+                 (int_bound (Array.length (List.nth rows r) - 1)) );
              ( 2,
                map2
                  (fun c tag -> Bad_tag (c, tag))
@@ -581,6 +606,9 @@ let print_payload_case (groups, m) =
     | Group_count n -> Printf.sprintf "group count %d" n
     | Row_count (g, n) -> Printf.sprintf "group %d row count %d" g n
     | Arity (r, n) -> Printf.sprintf "row %d arity %d" r n
+    | Wrong_type c -> Printf.sprintf "cell %d of the wrong type" c
+    | Short (r, n) -> Printf.sprintf "row %d cut to %d cells" r n
+    | Missing_table g -> Printf.sprintf "group %d names a missing table" g
   in
   String.concat "\n"
     (mutation
@@ -650,8 +678,8 @@ let test_router_payloads_match_single_node () =
         let payload = encode_payload mutation groups in
         if mutation = Intact then
           Alcotest.(check string) "the test's encoding is the wire's"
-            (P.raw_of_payload (P.Groups groups)) payload;
-        let req = P.Insert_batch { groups = P.Raw payload } in
+            (P.raw_of_payload (P.Groups groups)).P.buf payload;
+        let req = P.Insert_batch { groups = P.Raw (P.section_of_string payload) } in
         let answers = (routed req, single req) in
         let landed =
           List.for_all
@@ -666,9 +694,30 @@ let test_router_payloads_match_single_node () =
               rows_from single table schema ~ts_min:base = [])
             (payload_tables ())
         in
+        (* Rows landed per table, a routed answer's ["shard<i>/<table>"]
+           labels summed over shards. *)
+        let per_table counts =
+          let table label =
+            match String.index_opt label '/' with
+            | Some i -> String.sub label (i + 1) (String.length label - i - 1)
+            | None -> label
+          in
+          List.filter_map
+            (fun (name, _) ->
+              let n =
+                List.fold_left
+                  (fun acc (label, n) -> if table label = name then acc + n else acc)
+                  0 counts
+              in
+              if n = 0 then None else Some (name, n))
+            (payload_tables ())
+        in
         match answers with
-        | P.Error _, P.Error _ -> landed && none_landed
+        | P.Error a, P.Error b -> a = b && landed && none_landed
         | P.Insert_ok a, P.Insert_ok b -> a = b && landed
+        | ( P.Insert_partial { landed = a; message = ma },
+            P.Insert_partial { landed = b; message = mb } ) ->
+            ma = mb && per_table a = per_table b && landed
         | _ -> false
       in
       let _, _, run =

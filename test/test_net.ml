@@ -1022,7 +1022,9 @@ let prop_transcode_matches_boxed_path =
       in
       let b = Buffer.create 256 in
       List.iter (Protocol.put_row b) rows;
-      let payload = Protocol.raw_of_encoded_groups [ ("t", List.length rows, b) ] in
+      let payload =
+        (Protocol.raw_of_encoded_groups [ ("t", List.length rows, b) ]).Protocol.buf
+      in
       let payload =
         let n = String.length payload in
         match fault with
@@ -1032,6 +1034,12 @@ let prop_transcode_matches_boxed_path =
             Bytes.set by (int_of_float (f *. float n)) c;
             Bytes.to_string by
         | _ -> payload
+      in
+      (* The section lies inside a larger frame, as [read_request]
+         leaves it, so every reader must keep to its window. *)
+      let payload =
+        { Protocol.buf = "\x14\x01" ^ payload ^ "\x00\x07\xff";
+          off = 2; len = String.length payload }
       in
       let refused f =
         match f payload with

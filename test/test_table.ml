@@ -101,6 +101,111 @@ let test_unique_fast_path_newer_ts () =
   Alcotest.(check int) "200 rows" 200 (List.length (all_rows t));
   Alcotest.(check bool) "max_ts" true (Table.max_ts t = Some 200L)
 
+(* The uniqueness bound (§3.4.4): a row above the largest ts any frozen
+   memtable or disk tablet holds is checked against the filling
+   memtables alone, so a poll cycle's rows, which share one ts, skip the
+   frozen and disk probes. A duplicate must be refused wherever it
+   sits, whether its ts is below, at or above the bound. *)
+let refused t r =
+  match Table.insert_row t r with
+  | () -> false
+  | exception Table.Duplicate_key _ -> true
+
+let cycle ?(devs = 10) ts = List.init devs (fun d -> row 1L (Int64.of_int d) ts)
+
+let test_unique_bound_frozen () =
+  (* A backlog of four keeps memtables frozen and unflushed. *)
+  let config = { small_config with Config.flush_backlog = 4 } in
+  let _, clock, _, t = fresh ~config () in
+  let t0 = Clock.now clock in
+  Table.insert t (cycle (Int64.sub t0 10L));
+  (* A cycle larger than [flush_size] freezes its memtable part-way. *)
+  Table.insert t (cycle ~devs:300 t0);
+  Alcotest.(check int) "nothing flushed" 0 (Table.tablet_count t);
+  Alcotest.(check bool) "a frozen memtable" true (Table.memtable_count t >= 2);
+  Alcotest.(check bool) "below the bound, frozen" true
+    (refused t (row 1L 3L (Int64.sub t0 10L)));
+  Alcotest.(check bool) "at the bound, frozen" true (refused t (row 1L 0L t0));
+  Alcotest.(check bool) "at the bound, filling" true (refused t (row 1L 299L t0));
+  Table.insert_row t (row 1L 300L t0);
+  Table.insert t (cycle (Int64.succ t0));
+  Alcotest.(check bool) "above the bound, filling" true
+    (refused t (row 1L 4L (Int64.succ t0)));
+  Alcotest.(check int) "every distinct row" 321 (List.length (all_rows t))
+
+let test_unique_bound_other_period () =
+  let config = Config.make ~flush_size:(1 lsl 20) ~server_row_limit:10_000 () in
+  let _, clock, _, t = fresh ~config () in
+  let t0 = Clock.now clock in
+  Table.insert t (cycle t0);
+  (* A day on, [t0] bins into a day period, not its 4-hour one, so the
+     row lands in a different filling memtable than its duplicate. *)
+  Clock.advance clock Clock.day;
+  Table.insert_row t (row 1L 50L (Int64.succ t0));
+  Alcotest.(check int) "two filling memtables" 2 (Table.memtable_count t);
+  Alcotest.(check bool) "in the other period's memtable" true
+    (refused t (row 1L 2L t0));
+  Alcotest.(check int) "rows" 11 (List.length (all_rows t))
+
+let test_unique_bound_reopen () =
+  let _, clock, vfs, t = fresh () in
+  let t0 = Clock.now clock in
+  Table.insert t (cycle (Int64.sub t0 100L));
+  Table.insert t (cycle t0);
+  Table.flush_all t;
+  Table.close t;
+  (* Counts tablet opens: a reader opened is a disk probe made. *)
+  let opens = ref 0 in
+  let counting =
+    Lt_vfs.Vfs.faulty
+      ~should_fail:(fun ~op ~path ->
+        if op = "open" && Filename.check_suffix path ".tab" then incr opens;
+        false)
+      vfs
+  in
+  let t =
+    Table.open_ counting ~clock ~config:small_config ~dir:"dbroot/usage" ~name:"usage"
+  in
+  (* Opening checks each tablet file but leaves its reader closed. *)
+  opens := 0;
+  Table.insert t (cycle (Int64.succ t0));
+  Support.check_int "above the bound: no tablet read" 0 !opens;
+  Alcotest.(check bool) "at the bound, reader not open" true (refused t (row 1L 3L t0));
+  Alcotest.(check bool) "the probe opened a reader" true (!opens > 0);
+  Alcotest.(check bool) "below the bound" true
+    (refused t (row 1L 5L (Int64.sub t0 100L)));
+  Alcotest.(check bool) "above the bound, filling" true
+    (refused t (row 1L 5L (Int64.succ t0)));
+  Table.insert_row t (row 1L 99L t0);
+  Alcotest.(check int) "rows" 31 (List.length (all_rows t))
+
+let test_unique_bound_merge_and_expiry () =
+  let ttl = Clock.week in
+  let _, clock, _, t = fresh ~ttl () in
+  let now = Clock.now clock in
+  (* Merged: the tablets of one day fold into one, bound unchanged. *)
+  let old = Int64.sub now (Int64.mul 2L Clock.day) in
+  for i = 0 to 3 do
+    Table.insert t (cycle (Int64.add old (Int64.of_int i)));
+    Table.flush_all t
+  done;
+  while Table.merge_step t do () done;
+  Alcotest.(check int) "merged" 1 (Table.tablet_count t);
+  Alcotest.(check bool) "at the bound, merged" true
+    (refused t (row 1L 7L (Int64.add old 3L)));
+  Alcotest.(check bool) "below the bound, merged" true (refused t (row 1L 7L old));
+  (* Expired: the bound stays at the reclaimed rows' ts, and rows under
+     it that no tablet holds any more land. *)
+  Clock.advance clock (Int64.mul 2L Clock.week);
+  Alcotest.(check int) "expired" 1 (Table.expire t);
+  let t1 = Clock.now clock in
+  Table.insert t (cycle t1);
+  Alcotest.(check bool) "above the old bound, filling" true (refused t (row 1L 1L t1));
+  Table.flush_all t;
+  Alcotest.(check bool) "at the new bound, disk" true (refused t (row 1L 1L t1));
+  Table.insert_row t (row 1L 11L (Int64.pred t1));
+  Alcotest.(check int) "rows" 11 (List.length (all_rows t))
+
 let test_unique_disabled () =
   let config = Config.make ~enforce_unique:false ~server_row_limit:10_000 () in
   let _, _, _, t = fresh ~config () in
@@ -1409,6 +1514,10 @@ let suite =
     ("query merges memtable and disk", `Quick, test_query_merges_memtable_and_disk);
     ("duplicate key rejected", `Quick, test_duplicate_key_rejected);
     ("unique fast path (newer ts)", `Quick, test_unique_fast_path_newer_ts);
+    ("unique bound: frozen memtable", `Quick, test_unique_bound_frozen);
+    ("unique bound: another period's memtable", `Quick, test_unique_bound_other_period);
+    ("unique bound: reopen, reader not open", `Quick, test_unique_bound_reopen);
+    ("unique bound: merge and expiry", `Quick, test_unique_bound_merge_and_expiry);
     ("uniqueness disabled: newest shadows", `Quick, test_unique_disabled);
     ("more_available paging", `Quick, test_more_available);
     ("query_iter streams", `Quick, test_query_iter_streams);
