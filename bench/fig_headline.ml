@@ -21,17 +21,26 @@ let run ~volume () =
   let table = Db.create_table env.db "head" (row_schema ()) ~ttl:None in
   let rng = Lt_util.Xorshift.create 5L in
 
-  (* Load the table in the paper's insert configuration and measure. *)
+  (* Load the table in the paper's insert configuration and measure.
+     Generating each batch is timed and taken back out, so only the
+     engine's work counts as insert time, and the heap holds one batch
+     of rows at a time, as a client's would. *)
   let rows_per_batch = 512 in
   let batches = volume / (rows_per_batch * row_size) in
+  let gen_s = ref 0.0 in
   let m_insert =
-    measure env ~bytes:(batches * rows_per_batch * row_size) (fun () ->
-        for _ = 1 to batches do
-          Table.insert table
-            (make_batch rng ~clock:env.clock ~n:rows_per_batch ~row_size);
-          Lt_util.Clock.advance env.clock (Lt_util.Clock.usec rows_per_batch)
-        done;
-        Table.flush_all table)
+    let m =
+      measure env ~bytes:(batches * rows_per_batch * row_size) (fun () ->
+          for _ = 1 to batches do
+            let t0 = wall () in
+            let rows = make_batch rng ~clock:env.clock ~n:rows_per_batch ~row_size in
+            gen_s := !gen_s +. (wall () -. t0);
+            Table.insert table rows;
+            Lt_util.Clock.advance env.clock (Lt_util.Clock.usec rows_per_batch)
+          done;
+          Table.flush_all table)
+    in
+    { m with cpu_s = m.cpu_s -. !gen_s }
   in
   Printf.printf "\ninsert (512-row batches): %.1f MB/s effective = %.0f%% of disk peak\n"
     (effective_mb_s m_insert)

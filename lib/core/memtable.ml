@@ -6,6 +6,8 @@ type 'v t = {
   mutable bytes : int;
   mutable min_ts : int64;
   mutable max_ts : int64;
+  mutable first_seq : int;
+  mutable last_seq : int;
 }
 
 let create ~id ~period ~created_at =
@@ -17,6 +19,8 @@ let create ~id ~period ~created_at =
     bytes = 0;
     min_ts = Int64.max_int;
     max_ts = Int64.min_int;
+    first_seq = max_int;
+    last_seq = min_int;
   }
 
 let id t = t.id
@@ -50,3 +54,26 @@ let ts_range t =
 let snapshot t = Btree.freeze t.tree
 
 let add_bytes t n = t.bytes <- t.bytes + n
+
+let stamp t seq =
+  if seq < t.first_seq then t.first_seq <- seq;
+  if seq > t.last_seq then t.last_seq <- seq
+
+let seq_span t =
+  if t.first_seq > t.last_seq then None else Some (t.first_seq, t.last_seq)
+
+(* X must flush with M exactly when X got a row before M's last row, or
+   before the last row of a memtable that must (a chain of insert
+   switches leads from X to M). Sorted by first [seq], those memtables
+   are a prefix: take each whose first row is at or below the bound,
+   which rises to the last row of each one taken. *)
+let closure m queued =
+  let by_first =
+    List.sort (fun a b -> Int.compare a.first_seq b.first_seq) queued
+  in
+  let rec take bound = function
+    | x :: rest when x.first_seq <= bound -> x :: take (max bound x.last_seq) rest
+    | _ -> []
+  in
+  let members = take m.last_seq by_first in
+  if List.memq m members then members else m :: members

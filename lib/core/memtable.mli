@@ -59,3 +59,25 @@ val snapshot : 'v t -> 'v Btree.t
     {!insert} so the memtable does not need to know its payload's
     size. *)
 val add_bytes : 'v t -> int -> unit
+
+(** {1 Insert order (§3.4.3)}
+
+    A table numbers the rows it lands with one increasing counter, its
+    insert sequence number; a memtable records the first and last number
+    it holds. A crash must leave a prefix of each table's insert order,
+    so a memtable may only become durable together with every memtable
+    holding a row inserted before its last one. *)
+
+(** [stamp t seq] widens [t]'s span of insert sequence numbers to
+    cover [seq]. *)
+val stamp : 'v t -> int -> unit
+
+(** The first and last insert sequence numbers stamped ([None] when
+    none was). *)
+val seq_span : 'v t -> (int * int) option
+
+(** [closure m queued] is every memtable of [queued] that must flush
+    no later than [m], and [m] itself: those whose first row came before
+    [m]'s last row, and, transitively, before the last row of one of
+    those. Ordered by first sequence number. *)
+val closure : 'v t -> 'v t list -> 'v t list

@@ -36,9 +36,9 @@ type t = {
           [state]. Unlinking is blocking VFS work, so doomed files are
           only queued under the lock and actually deleted by
           [drain_doomed] outside every lock region. *)
-  graph : Flush_graph.t;
-  mutable last_insert_tablet : int option;
-  mutable max_ts_seen : int64 option;
+  mutable seq : int;
+      (** insert sequence number of the last landed row; each memtable
+          records the span of numbers it holds (§3.4.3) *)
   mutable settled_max_ts : int64;
       (** at least the largest ts any frozen memtable or disk tablet
           holds ([Int64.min_int] when none may hold a row): raised as a
@@ -48,10 +48,8 @@ type t = {
       (** consecutive failed flush attempts; guarded by [writer_lock] *)
   mutable flush_retry_at : int64;
       (** no background flush retry before this time; guarded by [writer_lock] *)
-  mutable commit_seq : int;
-      (** bumped per acked insert batch; guarded by [state] *)
   mutable durable_seq : int;
-      (** highest [commit_seq] covered by a completed explicit flush
+      (** highest [seq] covered by a completed explicit flush
           round; guarded by [state] *)
   mutable commit_round_active : bool;
       (** an explicit flush round is in flight; guarded by [state] *)
@@ -198,9 +196,6 @@ let make vfs ~clock ~config ~dir ~name ~desc ~cache ~obs ~pool =
   let settled_max_ts =
     List.fold_left (fun acc m -> max acc m.max_ts) Int64.min_int desc.tablets
   in
-  let max_ts_seen =
-    if desc.tablets = [] then None else Some settled_max_ts
-  in
   {
     vfs;
     clock;
@@ -214,13 +209,10 @@ let make vfs ~clock ~config ~dir ~name ~desc ~cache ~obs ~pool =
     frozen = [];
     disk;
     doomed_paths = [];
-    graph = Flush_graph.create ();
-    last_insert_tablet = None;
-    max_ts_seen;
+    seq = 0;
     settled_max_ts;
     flush_failures = 0;
     flush_retry_at = 0L;
-    commit_seq = 0;
     durable_seq = 0;
     commit_round_active = false;
     commit_cond = Condition.create ();
@@ -438,10 +430,10 @@ let land_in mt ~key ~ts value =
       true
   | `Duplicate -> false
 
-(* The one memtable rewrite: [mt]'s rows under the same id, period and
-   age, each mapped by [f] to its new key and value bytes or dropped on
-   [None]. Schema changes translate every row; bulk delete drops a key
-   range. Caller holds [state]. *)
+(* The one memtable rewrite: [mt]'s rows under the same id, period, age
+   and insert-sequence span, each mapped by [f] to its new key and value
+   bytes or dropped on [None]. Schema changes translate every row; bulk
+   delete drops a key range. Caller holds [state]. *)
 let rebuild_memtable f mt =
   let fresh =
     Memtable.create ~id:(Memtable.id mt) ~period:(Memtable.period mt)
@@ -455,6 +447,14 @@ let rebuild_memtable f mt =
           if not (land_in fresh ~key ~ts:(Key_codec.ts_of_key key) value) then
             assert false)
     (Memtable.snapshot mt) ();
+  (* A dropped row's number stays in the span: the survivors keep their
+     place in the insert order, and so do rows of other memtables inserted
+     between them. *)
+  Option.iter
+    (fun (first, last) ->
+      Memtable.stamp fresh first;
+      Memtable.stamp fresh last)
+    (Memtable.seq_span mt);
   fresh
 
 let change_schema t f =
@@ -577,18 +577,18 @@ let write_memtable t mt =
        ~expected_rows:(Btree.length rows)
        (mem_stream schema (Btree.iter_asc rows)))
 
-(* Flush [mt] and its dependency closure as one atomic descriptor
-   update (§3.4.3). [mt] is frozen, and every queued memtable holds rows
-   (bulk delete drops the ones it empties), so the members are the
-   closure's frozen memtables once its filling ones freeze. Caller holds
-   [writer_lock]. *)
+(* Flush [mt] and its closure ({!Memtable.closure}: every queued
+   memtable holding a row inserted before one it must flush with) as one
+   atomic descriptor update (§3.4.3). The members' filling ones freeze
+   first. Every queued memtable holds rows (bulk delete drops the ones it
+   empties, whose place in the insert order the survivors' spans keep).
+   Caller holds [writer_lock]. *)
 let flush_closure t mt =
   let members =
     Mutexes.with_lock t.state (fun () ->
-        let ids = Flush_graph.closure t.graph (Memtable.id mt) in
-        let in_ids m = List.mem (Memtable.id m) ids in
-        List.iter (freeze_locked t) (List.filter in_ids t.filling);
-        List.filter in_ids t.frozen)
+        let members = Memtable.closure mt (t.filling @ t.frozen) in
+        List.iter (freeze_locked t) members;
+        members)
   in
   let written =
     List.map
@@ -602,11 +602,7 @@ let flush_closure t mt =
   let ids = List.map Memtable.id members in
   Mutexes.with_lock t.state (fun () ->
       commit_locked t ~removed:[] (List.map fst written);
-      t.frozen <- List.filter (fun m -> not (List.mem (Memtable.id m) ids)) t.frozen;
-      (match t.last_insert_tablet with
-      | Some id when List.mem id ids -> t.last_insert_tablet <- None
-      | _ -> ());
-      Flush_graph.remove t.graph ids);
+      t.frozen <- List.filter (fun m -> not (List.mem (Memtable.id m) ids)) t.frozen);
   (* A flush is recorded only once its commit is durable, so a failed
      commit leaves no span, histogram sample or count behind. *)
   List.iter
@@ -662,11 +658,12 @@ let flush_frozen_backlog ?(swallow = false) t ~limit =
    rechecks; otherwise it leads a round itself. A led round freezes
    everything filling and drains the frozen backlog, so it covers every
    batch acked before its freeze point — with any timestamp, which is
-   why it also serves the §4.1.2 flush-before-timestamp command. *)
+   why it also serves the §4.1.2 flush-before-timestamp command. A
+   round covers the rows numbered up to [seq] at its freeze point. *)
 let rec flush_all t =
   let role =
     Mutexes.with_lock t.state (fun () ->
-        let target = t.commit_seq in
+        let target = t.seq in
         if t.durable_seq >= target then `Covered
         else if t.commit_round_active then begin
           while t.commit_round_active do
@@ -699,7 +696,7 @@ let rec flush_all t =
               let covered =
                 Mutexes.with_lock t.state (fun () ->
                     List.iter (freeze_locked t) t.filling;
-                    t.commit_seq)
+                    t.seq)
               in
               flush_frozen_backlog t ~limit:1;
               Mutexes.with_lock t.state (fun () ->
@@ -799,19 +796,10 @@ let memtable_for_locked t ~now:n bin =
    [true] when the insert pushed [mt] over the flush threshold and it
    was frozen out of [t.filling]. *)
 let insert_into_locked t mt ~key ~ts value =
-  let id = Memtable.id mt in
-  (match t.last_insert_tablet with
-  | Some prev when prev = id -> ()
-  | last ->
-      Option.iter
-        (fun prev -> Flush_graph.add_edge t.graph ~before:prev ~after:id)
-        last;
-      t.last_insert_tablet <- Some id);
   if not (land_in mt ~key ~ts value) then
     raise (Duplicate_key (pp_key t.schema key));
-  (match t.max_ts_seen with
-  | Some v when v >= ts -> ()
-  | _ -> t.max_ts_seen <- Some ts);
+  t.seq <- t.seq + 1;
+  Memtable.stamp mt t.seq;
   if Memtable.byte_size mt >= t.config.Config.flush_size then begin
     freeze_locked t mt;
     true
@@ -943,9 +931,6 @@ let insert_encoded t rows =
           | () -> Ok ()
           | exception e -> Error (!landed, e)
         in
-        if !landed > 0 then
-          Mutexes.with_lock t.state (fun () ->
-              t.commit_seq <- t.commit_seq + 1);
         flush_frozen_backlog ~swallow:true t ~limit:t.config.Config.flush_backlog;
         res)
   in
@@ -977,7 +962,17 @@ let insert t rows =
 
 let insert_row t row = insert t [ row ]
 
-let max_ts t = Mutexes.with_lock t.state (fun () -> t.max_ts_seen)
+(* No frozen memtable or disk tablet holds a ts above [settled_max_ts],
+   so only the filling memtables can raise it. *)
+let max_ts t =
+  Mutexes.with_lock t.state (fun () ->
+      let hi =
+        List.fold_left
+          (fun acc m ->
+            match Memtable.ts_range m with Some (_, h) -> max acc h | None -> acc)
+          t.settled_max_ts t.filling
+      in
+      if hi = Int64.min_int then None else Some hi)
 
 (* ------------------------------------------------------------------ *)
 (* Queries                                                             *)
@@ -1187,6 +1182,10 @@ let read_sources t rd ~asc ?projection ~stage mems disk =
    merge reads each source's first block), the read is closed before
    the exception goes on. *)
 let open_scan t a (q : Query.t) =
+  (* A negative limit would never reach the row cap. *)
+  (match q.Query.limit with
+  | Some n when n < 0 -> invalid_arg (Printf.sprintf "negative query limit %d" n)
+  | _ -> ());
   let rd = read_of a (select_query t q) in
   let src =
     or_close t rd (fun () ->
@@ -1577,8 +1576,8 @@ let delete_prefix t prefix_values =
           let victims =
             Mutexes.with_lock t.state (fun () ->
                 (* Memtables: rebuild without the range. Emptied ones
-                   leave the queues but keep their flush-graph nodes,
-                   which carry the insert order later closures obey. *)
+                   leave the queues; the survivors' spans keep the
+                   insert order later closures obey. *)
                 let rebuild mts =
                   List.filter
                     (fun m -> Memtable.row_count m > 0)
@@ -1586,14 +1585,6 @@ let delete_prefix t prefix_values =
                 in
                 t.filling <- rebuild t.filling;
                 t.frozen <- rebuild t.frozen;
-                (match t.last_insert_tablet with
-                | Some id
-                  when not
-                         (List.exists
-                            (fun m -> Memtable.id m = id)
-                            (t.filling @ t.frozen)) ->
-                    t.last_insert_tablet <- None
-                | _ -> ());
                 (* Disk tablets overlapping the range, ref'd until the
                    commit is over. *)
                 let vs =

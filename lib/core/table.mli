@@ -2,8 +2,9 @@
 
     The table owns one directory holding its {!Descriptor} file and its
     tablet files. Rows are binned into filling memtables by time period
-    (§3.4.2/§3.4.3); frozen memtables flush — together with their
-    flush-dependency closure, atomically — into on-disk tablets; a
+    (§3.4.2/§3.4.3); frozen memtables flush — together with every
+    memtable holding a row inserted before theirs, atomically — into
+    on-disk tablets; a
     background maintenance step merges tablets (§3.4.1) and reclaims
     those whose rows have all passed the table's TTL.
 
@@ -121,7 +122,9 @@ type result = {
     per-stage {!Lt_obs.Profile.t} (plan/scan/stall times, rows, tablet
     pruning, cache deltas) using the table's own clock; it works even
     when [Config.obs_enabled] is false and never changes the rows
-    returned. *)
+    returned.
+    @raise Invalid_argument on a negative limit, as {!query_iter} and
+    {!with_query} do. *)
 val query : ?profile:bool -> t -> Query.t -> result
 
 (** Streaming scan (no server row cap). The source holds references on
@@ -157,13 +160,14 @@ val query_agg :
     past the TTL, are skipped without being opened. *)
 val latest : t -> Value.t list -> Value.t array option
 
-(** Largest row timestamp ever inserted ([None] if the table has always
-    been empty). *)
+(** Largest row timestamp inserted ([None] if the table has always
+    been empty). Rows a bulk delete drops from a filling memtable stop
+    counting. *)
 val max_ts : t -> int64 option
 
 (** {1 Maintenance} *)
 
-(** Freeze and flush every memtable (with dependency closures).
+(** Freeze and flush every memtable.
 
     Explicit durability is group-committed: concurrent callers share
     one flush round — and its fsyncs — instead of queueing identical

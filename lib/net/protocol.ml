@@ -402,7 +402,10 @@ let get_query cur =
   let limit =
     match Binio.get_u8 cur with
     | 0 -> None
-    | 1 -> Some (Binio.get_varint cur)
+    | 1 ->
+        let n = Binio.get_varint cur in
+        if n < 0 then error "negative limit %d" n;
+        Some n
     | n -> error "bad limit tag %d" n
   in
   let projection =

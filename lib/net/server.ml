@@ -159,6 +159,14 @@ let db_backend db =
     b_on_stop = (fun () -> Db.flush_all db);
   }
 
+(* A response the frame limit (or its own encoding) refuses has not been
+   written, and the client is waiting for one: it gets a small [Error]
+   naming the refusal instead, on the same connection. *)
+let send_or_refuse fd resp =
+  try Protocol.send_response fd resp
+  with Protocol.Protocol_error msg | Lt_util.Binio.Corrupt msg ->
+    Protocol.send_response fd (Protocol.Error ("response refused: " ^ msg))
+
 let client_loop t fd =
   (* The handler registers itself, so it can never deregister before it
      is registered. [stop] clears [running] before it takes the list, so
@@ -200,8 +208,7 @@ let client_loop t fd =
               ~table:(Protocol.request_kind req)
               ~t0 ~ctx:c (Obs.elapsed obs ~t0)
         | None -> ());
-        (try Protocol.send_response fd resp
-         with Unix.Unix_error _ -> finished := true)
+        (try send_or_refuse fd resp with Unix.Unix_error _ -> finished := true)
     | exception (End_of_file | Unix.Unix_error _) -> finished := true
     | exception Protocol.Protocol_error msg ->
         Log.warn (fun m -> m "malformed frame: %s" msg);

@@ -151,7 +151,13 @@ let parse_select st =
     else None
   in
   let limit =
-    if accept_kw st "limit" then Some (Int64.to_int (int_lit st "limit")) else None
+    if accept_kw st "limit" then begin
+      let n = int_lit st "limit" in
+      if n < 0L || n > Int64.of_int max_int then
+        error "LIMIT must be between 0 and %d, got %Ld" max_int n;
+      Some (Int64.to_int n)
+    end
+    else None
   in
   Ast.Select { projections; star; table; where; group_by; order; limit }
 

@@ -10,8 +10,8 @@
     filesystem {!Lt_vfs.Vfs.crash}es, the table reopens from durable
     state alone, and the invariant is checked:
 
-    - survivors are a flush-graph-consistent prefix of the attempted
-      inserts (modulo TTL visibility and bulk deletes), with no
+    - survivors are a prefix of the attempted inserts in insert order
+      (modulo TTL visibility and bulk deletes), with no
       phantoms or duplicates, and no row an acknowledged delete removed;
     - every row acknowledged as flushed before the fault survives;
     - the descriptor loads cleanly and no referenced tablet is corrupt;

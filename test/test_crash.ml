@@ -140,6 +140,41 @@ let prop_crash_prefix_with_flushes =
       let seqs = survivors vfs clock in
       is_prefix seqs)
 
+(* Bulk delete must not lose the insert order between the memtables it
+   rebuilds. P, E and B are three periods' memtables: P gets two rows,
+   then E one, then B two. The delete takes one row of P, E's only row
+   and one row of B, so E leaves the queues. P's surviving row was still
+   inserted before B's, so B's size-triggered flush must take P with it:
+   after a crash the survivors, less the deleted rows, are a prefix. *)
+let test_delete_keeps_insert_order () =
+  let db, clock, vfs = Support.fresh_db ~config () in
+  let t = Db.create_table db "usage" schema ~ttl:None in
+  let now = Clock.now clock in
+  let p = Int64.neg (Int64.mul 30L Clock.day) and e = Int64.neg Clock.week in
+  let insert seq ~network ~offset =
+    Table.insert_row t
+      (Support.usage_row ~network ~device:(Int64.of_int (100 + seq))
+         ~ts:(Int64.add (Int64.add now offset) (Int64.of_int seq))
+         ~bytes:(Int64.of_int seq) ~rate:0.0)
+  in
+  insert 0 ~network:1L ~offset:p;
+  insert 1 ~network:2L ~offset:p;
+  insert 2 ~network:2L ~offset:e;
+  insert 3 ~network:2L ~offset:0L;
+  insert 4 ~network:1L ~offset:0L;
+  Alcotest.(check int) "deleted" 3 (Table.delete_prefix t [ Value.Int64 2L ]);
+  let next = ref 5 in
+  while Table.tablet_count t = 0 do
+    insert !next ~network:1L ~offset:0L;
+    incr next
+  done;
+  Lt_vfs.Vfs.crash vfs;
+  let seqs = survivors vfs clock in
+  let order = 0L :: List.init (!next - 4) (fun i -> Int64.of_int (4 + i)) in
+  Alcotest.(check bool) "P row 100 survived" true (List.mem 0L seqs);
+  Alcotest.(check bool) "prefix" true
+    (List.filteri (fun i _ -> i < List.length seqs) order = seqs)
+
 let test_descriptor_crash_mid_save_keeps_old () =
   (* Crash with a .tmp descriptor written but not renamed: load sees the
      previous version. *)
@@ -160,6 +195,7 @@ let suite =
     ("crash loses only unflushed suffix", `Quick, test_crash_loses_only_unflushed_suffix);
     ("crash mid-flush is atomic", `Quick, test_crash_mid_flush_is_atomic);
     ("descriptor crash mid-save", `Quick, test_descriptor_crash_mid_save_keeps_old);
+    ("bulk delete keeps the P-E-B insert order", `Quick, test_delete_keeps_insert_order);
     Support.qcheck prop_crash_prefix;
     Support.qcheck prop_crash_prefix_with_flushes;
   ]

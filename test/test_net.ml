@@ -265,11 +265,11 @@ let test_ctx_framing () =
 
 (* [with_db_server f] runs [f db server] against a fresh server with no
    maintenance thread; merges happen only when a test asks for one. *)
-let with_db_server ?slow_op_micros f =
+let with_db_server ?slow_op_micros ?(server_row_limit = 8) f =
   let dir = Filename.temp_file "lt_net_test" "" in
   Sys.remove dir;
   let config =
-    Littletable.Config.make ~server_row_limit:8 ~merge_delay:0L
+    Littletable.Config.make ~server_row_limit ~merge_delay:0L
       ~rollover_spread:0.0 ?slow_op_micros ()
   in
   let db = Db.open_ ~config ~dir () in
@@ -390,6 +390,33 @@ let test_server_end_to_end () =
       | (_ : Schema.t * int64 option) -> Alcotest.fail "missing table"
       | exception Client.Remote_error _ -> ());
       Client.close c)
+
+(* A response larger than [Protocol.max_frame] is answered with an
+   error naming its size, and the connection goes on serving: 65 rows of
+   1 MiB blobs under a row limit of 1,000 make a 68 MB page. *)
+let test_oversized_response_refused () =
+  with_db_server ~server_row_limit:1000 (fun db server ->
+      let schema =
+        Schema.create
+          ~columns:
+            [ { Schema.name = "id"; ctype = Value.T_int64; default = Value.Int64 0L };
+              { Schema.name = "ts"; ctype = Value.T_timestamp; default = Value.Timestamp 0L };
+              { Schema.name = "body"; ctype = Value.T_blob; default = Value.Blob "" } ]
+          ~pkey:[ "id"; "ts" ]
+      in
+      let t = Db.create_table db "blobs" schema ~ttl:None in
+      let body = String.make (1 lsl 20) 'x' in
+      Table.insert t
+        (List.init 65 (fun i ->
+             [| Value.Int64 (Int64.of_int i); Value.Timestamp 1L; Value.Blob body |]));
+      let c = Client.connect ~port:(Server.port server) () in
+      Fun.protect ~finally:(fun () -> Client.close c) (fun () ->
+          (match Client.query_page c "blobs" Query.all with
+          | (_ : Client.page) -> Alcotest.fail "oversized page answered"
+          | exception Client.Remote_error msg ->
+              Alcotest.(check bool) ("names the limit: " ^ msg) true
+                (Support.contains ~sub:"exceeds limit" msg));
+          Client.ping c))
 
 (* The §4.1.2 flush command over the wire: rows acknowledged in two
    period bins survive a crash once [flush_before] returns, although its
@@ -1204,6 +1231,27 @@ let test_negative_count_rejected () =
       ("negative span count", response, "\014");
     ]
 
+(* A query limit that decodes negative is refused: it would otherwise
+   drop the server's row cap. The client's encoder cannot write one, so
+   the frame is spliced by hand. *)
+let test_negative_query_limit_rejected () =
+  let with_limit bytes =
+    let b = Buffer.create 64 in
+    Protocol.write_request b
+      (Protocol.Query { table = "t"; query = Query.all; profile = false });
+    let s = Buffer.contents b in
+    let n = String.length s in
+    (* [Query.all] ends with limit tag 0, projection tag 0, profile flag. *)
+    Lt_util.Binio.cursor (String.sub s 0 (n - 3) ^ bytes ^ String.sub s (n - 2) 2)
+  in
+  (match Protocol.read_request (with_limit "\001\005") with
+  | Protocol.Query { query; _ } ->
+      Alcotest.(check (option int)) "limit 5 decodes" (Some 5) query.Query.limit
+  | _ -> Alcotest.fail "not a query");
+  match Protocol.read_request (with_limit ("\001" ^ String.make 8 '\255' ^ "\127")) with
+  | (_ : Protocol.request) -> Alcotest.fail "negative limit decoded"
+  | exception Protocol.Protocol_error _ -> ()
+
 let suite =
   [
     ("protocol request roundtrips", `Quick, test_protocol_requests);
@@ -1232,7 +1280,9 @@ let suite =
       `Quick,
       test_buffered_rows_survive_sigkill_reconnect );
     ("client gone mid-pipeline leaves the server up", `Quick, test_client_gone_mid_pipeline);
+    ("oversized response refused, connection kept", `Quick, test_oversized_response_refused);
     ("negative decode counts rejected", `Quick, test_negative_count_rejected);
+    ("negative query limit rejected", `Quick, test_negative_query_limit_rejected);
     Support.qcheck prop_decoders_total;
     Support.qcheck prop_transcode_matches_boxed_path;
     Support.qcheck prop_span_roundtrip;

@@ -95,6 +95,19 @@ let test_parser_errors () =
   bad "SELECT * FROM t WHERE a ~ 3";
   bad "SELECT * FROM t garbage"
 
+(* A negative LIMIT lexes as a literal, and one that does not fit an
+   int would wrap to one; either would drop the row cap. *)
+let test_parser_negative_limit () =
+  List.iter
+    (fun sql ->
+      match Parser.parse sql with
+      | (_ : Ast.stmt) -> Alcotest.failf "accepted: %s" sql
+      | exception Lexer.Syntax_error _ -> ())
+    [ "SELECT * FROM t LIMIT -1"; "SELECT * FROM t LIMIT 9223372036854775807" ];
+  match Parser.parse "SELECT * FROM t LIMIT 0" with
+  | Ast.Select { limit = Some 0; _ } -> ()
+  | _ -> Alcotest.fail "LIMIT 0"
+
 (* ---- Planner ------------------------------------------------------------ *)
 
 let test_planner_bounding_box () =
@@ -282,6 +295,7 @@ let suite =
     ("parser: select", `Quick, test_parser_select);
     ("parser: other statements", `Quick, test_parser_other_statements);
     ("parser: errors", `Quick, test_parser_errors);
+    ("parser: negative LIMIT refused", `Quick, test_parser_negative_limit);
     ("planner: bounding box extraction", `Quick, test_planner_bounding_box);
     ("planner: errors", `Quick, test_planner_errors);
     ("e2e: create/insert/select", `Quick, test_e2e_create_insert_select);

@@ -242,6 +242,26 @@ let test_more_available () =
   Alcotest.(check int) "client limit" 3 (List.length r4.Table.rows);
   Alcotest.(check bool) "flag off" false r4.Table.more_available
 
+(* A negative limit would never reach the row cap, so every query read
+   refuses it rather than return every row (or, streaming, none). *)
+let test_negative_limit_refused () =
+  let config = Config.make ~server_row_limit:10 ~flush_size:(1 lsl 20) () in
+  let _, _, _, t = fresh ~config () in
+  Table.insert t (List.init 100 (fun i -> row 1L (Int64.of_int i) 1L));
+  let q = Query.with_limit (-1) Query.all in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s accepted a negative limit" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "query" (fun () -> ignore (Table.query t q));
+  refused "query_iter" (fun () ->
+      let (_ : Cursor.source) = Table.query_iter t q in
+      ());
+  refused "with_query" (fun () -> Table.with_query t q (fun _ -> ()));
+  Alcotest.(check int) "the cap still holds" 10
+    (List.length (Table.query t Query.all).Table.rows)
+
 let test_query_iter_streams () =
   let _, _, _, t = fresh () in
   Table.insert t (List.init 50 (fun i -> row 1L (Int64.of_int i) 1L));
@@ -1520,6 +1540,7 @@ let suite =
     ("unique bound: merge and expiry", `Quick, test_unique_bound_merge_and_expiry);
     ("uniqueness disabled: newest shadows", `Quick, test_unique_disabled);
     ("more_available paging", `Quick, test_more_available);
+    ("negative query limit refused", `Quick, test_negative_limit_refused);
     ("query_iter streams", `Quick, test_query_iter_streams);
     ("ttl filtering and expiry", `Quick, test_ttl_filtering_and_expiry);
     ("ttl: straddling tablet kept", `Quick, test_ttl_partial_tablet);

@@ -30,7 +30,7 @@ let sweep_mode mode seed =
 
 (* Crash-equivalence property: for every durability point of every
    workload, crashing there and reopening yields a state equivalent to
-   some flush-graph-consistent prefix of the acknowledged inserts. *)
+   some prefix of the acknowledged inserts in insert order. *)
 let test_crash_sweep () = sweep_mode Torture.Crash 7L
 
 (* Io_error sweep: a single transient fault at any durability point must
